@@ -11,12 +11,12 @@ from .config import (CheckResult, ConfigError, ExperimentConfig, RunReport,
                      load_config)
 from .domains import (Domain, EigenBasis, build_domain, eigendecompose,
                       l2_norm, laplacian_matrix)
-from .extension import (ExtensionField, TraceReport, UySignReport, YMesh,
-                        build_ymesh, check_uy_sign, dtn,
-                        extension_energy_constant, extend_fd,
-                        extend_semianalytic, hopf_ratio, mode_profile,
-                        mode_profile_derivative, smallest_eigenvalue,
-                        trace_coupling_constant, trace_norms, weighted_energy)
+from .extension import (ExtensionField, UySignReport, YMesh, build_ymesh,
+                        check_uy_sign, dtn, extension_energy_constant,
+                        extend_fd, extend_semianalytic, hopf_ratio,
+                        mode_profile, mode_profile_derivative,
+                        smallest_eigenvalue, trace_coupling_constant,
+                        weighted_energy)
 from .freeboundary import (BlowupField, Census, Classification, FreeBoundary,
                            FreeBoundaryPoint, FrequencyProfile, InclusionReport,
                            StripReport, blowup, check_boundary_inclusion,
@@ -38,11 +38,11 @@ __all__ = [
     "load_config",
     "Domain", "EigenBasis", "build_domain", "eigendecompose", "l2_norm",
     "laplacian_matrix",
-    "ExtensionField", "TraceReport", "UySignReport", "YMesh", "build_ymesh",
+    "ExtensionField", "UySignReport", "YMesh", "build_ymesh",
     "check_uy_sign", "dtn", "extension_energy_constant", "extend_fd",
     "extend_semianalytic", "hopf_ratio", "mode_profile",
     "mode_profile_derivative", "smallest_eigenvalue",
-    "trace_coupling_constant", "trace_norms", "weighted_energy",
+    "trace_coupling_constant", "weighted_energy",
     "BlowupField", "Census", "Classification", "FreeBoundary",
     "FreeBoundaryPoint", "FrequencyProfile", "InclusionReport", "StripReport",
     "blowup", "check_boundary_inclusion", "check_subharmonic_strip",

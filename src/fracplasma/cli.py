@@ -10,9 +10,9 @@ Subcommands::
 
 Each run writes CSV/JSON artefacts into the output directory and a
 ``report.json`` with named pass/fail checks.  Exit codes: 0 success,
-1 a solver or check failed, 2 configuration or usage errors.  All
-numeric CSV values are printed with '%.17g', so repeated runs of the
-same configuration are byte-identical.
+1 a solver or check failed or the run ran out of memory, 2 configuration
+or usage errors.  All numeric CSV values are printed with '%.17g', so
+repeated runs of the same configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -490,6 +490,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"out of memory: {args.command} needs more memory than is "
+              "available; try a coarser grid or fewer basis modes",
+              file=sys.stderr)
+        return 1
     print(f"unknown command {args.command!r}", file=sys.stderr)
     return 2
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 import scipy.sparse
 
@@ -285,6 +286,47 @@ def laplacian_matrix(domain: Domain, *, sparse: bool = False):
             vals.extend(np.full(inside.sum(), -1.0 / h2))
     A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
     return A if sparse else A.toarray()
+
+
+def _laplacian_modes(domain: Domain):
+    """Eigen-transform of the graph Laplacian B = h^2 (-Delta_h).
+
+    Returns ``(mu, to_modes, from_modes)``: the eigenvalues of B, a map
+    from full-grid arrays (any trailing axes) to coefficients in B's
+    orthonormal eigenbasis, shaped ``mu.shape`` plus those trailing axes,
+    and its inverse back to full-grid arrays that vanish off the interior.
+    Intervals and rectangles use the closed-form sine modes and DST-I, so
+    no matrix is stored; disk masks use a dense ``eigh`` of B.
+    """
+    dim = domain.dim
+    if domain.shape in ("interval", "rectangle"):
+        block = (slice(1, -1),) * dim
+        axes = tuple(range(dim))
+        per_axis = [4.0 * np.sin(np.arange(1, n - 1) * np.pi / (2 * (n - 1))) ** 2
+                    for n in domain.grid_shape]
+        mu = sum(np.meshgrid(*per_axis, indexing="ij"))
+
+        def to_modes(full):
+            return scipy.fft.dstn(full[block], type=1, norm="ortho", axes=axes)
+
+        def from_modes(coeffs):
+            full = np.zeros(domain.grid_shape + coeffs.shape[dim:])
+            full[block] = scipy.fft.idstn(coeffs, type=1, norm="ortho", axes=axes)
+            return full
+
+        return mu, to_modes, from_modes
+
+    mu, Q = scipy.linalg.eigh(laplacian_matrix(domain) * domain.h**2)
+
+    def to_modes(full):
+        return Q.T @ full[domain.interior]
+
+    def from_modes(coeffs):
+        full = np.zeros(domain.grid_shape + coeffs.shape[1:])
+        full[domain.interior] = Q @ coeffs
+        return full
+
+    return mu, to_modes, from_modes
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

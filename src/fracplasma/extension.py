@@ -22,13 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import gamma as gamma_fn, kve
 
-from .domains import Domain, laplacian_matrix
+from .domains import Domain, _laplacian_modes, laplacian_matrix
 from .spectral import SpectralField, _check_order
-from . import halfball
 
 __all__ = [
     "YMesh",
@@ -45,8 +43,6 @@ __all__ = [
     "check_uy_sign",
     "UySignReport",
     "weighted_energy",
-    "trace_norms",
-    "TraceReport",
     "hopf_ratio",
 ]
 
@@ -242,6 +238,14 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
 
     so the matrix is symmetric positive definite and satisfies a discrete
     maximum principle (nonnegative data give nonnegative solutions).
+
+    The slab matrix is B (x) diag(cond_x) + I (x) T_y with B = h^2 (-Delta_h)
+    the thin graph Laplacian, so the system is solved mode by mode in B's
+    eigenbasis (DST-I on intervals and rectangles, dense ``eigh`` on disk
+    masks): each eigenvalue mu_k leaves one tridiagonal system in y,
+    (mu_k diag(cond_x) + T_y) c_k = cond_y[0] u_k e_1, and one Thomas
+    sweep vectorised over the modes solves them all.  Past the transform
+    the cost is linear in the number of layers.
     """
     _check_order(s)
     if s == 1.0:
@@ -268,23 +272,25 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
     resist = (ys[1:] ** (1 - a) - ys[:-1] ** (1 - a)) / (1 - a)
     cond_y = h**dim / resist
 
-    m = domain.n_interior
-    L = M - 1
-    B = laplacian_matrix(domain, sparse=True) * h**2  # graph Laplacian, Dirichlet walls
-    Ty = sp.diags(cond_y[:-1] + cond_y[1:])
-    if L > 1:
-        off_diag = sp.diags(cond_y[1:L], offsets=1, shape=(L, L))
-        Ty = Ty - off_diag - off_diag.T
-    A = sp.kron(B, sp.diags(cond_x), format="csc") + sp.kron(
-        sp.identity(m, format="csc"), Ty, format="csc"
-    )
-    rhs = np.zeros((m, L))
-    rhs[:, 0] = cond_y[0] * trace_full[domain.interior]
-    sol = spla.splu(A).solve(rhs.ravel()).reshape(m, L)
+    mu, to_modes, from_modes = _laplacian_modes(domain)
+    # tridiagonal T_k = diag(mu_k cond_x + cond_y[:-1] + cond_y[1:]) with
+    # off-diagonal -cond_y[1:M-1]; its only right-hand side is in layer 1
+    diag = mu[..., None] * cond_x + (cond_y[:-1] + cond_y[1:])
+    couple = cond_y[1:M - 1]
+    c = np.empty_like(diag)
+    ratio = np.empty_like(diag[..., :-1])
+    pivot = diag[..., 0]
+    c[..., 0] = cond_y[0] * to_modes(trace_full) / pivot
+    for j in range(1, M - 1):
+        ratio[..., j - 1] = couple[j - 1] / pivot
+        pivot = diag[..., j] - couple[j - 1] * ratio[..., j - 1]
+        c[..., j] = couple[j - 1] * c[..., j - 1] / pivot
+    for j in range(M - 3, -1, -1):
+        c[..., j] += ratio[..., j] * c[..., j + 1]
 
     vals = np.zeros(domain.grid_shape + (M + 1,))
     vals[..., 0] = trace_full
-    vals[domain.interior, 1:M] = sol
+    vals[..., 1:M] = from_modes(c)
     return ExtensionField(domain=domain, ymesh=ymesh, s=s, values=vals,
                           provenance="fd")
 
@@ -467,37 +473,3 @@ def weighted_energy(w: ExtensionField) -> float:
             eyl = (jy / dy) ** 2 * i0
             total += 0.25 * h**2 * float((e1 + e2 + eyl).sum())
     return total
-
-
-@dataclass(frozen=True)
-class TraceReport:
-    """Half-ball comparison of boundary, thin, and energy integrals."""
-
-    radius: float
-    energy: float
-    boundary_norm: float
-    thin_norm: float
-    boundary_over_energy: float
-    thin_over_energy: float
-
-
-def trace_norms(w: ExtensionField, center, r: float) -> TraceReport:
-    """Half-ball integrals at radius r around a thin-space center.
-
-    Reports H(r), D(r), the thin-ball trace mass, and the scale-free
-    ratios H / (r^{n+a-1} ...) used in trace inequalities; all integrals
-    use the weighted quadrature engine.
-    """
-    engine = halfball.HalfBallQuadrature(w, center, r)
-    D = engine.energy(r)
-    H = engine.boundary_norm(r)
-    T = engine.thin_mass(r)
-    eps = np.finfo(float).tiny
-    return TraceReport(
-        radius=float(r),
-        energy=D,
-        boundary_norm=H,
-        thin_norm=T,
-        boundary_over_energy=H / (r * D) if D > eps else np.inf,
-        thin_over_energy=T / (r ** (1 - w.a) * D) if D > eps else np.inf,
-    )

@@ -163,3 +163,51 @@ def flux_constant(s: float) -> float:
     """2^{1-2s} Gamma(1-s) / Gamma(s), the spectral-to-flux normalization."""
     return float(2.0 ** (1 - 2 * s) * scipy.special.gamma(1 - s)
                  / scipy.special.gamma(s))
+
+
+# -- finite-volume slab extension by one sparse LU ------------------------------------
+
+
+def fd_slab_extension(interior: np.ndarray, h: float, trace: np.ndarray,
+                      s: float, ys: np.ndarray) -> np.ndarray:
+    """Finite-volume extension of ``trace`` assembled as one 3-D matrix.
+
+    ``interior`` is the boolean interior mask over the full grid and
+    ``ys`` the layer heights 0 = y_0 < ... < y_M.  The thin graph
+    Laplacian is the Kronecker sum of 1D second differences over the full
+    grid restricted to the interior nodes, so Dirichlet walls are
+    eliminated.  Same conductances as the package scheme: control-volume
+    integrals of y^a horizontally, harmonic transmissibilities
+    vertically.  Returns values of shape grid_shape + (M + 1,).
+    """
+    a = 1.0 - 2.0 * s
+    dim = interior.ndim
+    M = len(ys) - 1
+    L = M - 1
+    B = None
+    for ax, n in enumerate(interior.shape):
+        second = scipy.sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                                    [-1, 0, 1])
+        factors = [scipy.sparse.identity(k) for k in interior.shape]
+        factors[ax] = second
+        term = factors[0]
+        for f in factors[1:]:
+            term = scipy.sparse.kron(term, f)
+        B = term if B is None else B + term
+    keep = np.flatnonzero(interior.ravel())
+    B = B.tocsr()[keep][:, keep]
+
+    mid = 0.5 * (ys[:-1] + ys[1:])
+    cond_x = (mid[1:] ** (1 + a) - mid[:-1] ** (1 + a)) / (1 + a) * h ** (dim - 2)
+    cond_y = h**dim * (1 - a) / (ys[1:] ** (1 - a) - ys[:-1] ** (1 - a))
+    Ty = scipy.sparse.diags([-cond_y[1:L], cond_y[:-1] + cond_y[1:], -cond_y[1:L]],
+                            [-1, 0, 1])
+    A = (scipy.sparse.kron(B, scipy.sparse.diags(cond_x))
+         + scipy.sparse.kron(scipy.sparse.identity(len(keep)), Ty)).tocsc()
+    rhs = np.zeros((len(keep), L))
+    rhs[:, 0] = cond_y[0] * trace[interior]
+    sol = scipy.sparse.linalg.splu(A).solve(rhs.ravel()).reshape(len(keep), L)
+    out = np.zeros(interior.shape + (M + 1,))
+    out[..., 0] = trace
+    out[interior, 1:M] = sol
+    return out

@@ -131,6 +131,35 @@ def test_cli_symmetrize_reports_energy(tmp_path):
     assert meta["mass_after"] == pytest.approx(meta["mass_before"], abs=1e-12)
 
 
+def test_cli_symmetrize_on_readme_square(tmp_path):
+    path = write_config(tmp_path, {
+        "domain": {"kind": "rectangle", "n": 49,
+                   "bounds": [[0.0, np.pi], [0.0, np.pi]]},
+        "s": 0.75,
+        "extension": {"span_factor": 20.0, "layers": 200},
+    })
+    out = tmp_path / "sym49"
+    assert main(["symmetrize", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [c["passed"] for c in report["checks"]] == [True, True]
+
+
+def test_cli_memory_error_is_clean_exit_1(tmp_path, monkeypatch, capsys):
+    import fracplasma.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "eigendecompose", exhausted)
+    path = write_config(tmp_path)
+    assert main(["solve", "--config", str(path), "--out",
+                 str(tmp_path / "oom")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "out of memory" in err
+    assert "Traceback" not in err
+
+
 def test_cli_verify_green_on_healthy_problem(tmp_path):
     path = write_config(tmp_path, {"extension": {"span_factor": 20.0,
                                                  "layers": 160}})

@@ -183,6 +183,34 @@ def test_fd_extension_preserves_trace(interval):
     np.testing.assert_allclose(w.trace, tr, atol=0.0)
 
 
+def _fd_domain(kind):
+    if kind == "interval":
+        return build_domain("interval", 65, bounds=(0.0, np.pi))
+    if kind == "rectangle":
+        return build_domain("rectangle", (17, 25),
+                            bounds=((0.0, 2 * np.pi / 3), (0.0, np.pi)))
+    return build_domain("disk", 25, bounds=((-1.2, 1.2), (-1.2, 1.2)),
+                        radius=1.0, center=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("layers", [8, 40])
+@pytest.mark.parametrize("s", [0.3, 0.75])
+@pytest.mark.parametrize("kind", ["interval", "rectangle", "disk"])
+def test_fd_extension_matches_sparse_lu_oracle(kind, s, layers):
+    dom = _fd_domain(kind)
+    ym = build_ymesh(s, 2.0, layers=layers)
+    rng = np.random.default_rng(layers)
+    signed = dom.embed(rng.standard_normal(dom.n_interior))
+    w = extend_fd(dom, signed, s, ym)
+    ref = oracles.fd_slab_extension(dom.interior, dom.h, signed, s, ym.nodes)
+    assert np.abs(w.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    # discrete maximum principle, up to the round-off of the mode transform
+    positive = dom.embed(rng.uniform(0.0, 1.0, dom.n_interior))
+    w = extend_fd(dom, positive, s, ym)
+    assert w.values.min() >= -1e-14 * positive.max()
+
+
 # -- derivative sign and Hopf ratio --------------------------------------------------
 
 
