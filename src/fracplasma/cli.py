@@ -39,17 +39,22 @@ __all__ = ["main", "run_solve", "run_frequency", "run_blowup",
            "run_symmetrize", "run_verify"]
 
 _FMT = "%.17g"
+_CSV_BLOCK = 4096
 
 
-def _fmt(x) -> str:
-    return _FMT % float(x)
+def _write_csv(path: Path, header: list, table) -> None:
+    """Write a 2-D table, one '%.17g' value per cell.
 
-
-def _write_csv(path: Path, header: list, rows) -> None:
+    Each block of rows is formatted by one %-operation over a repeated
+    row template, so no Python code runs per value.
+    """
+    table = np.asarray(table, dtype=float).reshape(-1, len(header))
+    row = ",".join([_FMT] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -109,11 +114,11 @@ def _solve(cfg: ExperimentConfig):
     return dom, basis, sol
 
 
-def _grid_rows(dom, arrays):
-    """Rows of node coordinates followed by the given full-grid arrays."""
-    mesh = np.meshgrid(*dom.axes, indexing="ij")
-    cols = [m.ravel() for m in mesh] + [np.asarray(a).ravel() for a in arrays]
-    return zip(*cols)
+def _grid_rows(axes, arrays):
+    """Table of node coordinates followed by the given full-grid arrays."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh]
+                           + [np.asarray(a).ravel() for a in arrays])
 
 
 def _coord_header(dom):
@@ -152,7 +157,7 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
     u = sol.trace
-    _write_csv(out / "u.csv", _coord_header(dom) + ["u"], _grid_rows(dom, [u]))
+    _write_csv(out / "u.csv", _coord_header(dom) + ["u"], _grid_rows(dom.axes, [u]))
 
     ym = build_ymesh(cfg.s, float(basis.eigenvalues[0]),
                      span_factor=cfg.extension.span_factor,
@@ -161,15 +166,10 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
     if ym is not None:
         w = extend_semianalytic(sol.field, cfg.s, ym)
         picks = sorted({0, 1, 2, 4, ym.M // 8, ym.M // 4, ym.M // 2, ym.M})
-        rows = []
-        mesh = np.meshgrid(*dom.axes, indexing="ij")
-        flat_coords = [m.ravel() for m in mesh]
-        for j in picks:
-            layer = w.values[..., j].ravel()
-            for vals in zip(*flat_coords, layer):
-                rows.append((ym.nodes[j],) + vals)
+        table = np.concatenate([_grid_rows((ym.nodes[[j]],) + dom.axes,
+                                           [w.values[..., j]]) for j in picks])
         _write_csv(out / "extension_slices.csv",
-                   ["y"] + _coord_header(dom) + ["w"], rows)
+                   ["y"] + _coord_header(dom) + ["w"], table)
 
     payload = _solution_payload(cfg, dom, basis, sol)
     _write_json(out / "solution.json", payload)
@@ -271,15 +271,12 @@ def run_blowup(cfg: ExperimentConfig, out: Path) -> int:
         print(f"blowup rejected: {exc}", file=sys.stderr)
         return 2
     ref = bl.field
-    rows = []
-    mesh = np.meshgrid(*ref.domain.axes, indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    for j, y in enumerate(ref.ymesh.nodes):
-        layer = ref.values[..., j].ravel()
-        for vals in zip(*flat, layer):
-            rows.append(vals[:-1] + (y, vals[-1]))
-    _write_csv(out / "blowup.csv",
-               _coord_header(ref.domain) + ["y", "value"], rows)
+    d = ref.domain.dim
+    # layer by layer (y slowest), thin nodes row-major; columns x..., y, value
+    table = _grid_rows((ref.ymesh.nodes,) + ref.domain.axes,
+                       [np.moveaxis(ref.values, -1, 0)])
+    _write_csv(out / "blowup.csv", _coord_header(ref.domain) + ["y", "value"],
+               table[:, [*range(1, d + 1), 0, d + 1]])
     _write_json(out / "blowup.json", {
         "center": list(bl.center), "source_radius": bl.source_radius,
         "normalization": bl.normalization, "boundary_mass": bl.boundary_mass,
@@ -309,7 +306,7 @@ def run_symmetrize(cfg: ExperimentConfig, out: Path, axis: int = 0) -> int:
         return 2
     _write_csv(out / "symmetrized.csv",
                _coord_header(dom) + ["u", "u_symmetrized"],
-               _grid_rows(dom, [u, v]))
+               _grid_rows(dom.axes, [u, v]))
     ym = build_ymesh(cfg.s, float(basis.eigenvalues[0]),
                      span_factor=cfg.extension.span_factor,
                      layers=min(cfg.extension.layers, 120),

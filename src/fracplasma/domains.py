@@ -17,6 +17,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 __all__ = [
     "Domain",
@@ -288,6 +289,21 @@ def laplacian_matrix(domain: Domain, *, sparse: bool = False):
     return A if sparse else A.toarray()
 
 
+def _sine_eigenvalues(n: int) -> np.ndarray:
+    """Eigenvalues 4 sin^2(k pi / (2 (n - 1))), k = 1..n-2, of the 1D
+    second difference h^2 (-d^2/dx^2) on n nodes with Dirichlet ends."""
+    return 4.0 * np.sin(np.arange(1, n - 1) * np.pi / (2 * (n - 1))) ** 2
+
+
+def _sine_vectors(n: int) -> np.ndarray:
+    """Sampled sines sqrt(2/(n-1)) sin(pi j k / (n-1)), rows j and columns
+    k = 1..n-2; orthonormal in the unweighted inner product.  The phase
+    j k is reduced mod 2(n-1) in integers so large indices lose nothing."""
+    k = np.arange(1, n - 1)
+    phase = np.outer(k, k) % (2 * (n - 1))
+    return np.sqrt(2.0 / (n - 1)) * np.sin(phase * (np.pi / (n - 1)))
+
+
 def _laplacian_modes(domain: Domain):
     """Eigen-transform of the graph Laplacian B = h^2 (-Delta_h).
 
@@ -302,8 +318,7 @@ def _laplacian_modes(domain: Domain):
     if domain.shape in ("interval", "rectangle"):
         block = (slice(1, -1),) * dim
         axes = tuple(range(dim))
-        per_axis = [4.0 * np.sin(np.arange(1, n - 1) * np.pi / (2 * (n - 1))) ** 2
-                    for n in domain.grid_shape]
+        per_axis = [_sine_eigenvalues(n) for n in domain.grid_shape]
         mu = sum(np.meshgrid(*per_axis, indexing="ij"))
 
         def to_modes(full):
@@ -341,16 +356,44 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tensor_sine_basis(domain: Domain, K: int):
+    """First K eigenpairs of an interval or rectangle in closed form.
+
+    Eigenvalues are sums of per-axis sine eigenvalues, ordered by a
+    stable sort so that tied sums (lambda_jk = lambda_kj on a square)
+    keep row-major (j, k) order; eigenvectors are products of sampled
+    sines, whose first interior component is positive.
+    """
+    per_axis = [_sine_eigenvalues(n) / domain.h**2 for n in domain.grid_shape]
+    sums = sum(np.meshgrid(*per_axis, indexing="ij"))
+    order = np.argsort(sums.ravel(), kind="stable")[:K]
+    factors = [_sine_vectors(n)[:, j]
+               for n, j in zip(domain.grid_shape, np.unravel_index(order, sums.shape))]
+    lead = factors[0] * domain.h ** (-domain.dim / 2)
+    # one C-ordered allocation: the solvers gather rows V[active], and
+    # packed interior nodes are row-major, so axis 0 varies slowest
+    V = np.empty(sums.shape + (K,))
+    if domain.dim == 1:
+        V[...] = lead
+    else:
+        np.multiply(lead[:, None, :], factors[1][None, :, :], out=V)
+    return sums.ravel()[order], V.reshape(-1, K)
+
+
 def eigendecompose(domain: Domain, K: int) -> EigenBasis:
     """First K Dirichlet eigenpairs, ascending.
 
-    Small problems (or nearly full bases) use a dense symmetric solve;
-    large, strongly truncated bases use sparse shift-invert Lanczos with
-    a fixed start vector so results are deterministic.
+    Intervals and rectangles use the closed-form tensor-sine basis.
+    Disk masks use a dense symmetric solve when the problem is small or
+    the basis nearly full, and sparse shift-invert Lanczos with a fixed
+    start vector (so results are deterministic) otherwise.
     """
     m = domain.n_interior
     if not 1 <= K <= m:
         raise ValueError(f"K must be in [1, {m}], got {K}")
+    if domain.shape in ("interval", "rectangle"):
+        lam, V = _tensor_sine_basis(domain, K)
+        return EigenBasis(domain=domain, eigenvalues=lam, vectors=V)
     if m > 2500 and K <= m // 4:
         A = laplacian_matrix(domain, sparse=True)
         lam, V = scipy.sparse.linalg.eigsh(

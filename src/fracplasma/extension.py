@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.special import gamma as gamma_fn, kve
 
-from .domains import Domain, _laplacian_modes, laplacian_matrix
+from .domains import Domain, _laplacian_modes, eigendecompose
 from .spectral import SpectralField, _check_order
 
 __all__ = [
@@ -189,20 +188,8 @@ def trace_coupling_constant(s: float) -> float:
 
 
 def smallest_eigenvalue(domain: Domain) -> float:
-    """Smallest discrete Dirichlet eigenvalue by inverse power iteration."""
-    A = laplacian_matrix(domain, sparse=True).tocsc()
-    lu = spla.splu(A)
-    v = np.ones(A.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(400):
-        w = lu.solve(v)
-        v = w / np.linalg.norm(w)
-        lam_new = float(v @ (A @ v))
-        if abs(lam_new - lam) <= 1e-14 * abs(lam_new):
-            return lam_new
-        lam = lam_new
-    return lam
+    """Smallest discrete Dirichlet eigenvalue."""
+    return float(eigendecompose(domain, 1).eigenvalues[0])
 
 
 # -- building extensions --------------------------------------------------------

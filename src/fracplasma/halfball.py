@@ -85,6 +85,13 @@ def interp_gradient(field, thin_pts: np.ndarray, y_pts: np.ndarray):
     return g1, g2, gy
 
 
+def _chunks(n: int, size: int = 32):
+    """Slices covering range(n) in blocks of ``size``; radial profiles are
+    evaluated one block of radii per interpolation call, which bounds the
+    temporary arrays while removing the per-radius Python overhead."""
+    return [slice(k, min(k + size, n)) for k in range(0, n, size)]
+
+
 class HalfBallQuadrature:
     """Quadrature engine for half-balls centred at ``center`` on the thin space.
 
@@ -147,11 +154,15 @@ class HalfBallQuadrature:
 
         # angular profiles on the radial grid
         gD = np.empty(n_radial)
-        for q, r in enumerate(self._rho):
+        for sl in _chunks(n_radial):
+            r = self._rho[sl, None]
             grads = interp_gradient(
-                field, self.center + r * self._unit_thin, r * self._unit_y
+                field,
+                (self.center + r[..., None] * self._unit_thin).reshape(-1, dom.dim),
+                (r * self._unit_y).ravel(),
             )
-            gD[q] = np.sum(self._ang_w * sum(g**2 for g in grads))
+            sq = sum(g**2 for g in grads).reshape(len(r), -1)
+            gD[sl] = np.sum(self._ang_w * sq, axis=1)
         self._cum_energy = self._cumulative(gD, dom.dim + a)
 
         # thin-ball profiles (no y^a weight; the trace lives at y = 0)
@@ -159,11 +170,8 @@ class HalfBallQuadrature:
         if dom.dim == 1:
             xs = dom.axes[0]
             def thin_line(f):
-                def S(rho):
-                    lo = np.interp(self.center[0] - rho, xs, f)
-                    hi = np.interp(self.center[0] + rho, xs, f)
-                    return lo + hi
-                return np.array([S(r) for r in self._rho])
+                return (np.interp(self.center[0] - self._rho, xs, f)
+                        + np.interp(self.center[0] + self._rho, xs, f))
             self._cum_thin_sq = self._cumulative(thin_line(trace**2), 0.0)
             self._cum_thin_pos = self._cumulative(
                 thin_line(np.maximum(trace, 0.0) ** 2), 0.0
@@ -172,12 +180,14 @@ class HalfBallQuadrature:
             phi = 2 * np.pi * np.arange(max(64, n_phi)) / max(64, n_phi)
             ring = np.column_stack([np.cos(phi), np.sin(phi)])
             wring = 2 * np.pi / len(phi)
-            zero_y = np.zeros(len(phi))
             def ring_profile(transform):
                 out = np.empty(n_radial)
-                for q, r in enumerate(self._rho):
-                    vals = interp_values(self.field, self.center + r * ring, zero_y)
-                    out[q] = wring * np.sum(transform(vals) ** 2)
+                for sl in _chunks(n_radial):
+                    r = self._rho[sl, None, None]
+                    pts = (self.center + r * ring).reshape(-1, 2)
+                    vals = interp_values(self.field, pts, np.zeros(len(pts)))
+                    sq = transform(vals).reshape(len(r), -1) ** 2
+                    out[sl] = wring * np.sum(sq, axis=1)
                 return out
             self._cum_thin_sq = self._cumulative(ring_profile(lambda v: v), 1.0)
             self._cum_thin_pos = self._cumulative(

@@ -44,6 +44,29 @@ def rectangle_eigenvalues(bounds, nx: int, ny: int, K: int) -> np.ndarray:
     return sums[:K]
 
 
+def dense_dirichlet_eigh(grid_shape, h: float):
+    """All eigenpairs of the 3/5-point Dirichlet Laplacian by a dense solve.
+
+    ``grid_shape`` counts nodes per axis, boundary included; interior
+    nodes are packed row-major.  The matrix is the Kronecker sum of 1D
+    second differences; vectors are scaled to be orthonormal in the
+    h^dim-weighted inner product.  Eigenvalues ascend.
+    """
+    ms = [n - 2 for n in grid_shape]
+
+    def second(m):
+        return scipy.sparse.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)],
+                                  [-1, 0, 1])
+
+    if len(ms) == 1:
+        A = second(ms[0])
+    else:
+        A = (scipy.sparse.kron(second(ms[0]), scipy.sparse.identity(ms[1]))
+             + scipy.sparse.kron(scipy.sparse.identity(ms[0]), second(ms[1])))
+    lam, V = scipy.linalg.eigh(A.toarray() / h**2)
+    return lam, V / np.sqrt(h ** len(ms))
+
+
 # -- stencil application on full grids -----------------------------------------------
 
 

@@ -85,6 +85,23 @@ def test_refine_scales_cells_and_layers():
 # -- CLI subcommands -----------------------------------------------------------------
 
 
+def test_csv_writer_bytes_match_per_value_formatting(tmp_path):
+    from fracplasma.cli import _write_csv
+    table = np.array([
+        [0, 1.0, -2.5, 1e-300],
+        [3, -0.0, 5e-324, 123456789.123456789],
+        [-7, np.pi, -1e-17, 2.0**60],
+        [12, 1 / 3, -np.e, 7.0],
+    ] * 3000)
+    header = ["i", "a", "b", "c"]
+    _write_csv(tmp_path / "new.csv", header, table)
+    with open(tmp_path / "ref.csv", "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in table.tolist():
+            fh.write(",".join("%.17g" % float(v) for v in row) + "\n")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_cli_solve_writes_outputs(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "run"

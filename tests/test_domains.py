@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -131,3 +132,79 @@ def test_pack_unpack_roundtrip():
     U[dom.interior] = v
     np.testing.assert_array_equal(U[dom.interior], v)
     assert np.all(U[dom.boundary] == 0.0)
+
+
+# -- closed-form tensor-sine basis against a dense eigh oracle ----------------------
+
+SINE_CASES = [
+    # (nodes per axis, bounds, K); the truncated K values cut through a
+    # degenerate cluster, so only complete clusters can be compared
+    (13, ((0.0, 1.0), (0.0, 1.0)), 121),
+    (13, ((0.0, 1.0), (0.0, 1.0)), 30),
+    ((11, 21), ((0.0, 1.0), (0.0, 2.0)), 171),
+    ((11, 21), ((0.0, 1.0), (0.0, 2.0)), 45),
+]
+
+
+@pytest.fixture(params=SINE_CASES, ids=["square13-full", "square13-K30",
+                                        "rect11x21-full", "rect11x21-K45"])
+def sine_case(request):
+    n, bounds, K = request.param
+    dom = build_domain("rectangle", n, bounds=bounds)
+    lam_ref, V_ref = oracles.dense_dirichlet_eigh(dom.grid_shape, dom.h)
+    return dom, eigendecompose(dom, K), lam_ref, V_ref
+
+
+def test_sine_basis_eigenvalues_match_dense_oracle(sine_case):
+    dom, basis, lam_ref, _ = sine_case
+    np.testing.assert_allclose(basis.eigenvalues, lam_ref[:basis.size], rtol=1e-12)
+
+
+def test_sine_basis_cluster_projectors_match_dense_oracle(sine_case):
+    dom, basis, lam_ref, V_ref = sine_case
+    w = dom.h**dom.dim
+    # clusters of the oracle spectrum that the basis holds completely
+    breaks = np.flatnonzero(np.diff(lam_ref) > 1e-9 * lam_ref[-1]) + 1
+    edges = [0, *breaks, len(lam_ref)]
+    n_checked = 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi > basis.size:
+            break
+        P = w * basis.vectors[:, lo:hi] @ basis.vectors[:, lo:hi].T
+        P_ref = w * V_ref[:, lo:hi] @ V_ref[:, lo:hi].T
+        np.testing.assert_allclose(P, P_ref, rtol=0, atol=1e-10)
+        n_checked += hi - lo
+    assert n_checked >= basis.size - 3  # at most the cluster cut by K is skipped
+
+
+def test_sine_basis_orthonormal_with_sign_convention(sine_case):
+    dom, basis, _, _ = sine_case
+    V = basis.vectors
+    G = dom.h**dom.dim * V.T @ V
+    np.testing.assert_allclose(G, np.eye(basis.size), rtol=0, atol=1e-13)
+    for col in V.T:
+        first = np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())
+        assert col[first] > 0
+
+
+def test_sine_basis_is_bitwise_reproducible(sine_case):
+    dom, basis, _, _ = sine_case
+    again = eigendecompose(dom, basis.size)
+    assert again.eigenvalues.tobytes() == basis.eigenvalues.tobytes()
+    assert again.vectors.tobytes() == basis.vectors.tobytes()
+
+
+def test_square_tied_pairs_keep_row_major_order():
+    dom = build_domain("rectangle", 49, bounds=((0.0, np.pi), (0.0, np.pi)))
+    basis = eigendecompose(dom, dom.n_interior)
+    shape = tuple(n - 2 for n in dom.grid_shape)
+    # (j, k) of every column from its sine transform, independent of the basis
+    modes = np.array([np.unravel_index(np.argmax(np.abs(scipy.fft.dstn(
+        col.reshape(shape), type=1))), shape) for col in basis.vectors.T])
+    ties = np.flatnonzero(basis.eigenvalues[1:] == basis.eigenvalues[:-1])
+    assert len(ties) > 500
+    assert np.all(modes[ties, 0] < modes[ties + 1, 0])
+    # the first pair: (1, 2) before (2, 1), so the first varies along y
+    X, Y = np.meshgrid(*dom.axes, indexing="ij")
+    ref = (2.0 / np.pi) * np.sin(X) * np.sin(2 * Y)
+    np.testing.assert_allclose(basis.vectors[:, 1], ref[dom.interior], atol=1e-13)
