@@ -484,6 +484,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except (np.linalg.LinAlgError, SystemError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught first
+        print(f"linear algebra failure: {args.command} stopped: {exc}",
+              file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return 2

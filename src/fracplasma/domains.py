@@ -384,9 +384,9 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
     """First K Dirichlet eigenpairs, ascending.
 
     Intervals and rectangles use the closed-form tensor-sine basis.
-    Disk masks use a dense symmetric solve when the problem is small or
-    the basis nearly full, and sparse shift-invert Lanczos with a fixed
-    start vector (so results are deterministic) otherwise.
+    Disk masks use sparse shift-invert Lanczos with a fixed start vector
+    (so results are deterministic) for up to a quarter of the spectrum,
+    and a dense symmetric solve for larger bases.
     """
     m = domain.n_interior
     if not 1 <= K <= m:
@@ -394,7 +394,7 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
     if domain.shape in ("interval", "rectangle"):
         lam, V = _tensor_sine_basis(domain, K)
         return EigenBasis(domain=domain, eigenvalues=lam, vectors=V)
-    if m > 2500 and K <= m // 4:
+    if K <= m // 4:
         A = laplacian_matrix(domain, sparse=True)
         lam, V = scipy.sparse.linalg.eigsh(
             A.tocsc(), k=K, sigma=0, which="LM", v0=np.ones(m),

@@ -11,7 +11,10 @@ where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
   3.4 * lam_1^s the linearised iteration has gain > 1 and diverges, so
   divergence or stalling hands the current iterate to an active-set
   loop that solves the piecewise-linear problem exactly on each guess
-  of {u > gamma} and typically finishes in a handful of updates.
+  A of {u > gamma} and typically finishes in a handful of updates.
+  Each exact solve is a symmetric |A| x |A| system on the plasma set
+  (K x K in the modal coefficients only when a truncated basis has
+  fewer modes than the set has nodes).
 * ``solve_constrained``: outer 1-D root-find in lam matching a mass
   constraint, warm-starting the inner solver along the bracket.
 * ``minimize_energy``: augmented-Lagrangian minimisation of the
@@ -156,26 +159,35 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
     On a guessed coincidence complement A = {u > gamma} the equation is
     linear in the coefficients:
 
-        (diag(lam_k^s) - lam * h^dim V_A^T V_A) a = -lam gamma h^dim V_A^T 1.
+        (D - lam h^dim V_A^T V_A) a = -lam gamma h^dim V_A^T 1,   D = diag(lam_k^s).
 
-    Solved densely, or through the Woodbury identity when the set is
-    small compared to the basis (the system is diagonal plus a rank-|A|
-    correction).
+    With X = V_A D^{-1/2} the same step reduces to the plasma set:
+    z = u_A - gamma solves the symmetric |A| x |A| system
+
+        (lam h^dim X X^T - I) z = gamma 1,   a = lam h^dim D^{-1/2} X^T z,
+
+    which is singular exactly when the modal system is.  The reduced
+    system is used whenever |A| <= K (every set on a complete basis);
+    only a truncated basis with |A| > K keeps the K x K modal system.
     """
-    V = basis.vectors
-    lam_s = basis.eigenvalues**s
-    w = basis.weight
     if not active.any():
         return np.zeros(basis.size)
-    VA = V[active]
-    rhs = -lam * gamma * w * VA.sum(axis=0)
-    p = VA.shape[0]
-    if 4 * p < basis.size:
-        dinv_rhs = rhs / lam_s
-        U = VA.T / lam_s[:, None]          # D^{-1} V_A^T, shape (K, p)
-        S = np.eye(p) / (lam * w) - VA @ U  # p x p capacitance matrix
-        return dinv_rhs + U @ np.linalg.solve(S, VA @ dinv_rhs)
-    M = np.diag(lam_s) - lam * w * (VA.T @ VA)
+    lam_s = basis.eigenvalues**s
+    c = lam * basis.weight
+    X = basis.vectors[active]
+    p, K = X.shape
+    if p <= K:
+        d_half = np.sqrt(lam_s)
+        X /= d_half
+        S = X @ X.T
+        S *= c
+        S.flat[::p + 1] -= 1.0
+        z = np.linalg.solve(S, np.full(p, gamma))
+        return c * (X.T @ z) / d_half
+    rhs = -c * gamma * X.sum(axis=0)
+    M = X.T @ X
+    M *= -c
+    M.flat[::K + 1] += lam_s
     return np.linalg.solve(M, rhs)
 
 

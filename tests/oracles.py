@@ -131,6 +131,28 @@ def newton_plasma_1d(lo: float, hi: float, n: int, lam: float, gamma: float,
     return u
 
 
+# -- the plasma equation linearized on a fixed plasma set -----------------------------
+
+
+def active_set_step(vectors: np.ndarray, eigenvalues: np.ndarray, weight: float,
+                    lam: float, gamma: float, s: float,
+                    active: np.ndarray) -> np.ndarray:
+    """Coefficients solving L^s u = lam (u - gamma) on ``active``, 0 elsewhere.
+
+    ``vectors`` holds the K basis columns on the interior nodes,
+    orthonormal in the ``weight``-scaled inner product.  Assembles the
+    K x K modal system
+
+        (diag(lam_k^s) - lam w V_A^T V_A) a = -lam gamma w V_A^T 1
+
+    explicitly and solves it densely.
+    """
+    VA = vectors[active]
+    M = np.diag(eigenvalues**s) - lam * weight * (VA.T @ VA)
+    rhs = -lam * gamma * weight * (VA.T @ np.ones(VA.shape[0]))
+    return np.linalg.solve(M, rhs)
+
+
 # -- closed forms for weighted half-ball geometry ------------------------------------
 
 

@@ -177,6 +177,26 @@ def test_cli_memory_error_is_clean_exit_1(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"),
+                                   SystemError("error return without exception set")])
+def test_cli_linear_algebra_error_is_clean_exit_1(tmp_path, monkeypatch, capsys,
+                                                  error):
+    import fracplasma.cli as cli
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "eigendecompose", broken)
+    path = write_config(tmp_path)
+    assert main(["solve", "--config", str(path), "--out",
+                 str(tmp_path / "linalg")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "linear algebra failure" in err
+    assert str(error) in err
+    assert "Traceback" not in err
+
+
 def test_cli_verify_green_on_healthy_problem(tmp_path):
     path = write_config(tmp_path, {"extension": {"span_factor": 20.0,
                                                  "layers": 160}})

@@ -6,9 +6,10 @@ import oracles
 from fracplasma import (apply_fractional, build_domain, build_ymesh,
                         check_uy_sign, dtn, eigendecompose,
                         extension_energy_constant, extend_fd,
-                        extend_semianalytic, hopf_ratio, mode_profile,
-                        mode_profile_derivative, project, smallest_eigenvalue,
-                        trace_coupling_constant, weighted_energy)
+                        extend_semianalytic, hopf_ratio, laplacian_matrix,
+                        mode_profile, mode_profile_derivative, project,
+                        smallest_eigenvalue, trace_coupling_constant,
+                        weighted_energy)
 
 
 @pytest.fixture(scope="module")
@@ -271,3 +272,11 @@ def test_smallest_eigenvalue_matches_closed_form():
     dom = build_domain("interval", 41, bounds=(0.0, np.pi))
     lam_ref, _ = oracles.interval_eigenpairs(0.0, np.pi, 41, 1)
     assert smallest_eigenvalue(dom) == pytest.approx(lam_ref[0], rel=1e-10)
+
+
+def test_smallest_eigenvalue_on_large_disk_matches_dense_solve():
+    dom = build_domain("disk", 48, bounds=((-1.05, 1.05), (-1.05, 1.05)),
+                       radius=1.0, center=(0.0, 0.0))
+    assert dom.n_interior == 1568
+    lam_ref = np.linalg.eigvalsh(laplacian_matrix(dom))[0]
+    assert smallest_eigenvalue(dom) == pytest.approx(lam_ref, rel=1e-11)

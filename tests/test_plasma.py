@@ -9,6 +9,7 @@ from fracplasma import (SolverOptions, apply_fractional, build_domain,
                         plasma_rhs, project, residual_norm, solve_constrained,
                         solve_fixed_lambda, steiner_symmetrize,
                         symmetric_decreasing_rearrangement)
+from fracplasma.plasma import _active_set_step
 
 GAMMA = 0.1
 
@@ -47,6 +48,19 @@ def test_fixed_lambda_converges_supercritical_2d(basis2d, s):
     assert sol.status == "converged"
     assert sol.residual <= 1e-10
     assert sol.field.nodal.max() > GAMMA
+
+
+# sup u of the two continuation solves on the 25-node square, computed with
+# the explicitly assembled K x K modal step; the plasma-set step must reach
+# the same solutions
+@pytest.mark.parametrize("s, factor, sup_u", [(0.3, 3.3, 0.5356446684272194),
+                                              (0.5, 4.4, 0.3140615373467747)])
+def test_continuation_solves_keep_their_solutions_2d(basis2d, s, factor, sup_u):
+    lam = factor * float(basis2d.eigenvalues[0] ** s)
+    sol = solve_fixed_lambda(basis2d, lam, GAMMA, s)
+    assert sol.status == "converged"
+    assert sol.residual <= SolverOptions().tolerance
+    assert sol.field.nodal.max() == pytest.approx(sup_u, rel=1e-8)
 
 
 def test_solution_satisfies_equation_nodally(basis1d):
@@ -100,6 +114,49 @@ def test_oracle_agreement_integer_order(basis1d):
     sol = solve_fixed_lambda(basis1d, lam, GAMMA, 1.0)
     ref = oracles.newton_plasma_1d(0.0, np.pi, 129, lam, GAMMA)
     assert np.abs(sol.field.nodal - ref).max() < 1e-8
+
+
+# -- the active-set step against the explicitly assembled modal system ---------------
+
+
+@pytest.fixture(scope="module")
+def step_domains():
+    return {
+        "interval": build_domain("interval", 257, bounds=(0.0, np.pi)),
+        "square": build_domain("rectangle", 25, bounds=((0.0, np.pi), (0.0, np.pi))),
+        "disk": build_domain("disk", 25, bounds=((-1.2, 1.2), (-1.2, 1.2)),
+                             radius=1.0, center=(0.0, 0.0)),
+    }
+
+
+def _ground_mode_set(basis, p):
+    """The p interior nodes where the ground mode is largest."""
+    active = np.zeros(basis.domain.n_interior, dtype=bool)
+    active[np.argsort(-basis.vectors[:, 0], kind="stable")[:p]] = True
+    return active
+
+
+# K = None is the complete basis; K = 105 of the square's 529 modes makes
+# the 10% set p < K and the larger sets p > K, so both branches run
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("kind, K", [("interval", None), ("square", None),
+                                     ("disk", None), ("square", 105)])
+def test_active_set_step_matches_dense_modal_oracle(step_domains, kind, K, fraction):
+    dom = step_domains[kind]
+    basis = eigendecompose(dom, K or dom.n_interior)
+    s = 0.5
+    lam = 3.2 * float(basis.eigenvalues[0] ** s)
+    active = _ground_mode_set(basis, round(fraction * dom.n_interior))
+    got = _active_set_step(basis, lam, GAMMA, s, active)
+    ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
+                                  lam, GAMMA, s, active)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_active_set_step_on_empty_set_is_zero(basis2d):
+    active = np.zeros(basis2d.domain.n_interior, dtype=bool)
+    a = _active_set_step(basis2d, 4.0, GAMMA, 0.5, active)
+    np.testing.assert_array_equal(a, np.zeros(basis2d.size))
 
 
 def test_constrained_solve_hits_mass_target(basis1d):
