@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    fracplasma solve      --config cfg.json [--out DIR] [--refine F] [--seed N]
+    fracplasma solve      --config cfg.json [--out DIR] [--refine F]
     fracplasma frequency  --config cfg.json ...
     fracplasma blowup     --config cfg.json ...
     fracplasma symmetrize --config cfg.json [--axis K] ...
@@ -86,9 +86,7 @@ def _build_domain(cfg: ExperimentConfig):
 
 def _solver_options(cfg: ExperimentConfig) -> SolverOptions:
     return SolverOptions(
-        damping=cfg.solver.damping,
         tolerance=cfg.solver.tolerance,
-        picard_budget=cfg.solver.picard_budget,
         constraint_kind=cfg.solver.constraint_kind,
     )
 
@@ -446,8 +444,6 @@ def _parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=blurb)
         q.add_argument("--config", required=True, help="JSON configuration file")
         q.add_argument("--out", default=None, help="output directory")
-        q.add_argument("--seed", type=int, default=None, help="seed recorded "
-                       "in outputs (the pipeline itself is deterministic)")
         q.add_argument("--refine", type=float, default=None,
                        help="scale grid resolution by this factor")
         if name == "symmetrize":
@@ -460,15 +456,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            from dataclasses import replace
-            cfg = replace(cfg, seed=args.seed).validate()
         if args.refine is not None:
             cfg = cfg.refine(args.refine)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    np.random.seed(cfg.seed % (2**32))
     out = Path(args.out) if args.out else Path(cfg.out_dir)
     try:
         if args.command == "solve":

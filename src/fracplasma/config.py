@@ -77,14 +77,10 @@ class ExtensionSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    damping: float = 0.5
     tolerance: float = 1e-10
-    picard_budget: int = 300
     constraint_kind: str = "quadratic"
 
     def validate(self):
-        if not 0 < self.damping <= 1:
-            raise ConfigError("solver.damping must lie in (0, 1]")
         if self.tolerance <= 0:
             raise ConfigError("solver.tolerance must be positive")
         if self.constraint_kind not in ("quadratic", "linear"):
@@ -134,7 +130,6 @@ class ExperimentConfig:
     solver: SolverSpec = field(default_factory=SolverSpec)
     frequency: FrequencySpec = field(default_factory=FrequencySpec)
     blowup: BlowupSpec = field(default_factory=BlowupSpec)
-    seed: int = 0
     out_dir: str = "out"
 
     def validate(self):

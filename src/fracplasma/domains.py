@@ -298,10 +298,17 @@ def _sine_eigenvalues(n: int) -> np.ndarray:
 def _sine_vectors(n: int) -> np.ndarray:
     """Sampled sines sqrt(2/(n-1)) sin(pi j k / (n-1)), rows j and columns
     k = 1..n-2; orthonormal in the unweighted inner product.  The phase
-    j k is reduced mod 2(n-1) in integers so large indices lose nothing."""
-    k = np.arange(1, n - 1)
-    phase = np.outer(k, k) % (2 * (n - 1))
-    return np.sqrt(2.0 / (n - 1)) * np.sin(phase * (np.pi / (n - 1)))
+    p = j k is reduced mod 2(n-1) in integers so large indices lose
+    nothing, then folded onto [0, (n-1)/2] with the sign of its
+    half-period, so rows j and n-1-j agree bitwise up to the sign
+    (-1)^(k+1) and nodal lines are exact zeros."""
+    N = n - 1
+    k = np.arange(1, N)
+    phase = np.outer(k, k) % (2 * N)
+    sign = np.where(phase < N, 1.0, -1.0)
+    phase %= N
+    folded = np.minimum(phase, N - phase)
+    return np.sqrt(2.0 / N) * sign * np.sin(folded * (np.pi / N))
 
 
 def _laplacian_modes(domain: Domain):
@@ -385,8 +392,9 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
 
     Intervals and rectangles use the closed-form tensor-sine basis.
     Disk masks use sparse shift-invert Lanczos with a fixed start vector
-    (so results are deterministic) for up to a quarter of the spectrum,
-    and a dense symmetric solve for larger bases.
+    (so results are deterministic) for up to a twelfth of the spectrum,
+    and a dense symmetric solve for larger bases, which is faster beyond
+    somewhere between a twelfth and an eighth.
     """
     m = domain.n_interior
     if not 1 <= K <= m:
@@ -394,7 +402,7 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
     if domain.shape in ("interval", "rectangle"):
         lam, V = _tensor_sine_basis(domain, K)
         return EigenBasis(domain=domain, eigenvalues=lam, vectors=V)
-    if K <= m // 4:
+    if K <= m // 12:
         A = laplacian_matrix(domain, sparse=True)
         lam, V = scipy.sparse.linalg.eigsh(
             A.tocsc(), k=K, sigma=0, which="LM", v0=np.ones(m),

@@ -6,15 +6,16 @@ The unknown is a spectral field u >= 0 on the thin domain solving
 
 where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
 
-* ``solve_fixed_lambda``: damped Picard iteration with an active-set
-  fallback.  Picard contracts only for small lam; beyond roughly
-  3.4 * lam_1^s the linearised iteration has gain > 1 and diverges, so
-  divergence or stalling hands the current iterate to an active-set
-  loop that solves the piecewise-linear problem exactly on each guess
-  A of {u > gamma} and typically finishes in a handful of updates.
-  Each exact solve is a symmetric |A| x |A| system on the plasma set
-  (K x K in the modal coefficients only when a truncated basis has
-  fewer modes than the set has nodes).
+* ``solve_fixed_lambda``: one semismooth Newton (primal-dual active set)
+  method.  Each update solves the piecewise-linear problem exactly on a
+  guess A of {u > gamma}; each exact solve is a symmetric |A| x |A|
+  system on the plasma set (K x K in the modal coefficients only when a
+  truncated basis has fewer modes than the set has nodes).  At or below
+  lam_1^s the only solution is u = 0.  Above it the solver returns the
+  nontrivial branch: Newton runs at lam from the given start or a bump,
+  and when that does not reach a nontrivial solution it follows the
+  branch in lam from just above lam_1^s, where every node is in the
+  plasma set and the solution is known in closed form.
 * ``solve_constrained``: outer 1-D root-find in lam matching a mass
   constraint, warm-starting the inner solver along the bracket.
 * ``minimize_energy``: augmented-Lagrangian minimisation of the
@@ -63,14 +64,12 @@ class SolverError(RuntimeError):
 class SolverOptions:
     """Knobs for the plasma solvers.
 
-    ``picard_budget`` iterations of damped Picard run first; divergence
-    or failure to converge falls back to the active-set loop.  Set the
-    budget to 0 to go straight to the active set.
+    ``tolerance`` is the residual a fixed-lambda solve must reach, and
+    ``active_set_max`` caps the Newton updates of one active-set solve,
+    at the target lam and on each rung of the lam-continuation alike.
     """
 
-    damping: float = 0.5
     tolerance: float = 1e-10
-    picard_budget: int = 300
     active_set_max: int = 80
     constraint_kind: str = "quadratic"
     constraint_rtol: float = 1e-6
@@ -80,8 +79,6 @@ class SolverOptions:
     energy_rtol: float = 1e-7
 
     def __post_init__(self):
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.constraint_kind not in ("quadratic", "linear"):
@@ -99,7 +96,7 @@ class PlasmaSolution:
     residual: float
     iterations: int
     status: str              # 'converged' | 'trivial' | 'failed'
-    method: str              # 'picard' | 'picard+active-set' | 'active-set' | 'energy'
+    method: str              # 'exact' | 'active-set' | 'active-set+continuation' | 'energy'
     history: np.ndarray = dc_field(repr=False, default=None)
     constraint_kind: str = None
     constraint_target: float = None
@@ -192,18 +189,21 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
 
 
 def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
-                      a0: np.ndarray, max_updates: int, tol: float):
+                      a0: np.ndarray, max_updates: int, tol: float,
+                      history: list):
     """Semismooth Newton on the piecewise-linear plasma equation.
 
     Fresh plasma sets take the full Newton step (exact solve on the set),
     which converges in a few steps when it converges at all; a set seen
     before signals a cycle, broken by a backtracking blend step from the
     best iterate so far (strict residual decrease, so the same cycle
-    cannot recur).  Returns (coeffs, iterations, status).
+    cannot recur).  Appends each new residual to ``history``.  Returns
+    (coeffs, iterations, status).
     """
     V = basis.vectors
     a = np.asarray(a0, dtype=float).copy()
     res = residual_norm(basis, a, lam, gamma, s)
+    history.append(res)
     best = (res, a.copy())
     seen = set()
     for it in range(1, max_updates + 1):
@@ -220,6 +220,7 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
             stable = np.array_equal((V @ a_new) > gamma, active)
             a = a_new
             res = residual_norm(basis, a, lam, gamma, s)
+            history.append(res)
             if res < best[0]:
                 best = (res, a.copy())
             if stable:
@@ -239,6 +240,7 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
             res_t = residual_norm(basis, trial, lam, gamma, s)
             if res_t <= tol or res_t < res * (1.0 - 1e-4 * t):
                 a, res, accepted = trial, res_t, True
+                history.append(res)
                 break
             t *= 0.5
         if not accepted:
@@ -247,118 +249,94 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
     return best[1], max_updates, "failed"
 
 
+# smallest log-step in lam the continuation tries before it gives up, and
+# the Newton updates one rung may take: a rung that needs more has jumped
+# too far, and a shorter jump is cheaper than waiting for it
+_MIN_LOG_STEP = 1e-6
+_RUNG_UPDATES = 12
+
+
+def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
+                             s: float, opts: SolverOptions, history: list):
+    """Follow the nontrivial branch in lam up from just above lam_1^s.
+
+    The branch comes in from infinity at lam_1^s with every node in the
+    plasma set, where the equation is linear and diagonal in the modes
+    (h^dim V^T V = I): a_k = lam gamma c_k / (lam - lam_k^s) with
+    c = h^dim V^T 1.  The first rung solves from that state at
+    min(1.05 lam_1^s, lam); each later rung jumps toward lam by the
+    current log-step, which halves whenever a rung fails to reach a
+    nontrivial solution.  Returns (coeffs, iterations, status).
+    """
+    lam_s = basis.eigenvalues**s
+    V = basis.vectors
+    lam_j = min(1.05 * float(lam_s[0]), lam)
+    a = lam_j * gamma * basis.weight * V.sum(axis=0) / (lam_j - lam_s)
+    a, iterations, status = _active_set_solve(
+        basis, lam_j, gamma, s, a, opts.active_set_max, opts.tolerance, history
+    )
+    if status != "converged" or (V @ a).max() <= gamma:
+        return a, iterations, "failed"
+    step = np.log(lam / lam_j)
+    while lam_j < lam:
+        lam_next = lam if step >= np.log(lam / lam_j) else lam_j * np.exp(step)
+        trial, more, status = _active_set_solve(
+            basis, lam_next, gamma, s, a, _RUNG_UPDATES, opts.tolerance, history
+        )
+        iterations += more
+        if status == "converged" and (V @ trial).max() > gamma:
+            a, lam_j = trial, lam_next
+        else:
+            step /= 2
+            if step < _MIN_LOG_STEP:
+                return a, iterations, "failed"
+    return a, iterations, "converged"
+
+
 def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
                        *, options: SolverOptions = None,
                        initial: np.ndarray = None) -> PlasmaSolution:
     """Solve L^s u = lam (u - gamma)_+ at a fixed multiplier lam.
 
-    Damped Picard runs within its budget; on divergence (the iteration
-    is expansive once lam is a few multiples of lam_1^s) or stalling,
-    the active-set loop finishes from the best available iterate.
+    At or below the threshold, lam <= lam_1^s (1 + 1e-9), the only
+    solution is u = 0, returned exactly with status ``trivial``.  Above
+    it the nontrivial branch is returned (status ``converged``) or the
+    solve fails; it never falls back to zero.  Semismooth Newton runs
+    at lam from ``initial``, or from a bump of the ground mode at twice
+    the obstacle height.  If that does not converge to a solution with
+    sup u > gamma, the branch is continued in lam from just above
+    lam_1^s, and ``method`` gains ``+continuation``.
     """
     opts = options or SolverOptions()
     _validate_problem(basis, lam, gamma, s)
-    lam_s = basis.eigenvalues**s
-    w = basis.weight
     V = basis.vectors
     if initial is not None:
         a = np.asarray(initial, dtype=float).copy()
         if a.shape != (basis.size,):
             raise ValueError("initial coefficients have the wrong length")
     else:
-        # start above the obstacle so the rhs is active
         a = np.zeros(basis.size)
         a[0] = 2.0 * gamma / max(V[:, 0].max(), 1e-300)
 
-    history = []
-    method = "picard"
-    theta = opts.damping
-    res0 = None
-    best_res, best_a = np.inf, a.copy()
-    converged = False
-    picard_iters = 0
-    for it in range(opts.picard_budget):
-        u = V @ a
-        proj = w * (V.T @ plasma_rhs(u, gamma))
-        res = float(np.linalg.norm(lam_s * a - lam * proj))
-        history.append(res)
-        picard_iters = it + 1
-        if not np.isfinite(res):
-            break
-        if res < best_res:
-            best_res, best_a = res, a.copy()
-        if res0 is None:
-            res0 = res
-        if res <= opts.tolerance:
-            converged = True
-            break
-        if res > 1e3 * (res0 + 1.0):
-            break  # diverging; hand off early, before the iterate explodes
-        a = (1 - theta) * a + theta * lam * proj / lam_s
-
-    iterations = picard_iters
-    if not converged:
-        if opts.picard_budget > 0:
-            method = "picard+active-set"
-        else:
-            method = "active-set"
-        # start the set iteration from the best iterate seen, not the last
-        # one: after divergence the last iterate's plasma set is garbage
-        a, set_iters, set_status = _active_set_solve(
-            basis, lam, gamma, s, best_a, opts.active_set_max, opts.tolerance
+    if lam <= float(basis.eigenvalues[0] ** s) * (1 + 1e-9):
+        return PlasmaSolution(
+            field=SpectralField(basis, np.zeros(basis.size)), lam=float(lam),
+            gamma=float(gamma), s=float(s), residual=0.0, iterations=0,
+            status="trivial", method="exact", history=np.zeros(1),
         )
-        iterations += set_iters
-        res = residual_norm(basis, a, lam, gamma, s)
-        if res > opts.tolerance:
-            # second chance from the canonical bump start, whose plasma
-            # set is a centred blob independent of the failed iteration
-            bump = np.zeros(basis.size)
-            bump[0] = 2.0 * gamma / max(V[:, 0].max(), 1e-300)
-            a2, set_iters2, _ = _active_set_solve(
-                basis, lam, gamma, s, bump, opts.active_set_max, opts.tolerance
-            )
-            iterations += set_iters2
-            res2 = residual_norm(basis, a2, lam, gamma, s)
-            if res2 < res:
-                a, res = a2, res2
-        lam1s = float(basis.eigenvalues[0] ** s)
-        if res > opts.tolerance and lam > 1.1 * lam1s:
-            # continuation from just above the bifurcation threshold,
-            # where the discrete plasma set covers the whole interior; the
-            # fully active solve has the correct (large) amplitude there,
-            # unlike any fixed-size bump, which contracts to zero
-            method += "+continuation"
-            ladder = np.geomspace(1.05 * lam1s, lam, 8)
-            try:
-                a3 = _active_set_step(
-                    basis, float(ladder[0]), gamma, s,
-                    np.ones(basis.domain.n_interior, dtype=bool),
-                )
-                for lam_j in ladder:
-                    a3, set_iters3, _ = _active_set_solve(
-                        basis, float(lam_j), gamma, s, a3,
-                        opts.active_set_max, opts.tolerance,
-                    )
-                    iterations += set_iters3
-                res3 = residual_norm(basis, a3, lam, gamma, s)
-                if res3 < res:
-                    a, res = a3, res3
-            except np.linalg.LinAlgError:
-                pass
-        history.append(res)
-        converged = res <= opts.tolerance
-
+    history = []
+    method = "active-set"
+    a, iterations, status = _active_set_solve(
+        basis, lam, gamma, s, a, opts.active_set_max, opts.tolerance, history
+    )
+    if status != "converged" or (V @ a).max() <= gamma:
+        method += "+continuation"
+        a, more, status = _continue_from_threshold(basis, lam, gamma, s, opts,
+                                                   history)
+        iterations += more
     res = residual_norm(basis, a, lam, gamma, s)
-    u = V @ a
-    if converged and u.max() <= gamma * (1 + 1e-12):
-        # nothing exceeds the obstacle, so the rhs vanishes identically and
-        # the exact solution on this branch is zero; return it exactly
-        status = "trivial"
-        a = np.zeros(basis.size)
-        res = 0.0
-    elif converged:
-        status = "converged"
-    else:
+    history.append(res)
+    if status != "converged" or res > opts.tolerance or (V @ a).max() <= gamma:
         status = "failed"
     return PlasmaSolution(
         field=SpectralField(basis, a), lam=float(lam), gamma=float(gamma),
@@ -387,20 +365,6 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
     def solve_at(lam):
         sol = solve_fixed_lambda(basis, lam, gamma, s, options=opts,
                                  initial=cache["coeffs"])
-        if sol.status == "trivial" and lam > lam1s * (1 + 1e-9):
-            # above the bifurcation threshold a nontrivial branch exists;
-            # restart from a fully active state so the active-set loop
-            # lands on it instead of the trivial solution
-            phi1_min = float(basis.vectors[:, 0].min())
-            if phi1_min > 0:
-                full = np.zeros(basis.size)
-                full[0] = 2 * gamma / phi1_min
-                retry = solve_fixed_lambda(
-                    basis, lam, gamma, s,
-                    options=replace(opts, picard_budget=0), initial=full,
-                )
-                if retry.status == "converged":
-                    sol = retry
         if sol.status == "failed":
             raise SolverError(
                 f"inner solve failed at lam={lam:.6g} (residual {sol.residual:.3e})",

@@ -215,6 +215,20 @@ def test_cli_bad_config_returns_2(tmp_path):
                  str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"seed": 3}, "seed"),
+    ({"solver": {"damping": 0.5}}, "damping"),
+    ({"solver": {"picard_budget": 300}}, "picard_budget"),
+])
+def test_cli_removed_keys_are_unknown_exit_2(tmp_path, capsys, overrides, key):
+    path = write_config(tmp_path, overrides)
+    assert main(["solve", "--config", str(path), "--out",
+                 str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown keys" in err
+    assert repr(key) in err
+
+
 def test_cli_refine_flag(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "fine"

@@ -208,3 +208,24 @@ def test_square_tied_pairs_keep_row_major_order():
     X, Y = np.meshgrid(*dom.axes, indexing="ij")
     ref = (2.0 / np.pi) * np.sin(X) * np.sin(2 * Y)
     np.testing.assert_allclose(basis.vectors[:, 1], ref[dom.interior], atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [25, 49, 257])
+def test_sampled_sines_are_mirror_exact(n):
+    from fracplasma.domains import _sine_vectors
+    S = _sine_vectors(n)
+    parity = (-1.0) ** (np.arange(1, n - 1) + 1)
+    # row n-1-j (node x_{n-1-j}) equals row j times the mode's parity, exactly
+    assert np.array_equal(S[::-1], S * parity)
+
+
+def test_square_basis_is_mirror_exact_in_both_axes():
+    dom = build_domain("rectangle", 25, bounds=((0.0, np.pi), (0.0, np.pi)))
+    basis = eigendecompose(dom, dom.n_interior)
+    grid = basis.vectors.reshape(23, 23, -1)
+    for axis in (0, 1):
+        flipped = np.flip(grid, axis=axis)
+        # each mode is even or odd about the midline, with no rounding
+        signs = np.sign(np.sum(flipped * grid, axis=(0, 1)))
+        assert np.all(np.abs(signs) == 1)
+        assert np.array_equal(flipped, grid * signs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 import oracles
@@ -274,9 +275,14 @@ def test_smallest_eigenvalue_matches_closed_form():
     assert smallest_eigenvalue(dom) == pytest.approx(lam_ref[0], rel=1e-10)
 
 
-def test_smallest_eigenvalue_on_large_disk_matches_dense_solve():
+def test_smallest_eigenvalue_on_large_disk_matches_dense_solve(monkeypatch):
     dom = build_domain("disk", 48, bounds=((-1.05, 1.05), (-1.05, 1.05)),
                        radius=1.0, center=(0.0, 0.0))
     assert dom.n_interior == 1568
     lam_ref = np.linalg.eigvalsh(laplacian_matrix(dom))[0]
+
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("K=1 on a large disk must not take the dense eigh")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_dense_solve)
     assert smallest_eigenvalue(dom) == pytest.approx(lam_ref, rel=1e-11)

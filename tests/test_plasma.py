@@ -63,6 +63,41 @@ def test_continuation_solves_keep_their_solutions_2d(basis2d, s, factor, sup_u):
     assert sol.field.nodal.max() == pytest.approx(sup_u, rel=1e-8)
 
 
+@pytest.fixture(scope="module")
+def basis257():
+    dom = build_domain("interval", 257, bounds=(0.0, np.pi))
+    return eigendecompose(dom, dom.n_interior)
+
+
+def _mirror_asymmetry(sol):
+    U = sol.trace
+    return max(float(np.abs(U - np.flip(U, axis=ax)).max()) for ax in range(U.ndim))
+
+
+# above lam_1^s the solver must return the nontrivial branch, never u = 0;
+# at 1.01 lam_1^s only the continuation from the fully active state finds it
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+@pytest.mark.parametrize("factor", [1.01, 1.5, 2.5])
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_nontrivial_branch_above_threshold(basis257, basis2d, kind, factor, s):
+    basis = basis257 if kind == "interval" else basis2d
+    lam = factor * float(basis.eigenvalues[0] ** s)
+    sol = solve_fixed_lambda(basis, lam, GAMMA, s)
+    assert sol.status == "converged"
+    assert sol.field.nodal.max() > GAMMA
+    assert sol.residual <= SolverOptions().tolerance
+    assert _mirror_asymmetry(sol) <= 1e-10
+
+
+# points where the square's answer used to depend on rounding in the basis
+@pytest.mark.parametrize("s, factor", [(0.3, 6.5), (0.5, 3.2)])
+def test_square_solutions_are_mirror_symmetric(basis2d, s, factor):
+    lam = factor * float(basis2d.eigenvalues[0] ** s)
+    sol = solve_fixed_lambda(basis2d, lam, GAMMA, s)
+    assert sol.status == "converged"
+    assert _mirror_asymmetry(sol) <= 1e-10
+
+
 def test_solution_satisfies_equation_nodally(basis1d):
     s = 0.5
     lam = 4.0 * float(basis1d.eigenvalues[0] ** s)
@@ -169,6 +204,14 @@ def test_constrained_solve_hits_mass_target(basis1d):
     got = constraint_mass(basis1d.domain, sol.field.nodal, GAMMA)
     assert got == pytest.approx(target, rel=1e-5)
     assert sol.lam == pytest.approx(lam, rel=1e-4)
+
+
+def test_constrained_solve_keeps_its_multiplier_2d(basis2d):
+    # lam found by the solver chain this one replaced (Picard, active set,
+    # fully active restart), on the 25-node square
+    sol = solve_constrained(basis2d, 0.025, GAMMA, 0.5)
+    assert sol.status == "converged"
+    assert sol.lam == pytest.approx(3.799653583071216, rel=1e-10)
 
 
 def test_energy_minimizer_meets_constraint_and_equation(basis1d):
