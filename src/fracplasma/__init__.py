@@ -10,12 +10,10 @@ classification, and Steiner symmetrization.
 from .config import (CheckResult, ConfigError, ExperimentConfig, RunReport,
                      load_config)
 from .domains import (Domain, EigenBasis, build_domain, eigendecompose,
-                      l2_norm, laplacian_matrix)
+                      laplacian_matrix)
 from .extension import (ExtensionField, UySignReport, YMesh, build_ymesh,
                         check_uy_sign, dtn, extension_energy_constant,
-                        extend_fd, extend_semianalytic, hopf_ratio,
-                        mode_profile, mode_profile_derivative,
-                        smallest_eigenvalue, trace_coupling_constant,
+                        extend_fd, extend_semianalytic, mode_profile,
                         weighted_energy)
 from .freeboundary import (BlowupField, Census, Classification, FreeBoundary,
                            FreeBoundaryPoint, FrequencyProfile, InclusionReport,
@@ -25,24 +23,20 @@ from .freeboundary import (BlowupField, Census, Classification, FreeBoundary,
                            singular_census)
 from .halfball import HalfBallQuadrature
 from .plasma import (PlasmaSolution, SolverError, SolverOptions,
-                     constraint_mass, minimize_energy, plasma_rhs,
-                     residual_norm, solve_constrained, solve_fixed_lambda,
-                     steiner_symmetrize, symmetric_decreasing_rearrangement)
-from .spectral import (SpectralField, apply_fractional, fractional_energy,
-                       invert_fractional, project)
+                     constraint_mass, minimize_energy, residual_norm,
+                     solve_constrained, solve_fixed_lambda, steiner_symmetrize)
+from .spectral import SpectralField, apply_fractional, fractional_energy, project
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult", "ConfigError", "ExperimentConfig", "RunReport",
     "load_config",
-    "Domain", "EigenBasis", "build_domain", "eigendecompose", "l2_norm",
+    "Domain", "EigenBasis", "build_domain", "eigendecompose",
     "laplacian_matrix",
     "ExtensionField", "UySignReport", "YMesh", "build_ymesh",
     "check_uy_sign", "dtn", "extension_energy_constant", "extend_fd",
-    "extend_semianalytic", "hopf_ratio", "mode_profile",
-    "mode_profile_derivative", "smallest_eigenvalue",
-    "trace_coupling_constant", "weighted_energy",
+    "extend_semianalytic", "mode_profile", "weighted_energy",
     "BlowupField", "Census", "Classification", "FreeBoundary",
     "FreeBoundaryPoint", "FrequencyProfile", "InclusionReport", "StripReport",
     "blowup", "check_boundary_inclusion", "check_subharmonic_strip",
@@ -50,10 +44,8 @@ __all__ = [
     "singular_census",
     "HalfBallQuadrature",
     "PlasmaSolution", "SolverError", "SolverOptions", "constraint_mass",
-    "minimize_energy", "plasma_rhs", "residual_norm", "solve_constrained",
+    "minimize_energy", "residual_norm", "solve_constrained",
     "solve_fixed_lambda", "steiner_symmetrize",
-    "symmetric_decreasing_rearrangement",
-    "SpectralField", "apply_fractional", "fractional_energy",
-    "invert_fractional", "project",
+    "SpectralField", "apply_fractional", "fractional_energy", "project",
     "__version__",
 ]

@@ -8,11 +8,15 @@ Subcommands::
     fracplasma symmetrize --config cfg.json [--axis K] ...
     fracplasma verify     --config cfg.json ...
 
-Each run writes CSV/JSON artefacts into the output directory and a
-``report.json`` with named pass/fail checks.  Exit codes: 0 success,
-1 a solver or check failed or the run ran out of memory, 2 configuration
-or usage errors.  All numeric CSV values are printed with '%.17g', so
-repeated runs of the same configuration are byte-identical.
+Every subcommand runs one pipeline: build the domain and its eigenbasis,
+solve in the configured mode, extend the solution (only where the
+subcommand reads the extension), do the subcommand's own work, and write
+``report.json`` with named pass/fail checks next to its CSV/JSON
+artefacts.  A failed solve still writes ``report.json`` (``passed`` false,
+with the error).  Exit codes: 0 success, 1 a solver or check failed or the
+run ran out of memory, 2 configuration or usage errors.  All numeric CSV
+values are printed with '%.17g', so repeated runs of the same
+configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,13 +37,22 @@ from .extension import (build_ymesh, check_uy_sign, dtn, extend_fd,
 from .plasma import (SolverError, SolverOptions, constraint_mass,
                      minimize_energy, solve_constrained, solve_fixed_lambda,
                      steiner_symmetrize)
-from .spectral import SpectralField, apply_fractional
+from .spectral import apply_fractional
 
 __all__ = ["main", "run_solve", "run_frequency", "run_blowup",
            "run_symmetrize", "run_verify"]
 
 _FMT = "%.17g"
 _CSV_BLOCK = 4096
+_FD_MAX_LAYERS = 120
+
+_COMMANDS = {
+    "solve": "solve the plasma problem and write the solution",
+    "frequency": "frequency profiles around configured centres",
+    "blowup": "rescaled field around one centre",
+    "symmetrize": "Steiner symmetrization of the solution",
+    "verify": "bundle of structural checks",
+}
 
 
 def _write_csv(path: Path, header: list, table) -> None:
@@ -73,43 +86,66 @@ def _json_default(obj):
     raise TypeError(f"not JSON serialisable: {type(obj)}")
 
 
-def _build_domain(cfg: ExperimentConfig):
-    d = cfg.domain
-    if d.kind == "interval":
-        return build_domain("interval", d.n, bounds=tuple(d.bounds))
-    bounds = tuple(tuple(b) for b in d.bounds)
-    if d.kind == "rectangle":
-        return build_domain("rectangle", d.n, bounds=bounds)
-    return build_domain("disk", d.n, bounds=bounds, radius=d.radius,
-                        center=tuple(d.center))
+class _Run:
+    """One configuration run through domain, eigenbasis and plasma solve.
+
+    Extensions are built only when a subcommand asks for them, so it pays
+    only for the stages it reads.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        d = cfg.domain
+        self.cfg = cfg
+        self.dom = build_domain(d.kind, d.n, bounds=d.bounds, radius=d.radius,
+                                center=d.center)
+        n = self.dom.n_interior
+        self.basis = eigendecompose(self.dom, min(cfg.basis_size or n, n))
+        self.lam1 = float(self.basis.eigenvalues[0])
+        opts = SolverOptions(tolerance=cfg.solver.tolerance,
+                             constraint_kind=cfg.solver.constraint_kind)
+        if cfg.mode == "fixed_lambda":
+            lam = cfg.lambda_value if cfg.lambda_value is not None \
+                else cfg.lambda_factor * self.lam1**cfg.s
+            self.sol = solve_fixed_lambda(self.basis, lam, cfg.gamma, cfg.s,
+                                          options=opts)
+        else:
+            solver = solve_constrained if cfg.mode == "constrained" \
+                else minimize_energy
+            self.sol = solver(self.basis, cfg.constraint_target, cfg.gamma,
+                              cfg.s, options=opts)
+
+    def _ymesh(self, layers: int):
+        ext = self.cfg.extension
+        return build_ymesh(self.cfg.s, self.lam1, span_factor=ext.span_factor,
+                           layers=layers, grading=ext.grading)
+
+    def extension(self):
+        """Semianalytic extension of the solution on the configured y-mesh."""
+        return extend_semianalytic(self.sol.field, self.cfg.s,
+                                   self._ymesh(self.cfg.extension.layers))
+
+    def fd_energy(self, values) -> float:
+        """Weighted energy of the finite-volume extension of ``values``."""
+        ym = self._ymesh(min(self.cfg.extension.layers, _FD_MAX_LAYERS))
+        return weighted_energy(extend_fd(self.dom, values, self.cfg.s, ym))
 
 
-def _solver_options(cfg: ExperimentConfig) -> SolverOptions:
-    return SolverOptions(
-        tolerance=cfg.solver.tolerance,
-        constraint_kind=cfg.solver.constraint_kind,
-    )
-
-
-def _solve(cfg: ExperimentConfig):
-    """Shared pipeline: domain, basis, solution per the configured mode."""
-    dom = _build_domain(cfg)
-    K = cfg.basis_size or dom.n_interior
-    K = min(K, dom.n_interior)
-    basis = eigendecompose(dom, K)
-    opts = _solver_options(cfg)
-    lam1s = float(basis.eigenvalues[0] ** cfg.s)
-    if cfg.mode == "fixed_lambda":
-        lam = cfg.lambda_value if cfg.lambda_value is not None \
-            else cfg.lambda_factor * lam1s
-        sol = solve_fixed_lambda(basis, lam, cfg.gamma, cfg.s, options=opts)
-    elif cfg.mode == "constrained":
-        sol = solve_constrained(basis, cfg.constraint_target, cfg.gamma, cfg.s,
-                                options=opts)
-    else:
-        sol = minimize_energy(basis, cfg.constraint_target, cfg.gamma, cfg.s,
-                              options=opts)
-    return dom, basis, sol
+def _pipeline(name: str, cfg: ExperimentConfig, out: Path, work) -> int:
+    """Solve ``cfg``, call ``work(run) -> checks`` and write the report."""
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        run = _Run(cfg)
+    except SolverError as exc:
+        _write_json(out / "report.json", {
+            "name": name, "passed": False, "error": str(exc),
+            "history": [float(x) for x in exc.history],
+        })
+        print(f"solve failed: {exc}", file=sys.stderr)
+        return 1
+    report = RunReport(name=name, checks=tuple(work(run)))
+    _write_json(out / "report.json", report.to_dict())
+    print(report.table())
+    return 0 if report.passed else 1
 
 
 def _grid_rows(axes, arrays):
@@ -123,62 +159,41 @@ def _coord_header(dom):
     return [f"x{k + 1}" for k in range(dom.dim)]
 
 
-def _solution_payload(cfg, dom, basis, sol):
-    return {
-        "config": cfg.to_dict(),
-        "lam": sol.lam,
-        "lam1": float(basis.eigenvalues[0]),
-        "gamma": sol.gamma,
-        "s": sol.s,
-        "status": sol.status,
-        "method": sol.method,
-        "iterations": sol.iterations,
-        "residual": sol.residual,
-        "basis_size": basis.size,
-        "n_interior": dom.n_interior,
-        "constraint_kind": sol.constraint_kind,
-        "constraint_target": sol.constraint_target,
-        "constraint_value": sol.constraint_value,
-        "sup_u": float(sol.trace.max()),
-    }
-
-
 def run_solve(cfg: ExperimentConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        dom, basis, sol = _solve(cfg)
-    except SolverError as exc:
-        _write_json(out / "report.json", {
-            "name": "solve", "passed": False, "error": str(exc),
-            "history": [float(x) for x in getattr(exc, "history", [])],
+    def work(run):
+        dom, basis, sol = run.dom, run.basis, run.sol
+        _write_csv(out / "u.csv", _coord_header(dom) + ["u"],
+                   _grid_rows(dom.axes, [sol.trace]))
+        if cfg.s < 1:
+            w = run.extension()
+            M = w.ymesh.M
+            picks = sorted({0, 1, 2, 4, M // 8, M // 4, M // 2, M})
+            table = np.concatenate([_grid_rows((w.ymesh.nodes[[j]],) + dom.axes,
+                                               [w.values[..., j]]) for j in picks])
+            _write_csv(out / "extension_slices.csv",
+                       ["y"] + _coord_header(dom) + ["w"], table)
+        _write_json(out / "solution.json", {
+            "config": cfg.to_dict(),
+            "lam": sol.lam,
+            "lam1": run.lam1,
+            "gamma": sol.gamma,
+            "s": sol.s,
+            "status": sol.status,
+            "method": sol.method,
+            "iterations": sol.iterations,
+            "residual": sol.residual,
+            "basis_size": basis.size,
+            "n_interior": dom.n_interior,
+            "constraint_kind": sol.constraint_kind,
+            "constraint_target": sol.constraint_target,
+            "constraint_value": sol.constraint_value,
+            "sup_u": float(sol.trace.max()),
         })
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
-    u = sol.trace
-    _write_csv(out / "u.csv", _coord_header(dom) + ["u"], _grid_rows(dom.axes, [u]))
-
-    ym = build_ymesh(cfg.s, float(basis.eigenvalues[0]),
-                     span_factor=cfg.extension.span_factor,
-                     layers=cfg.extension.layers,
-                     grading=cfg.extension.grading) if cfg.s < 1 else None
-    if ym is not None:
-        w = extend_semianalytic(sol.field, cfg.s, ym)
-        picks = sorted({0, 1, 2, 4, ym.M // 8, ym.M // 4, ym.M // 2, ym.M})
-        table = np.concatenate([_grid_rows((ym.nodes[[j]],) + dom.axes,
-                                           [w.values[..., j]]) for j in picks])
-        _write_csv(out / "extension_slices.csv",
-                   ["y"] + _coord_header(dom) + ["w"], table)
-
-    payload = _solution_payload(cfg, dom, basis, sol)
-    _write_json(out / "solution.json", payload)
-    ok = sol.status in ("converged", "trivial")
-    report = RunReport(name="solve", checks=(
-        CheckResult(name="solver converged", passed=ok, value=sol.residual,
-                    tolerance=cfg.solver.tolerance, note=sol.status),
-    ))
-    _write_json(out / "report.json", report.to_dict())
-    print(report.table())
-    return 0 if ok else 1
+        return [CheckResult(name="solver converged",
+                            passed=sol.status in ("converged", "trivial"),
+                            value=sol.residual, tolerance=cfg.solver.tolerance,
+                            note=sol.status)]
+    return _pipeline("solve", cfg, out, work)
 
 
 def _frequency_radii(cfg, dom, ym, center):
@@ -191,256 +206,183 @@ def _frequency_radii(cfg, dom, ym, center):
 
 
 def run_frequency(cfg: ExperimentConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        dom, basis, sol = _solve(cfg)
-    except SolverError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
-    ym = build_ymesh(cfg.s, float(basis.eigenvalues[0]),
-                     span_factor=cfg.extension.span_factor,
-                     layers=cfg.extension.layers,
-                     grading=cfg.extension.grading)
-    w = extend_semianalytic(sol.field, cfg.s, ym).shifted(sol.gamma)
-
-    header = ["center_index", "r", "energy", "boundary", "thin_mass",
-              "frequency", "adjusted", "corrected"]
-    rows, summaries = [], []
-    for ci, center in enumerate(cfg.frequency.centers):
-        radii = _frequency_radii(cfg, dom, ym, center)
-        if radii is None:
-            summaries.append({"center": list(center),
-                              "skipped": "no room for a radius ladder"})
-            continue
-        prof = fb.frequency_profile(w, center, radii, sol.lam)
-        for k in range(len(prof.radii)):
-            rows.append((ci, prof.radii[k], prof.energy[k], prof.boundary[k],
-                         prof.thin_mass[k], prof.frequency[k],
-                         prof.adjusted[k], prof.corrected[k]))
-        corr = prof.corrected
-        corr_viol = [int(i) for i in range(len(corr) - 1)
-                     if corr[i + 1] < corr[i] - 1e-3]
-        summaries.append({
-            "center": list(center),
-            "n_zero_plus": prof.n_zero_plus,
-            "sandwich_constant": prof.sandwich_constant,
-            "monotone_violations": prof.monotone_violations,
-            "corrected_violations": corr_viol,
-            "n_truncated": prof.n_truncated,
-            "note": prof.note,
+    def work(run):
+        sol = run.sol
+        w = run.extension().shifted(sol.gamma)
+        header = ["center_index", "r", "energy", "boundary", "thin_mass",
+                  "frequency", "adjusted", "corrected"]
+        rows, summaries = [], []
+        for ci, center in enumerate(cfg.frequency.centers):
+            radii = _frequency_radii(cfg, run.dom, w.ymesh, center)
+            if radii is None:
+                summaries.append({"center": list(center),
+                                  "skipped": "no room for a radius ladder"})
+                continue
+            prof = fb.frequency_profile(w, center, radii, sol.lam)
+            for k in range(len(prof.radii)):
+                rows.append((ci, prof.radii[k], prof.energy[k], prof.boundary[k],
+                             prof.thin_mass[k], prof.frequency[k],
+                             prof.adjusted[k], prof.corrected[k]))
+            corr = prof.corrected
+            corr_viol = [int(i) for i in range(len(corr) - 1)
+                         if corr[i + 1] < corr[i] - 1e-3]
+            summaries.append({
+                "center": list(center),
+                "n_zero_plus": prof.n_zero_plus,
+                "sandwich_constant": prof.sandwich_constant,
+                "monotone_violations": prof.monotone_violations,
+                "corrected_violations": corr_viol,
+                "n_truncated": prof.n_truncated,
+                "note": prof.note,
+            })
+        _write_csv(out / "profiles.csv", header, rows)
+        _write_json(out / "frequency.json", {
+            "lam": sol.lam, "gamma": sol.gamma, "s": sol.s, "centers": summaries,
         })
-    _write_csv(out / "profiles.csv", header, rows)
-    _write_json(out / "frequency.json", {
-        "lam": sol.lam, "gamma": sol.gamma, "s": sol.s, "centers": summaries,
-    })
-    n_raw = sum(len(s.get("monotone_violations", [])) for s in summaries)
-    n_viol = sum(len(s.get("corrected_violations", [])) for s in summaries)
-    report = RunReport(name="frequency", checks=(
-        CheckResult(name="corrected frequency monotone", passed=n_viol == 0,
-                    value=float(n_viol), tolerance=0.0,
-                    note=f"raw adjusted-frequency decreases at {n_raw} steps"),
-    ))
-    _write_json(out / "report.json", report.to_dict())
-    print(report.table())
-    return 0 if report.passed else 1
+        n_raw = sum(len(s.get("monotone_violations", [])) for s in summaries)
+        n_viol = sum(len(s.get("corrected_violations", [])) for s in summaries)
+        return [CheckResult(name="corrected frequency monotone",
+                            passed=n_viol == 0, value=float(n_viol),
+                            tolerance=0.0,
+                            note=f"raw adjusted-frequency decreases at {n_raw} steps")]
+    return _pipeline("frequency", cfg, out, work)
 
 
 def run_blowup(cfg: ExperimentConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.blowup.center is None or cfg.blowup.radius is None:
-        print("blowup requires blowup.center and blowup.radius in the "
-              "configuration", file=sys.stderr)
-        return 2
-    try:
-        dom, basis, sol = _solve(cfg)
-    except SolverError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
-    ym = build_ymesh(cfg.s, float(basis.eigenvalues[0]),
-                     span_factor=cfg.extension.span_factor,
-                     layers=cfg.extension.layers,
-                     grading=cfg.extension.grading)
-    w = extend_semianalytic(sol.field, cfg.s, ym).shifted(sol.gamma)
-    try:
+        raise ConfigError("blowup requires blowup.center and blowup.radius in "
+                          "the configuration")
+
+    def work(run):
+        w = run.extension().shifted(run.sol.gamma)
         bl = fb.blowup(w, cfg.blowup.center, cfg.blowup.radius,
                        ref_nodes=cfg.blowup.ref_nodes,
                        ref_layers=cfg.blowup.ref_layers)
-    except ValueError as exc:
-        print(f"blowup rejected: {exc}", file=sys.stderr)
-        return 2
-    ref = bl.field
-    d = ref.domain.dim
-    # layer by layer (y slowest), thin nodes row-major; columns x..., y, value
-    table = _grid_rows((ref.ymesh.nodes,) + ref.domain.axes,
-                       [np.moveaxis(ref.values, -1, 0)])
-    _write_csv(out / "blowup.csv", _coord_header(ref.domain) + ["y", "value"],
-               table[:, [*range(1, d + 1), 0, d + 1]])
-    _write_json(out / "blowup.json", {
-        "center": list(bl.center), "source_radius": bl.source_radius,
-        "normalization": bl.normalization, "boundary_mass": bl.boundary_mass,
-        "lam": sol.lam,
-    })
-    report = RunReport(name="blowup", checks=(
-        CheckResult(name="unit boundary mass", passed=abs(bl.boundary_mass - 1) < 1e-6,
-                    value=bl.boundary_mass, tolerance=1e-6),
-    ))
-    _write_json(out / "report.json", report.to_dict())
-    print(report.table())
-    return 0 if report.passed else 1
+        ref = bl.field
+        d = ref.domain.dim
+        # layer by layer (y slowest), thin nodes row-major; columns x..., y, value
+        table = _grid_rows((ref.ymesh.nodes,) + ref.domain.axes,
+                           [np.moveaxis(ref.values, -1, 0)])
+        _write_csv(out / "blowup.csv", _coord_header(ref.domain) + ["y", "value"],
+                   table[:, [*range(1, d + 1), 0, d + 1]])
+        _write_json(out / "blowup.json", {
+            "center": list(bl.center), "source_radius": bl.source_radius,
+            "normalization": bl.normalization, "boundary_mass": bl.boundary_mass,
+            "lam": run.sol.lam,
+        })
+        return [CheckResult(name="unit boundary mass",
+                            passed=abs(bl.boundary_mass - 1) < 1e-6,
+                            value=bl.boundary_mass, tolerance=1e-6)]
+    return _pipeline("blowup", cfg, out, work)
 
 
 def run_symmetrize(cfg: ExperimentConfig, out: Path, axis: int = 0) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        dom, basis, sol = _solve(cfg)
-    except SolverError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
-    u = sol.trace
-    try:
+    def work(run):
+        dom, u = run.dom, run.sol.trace
         v = steiner_symmetrize(dom, u, axis)
-    except ValueError as exc:
-        print(f"symmetrize rejected: {exc}", file=sys.stderr)
-        return 2
-    _write_csv(out / "symmetrized.csv",
-               _coord_header(dom) + ["u", "u_symmetrized"],
-               _grid_rows(dom.axes, [u, v]))
-    ym = build_ymesh(cfg.s, float(basis.eigenvalues[0]),
-                     span_factor=cfg.extension.span_factor,
-                     layers=min(cfg.extension.layers, 120),
-                     grading=cfg.extension.grading)
-    e_before = weighted_energy(extend_fd(dom, u, cfg.s, ym))
-    e_after = weighted_energy(extend_fd(dom, v, cfg.s, ym))
-    g_before = constraint_mass(dom, u, cfg.gamma, cfg.solver.constraint_kind)
-    g_after = constraint_mass(dom, v, cfg.gamma, cfg.solver.constraint_kind)
-    _write_json(out / "symmetrize.json", {
-        "axis": axis, "energy_before": e_before, "energy_after": e_after,
-        "mass_before": g_before, "mass_after": g_after,
-    })
-    checks = (
-        CheckResult(name="energy does not increase",
-                    passed=e_after <= e_before * (1 + 1e-10) + 1e-12,
-                    value=e_after - e_before, tolerance=0.0),
-        CheckResult(name="overshoot mass preserved",
-                    passed=abs(g_after - g_before) <= 1e-12 * max(1.0, g_before),
-                    value=abs(g_after - g_before), tolerance=1e-12),
-    )
-    report = RunReport(name="symmetrize", checks=checks)
-    _write_json(out / "report.json", report.to_dict())
-    print(report.table())
-    return 0 if report.passed else 1
+        _write_csv(out / "symmetrized.csv",
+                   _coord_header(dom) + ["u", "u_symmetrized"],
+                   _grid_rows(dom.axes, [u, v]))
+        e_before, e_after = run.fd_energy(u), run.fd_energy(v)
+        kind = cfg.solver.constraint_kind
+        g_before = constraint_mass(dom, u, cfg.gamma, kind)
+        g_after = constraint_mass(dom, v, cfg.gamma, kind)
+        _write_json(out / "symmetrize.json", {
+            "axis": axis, "energy_before": e_before, "energy_after": e_after,
+            "mass_before": g_before, "mass_after": g_after,
+        })
+        return [
+            CheckResult(name="energy does not increase",
+                        passed=e_after <= e_before * (1 + 1e-10) + 1e-12,
+                        value=e_after - e_before, tolerance=0.0),
+            CheckResult(name="overshoot mass preserved",
+                        passed=abs(g_after - g_before) <= 1e-12 * max(1.0, g_before),
+                        value=abs(g_after - g_before), tolerance=1e-12),
+        ]
+    return _pipeline("symmetrize", cfg, out, work)
 
 
 def run_verify(cfg: ExperimentConfig, out: Path) -> int:
     """Bundle of structural checks on one solved configuration."""
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        dom, basis, sol = _solve(cfg)
-    except SolverError as exc:
-        _write_json(out / "report.json", {"name": "verify", "passed": False,
-                                          "error": str(exc)})
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
-    checks = []
-    u = sol.trace
-    s = cfg.s
-    ym = build_ymesh(s, float(basis.eigenvalues[0]),
-                     span_factor=cfg.extension.span_factor,
-                     layers=cfg.extension.layers,
-                     grading=cfg.extension.grading)
-    w = extend_semianalytic(sol.field, s, ym)
+    def work(run):
+        dom, sol, s, w = run.dom, run.sol, cfg.s, run.extension()
+        u = sol.trace
+        checks = []
 
-    # 1. the two operator routes agree on the solution
-    op_spec = apply_fractional(sol.field, s).nodal
-    op_ext = dtn(w, lam1=float(basis.eigenvalues[0]))[dom.interior]
-    scale = max(float(np.abs(op_spec).max()), 1e-300)
-    val = float(np.abs(op_ext - op_spec).max() / scale)
-    checks.append(CheckResult(name="extension matches spectral operator",
-                              passed=val <= 1e-5, value=val, tolerance=1e-5))
+        # 1. the two operator routes agree on the solution
+        op_spec = apply_fractional(sol.field, s).nodal
+        op_ext = dtn(w, lam1=run.lam1)[dom.interior]
+        scale = max(float(np.abs(op_spec).max()), 1e-300)
+        val = float(np.abs(op_ext - op_spec).max() / scale)
+        checks.append(CheckResult(name="extension matches spectral operator",
+                                  passed=val <= 1e-5, value=val, tolerance=1e-5))
 
-    # 2. extension is monotone away from the trace
-    rep = check_uy_sign(w)
-    checks.append(CheckResult(name="extension nonincreasing in y",
-                              passed=rep.passed, value=rep.max_derivative,
-                              tolerance=0.0))
+        # 2. extension is monotone away from the trace
+        rep = check_uy_sign(w)
+        checks.append(CheckResult(name="extension nonincreasing in y",
+                                  passed=rep.passed, value=rep.max_derivative,
+                                  tolerance=0.0))
 
-    # 3. level-set transitions match across the free boundary
-    inc = fb.check_boundary_inclusion(dom, u, sol.gamma)
-    checks.append(CheckResult(name="level transitions within one cell",
-                              passed=inc.passed, value=inc.max_gap_cells,
-                              tolerance=1.0, note=inc.note))
+        # 3. level-set transitions match across the free boundary
+        inc = fb.check_boundary_inclusion(dom, u, sol.gamma)
+        checks.append(CheckResult(name="level transitions within one cell",
+                                  passed=inc.passed, value=inc.max_gap_cells,
+                                  tolerance=1.0, note=inc.note))
 
-    # 4. thin subharmonicity near the free boundary (s > 1/2 only)
-    if s > 0.5:
-        try:
-            strip = fb.check_subharmonic_strip(dom, u, sol.gamma, s)
-            checks.append(CheckResult(name="subharmonic strip",
-                                      passed=strip.passed,
-                                      value=strip.min_laplacian, tolerance=0.0))
-        except ValueError as exc:
+        # 4. thin subharmonicity near the free boundary (s > 1/2 only)
+        if s > 0.5:
+            try:
+                strip = fb.check_subharmonic_strip(dom, u, sol.gamma, s)
+                at = ", ".join(f"{c:.6g}" for c in strip.location)
+                checks.append(CheckResult(
+                    name="subharmonic strip", passed=strip.passed,
+                    value=strip.min_laplacian, tolerance=0.0,
+                    note=f"minimum at ({at}) of {strip.n_nodes} strip nodes"))
+            except ValueError as exc:
+                checks.append(CheckResult(name="subharmonic strip", passed=True,
+                                          note=f"skipped: {exc}"))
+        else:
             checks.append(CheckResult(name="subharmonic strip", passed=True,
-                                      note=f"skipped: {exc}"))
-    else:
-        checks.append(CheckResult(name="subharmonic strip", passed=True,
-                                  note="skipped (requires s > 1/2)"))
+                                      note="skipped (requires s > 1/2)"))
 
-    # 5. solution inherits the domain symmetries
-    sym_val = 0.0
-    for axis in dom.symmetry_axes:
-        sym_val = max(sym_val, float(np.abs(u - dom.reflect(u, axis)).max()))
-    checks.append(CheckResult(name="solution symmetric", passed=sym_val <= 1e-6,
-                              value=sym_val, tolerance=1e-6))
+        # 5. solution inherits the domain symmetries
+        sym_val = 0.0
+        for axis in dom.symmetry_axes:
+            sym_val = max(sym_val, float(np.abs(u - dom.reflect(u, axis)).max()))
+        checks.append(CheckResult(name="solution symmetric", passed=sym_val <= 1e-6,
+                                  value=sym_val, tolerance=1e-6))
 
-    # 6. Steiner symmetrization does not increase the extension energy
-    if dom.symmetry_axes:
-        axis = dom.symmetry_axes[0]
-        v = steiner_symmetrize(dom, u, axis)
-        ym_fd = build_ymesh(s, float(basis.eigenvalues[0]),
-                            layers=min(cfg.extension.layers, 120))
-        e0 = weighted_energy(extend_fd(dom, u, s, ym_fd))
-        e1 = weighted_energy(extend_fd(dom, v, s, ym_fd))
-        checks.append(CheckResult(name="Steiner energy non-increasing",
-                                  passed=e1 <= e0 * (1 + 1e-10) + 1e-12,
-                                  value=e1 - e0, tolerance=0.0))
+        # 6. Steiner symmetrization does not increase the extension energy
+        if dom.symmetry_axes:
+            v = steiner_symmetrize(dom, u, dom.symmetry_axes[0])
+            e0, e1 = run.fd_energy(u), run.fd_energy(v)
+            checks.append(CheckResult(name="Steiner energy non-increasing",
+                                      passed=e1 <= e0 * (1 + 1e-10) + 1e-12,
+                                      value=e1 - e0, tolerance=0.0))
 
-    # 7. census is stable under one refinement
-    try:
-        c0 = fb.singular_census(w, sol.gamma, sol.lam)
-        cfg2 = cfg.refine(2.0)
-        dom2, basis2, sol2 = _solve(cfg2)
-        ym2 = build_ymesh(s, float(basis2.eigenvalues[0]),
-                          span_factor=cfg2.extension.span_factor,
-                          layers=cfg2.extension.layers,
-                          grading=cfg2.extension.grading)
-        w2 = extend_semianalytic(sol2.field, s, ym2)
-        c2 = fb.singular_census(w2, sol2.gamma, sol2.lam)
-        stable = c0.singular_count == c2.singular_count
-        checks.append(CheckResult(
-            name="census stable under refinement", passed=stable,
-            value=float(c2.singular_count - c0.singular_count), tolerance=0.0,
-            note=f"{c0.singular_count} singular at base, "
-                 f"{c2.singular_count} refined"))
-    except (ValueError, SolverError) as exc:
-        checks.append(CheckResult(name="census stable under refinement",
-                                  passed=False, note=str(exc)))
-
-    report = RunReport(name="verify", checks=tuple(checks))
-    _write_json(out / "report.json", report.to_dict())
-    print(report.table())
-    return 0 if report.passed else 1
+        # 7. census is stable under one refinement
+        try:
+            c0 = fb.singular_census(w, sol.gamma, sol.lam)
+            fine = _Run(cfg.refine(2.0))
+            c2 = fb.singular_census(fine.extension(), fine.sol.gamma, fine.sol.lam)
+            checks.append(CheckResult(
+                name="census stable under refinement",
+                passed=c0.singular_count == c2.singular_count,
+                value=float(c2.singular_count - c0.singular_count), tolerance=0.0,
+                note=f"{c0.singular_count} singular at base, "
+                     f"{c2.singular_count} refined"))
+        except (ValueError, SolverError) as exc:
+            checks.append(CheckResult(name="census stable under refinement",
+                                      passed=False, note=str(exc)))
+        return checks
+    return _pipeline("verify", cfg, out, work)
 
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fracplasma",
                                 description="fractional plasma laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("solve", "solve the plasma problem and write the solution"),
-        ("frequency", "frequency profiles around configured centres"),
-        ("blowup", "rescaled field around one centre"),
-        ("symmetrize", "Steiner symmetrization of the solution"),
-        ("verify", "bundle of structural checks"),
-    ):
+    for name, blurb in _COMMANDS.items():
         q = sub.add_parser(name, help=blurb)
         q.add_argument("--config", required=True, help="JSON configuration file")
         q.add_argument("--out", default=None, help="output directory")
@@ -454,25 +396,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # looked up per call, so a wrapper set on the module attribute runs
+    command = globals()[f"run_{args.command}"]
+    kwargs = {"axis": args.axis} if args.command == "symmetrize" else {}
     try:
         cfg = load_config(args.config)
         if args.refine is not None:
             cfg = cfg.refine(args.refine)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    out = Path(args.out) if args.out else Path(cfg.out_dir)
-    try:
-        if args.command == "solve":
-            return run_solve(cfg, out)
-        if args.command == "frequency":
-            return run_frequency(cfg, out)
-        if args.command == "blowup":
-            return run_blowup(cfg, out)
-        if args.command == "symmetrize":
-            return run_symmetrize(cfg, out, axis=args.axis)
-        if args.command == "verify":
-            return run_verify(cfg, out)
+        return command(cfg, Path(args.out or cfg.out_dir), **kwargs)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -489,8 +420,6 @@ def main(argv=None) -> int:
               "available; try a coarser grid or fewer basis modes",
               file=sys.stderr)
         return 1
-    print(f"unknown command {args.command!r}", file=sys.stderr)
-    return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ __all__ = [
     "build_domain",
     "eigendecompose",
     "laplacian_matrix",
-    "l2_norm",
 ]
 
 _SIGN_EPS = 1e-12
@@ -418,10 +417,3 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
     V = _fix_signs(V) / np.sqrt(domain.h**domain.dim)
     return EigenBasis(domain=domain, eigenvalues=lam, vectors=V)
 
-
-def l2_norm(domain: Domain, values: np.ndarray) -> float:
-    """Discrete L2 norm sqrt(h^dim * sum(v^2)); accepts full or packed arrays."""
-    v = np.asarray(values, dtype=float)
-    if v.shape == domain.grid_shape:
-        v = v[domain.interior]
-    return float(np.sqrt(domain.h**domain.dim * np.sum(v**2)))

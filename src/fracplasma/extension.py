@@ -12,8 +12,8 @@ derivative -lim y^a dw/dy recovers the fractional operator up to the
 constant d_s = 2^{1-2s} Gamma(1-s) / Gamma(s), so a Dirichlet-to-Neumann
 map calibrated on the first mode reproduces lambda^s exactly there.
 
-Near y = 0 the profile behaves like 1 - kappa_s z^{2s} + O(z^2): boundary
-quantities (dtn, hopf_ratio) therefore fit the first few off-trace layers
+Near y = 0 the profile behaves like 1 - kappa_s z^{2s} + O(z^2): the
+Dirichlet-to-Neumann map (dtn) therefore fits the first few off-trace layers
 against the powers {y^{2s}, y^2, y^{2s+2}, y^4} instead of differencing.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.special import gamma as gamma_fn, kve
 
-from .domains import Domain, _laplacian_modes, eigendecompose
+from .domains import Domain, _laplacian_modes
 from .spectral import SpectralField, _check_order
 
 __all__ = [
@@ -32,17 +32,13 @@ __all__ = [
     "build_ymesh",
     "ExtensionField",
     "mode_profile",
-    "mode_profile_derivative",
     "extension_energy_constant",
-    "trace_coupling_constant",
-    "smallest_eigenvalue",
     "extend_semianalytic",
     "extend_fd",
     "dtn",
     "check_uy_sign",
     "UySignReport",
     "weighted_energy",
-    "hopf_ratio",
 ]
 
 
@@ -153,20 +149,6 @@ def mode_profile(s: float, z) -> np.ndarray:
     return out
 
 
-def mode_profile_derivative(s: float, z) -> np.ndarray:
-    """psi_s'(z) = -2^{1-s}/Gamma(s) z^s K_{s-1}(z)  (z > 0)."""
-    _check_order(s)
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    pos = z > 0
-    zp = z[pos]
-    with np.errstate(over="ignore", under="ignore"):
-        vals = -(2 ** (1 - s) / gamma_fn(s)) * zp**s * kve(1 - s, zp) * np.exp(-zp)
-    vals[zp > 700] = 0.0
-    out[pos] = vals
-    return out
-
-
 def extension_energy_constant(s: float) -> float:
     """d_s = 2^{1-2s} Gamma(1-s)/Gamma(s): weighted energy of a unit mode.
 
@@ -177,19 +159,6 @@ def extension_energy_constant(s: float) -> float:
     if s == 1.0:
         raise ValueError("extension requires s in (0, 1)")
     return float(2 ** (1 - 2 * s) * gamma_fn(1 - s) / gamma_fn(s))
-
-
-def trace_coupling_constant(s: float) -> float:
-    """kappa_s = 4^{-s} Gamma(1-s)/(s Gamma(s)): psi_s(z) = 1 - kappa_s z^{2s} + O(z^2)."""
-    _check_order(s)
-    if s == 1.0:
-        raise ValueError("extension requires s in (0, 1)")
-    return float(4.0 ** (-s) * gamma_fn(1 - s) / (s * gamma_fn(s)))
-
-
-def smallest_eigenvalue(domain: Domain) -> float:
-    """Smallest discrete Dirichlet eigenvalue."""
-    return float(eigendecompose(domain, 1).eigenvalues[0])
 
 
 # -- building extensions --------------------------------------------------------
@@ -311,60 +280,24 @@ def _boundary_fit_weights(ymesh: YMesh, s: float):
     return alpha, L
 
 
-def dtn(w: ExtensionField, *, lam1: float = None) -> np.ndarray:
+def dtn(w: ExtensionField, *, lam1: float) -> np.ndarray:
     """Dirichlet-to-Neumann value of the extension at every grid node.
 
     Fits the first layers against the near-trace powers of y, then
     calibrates the single remaining constant on the first eigenmode so
-    that dtn(extend(phi_1)) = lambda_1^s phi_1 holds exactly on the grid.
+    that dtn(extend(phi_1)) = lambda_1^s phi_1 holds exactly on the grid;
+    ``lam1`` is that mode's eigenvalue (``basis.eigenvalues[0]``).
     Returns a full-grid array approximating the fractional operator
     applied to the trace.
     """
     alpha, L = _boundary_fit_weights(w.ymesh, w.s)
     delta = w.values[..., 1:L + 1] - w.values[..., :1]
     b = np.tensordot(delta, alpha, axes=([-1], [0]))
-    if lam1 is None:
-        lam1 = smallest_eigenvalue(w.domain)
     ref = mode_profile(w.s, np.sqrt(lam1) * w.ymesh.nodes[1:L + 1]) - 1.0
     b_ref = float(alpha @ ref)
     if not b_ref < 0:
         raise ValueError("calibration failed: reference profile fit is not negative")
     return (lam1**w.s / b_ref) * b
-
-
-def hopf_ratio(w: ExtensionField, x0, *, min_radius_cells: float = 2.0) -> float:
-    """Growth coefficient of w away from the trace at a thin-space minimum.
-
-    At a point x0 where w(., 0) attains a local minimum m0 on the half-ball
-    and w is not constant, the ratio (w(x0, y) - m0) / y^{1-a} tends to a
-    nonnegative limit; this returns the limit estimated by the near-trace
-    power fit.  Raises if x0 is not a nodal point, not a local minimum of
-    the trace on the ball, or if w is constant there.
-    """
-    dom = w.domain
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    idx = tuple(int(np.argmin(np.abs(ax - c))) for ax, c in zip(dom.axes, x0))
-    node = np.array([dom.axes[d][idx[d]] for d in range(dom.dim)])
-    if np.max(np.abs(node - x0)) > dom.h / 2 + 1e-12:
-        raise ValueError("x0 must lie at (or within half a cell of) a grid node")
-    r = 0.5 * min(dom.distance_to_boundary(node), w.ymesh.Y)
-    if r < min_radius_cells * dom.h:
-        raise ValueError("x0 is too close to the boundary for a half-ball")
-    vals = w.values
-    m0 = vals[idx + (0,)]
-    # nodal minimum check over the half-ball
-    coords = np.meshgrid(*dom.axes, indexing="ij")
-    dist2 = sum((c - node[d]) ** 2 for d, c in enumerate(coords))
-    scale = np.abs(vals).max()
-    inside = (dist2[..., None] + w.ymesh.nodes[None, :] ** 2) <= r**2
-    ball_vals = vals[inside]
-    if ball_vals.min() < m0 - 1e-10 * max(scale, 1.0):
-        raise ValueError("trace value at x0 is not the half-ball minimum")
-    if ball_vals.max() - ball_vals.min() <= 1e-13 * max(scale, 1.0):
-        raise ValueError("field is constant on the half-ball")
-    alpha, L = _boundary_fit_weights(w.ymesh, w.s)
-    delta = vals[idx + (slice(1, L + 1),)] - m0
-    return float(alpha @ delta)
 
 
 # -- diagnostics -----------------------------------------------------------------

@@ -41,14 +41,12 @@ __all__ = [
     "SolverOptions",
     "PlasmaSolution",
     "SolverError",
-    "plasma_rhs",
     "constraint_mass",
     "residual_norm",
     "solve_fixed_lambda",
     "solve_constrained",
     "minimize_energy",
     "steiner_symmetrize",
-    "symmetric_decreasing_rearrangement",
 ]
 
 
@@ -108,7 +106,7 @@ class PlasmaSolution:
         return self.field.full()
 
 
-def plasma_rhs(u: np.ndarray, gamma: float) -> np.ndarray:
+def _plasma_rhs(u: np.ndarray, gamma: float) -> np.ndarray:
     """(u - gamma)_+ applied nodewise."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -121,7 +119,7 @@ def constraint_mass(domain: Domain, values: np.ndarray, gamma: float,
     v = np.asarray(values, dtype=float)
     if v.shape == domain.grid_shape:
         v = v[domain.interior]
-    plus = plasma_rhs(v, gamma)
+    plus = _plasma_rhs(v, gamma)
     p = 2 if kind == "quadratic" else 1
     if kind not in ("quadratic", "linear"):
         raise ValueError("kind must be 'quadratic' or 'linear'")
@@ -137,7 +135,7 @@ def residual_norm(basis: EigenBasis, coeffs: np.ndarray, lam: float,
     component the spectral method can see.
     """
     u = basis.nodal(coeffs)
-    proj = basis.weight * (basis.vectors.T @ plasma_rhs(u, gamma))
+    proj = basis.weight * (basis.vectors.T @ _plasma_rhs(u, gamma))
     return float(np.linalg.norm(basis.eigenvalues**s * coeffs - lam * proj))
 
 
@@ -549,7 +547,7 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
 # -- symmetrization ---------------------------------------------------------------
 
 
-def symmetric_decreasing_rearrangement(values: np.ndarray) -> np.ndarray:
+def _symmetric_decreasing_rearrangement(values: np.ndarray) -> np.ndarray:
     """Rearrange a line of values symmetrically decreasing about its centre.
 
     The largest value goes to the central position; ties in distance to
@@ -594,5 +592,5 @@ def steiner_symmetrize(domain: Domain, values: np.ndarray, axis: int) -> np.ndar
         if idxs[0] + idxs[-1] != n_axis - 1:
             raise ValueError("line interior is not centred on the grid midline")
         sel = (idxs,) + rest
-        moved[sel] = symmetric_decreasing_rearrangement(moved[sel])
+        moved[sel] = _symmetric_decreasing_rearrangement(moved[sel])
     return out

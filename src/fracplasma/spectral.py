@@ -18,7 +18,6 @@ __all__ = [
     "SpectralField",
     "project",
     "apply_fractional",
-    "invert_fractional",
     "fractional_energy",
 ]
 
@@ -74,12 +73,6 @@ def apply_fractional(f: SpectralField, s: float) -> SpectralField:
     """(-Delta)^s f on the eigenbasis."""
     s = _check_order(s)
     return SpectralField(f.basis, f.basis.eigenvalues**s * f.coeffs)
-
-
-def invert_fractional(f: SpectralField, s: float) -> SpectralField:
-    """(-Delta)^{-s} f on the eigenbasis."""
-    s = _check_order(s)
-    return SpectralField(f.basis, f.basis.eigenvalues ** (-s) * f.coeffs)
 
 
 def fractional_energy(f: SpectralField, s: float) -> float:

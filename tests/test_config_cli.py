@@ -236,3 +236,75 @@ def test_cli_refine_flag(tmp_path):
                  "--refine", "2.0"]) == 0
     payload = json.loads((out / "solution.json").read_text())
     assert payload["n_interior"] == 127
+
+
+@pytest.mark.parametrize("command", ["solve", "frequency", "blowup",
+                                     "symmetrize", "verify"])
+def test_cli_failed_solve_writes_report_exit_1(tmp_path, monkeypatch, capsys,
+                                               command):
+    import fracplasma.cli as cli
+    from fracplasma import SolverError
+
+    def diverged(*args, **kwargs):
+        raise SolverError("no convergence", history=[1.0, 0.5])
+
+    monkeypatch.setattr(cli, "solve_fixed_lambda", diverged)
+    path = write_config(tmp_path, {
+        "blowup": {"center": [1.5707963267948966], "radius": 0.5},
+    })
+    out = tmp_path / command
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["name"] == command
+    assert report["passed"] is False
+    assert report["error"] == "no convergence"
+    assert report["history"] == [1.0, 0.5]
+    assert "solve failed: no convergence" in capsys.readouterr().err
+
+
+def test_cli_verify_steiner_energy_matches_symmetrize(tmp_path, monkeypatch):
+    # BASE has span_factor 12, so a mesh built with the default span differs
+    import fracplasma.cli as cli
+
+    meshes = []
+    extend = cli.extend_fd
+
+    def recording(dom, values, s, ymesh):
+        meshes.append(ymesh.nodes)
+        return extend(dom, values, s, ymesh)
+
+    monkeypatch.setattr(cli, "extend_fd", recording)
+    path = write_config(tmp_path)
+    main(["symmetrize", "--config", str(path), "--out", str(tmp_path / "sym")])
+    main(["verify", "--config", str(path), "--out", str(tmp_path / "ver")])
+    assert len(meshes) == 4
+    for nodes in meshes[1:]:
+        np.testing.assert_array_equal(nodes, meshes[0])
+    meta = json.loads((tmp_path / "sym" / "symmetrize.json").read_text())
+    report = json.loads((tmp_path / "ver" / "report.json").read_text())
+    steiner = {c["name"]: c for c in report["checks"]}["Steiner energy non-increasing"]
+    assert steiner["value"] == meta["energy_after"] - meta["energy_before"]
+
+
+def test_cli_verify_strip_note_says_where(tmp_path):
+    from fracplasma import (build_domain, check_subharmonic_strip,
+                            eigendecompose, solve_fixed_lambda)
+
+    square = {"kind": "rectangle", "n": 25, "bounds": [[0.0, np.pi], [0.0, np.pi]]}
+    path = write_config(tmp_path, {"domain": square, "s": 0.75,
+                                   "extension": {"span_factor": 20.0, "layers": 64}})
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    strip = {c["name"]: c for c in report["checks"]}["subharmonic strip"]
+    assert not strip["passed"]
+    assert strip["value"] == pytest.approx(-0.657, abs=1e-3)
+
+    dom = build_domain("rectangle", 25, bounds=((0.0, np.pi), (0.0, np.pi)))
+    basis = eigendecompose(dom, dom.n_interior)
+    lam = 4.0 * float(basis.eigenvalues[0] ** 0.75)
+    sol = solve_fixed_lambda(basis, lam, 0.1, 0.75)
+    ref = check_subharmonic_strip(dom, sol.trace, 0.1, 0.75)
+    at = ", ".join(f"{c:.6g}" for c in ref.location)
+    assert strip["value"] == ref.min_laplacian
+    assert strip["note"] == f"minimum at ({at}) of {ref.n_nodes} strip nodes"

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from fracplasma import build_domain, eigendecompose, l2_norm, laplacian_matrix
+from fracplasma import build_domain, eigendecompose, laplacian_matrix
 
 
 def test_interval_nodes_and_masks():
@@ -97,13 +97,6 @@ def test_stencil_application_matches_oracle():
     U[dom.interior] = v
     ref = oracles.neg_laplacian_full(U, dom.h)[dom.interior]
     np.testing.assert_allclose(A @ v, ref, rtol=1e-12, atol=1e-12)
-
-
-def test_l2_norm_of_unit_eigenvector_is_one():
-    dom = build_domain("interval", 33, bounds=(0.0, np.pi))
-    basis = eigendecompose(dom, 5)
-    for k in range(5):
-        assert l2_norm(dom, basis.vectors[:, k]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_first_eigenvector_positive():

@@ -7,10 +7,8 @@ import oracles
 from fracplasma import (apply_fractional, build_domain, build_ymesh,
                         check_uy_sign, dtn, eigendecompose,
                         extension_energy_constant, extend_fd,
-                        extend_semianalytic, hopf_ratio, laplacian_matrix,
-                        mode_profile, mode_profile_derivative, project,
-                        smallest_eigenvalue, trace_coupling_constant,
-                        weighted_energy)
+                        extend_semianalytic, laplacian_matrix, mode_profile,
+                        project, weighted_energy)
 
 
 @pytest.fixture(scope="module")
@@ -42,15 +40,6 @@ def test_mode_profile_decays():
         assert vals[-1] < 1e-100
 
 
-def test_mode_profile_derivative_matches_difference_quotient():
-    z = np.linspace(0.05, 8.0, 60)
-    eps = 1e-6
-    for s in (0.3, 0.6, 0.9):
-        num = (mode_profile(s, z + eps) - mode_profile(s, z - eps)) / (2 * eps)
-        np.testing.assert_allclose(mode_profile_derivative(s, z), num,
-                                   rtol=2e-8, atol=2e-8)
-
-
 def test_mode_profile_small_z_flux_power():
     # near zero 1 - psi(z) ~ kappa_s z^{2s}, the signature of the fractional order
     for s in (0.3, 0.7):
@@ -66,12 +55,6 @@ def test_energy_constant_matches_quadrature():
         assert extension_energy_constant(s) == pytest.approx(
             oracles.mode_energy_integral(s), rel=1e-10)
     assert extension_energy_constant(0.5) == pytest.approx(1.0, rel=1e-13)
-
-
-def test_trace_coupling_constant_consistent():
-    for s in (0.25, 0.6):
-        d_s = extension_energy_constant(s)
-        assert trace_coupling_constant(s) == pytest.approx(d_s / (2 * s), rel=1e-12)
 
 
 def test_constants_reject_integer_order():
@@ -240,39 +223,13 @@ def test_uy_sign_flags_negative_mode(interval):
     assert rep.n_violations > 0
 
 
-def test_hopf_ratio_recovers_growth_coefficient(interval):
-    # synthetic field x^2 + 3 y^(1-a): trace minimum at the centre, vertical
-    # growth coefficient exactly 3
-    dom, _ = interval
-    s = 0.3
-    a = 1.0 - 2.0 * s
-    ym = build_ymesh(s, 1.0, span_factor=1.0, layers=80)
-    from fracplasma import ExtensionField
-    x = dom.axes[0][:, None] - np.pi / 2
-    y = ym.nodes[None, :]
-    w = ExtensionField(domain=dom, ymesh=ym, s=s,
-                       values=x**2 + 3.0 * y ** (1 - a))
-    assert hopf_ratio(w, [np.pi / 2]) == pytest.approx(3.0, rel=1e-6)
-
-
-def test_hopf_ratio_rejects_non_minimum(interval):
-    dom, basis = interval
-    e = np.zeros(basis.size)
-    e[0] = 1.0
-    f = project(basis, basis.nodal(e))
-    ym = build_ymesh(0.5, float(basis.eigenvalues[0]))
-    w = extend_semianalytic(f, 0.5, ym)
-    with pytest.raises(ValueError):
-        hopf_ratio(w, [np.pi / 2])   # an interior maximum, not a minimum
-
-
-# -- smallest eigenvalue helper ------------------------------------------------------
+# -- smallest eigenvalue -------------------------------------------------------------
 
 
 def test_smallest_eigenvalue_matches_closed_form():
     dom = build_domain("interval", 41, bounds=(0.0, np.pi))
     lam_ref, _ = oracles.interval_eigenpairs(0.0, np.pi, 41, 1)
-    assert smallest_eigenvalue(dom) == pytest.approx(lam_ref[0], rel=1e-10)
+    assert eigendecompose(dom, 1).eigenvalues[0] == pytest.approx(lam_ref[0], rel=1e-10)
 
 
 def test_smallest_eigenvalue_on_large_disk_matches_dense_solve(monkeypatch):
@@ -285,4 +242,4 @@ def test_smallest_eigenvalue_on_large_disk_matches_dense_solve(monkeypatch):
         raise AssertionError("K=1 on a large disk must not take the dense eigh")
 
     monkeypatch.setattr(scipy.linalg, "eigh", no_dense_solve)
-    assert smallest_eigenvalue(dom) == pytest.approx(lam_ref, rel=1e-11)
+    assert eigendecompose(dom, 1).eigenvalues[0] == pytest.approx(lam_ref, rel=1e-11)

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 import oracles
 from fracplasma import (SolverOptions, apply_fractional, build_domain,
                         constraint_mass, eigendecompose, minimize_energy,
-                        plasma_rhs, project, residual_norm, solve_constrained,
-                        solve_fixed_lambda, steiner_symmetrize,
-                        symmetric_decreasing_rearrangement)
-from fracplasma.plasma import _active_set_step
+                        project, residual_norm, solve_constrained,
+                        solve_fixed_lambda, steiner_symmetrize)
+from fracplasma.plasma import (_active_set_step, _plasma_rhs,
+                               _symmetric_decreasing_rearrangement)
 
 GAMMA = 0.1
 
@@ -28,7 +28,7 @@ def basis2d():
 
 def test_rhs_is_positive_part():
     u = np.array([-1.0, 0.0, 0.05, 0.1, 0.4])
-    np.testing.assert_allclose(plasma_rhs(u, 0.1),
+    np.testing.assert_allclose(_plasma_rhs(u, 0.1),
                                [0.0, 0.0, 0.0, 0.0, 0.3])
 
 
@@ -103,7 +103,7 @@ def test_solution_satisfies_equation_nodally(basis1d):
     lam = 4.0 * float(basis1d.eigenvalues[0] ** s)
     sol = solve_fixed_lambda(basis1d, lam, GAMMA, s)
     lhs = apply_fractional(sol.field, s).nodal
-    rhs = lam * plasma_rhs(sol.field.nodal, GAMMA)
+    rhs = lam * _plasma_rhs(sol.field.nodal, GAMMA)
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -233,7 +233,7 @@ def test_energy_minimizer_meets_constraint_and_equation(basis1d):
 
 def test_rearrangement_output_is_symmetric_decreasing():
     v = np.array([0.1, 0.9, 0.3, 0.7, 0.2, 0.5, 0.0])
-    r = symmetric_decreasing_rearrangement(v)
+    r = _symmetric_decreasing_rearrangement(v)
     n = len(r)
     c = (n - 1) / 2
     # values weakly decrease with distance from the centre
@@ -247,7 +247,7 @@ def test_rearrangement_output_is_symmetric_decreasing():
                 max_size=40))
 def test_rearrangement_preserves_multiset(vals):
     v = np.asarray(vals)
-    r = symmetric_decreasing_rearrangement(v)
+    r = _symmetric_decreasing_rearrangement(v)
     np.testing.assert_allclose(np.sort(r), np.sort(v), atol=0.0)
 
 

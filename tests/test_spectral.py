@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fracplasma import (apply_fractional, build_domain, eigendecompose,
-                        fractional_energy, invert_fractional, project)
+                        fractional_energy, project)
 
 
 @pytest.fixture(scope="module")
@@ -60,15 +60,6 @@ def test_semigroup_property(basis):
     one = apply_fractional(apply_fractional(f, 0.3), 0.45)
     two = apply_fractional(f, 0.75)
     np.testing.assert_allclose(one.coeffs, two.coeffs, rtol=1e-12, atol=1e-12)
-
-
-def test_inverse_inverts(basis):
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal(basis.domain.n_interior)
-    f = project(basis, v)
-    for s in (0.4, 1.0):
-        back = invert_fractional(apply_fractional(f, s), s)
-        np.testing.assert_allclose(back.coeffs, f.coeffs, rtol=1e-12, atol=1e-12)
 
 
 def test_energy_is_weighted_coefficient_sum(basis):
