@@ -86,6 +86,12 @@ def _json_default(obj):
     raise TypeError(f"not JSON serialisable: {type(obj)}")
 
 
+def _domain(cfg: ExperimentConfig):
+    d = cfg.domain
+    return build_domain(d.kind, d.n, bounds=d.bounds, radius=d.radius,
+                        center=d.center)
+
+
 class _Run:
     """One configuration run through domain, eigenbasis and plasma solve.
 
@@ -94,10 +100,8 @@ class _Run:
     """
 
     def __init__(self, cfg: ExperimentConfig):
-        d = cfg.domain
         self.cfg = cfg
-        self.dom = build_domain(d.kind, d.n, bounds=d.bounds, radius=d.radius,
-                                center=d.center)
+        self.dom = _domain(cfg)
         n = self.dom.n_interior
         self.basis = eigendecompose(self.dom, min(cfg.basis_size or n, n))
         self.lam1 = float(self.basis.eigenvalues[0])
@@ -130,8 +134,15 @@ class _Run:
         return weighted_energy(extend_fd(self.dom, values, self.cfg.s, ym))
 
 
-def _pipeline(name: str, cfg: ExperimentConfig, out: Path, work) -> int:
-    """Solve ``cfg``, call ``work(run) -> checks`` and write the report."""
+def _pipeline(name: str, cfg: ExperimentConfig, out: Path, work, *,
+              extends: bool = True) -> int:
+    """Solve ``cfg``, call ``work(run) -> checks`` and write the report.
+
+    A subcommand that ``extends`` the solution is refused at s = 1, where
+    there is no extension, before anything is solved or written.
+    """
+    if extends and cfg.s == 1:
+        raise ConfigError(f"{name} needs the extension, which requires s in (0, 1)")
     out.mkdir(parents=True, exist_ok=True)
     try:
         run = _Run(cfg)
@@ -193,7 +204,7 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
                             passed=sol.status in ("converged", "trivial"),
                             value=sol.residual, tolerance=cfg.solver.tolerance,
                             note=sol.status)]
-    return _pipeline("solve", cfg, out, work)
+    return _pipeline("solve", cfg, out, work, extends=False)
 
 
 def _frequency_radii(cfg, dom, ym, center):
@@ -252,6 +263,10 @@ def run_blowup(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.blowup.center is None or cfg.blowup.radius is None:
         raise ConfigError("blowup requires blowup.center and blowup.radius in "
                           "the configuration")
+    h = _domain(cfg).h
+    if cfg.blowup.radius < 5 * h * (1 - 1e-9):
+        raise ConfigError(f"blow-up radius {cfg.blowup.radius:.4g} is below five "
+                          f"grid cells ({5 * h:.4g})")
 
     def work(run):
         w = run.extension().shifted(run.sol.gamma)

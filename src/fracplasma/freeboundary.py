@@ -28,9 +28,11 @@ a quadratic model p(x) - c y^2 with c >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .domains import Domain, build_domain
@@ -67,16 +69,14 @@ class FreeBoundaryPoint:
     gradient: tuple
     tag: str
     cell: tuple
-    edge: tuple
 
 
 @dataclass(frozen=True)
 class FreeBoundary:
-    """Level set of the trace: crossing points, chained segments, cells."""
+    """Level set of the trace: edge crossing points and the crossed cells."""
 
     level: float
     points: list
-    chains: list
     cells: list
     degenerate: bool = False
     note: str = ""
@@ -120,155 +120,67 @@ def _second_difference_scale(domain: Domain, values: np.ndarray) -> float:
     return worst
 
 
-# marching-squares segment table: corners c0=(i,j) c1=(i+1,j) c2=(i+1,j+1)
-# c3=(i,j+1); edges 0=bottom 1=right 2=top 3=left; case bit k set iff
-# corner ck is at-or-above the level
-_MS_TABLE = {
-    0: [], 15: [],
-    1: [(3, 0)], 14: [(3, 0)],
-    2: [(0, 1)], 13: [(0, 1)],
-    3: [(3, 1)], 12: [(3, 1)],
-    4: [(1, 2)], 11: [(1, 2)],
-    6: [(0, 2)], 9: [(0, 2)],
-    7: [(3, 2)], 8: [(3, 2)],
-}
+def _edge_ends(dim: int, axis: int):
+    """Index tuples of the low and high node of every edge along ``axis``."""
+    lo, hi = [slice(None)] * dim, [slice(None)] * dim
+    lo[axis], hi[axis] = slice(0, -1), slice(1, None)
+    return tuple(lo), tuple(hi)
 
 
 def extract_free_boundary(domain: Domain, values: np.ndarray, level: float) -> FreeBoundary:
-    """Locate the level set of a full-grid field by edgewise interpolation.
+    """Locate the level set of a full-grid field on the grid edges.
 
-    In 2-D, cell crossings are chained into polylines by marching
-    squares, with saddle cells disambiguated by the cell-centre average.
-    A field that sits entirely at the level is flagged degenerate: the
-    level set is area-filling and every cell is returned.
+    Every edge whose two nodes lie on opposite sides of the level (one
+    at or above it, one below) carries one crossing point, placed by
+    linear interpolation along the edge; its gradient is the nodal
+    gradient interpolated the same way.  The crossed cells are the cells
+    with a crossing on any of their edges.  A field that sits entirely at
+    the level is flagged degenerate: the level set is area-filling and
+    every cell is returned.
     """
     u = np.asarray(values, dtype=float)
     if u.shape != domain.grid_shape:
         raise ValueError("values must be a full-grid array")
     phi = u - level
     scale = max(float(np.abs(u).max()), abs(level), 1e-300)
+    cell_shape = tuple(n - 1 for n in domain.grid_shape)
     if np.all(np.abs(phi) <= 1e-13 * scale):
-        all_cells = [tuple(c) for c in np.ndindex(*[s - 1 for s in domain.grid_shape])]
-        return FreeBoundary(level=float(level), points=[], chains=[],
-                            cells=all_cells, degenerate=True,
+        return FreeBoundary(level=float(level), points=[],
+                            cells=list(np.ndindex(*cell_shape)), degenerate=True,
                             note="field sits at the level everywhere; "
                                  "level set is area-filling")
     grads = _gradient_arrays(domain, u)
     thr = 10.0 * domain.h * _second_difference_scale(domain, u)
-
-    def make_point(loc, cell, edge):
-        g = tuple(_interp_grid(domain, ga, loc) for ga in grads)
-        gn = float(np.hypot(*g)) if len(g) == 2 else abs(g[0])
-        tag = "regular" if gn > thr else "unresolved"
-        return FreeBoundaryPoint(location=tuple(float(c) for c in loc),
-                                 gradient=g, tag=tag, cell=cell, edge=edge)
-
     above = phi >= 0
-
-    if domain.dim == 1:
-        xs = domain.axes[0]
-        points, cells = [], []
-        for i in range(len(xs) - 1):
-            if above[i] != above[i + 1]:
-                t = phi[i] / (phi[i] - phi[i + 1])
-                loc = (xs[i] + t * domain.h,)
-                cells.append((i,))
-                points.append(make_point(loc, (i,), (0, i)))
-        note = "" if points else "level set is empty"
-        return FreeBoundary(level=float(level), points=points, chains=[],
-                            cells=cells, note=note)
-
-    xs, ys = domain.axes
-    nx, ny = domain.grid_shape
-    crossings = {}  # edge key -> location
-
-    def edge_point(key):
-        if key in crossings:
-            return crossings[key]
-        axis, i, j = key
-        p0 = phi[i, j]
-        p1 = phi[i + 1, j] if axis == 0 else phi[i, j + 1]
+    crossed = np.zeros(cell_shape, dtype=bool)
+    points = []
+    for axis in range(domain.dim):
+        lo, hi = _edge_ends(domain.dim, axis)
+        edges = above[lo] != above[hi]
+        p0, p1 = phi[lo][edges], phi[hi][edges]
         t = p0 / (p0 - p1)
-        loc = ((xs[i] + t * domain.h, ys[j]) if axis == 0
-               else (xs[i], ys[j] + t * domain.h))
-        crossings[key] = loc
-        return loc
-
-    cell_edges = {}
-    diff_x = above[:-1, :] != above[1:, :]
-    diff_y = above[:, :-1] != above[:, 1:]
-    cross_any = diff_x[:, :-1] | diff_x[:, 1:] | diff_y[:-1, :] | diff_y[1:, :]
-    segments = []
-    for i, j in np.argwhere(cross_any):
-        case = (int(above[i, j]) + 2 * int(above[i + 1, j])
-                + 4 * int(above[i + 1, j + 1]) + 8 * int(above[i, j + 1]))
-        if case in (5, 10):
-            centre_above = (phi[i, j] + phi[i + 1, j] + phi[i + 1, j + 1]
-                            + phi[i, j + 1]) >= 0
-            if case == 5:
-                pairs = [(0, 1), (2, 3)] if centre_above else [(3, 0), (1, 2)]
-            else:
-                pairs = [(3, 0), (1, 2)] if centre_above else [(0, 1), (2, 3)]
-        else:
-            pairs = _MS_TABLE[case]
-        local = {0: (0, i, j), 1: (1, i + 1, j), 2: (0, i, j + 1), 3: (1, i, j)}
-        for e0, e1 in pairs:
-            k0, k1 = local[e0], local[e1]
-            edge_point(k0)
-            edge_point(k1)
-            segments.append(((i, j), k0, k1))
-        cell_edges[(i, j)] = pairs
-
-    points = [make_point(loc, _owner_cell(key, nx, ny), key)
-              for key, loc in crossings.items()]
-    chains = _chain_segments(segments, crossings)
-    cells = sorted(cell_edges.keys())
-    note = "" if points else "level set is empty"
-    return FreeBoundary(level=float(level), points=points, chains=chains,
-                        cells=[tuple(int(c) for c in cc) for cc in cells], note=note)
-
-
-def _owner_cell(edge_key, nx, ny):
-    axis, i, j = edge_key
-    ci = min(i, nx - 2)
-    cj = min(j, ny - 2)
-    return (int(ci), int(cj))
-
-
-def _chain_segments(segments, crossings):
-    """Assemble marching-squares segments into polylines (open chains first)."""
-    adj = {}
-    for sid, (_, k0, k1) in enumerate(segments):
-        adj.setdefault(k0, []).append((sid, k1))
-        adj.setdefault(k1, []).append((sid, k0))
-    used = set()
-    chains = []
-
-    def walk(start):
-        chain = [start]
-        current = start
-        while True:
-            nxt = None
-            for sid, other in adj[current]:
-                if sid not in used:
-                    used.add(sid)
-                    nxt = other
-                    break
-            if nxt is None:
-                break
-            chain.append(nxt)
-            current = nxt
-        return chain
-
-    endpoints = [k for k, nbrs in adj.items() if len(nbrs) == 1]
-    for k in endpoints:
-        if all(sid in used for sid, _ in adj[k]):
-            continue
-        chains.append(walk(k))
-    for k in adj:
-        if any(sid not in used for sid, _ in adj[k]):
-            chains.append(walk(k))
-    return [np.array([crossings[k] for k in chain]) for chain in chains]
+        idx = np.argwhere(edges)
+        loc = np.column_stack([ax[idx[:, d]] for d, ax in enumerate(domain.axes)])
+        loc[:, axis] += t * domain.h
+        grad = np.column_stack([g[lo][edges] * (1 - t) + g[hi][edges] * t
+                                for g in grads])
+        regular = np.linalg.norm(grad, axis=1) > thr
+        owner = np.minimum(idx, np.array(cell_shape) - 1)
+        points += [FreeBoundaryPoint(location=tuple(x), gradient=tuple(g),
+                                     tag="regular" if r else "unresolved",
+                                     cell=tuple(c))
+                   for x, g, r, c in zip(loc.tolist(), grad.tolist(),
+                                         regular.tolist(), owner.tolist())]
+        # an edge along `axis` borders the cells on both sides of it along
+        # every other axis
+        for other in range(domain.dim):
+            if other != axis:
+                a, b = _edge_ends(domain.dim, other)
+                edges = edges[a] | edges[b]
+        crossed |= edges
+    return FreeBoundary(level=float(level), points=points,
+                        cells=[tuple(c) for c in np.argwhere(crossed).tolist()],
+                        note="" if points else "level set is empty")
 
 
 # -- frequency profiles ----------------------------------------------------------
@@ -618,12 +530,9 @@ def check_boundary_inclusion(domain: Domain, values: np.ndarray,
     lower_mid, upper_mid = [], []
     inside = domain.interior
     for axis in range(domain.dim):
-        sl_a = [slice(None)] * domain.dim
-        sl_b = [slice(None)] * domain.dim
-        sl_a[axis] = slice(0, -1)
-        sl_b[axis] = slice(1, None)
-        va, vb = u[tuple(sl_a)], u[tuple(sl_b)]
-        touch = inside[tuple(sl_a)] | inside[tuple(sl_b)]
+        sl_a, sl_b = _edge_ends(domain.dim, axis)
+        va, vb = u[sl_a], u[sl_b]
+        touch = inside[sl_a] | inside[sl_b]
         low = (((va < level) & (vb >= level)) | ((vb < level) & (va >= level))) & touch
         upp = (((va > level) & (vb <= level)) | ((vb > level) & (va <= level))) & touch
         for mask, store in ((low, lower_mid), (upp, upper_mid)):
@@ -720,27 +629,17 @@ class Census:
 
 
 def _cluster_cells(cells, reach: int = 2):
-    """Group cell indices into connected clusters under Chebyshev reach."""
-    cells = [np.asarray(c) for c in cells]
+    """Group cell indices into connected clusters under Chebyshev reach.
+
+    Groups come in order of their smallest member, members ascending.
+    """
+    cells = np.asarray(cells)
     n = len(cells)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.max(np.abs(cells[i] - cells[j])) <= reach:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    pairs = cKDTree(cells).query_pairs(reach, p=np.inf, output_type="ndarray")
+    links = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    n_groups, labels = connected_components(links, directed=False)
+    return [np.flatnonzero(labels == k).tolist() for k in range(n_groups)]
 
 
 def singular_census(w: ExtensionField, level: float, lam: float, *,
@@ -790,9 +689,7 @@ def singular_census(w: ExtensionField, level: float, lam: float, *,
             elif tag == "unresolved":
                 unresolved_locs.append(rep.location)
             for m in members:
-                tagged.append(FreeBoundaryPoint(location=m.location,
-                                                gradient=m.gradient, tag=tag,
-                                                cell=m.cell, edge=m.edge))
+                tagged.append(replace(m, tag=tag))
     return Census(points=tagged, n_points=len(fb.points), n_cells=len(fb.cells),
                   n_regular=sum(1 for p in tagged if p.tag == "regular"),
                   n_clusters=len(clusters),

@@ -4,6 +4,8 @@ Everything here is built from numpy/scipy primitives only and never calls
 into :mod:`fracplasma`, so agreement between the two is meaningful.
 """
 
+import itertools
+
 import numpy as np
 import scipy.integrate
 import scipy.linalg
@@ -256,3 +258,93 @@ def fd_slab_extension(interior: np.ndarray, h: float, trace: np.ndarray,
     out[..., 0] = trace
     out[interior, 1:M] = sol
     return out
+
+
+# -- level-set crossings and cell clusters ------------------------------------------
+
+
+def level_crossings(domain, u: np.ndarray, level: float):
+    """Every level crossing of a full-grid field, found one edge at a time.
+
+    An edge crosses when one node is at or above ``level`` and the other
+    below; its crossing sits at the linear-interpolation point.  The tag
+    is "regular" when the centred-difference gradient (one-sided at the
+    walls), interpolated along the edge to that point, exceeds 10 h times
+    the largest |second difference| / h^2 of the field.  Returns the list
+    of (location, gradient, tag, cell) with cell the edge's low node
+    clamped into the cell grid, and the set of cells with a crossing on
+    any edge.
+    """
+    u = np.asarray(u, dtype=float)
+    shape, dim, h = u.shape, u.ndim, domain.h
+    unit = [tuple(int(k == d) for k in range(dim)) for d in range(dim)]
+
+    def step(node, d, k):
+        return tuple(c + k * e for c, e in zip(node, unit[d]))
+
+    def gradient(node):
+        out = []
+        for d in range(dim):
+            lo = step(node, d, -1) if node[d] > 0 else node
+            hi = step(node, d, 1) if node[d] < shape[d] - 1 else node
+            out.append((u[hi] - u[lo]) / ((hi[d] - lo[d]) * h))
+        return np.array(out)
+
+    curvature = 0.0
+    for node in np.ndindex(*shape):
+        for d in range(dim):
+            if 0 < node[d] < shape[d] - 1:
+                d2 = u[step(node, d, -1)] - 2 * u[node] + u[step(node, d, 1)]
+                curvature = max(curvature, abs(d2) / h**2)
+    threshold = 10.0 * h * curvature
+
+    points, cells = [], set()
+    for node in np.ndindex(*shape):
+        for d in range(dim):
+            if node[d] == shape[d] - 1:
+                continue
+            other = step(node, d, 1)
+            p0, p1 = u[node] - level, u[other] - level
+            if (p0 >= 0) == (p1 >= 0):
+                continue
+            t = p0 / (p0 - p1)
+            loc = [domain.axes[k][node[k]] for k in range(dim)]
+            loc[d] += t * h
+            g = gradient(node) * (1 - t) + gradient(other) * t
+            tag = "regular" if np.sqrt(np.sum(g**2)) > threshold else "unresolved"
+            points.append((tuple(loc), tuple(g), tag,
+                           tuple(min(c, n - 2) for c, n in zip(node, shape))))
+            # the cells sharing this edge: offset 0 or -1 along every other axis
+            for offsets in itertools.product((0, -1), repeat=dim - 1):
+                offs = list(offsets)
+                offs.insert(d, 0)
+                cell = tuple(c + o for c, o in zip(node, offs))
+                if all(0 <= c <= n - 2 for c, n in zip(cell, shape)):
+                    cells.add(cell)
+    return points, cells
+
+
+def cluster_cells(cells, reach: int = 2):
+    """Union-find over every pair of cells within Chebyshev distance ``reach``.
+
+    Groups come in order of their smallest member, members ascending.
+    """
+    n = len(cells)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if max(abs(a - b) for a, b in zip(cells[i], cells[j])) <= reach:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())

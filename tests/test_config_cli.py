@@ -262,6 +262,52 @@ def test_cli_failed_solve_writes_report_exit_1(tmp_path, monkeypatch, capsys,
     assert "solve failed: no convergence" in capsys.readouterr().err
 
 
+def _solve_forbidden(*args, **kwargs):
+    raise AssertionError("the request should be refused before the solve")
+
+
+def test_cli_blowup_radius_below_five_cells_refused_before_solve(
+        tmp_path, monkeypatch, capsys):
+    import fracplasma.cli as cli
+
+    monkeypatch.setattr(cli, "solve_fixed_lambda", _solve_forbidden)
+    path = write_config(tmp_path, {
+        "domain": {"kind": "rectangle", "n": 17,
+                   "bounds": [[0.0, np.pi], [0.0, np.pi]]},
+        "blowup": {"center": [1.5707963267948966, 1.5707963267948966],
+                   "radius": 0.4},          # five cells are 5 pi / 16 = 0.98
+    })
+    out = tmp_path / "bl"
+    assert main(["blowup", "--config", str(path), "--out", str(out)]) == 2
+    assert "below five grid cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["frequency", "blowup", "symmetrize", "verify"])
+def test_cli_extension_commands_refuse_s_one_before_solve(
+        tmp_path, monkeypatch, capsys, command):
+    import fracplasma.cli as cli
+
+    monkeypatch.setattr(cli, "solve_fixed_lambda", _solve_forbidden)
+    path = write_config(tmp_path, {
+        "domain": {"n": 33},
+        "s": 1.0,
+        "blowup": {"center": [1.5707963267948966], "radius": 0.5},
+    })
+    out = tmp_path / command
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "requires s in (0, 1)" in capsys.readouterr().err
+    assert not out.exists() or not list(out.glob("*.csv"))
+
+
+def test_cli_solve_still_runs_at_s_one(tmp_path):
+    path = write_config(tmp_path, {"domain": {"n": 33}, "s": 1.0})
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "u.csv").exists()
+    assert not (out / "extension_slices.csv").exists()
+
+
 def test_cli_verify_steiner_energy_matches_symmetrize(tmp_path, monkeypatch):
     # BASE has span_factor 12, so a mesh built with the default span differs
     import fracplasma.cli as cli

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import oracles
 from fracplasma import (ExtensionField, blowup, build_domain, build_ymesh,
                         check_boundary_inclusion, check_subharmonic_strip,
                         classify_point, extract_free_boundary,
                         frequency_profile, singular_census)
+from fracplasma.freeboundary import _cluster_cells
 
 
 def model_field(kind, s, n=161, layers=160):
@@ -35,7 +37,7 @@ def test_interval_level_crossing_located():
     assert fb.points[0].tag == "regular"
 
 
-def test_circle_level_set_extracted_and_chained():
+def test_circle_level_set_extracted():
     dom = build_domain("rectangle", 65, bounds=((-1.0, 1.0), (-1.0, 1.0)))
     xs, ys = np.meshgrid(*dom.axes, indexing="ij")
     u = xs**2 + ys**2
@@ -43,9 +45,6 @@ def test_circle_level_set_extracted_and_chained():
     locs = np.array([p.location for p in fb.points])
     radii = np.linalg.norm(locs, axis=1)
     np.testing.assert_allclose(radii, 0.5, atol=2e-3)
-    assert len(fb.chains) == 1                      # one closed curve
-    chain = fb.chains[0]
-    assert np.allclose(np.asarray(chain[0]), np.asarray(chain[-1]))  # closed
     # cell count comparable to the perimeter over the spacing
     assert abs(len(fb.cells) - np.pi / dom.h) < 0.5 * np.pi / dom.h
 
@@ -71,6 +70,53 @@ def test_no_crossing_gives_empty_boundary():
     fb = extract_free_boundary(dom, np.zeros(51), 0.5)
     assert fb.points == []
     assert not fb.degenerate
+
+
+def _oracle_fields(dim, rng):
+    """Rough and smooth fields, each with nodes exactly at the level 0.1."""
+    for n in (9, 17, 33):
+        if dim == 1:
+            dom = build_domain("interval", n, bounds=(-1.0, 1.0))
+            x = diff = dom.axes[0]          # zero at the middle node
+        else:
+            dom = build_domain("rectangle", n, bounds=((-1.0, 1.0), (-1.0, 1.0)))
+            xs, ys = np.meshgrid(*dom.axes, indexing="ij")
+            x, diff = xs, xs - ys           # zero on the diagonal
+        rough = rng.standard_normal(dom.grid_shape)
+        rough.flat[rng.choice(rough.size, size=rough.size // 20 + 1,
+                              replace=False)] = 0.1
+        yield dom, rough
+        yield dom, diff * (1.0 + 0.1 * rng.random() * x**2) + 0.1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_extraction_and_clustering_match_brute_force(dim):
+    rng = np.random.default_rng(20 + dim)
+    tags = set()
+    for dom, u in _oracle_fields(dim, rng):
+        fb = extract_free_boundary(dom, u, 0.1)
+        want, want_cells = oracles.level_crossings(dom, u, 0.1)
+        assert len(fb.cells) == len(set(fb.cells))
+        assert set(fb.cells) == want_cells
+
+        def key(point):
+            loc, _, tag, cell = point
+            return cell, tag, tuple(np.round(loc, 9))
+        got = sorted(((p.location, p.gradient, p.tag, p.cell) for p in fb.points),
+                     key=key)
+        want = sorted(want, key=key)
+        assert [p[2:] for p in got] == [p[2:] for p in want]
+        np.testing.assert_allclose([p[0] for p in got], [p[0] for p in want],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose([p[1] for p in got], [p[1] for p in want],
+                                   rtol=1e-12, atol=1e-12)
+        tags |= {p.tag for p in fb.points}
+
+        cells = [p.cell for p in fb.points]
+        assert _cluster_cells(cells) == oracles.cluster_cells(cells)
+        sparse = cells[::3]
+        assert _cluster_cells(sparse) == oracles.cluster_cells(sparse)
+    assert tags == {"regular", "unresolved"}
 
 
 # -- frequency profiles --------------------------------------------------------------
