@@ -15,10 +15,14 @@ map calibrated on the first mode reproduces lambda^s exactly there.
 Near y = 0 the profile behaves like 1 - kappa_s z^{2s} + O(z^2): the
 Dirichlet-to-Neumann map (dtn) therefore fits the first few off-trace layers
 against the powers {y^{2s}, y^2, y^{2s+2}, y^4} instead of differencing.
+weighted_energy integrates the slab energy of the multilinear interpolant
+exactly, in any thin dimension.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -352,44 +356,37 @@ def weighted_energy(w: ExtensionField) -> float:
     """int y^a |grad w|^2 over the slab, for the multilinear interpolant.
 
     The y-moments of the weight are integrated exactly per cell; the thin
-    directions use two-point Gauss, which is exact for the interpolant.
+    directions use the two-point Gauss rule on each axis, which is exact
+    for the interpolant: at every Gauss node the slope along each thin
+    axis (and the y-jump) is the corner difference interpolated over the
+    other thin axes, linear in y across the cell.
     """
-    a = w.a
     vals = w.values
     ys = w.ymesh.nodes
-    i0, i1, i2 = _cell_moments(ys, a)
-    h = w.domain.h
+    i0, i1, i2 = _cell_moments(ys, w.a)
+    h, dim = w.domain.h, w.domain.dim
     dy = ys[1:] - ys[:-1]
-    if w.domain.dim == 1:
-        A = np.diff(vals[:, :-1], axis=0)         # x-slope at bottom of cell
-        Bt = np.diff(vals[:, 1:], axis=0)         # x-slope at top
-        C = np.diff(vals[:-1, :], axis=1)         # y-jump at left edge
-        D = np.diff(vals[1:, :], axis=1)          # y-jump at right edge
-        ex = (A**2 * i0 + 2 * A * (Bt - A) * i1 + (Bt - A) ** 2 * i2) / h
-        ey = (h / dy**2) * i0 * (C**2 + C * D + D**2) / 3.0
-        return float(ex.sum() + ey.sum())
+    # cell-corner views of the field, first thin axis varying fastest
+    corners = {}
+    for bits in itertools.product((0, 1), repeat=dim):
+        bits = bits[::-1]
+        corners[bits] = vals[tuple(slice(b, n - 1 + b)
+                                   for b, n in zip(bits, vals.shape))]
     g = 0.5 - 0.5 / np.sqrt(3.0)
-    gauss = (g, 1.0 - g)
     total = 0.0
-    v = vals
-    for x1g in gauss:
-        for x2g in gauss:
-            bot = v[:, :, :-1]
-            top = v[:, :, 1:]
-            g1b = ((1 - x2g) * (bot[1:, :-1] - bot[:-1, :-1])
-                   + x2g * (bot[1:, 1:] - bot[:-1, 1:])) / h
-            g1t = ((1 - x2g) * (top[1:, :-1] - top[:-1, :-1])
-                   + x2g * (top[1:, 1:] - top[:-1, 1:])) / h
-            g2b = ((1 - x1g) * (bot[:-1, 1:] - bot[:-1, :-1])
-                   + x1g * (bot[1:, 1:] - bot[1:, :-1])) / h
-            g2t = ((1 - x1g) * (top[:-1, 1:] - top[:-1, :-1])
-                   + x1g * (top[1:, 1:] - top[1:, :-1])) / h
-            jy = ((1 - x1g) * (1 - x2g) * (top[:-1, :-1] - bot[:-1, :-1])
-                  + x1g * (1 - x2g) * (top[1:, :-1] - bot[1:, :-1])
-                  + (1 - x1g) * x2g * (top[:-1, 1:] - bot[:-1, 1:])
-                  + x1g * x2g * (top[1:, 1:] - bot[1:, 1:]))
-            e1 = g1b**2 * i0 + 2 * g1b * (g1t - g1b) * i1 + (g1t - g1b) ** 2 * i2
-            e2 = g2b**2 * i0 + 2 * g2b * (g2t - g2b) * i1 + (g2t - g2b) ** 2 * i2
-            eyl = (jy / dy) ** 2 * i0
-            total += 0.25 * h**2 * float((e1 + e2 + eyl).sum())
+    for node in itertools.product((g, 1.0 - g), repeat=dim):
+
+        def weight(bits, skip=None):
+            return math.prod(node[k] if b else 1 - node[k]
+                             for k, b in enumerate(bits) if k != skip)
+
+        e = 0.0
+        for k in range(dim):
+            slope = sum(weight(bits, k) * (corners[bits[:k] + (1,) + bits[k + 1:]] - c)
+                        for bits, c in corners.items() if not bits[k]) / h
+            bot, top = slope[..., :-1], slope[..., 1:]
+            e = e + (bot**2 * i0 + 2 * bot * (top - bot) * i1 + (top - bot) ** 2 * i2)
+        jy = sum(weight(bits) * (c[..., 1:] - c[..., :-1]) for bits, c in corners.items())
+        e = e + (jy / dy) ** 2 * i0
+        total += h**dim / 2**dim * float(e.sum())
     return total

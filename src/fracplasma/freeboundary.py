@@ -23,7 +23,9 @@ functional  log N~(r) + (1-a) int (N - N~)/(rho N~) drho  is provably
 nondecreasing.  Profiles expose both the raw values and the corrected
 functional.  N(0+) = 1 marks regular points (blow-up a half-plane
 profile), N(0+) = 2 marks singular candidates whose blow-up should match
-a quadratic model p(x) - c y^2 with c >= 0.
+a quadratic model p(x) - c y^2 with c >= 0.  Off-grid values (trace and
+gradient at a centre, blow-up resampling) come from the multilinear
+interpolant of ``halfball``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ __all__ = [
 ]
 
 
+# N(0+) within _BAND of 1 or 2 reads as regular or singular, a singular
+# blow-up must fit the quadratic model to a relative residual below
+# _FIT_TOL, and the subharmonic strip reaches _STRIP_CELLS cells out
+_BAND = 0.15
+_FIT_TOL = 0.05
+_STRIP_CELLS = 2.0
+
+
 # -- free-boundary extraction -------------------------------------------------
 
 
@@ -80,24 +90,6 @@ class FreeBoundary:
     cells: list
     degenerate: bool = False
     note: str = ""
-
-
-def _interp_grid(domain: Domain, arr: np.ndarray, point) -> float:
-    """Multilinear interpolation of a full-grid array at one thin point."""
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-    idx, ts = [], []
-    for d, ax in enumerate(domain.axes):
-        i = int(np.clip(np.searchsorted(ax, p[d]) - 1, 0, len(ax) - 2))
-        idx.append(i)
-        ts.append((p[d] - ax[i]) / (ax[i + 1] - ax[i]))
-    if domain.dim == 1:
-        i, t = idx[0], ts[0]
-        return float(arr[i] * (1 - t) + arr[i + 1] * t)
-    (i, j), (t, u) = idx, ts
-    return float(
-        arr[i, j] * (1 - t) * (1 - u) + arr[i + 1, j] * t * (1 - u)
-        + arr[i, j + 1] * (1 - t) * u + arr[i + 1, j + 1] * t * u
-    )
 
 
 def _gradient_arrays(domain: Domain, values: np.ndarray):
@@ -345,9 +337,8 @@ def blowup(w: ExtensionField, center, r: float, *, ref_nodes: int = 65,
     yv = ref_ym.nodes
     pts_thin = np.repeat(center[None, :] + r * thin, len(yv), axis=0)
     pts_y = np.tile(r * yv, nthin)
-    vals = halfball.interp_values(
-        w, pts_thin if dom.dim == 2 else pts_thin[:, 0], pts_y
-    ).reshape(ref_dom.grid_shape + (len(yv),))
+    vals = halfball.interp_values(w, pts_thin, pts_y).reshape(
+        ref_dom.grid_shape + (len(yv),))
 
     raw = ExtensionField(domain=ref_dom, ymesh=ref_ym, s=w.s, values=vals,
                          provenance="synthetic")
@@ -422,24 +413,25 @@ def _quadratic_fit(bl: BlowupField):
     return c_rel, resid
 
 
-def classify_point(w: ExtensionField, center, lam: float, *,
-                   band: float = 0.15, fit_tol: float = 0.05) -> Classification:
+def classify_point(w: ExtensionField, center, lam: float) -> Classification:
     """Tag a free-boundary point as regular, singular candidate, or unresolved.
 
     ``w`` must be the extension of the shifted solution (zero at the free
     boundary).  A trace gradient clearly above discretisation noise means
     regular immediately; otherwise the frequency limit N(0+) decides:
-    within ``band`` of 1 regular, within ``band`` of 2 a quadratic-model
-    fit of the blow-up confirms or rejects the singular candidacy.
+    within ``_BAND`` of 1 regular, within ``_BAND`` of 2 a quadratic-model
+    fit of the blow-up (relative residual below ``_FIT_TOL``) confirms or
+    rejects the singular candidacy.
     """
     dom = w.domain
     center = np.atleast_1d(np.asarray(center, dtype=float))
     u = w.trace
     scale = max(float(np.abs(u).max()), 1e-300)
-    if abs(_interp_grid(dom, u, center)) > 2e-2 * scale:
+    at = center[:, None]
+    if abs(halfball._multilinear(u, dom.axes, at)[0]) > 2e-2 * scale:
         raise ValueError("centre does not lie on the zero level of the trace")
-    grads = _gradient_arrays(dom, u)
-    gvec = [abs(_interp_grid(dom, g, center)) for g in grads]
+    gvec = [halfball._multilinear(g, dom.axes, at)[0]
+            for g in _gradient_arrays(dom, u)]
     gnorm = float(np.linalg.norm(gvec))
     thr = 10.0 * dom.h * _second_difference_scale(dom, u)
     if gnorm > thr:
@@ -468,18 +460,18 @@ def classify_point(w: ExtensionField, center, lam: float, *,
                               fit_residual=float("nan"),
                               note="frequency limit could not be extrapolated",
                               profile=prof)
-    if abs(n0 - 1.0) <= band:
+    if abs(n0 - 1.0) <= _BAND:
         return Classification(tag="regular", gradient_norm=gnorm,
                               frequency_at_zero=n0,
                               quadratic_coefficient=float("nan"),
                               fit_residual=float("nan"),
                               note="frequency limit near 1", profile=prof)
-    if abs(n0 - 2.0) <= band:
+    if abs(n0 - 2.0) <= _BAND:
         # resampling error of the blow-up scales like (h / r)^2, so fit the
         # quadratic model on the widest radius the geometry allows up to 15h
         bl = blowup(w, center, min(rmax, max(radii[0], 15 * dom.h)))
         c_rel, resid = _quadratic_fit(bl)
-        if resid < fit_tol and c_rel >= -2e-2:
+        if resid < _FIT_TOL and c_rel >= -2e-2:
             return Classification(tag="singular-candidate", gradient_norm=gnorm,
                                   frequency_at_zero=n0,
                                   quadratic_coefficient=c_rel,
@@ -575,8 +567,9 @@ class StripReport:
 
 
 def check_subharmonic_strip(domain: Domain, values: np.ndarray, level: float,
-                            s: float, *, width_cells: float = 2.0) -> StripReport:
-    """Verify the discrete thin Laplacian of u is positive near the level set.
+                            s: float) -> StripReport:
+    """Verify the discrete thin Laplacian of u is positive near the level set
+    (the interior nodes within ``_STRIP_CELLS`` cells of the free boundary).
 
     Valid only for s > 1/2, where the solution is superharmonic nowhere
     and subharmonic across the free boundary in the thin variables.
@@ -591,7 +584,7 @@ def check_subharmonic_strip(domain: Domain, values: np.ndarray, level: float,
     coords = domain.interior_coords()
     tree = cKDTree(pts)
     dists, _ = tree.query(coords)
-    strip = dists <= width_cells * domain.h * (1 + 1e-12)
+    strip = dists <= _STRIP_CELLS * domain.h * (1 + 1e-12)
     if not strip.any():
         raise ValueError("strip around the free boundary contains no interior nodes")
     lap = np.zeros(domain.grid_shape)
@@ -642,15 +635,16 @@ def _cluster_cells(cells, reach: int = 2):
     return [np.flatnonzero(labels == k).tolist() for k in range(n_groups)]
 
 
-def singular_census(w: ExtensionField, level: float, lam: float, *,
-                    band: float = 0.15, fit_tol: float = 0.05) -> Census:
+def singular_census(w: ExtensionField, level: float, lam: float) -> Census:
     """Classify every free-boundary point of the trace of w at a level.
 
     Points whose trace gradient clears the discretisation-noise
     threshold are regular.  The rest are grouped into cell clusters
     (candidate singular points straddle several cells at one location);
     each cluster is classified once at its most central point and the
-    outcome is shared by the cluster's members.
+    outcome is shared by the cluster's members.  The singular and
+    unresolved locations are listed in ascending order, so the census
+    does not depend on the order of the extracted points.
     """
     dom = w.domain
     u = w.trace
@@ -676,12 +670,13 @@ def singular_census(w: ExtensionField, level: float, lam: float, *,
         for group in clusters:
             members = [pending[i] for i in group]
             locs = np.array([m.location for m in members])
-            centroid = locs.mean(axis=0)
-            rep = members[int(np.argmin(np.linalg.norm(locs - centroid, axis=1)))]
+            dist = np.linalg.norm(locs - locs.mean(axis=0), axis=1)
+            # mirror images in a symmetric cluster tie in distance to the
+            # centroid: take the smallest location, whatever the point order
+            tied = np.flatnonzero(dist <= dist.min() + 1e-9 * dist.max())
+            rep = min((members[i] for i in tied), key=lambda m: m.location)
             try:
-                cls = classify_point(shifted, rep.location, lam,
-                                     band=band, fit_tol=fit_tol)
-                tag = cls.tag
+                tag = classify_point(shifted, rep.location, lam).tag
             except ValueError:
                 tag = "unresolved"
             if tag == "singular-candidate":
@@ -693,5 +688,5 @@ def singular_census(w: ExtensionField, level: float, lam: float, *,
     return Census(points=tagged, n_points=len(fb.points), n_cells=len(fb.cells),
                   n_regular=sum(1 for p in tagged if p.tag == "regular"),
                   n_clusters=len(clusters),
-                  singular_locations=singular_locs,
-                  unresolved_locations=unresolved_locs)
+                  singular_locations=sorted(singular_locs),
+                  unresolved_locations=sorted(unresolved_locs))

@@ -10,10 +10,15 @@ so naive sampling is not an option.  Angular integrals absorb the
 weight into a Gauss-Jacobi rule (exact for the weight times
 polynomials); radial integrals accumulate a sampled angular profile
 against exact moments of rho^p on each radial segment.  Field values
-and gradients come from multilinear interpolation on the tensor grid.
+and gradients come from one multilinear interpolant on the tensor grid,
+written once for any number of axes; the free-boundary module uses it on
+the thin grid too.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -21,68 +26,59 @@ from scipy.special import roots_jacobi
 __all__ = ["HalfBallQuadrature", "interp_values", "interp_gradient"]
 
 
-def _locate(ax: np.ndarray, q: np.ndarray):
-    q = np.clip(q, ax[0], ax[-1])
-    i = np.clip(np.searchsorted(ax, q) - 1, 0, len(ax) - 2)
-    t = (q - ax[i]) / (ax[i + 1] - ax[i])
-    return i, t
+def _multilinear(values: np.ndarray, axes, coords, *, gradient: bool = False):
+    """Multilinear interpolant of a tensor-grid array at scattered points.
+
+    ``coords`` holds one coordinate array per entry of ``axes``.  Each
+    coordinate is clipped onto its axis and located in its cell; the 2^d
+    corner values of the cell come from the flat array, one gather per
+    corner.  Returns the values, or with ``gradient`` the partial
+    derivatives along every axis from the same corner weights.
+    """
+    flat = np.ravel(values)
+    strides = np.cumprod((values.shape[1:] + (1,))[::-1])[::-1]
+    base, ts, widths = 0, [], []
+    for ax, q, stride in zip(axes, coords, strides):
+        q = np.clip(q, ax[0], ax[-1])
+        i = np.clip(np.searchsorted(ax, q) - 1, 0, len(ax) - 2)
+        widths.append(ax[i + 1] - ax[i])
+        ts.append((q - ax[i]) / widths[-1])
+        base = base + i * stride
+    cube = list(itertools.product((0, 1), repeat=len(axes)))
+
+    def corner(bits):
+        return flat[base + np.dot(bits, strides)]
+
+    def weight(bits, skip=None):
+        return math.prod(t if b else 1 - t
+                         for k, (t, b) in enumerate(zip(ts, bits)) if k != skip)
+
+    if not gradient:
+        # one corner at a time, so large point sets hold one gather at once
+        return sum(corner(bits) * weight(bits) for bits in cube)
+    corners = {bits: corner(bits) for bits in cube}
+    return [sum((corners[bits[:k] + (1,) + bits[k + 1:]] - c) * weight(bits, k)
+                for bits, c in corners.items() if not bits[k]) / widths[k]
+            for k in range(len(axes))]
 
 
 def interp_values(field, thin_pts: np.ndarray, y_pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of an extension field at scattered points."""
-    W = field.values
-    axes = field.domain.axes
-    ys = field.ymesh.nodes
-    j, ty = _locate(ys, np.asarray(y_pts, dtype=float))
-    if field.domain.dim == 1:
-        i, tx = _locate(axes[0], np.asarray(thin_pts, dtype=float).reshape(-1))
-        return (
-            W[i, j] * (1 - tx) * (1 - ty)
-            + W[i + 1, j] * tx * (1 - ty)
-            + W[i, j + 1] * (1 - tx) * ty
-            + W[i + 1, j + 1] * tx * ty
-        )
-    pts = np.asarray(thin_pts, dtype=float)
-    i1, t1 = _locate(axes[0], pts[:, 0])
-    i2, t2 = _locate(axes[1], pts[:, 1])
-    out = np.zeros(len(pts))
-    for d1, f1 in ((0, 1 - t1), (1, t1)):
-        for d2, f2 in ((0, 1 - t2), (1, t2)):
-            for dj, fj in ((0, 1 - ty), (1, ty)):
-                out += W[i1 + d1, i2 + d2, j + dj] * f1 * f2 * fj
-    return out
+    """Multilinear interpolation of an extension field at points
+    (thin_pts (N, dim), y_pts (N,)), clipped onto the slab."""
+    return _multilinear(field.values, (*field.domain.axes, field.ymesh.nodes),
+                        (*np.transpose(thin_pts), y_pts))
 
 
 def interp_gradient(field, thin_pts: np.ndarray, y_pts: np.ndarray):
-    """Gradient of the multilinear interpolant; returns (thin grads..., g_y)."""
-    W = field.values
-    axes = field.domain.axes
-    ys = field.ymesh.nodes
-    j, ty = _locate(ys, np.asarray(y_pts, dtype=float))
-    dyj = ys[j + 1] - ys[j]
-    if field.domain.dim == 1:
-        h = axes[0][1] - axes[0][0]
-        i, tx = _locate(axes[0], np.asarray(thin_pts, dtype=float).reshape(-1))
-        gx = ((W[i + 1, j] - W[i, j]) * (1 - ty) + (W[i + 1, j + 1] - W[i, j + 1]) * ty) / h
-        gy = ((W[i, j + 1] - W[i, j]) * (1 - tx) + (W[i + 1, j + 1] - W[i + 1, j]) * tx) / dyj
-        return gx, gy
-    h = axes[0][1] - axes[0][0]
-    pts = np.asarray(thin_pts, dtype=float)
-    i1, t1 = _locate(axes[0], pts[:, 0])
-    i2, t2 = _locate(axes[1], pts[:, 1])
-    g1 = np.zeros(len(pts))
-    g2 = np.zeros(len(pts))
-    gy = np.zeros(len(pts))
-    for d2, f2 in ((0, 1 - t2), (1, t2)):
-        for dj, fj in ((0, 1 - ty), (1, ty)):
-            g1 += (W[i1 + 1, i2 + d2, j + dj] - W[i1, i2 + d2, j + dj]) * f2 * fj / h
-    for d1, f1 in ((0, 1 - t1), (1, t1)):
-        for dj, fj in ((0, 1 - ty), (1, ty)):
-            g2 += (W[i1 + d1, i2 + 1, j + dj] - W[i1 + d1, i2, j + dj]) * f1 * fj / h
-    for d1, f1 in ((0, 1 - t1), (1, t1)):
-        for d2, f2 in ((0, 1 - t2), (1, t2)):
-            gy += (W[i1 + d1, i2 + d2, j + 1] - W[i1 + d1, i2 + d2, j]) * f1 * f2 / dyj
-    return g1, g2, gy
+    """Gradient of the multilinear interpolant; returns [thin grads..., g_y]."""
+    return _multilinear(field.values, (*field.domain.axes, field.ymesh.nodes),
+                        (*np.transpose(thin_pts), y_pts), gradient=True)
+
+
+# angular nodes of the 1-D half-circle rule (half as many polar nodes in
+# 2-D) and azimuthal nodes of the 2-D half-sphere and thin ring
+_N_ANGULAR = 48
+_N_PHI = 64
 
 
 def _chunks(n: int, size: int = 32):
@@ -101,8 +97,7 @@ class HalfBallQuadrature:
     arbitrary radii in (0, rmax].
     """
 
-    def __init__(self, field, center, rmax: float, *, n_angular: int = 48,
-                 n_phi: int = 64, n_radial: int = None):
+    def __init__(self, field, center, rmax: float):
         self.field = field
         self.a = field.a
         dom = field.domain
@@ -127,18 +122,18 @@ class HalfBallQuadrature:
         # that absorb the y^a factor exactly
         if dom.dim == 1:
             # t = cos(theta) in (-1, 1), weight (1 - t^2)^{(a-1)/2}
-            t, wt = roots_jacobi(n_angular, (a - 1) / 2, (a - 1) / 2)
+            t, wt = roots_jacobi(_N_ANGULAR, (a - 1) / 2, (a - 1) / 2)
             self._unit_thin = t.reshape(-1, 1)
             self._unit_y = np.sqrt(np.maximum(1 - t**2, 0.0))
             self._ang_w = wt
         else:
             # tau = cos(polar angle from thin plane) in (0, 1), weight tau^a;
             # the azimuth phi is periodic and integrated by the trapezoid rule
-            xi, wxi = roots_jacobi(max(8, n_angular // 2), 0.0, a)
+            xi, wxi = roots_jacobi(_N_ANGULAR // 2, 0.0, a)
             tau = (1 + xi) / 2
             wtau = wxi / 2 ** (1 + a)
-            phi = 2 * np.pi * np.arange(n_phi) / n_phi
-            wphi = np.full(n_phi, 2 * np.pi / n_phi)
+            phi = 2 * np.pi * np.arange(_N_PHI) / _N_PHI
+            wphi = np.full(_N_PHI, 2 * np.pi / _N_PHI)
             TT, PP = np.meshgrid(tau, phi, indexing="ij")
             WW = np.outer(wtau, wphi)
             sin_pol = np.sqrt(np.maximum(1 - TT**2, 0.0))
@@ -148,8 +143,7 @@ class HalfBallQuadrature:
             self._unit_y = TT.ravel()
             self._ang_w = WW.ravel()
 
-        if n_radial is None:
-            n_radial = int(max(192, min(1536, np.ceil(8 * rmax / h))))
+        n_radial = int(max(192, min(1536, np.ceil(8 * rmax / h))))
         self._rho = np.linspace(0.0, rmax, n_radial + 1)[1:]
 
         # angular profiles on the radial grid
@@ -177,22 +171,18 @@ class HalfBallQuadrature:
                 thin_line(np.maximum(trace, 0.0) ** 2), 0.0
             )
         else:
-            phi = 2 * np.pi * np.arange(max(64, n_phi)) / max(64, n_phi)
+            phi = 2 * np.pi * np.arange(_N_PHI) / _N_PHI
             ring = np.column_stack([np.cos(phi), np.sin(phi)])
-            wring = 2 * np.pi / len(phi)
-            def ring_profile(transform):
-                out = np.empty(n_radial)
-                for sl in _chunks(n_radial):
-                    r = self._rho[sl, None, None]
-                    pts = (self.center + r * ring).reshape(-1, 2)
-                    vals = interp_values(self.field, pts, np.zeros(len(pts)))
-                    sq = transform(vals).reshape(len(r), -1) ** 2
-                    out[sl] = wring * np.sum(sq, axis=1)
-                return out
-            self._cum_thin_sq = self._cumulative(ring_profile(lambda v: v), 1.0)
-            self._cum_thin_pos = self._cumulative(
-                ring_profile(lambda v: np.maximum(v, 0.0)), 1.0
-            )
+            wring = 2 * np.pi / _N_PHI
+            sq, pos = np.empty(n_radial), np.empty(n_radial)
+            for sl in _chunks(n_radial):
+                r = self._rho[sl, None, None]
+                pts = (self.center + r * ring).reshape(-1, 2)
+                vals = _multilinear(trace, dom.axes, pts.T).reshape(len(r), -1)
+                sq[sl] = wring * np.sum(vals**2, axis=1)
+                pos[sl] = wring * np.sum(np.maximum(vals, 0.0) ** 2, axis=1)
+            self._cum_thin_sq = self._cumulative(sq, 1.0)
+            self._cum_thin_pos = self._cumulative(pos, 1.0)
 
     # -- radial accumulation ------------------------------------------------
 

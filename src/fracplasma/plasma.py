@@ -30,6 +30,7 @@ variant G(u) = h^dim sum (u-gamma)_+ is available via ``constraint_kind``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -58,23 +59,29 @@ class SolverError(RuntimeError):
         self.history = history if history is not None else []
 
 
+# Newton updates of the first solve at lam and of the first continuation rung
+_ACTIVE_SET_MAX = 80
+# solve_constrained scans lam over geometric multiples of lam_1^s
+_LAMBDA_BRACKET = (1.05, 50.0)
+_BRACKET_SAMPLES = 12
+# minimize_energy's outer iterations and the relative gap that ends them
+_ENERGY_OUTER_MAX = 40
+_ENERGY_RTOL = 1e-7
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the plasma solvers.
+    """Settings of the plasma solvers.
 
-    ``tolerance`` is the residual a fixed-lambda solve must reach, and
-    ``active_set_max`` caps the Newton updates of one active-set solve,
-    at the target lam and on each rung of the lam-continuation alike.
+    ``tolerance`` is the residual a fixed-lambda solve must reach and
+    ``constraint_kind`` selects the mass constraint.  ``constraint_rtol``
+    is the relative mass error a constrained solve may leave; it is a
+    class constant, not a setting.
     """
 
     tolerance: float = 1e-10
-    active_set_max: int = 80
     constraint_kind: str = "quadratic"
-    constraint_rtol: float = 1e-6
-    lambda_bracket: tuple = (1.05, 50.0)
-    bracket_samples: int = 12
-    energy_outer_max: int = 40
-    energy_rtol: float = 1e-7
+    constraint_rtol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -271,7 +278,7 @@ def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
     lam_j = min(1.05 * float(lam_s[0]), lam)
     a = lam_j * gamma * basis.weight * V.sum(axis=0) / (lam_j - lam_s)
     a, iterations, status = _active_set_solve(
-        basis, lam_j, gamma, s, a, opts.active_set_max, opts.tolerance, history
+        basis, lam_j, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, history
     )
     if status != "converged" or (V @ a).max() <= gamma:
         return a, iterations, "failed"
@@ -325,7 +332,7 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
     history = []
     method = "active-set"
     a, iterations, status = _active_set_solve(
-        basis, lam, gamma, s, a, opts.active_set_max, opts.tolerance, history
+        basis, lam, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, history
     )
     if status != "converged" or (V @ a).max() <= gamma:
         method += "+continuation"
@@ -371,8 +378,7 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
         cache["coeffs"] = sol.field.coeffs
         return sol
 
-    lo_m, hi_m = opts.lambda_bracket
-    ladder = np.geomspace(lo_m, hi_m, opts.bracket_samples) * lam1s
+    ladder = np.geomspace(*_LAMBDA_BRACKET, _BRACKET_SAMPLES) * lam1s
     masses = []
     sols = []
     bracket = None
@@ -387,12 +393,14 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
         if g < mass and len(masses) == 1:
             raise SolverError(
                 f"target mass {mass:.6g} exceeds the value {g:.6g} at the lower "
-                f"lambda bracket; widen lambda_bracket downward"
+                f"end of the lambda scan ({_LAMBDA_BRACKET[0]:g} lam_1^s = "
+                f"{lam:.6g}); choose a smaller mass"
             )
     if bracket is None:
         raise SolverError(
             f"target mass {mass:.6g} not reached by lam up to {ladder[-1]:.6g} "
-            f"(smallest mass seen {min(masses):.6g}); widen lambda_bracket upward"
+            f"({_LAMBDA_BRACKET[1]:g} lam_1^s; smallest mass seen "
+            f"{min(masses):.6g}); choose a larger mass"
         )
 
     def gap(lam):
@@ -492,8 +500,8 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     rho = 4.0 * max(e0, 1e-12) / mass**2
     g_prev = None
     history = []
-    outer_used = opts.energy_outer_max
-    for outer in range(1, opts.energy_outer_max + 1):
+    outer_used = _ENERGY_OUTER_MAX
+    for outer in range(1, _ENERGY_OUTER_MAX + 1):
 
         def objective(a_):
             g, ggrad = gval_grad(a_)
@@ -512,7 +520,7 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
             g, ggrad = gval_grad(a)
         history.append(abs(g))
         mu_eff = mu + rho * g
-        if abs(g) <= opts.energy_rtol * mass:
+        if abs(g) <= _ENERGY_RTOL * mass:
             outer_used = outer
             break
         if g_prev is not None and abs(g) > 0.25 * abs(g_prev):
@@ -522,7 +530,7 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     else:
         raise SolverError(
             f"constraint gap stalled at {history[-1]:.3e} after "
-            f"{opts.energy_outer_max} outer iterations",
+            f"{_ENERGY_OUTER_MAX} outer iterations",
             history=history,
         )
 

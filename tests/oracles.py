@@ -8,6 +8,7 @@ import itertools
 
 import numpy as np
 import scipy.integrate
+import scipy.interpolate
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
@@ -153,6 +154,20 @@ def active_set_step(vectors: np.ndarray, eigenvalues: np.ndarray, weight: float,
     M = np.diag(eigenvalues**s) - lam * weight * (VA.T @ VA)
     rhs = -lam * gamma * weight * (VA.T @ np.ones(VA.shape[0]))
     return np.linalg.solve(M, rhs)
+
+
+# -- multilinear interpolation ---------------------------------------------------------
+
+
+def multilinear_values(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Multilinear interpolant of a tensor-grid array at points (N, len(axes)).
+
+    scipy's ``RegularGridInterpolator``; each coordinate is first clipped
+    onto its axis, so points beyond the grid take the value on its face.
+    """
+    pts = np.column_stack([np.clip(pts[:, k], ax[0], ax[-1])
+                           for k, ax in enumerate(axes)])
+    return scipy.interpolate.RegularGridInterpolator(axes, values)(pts)
 
 
 # -- closed forms for weighted half-ball geometry ------------------------------------

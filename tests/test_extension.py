@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.special
 
 import oracles
-from fracplasma import (apply_fractional, build_domain, build_ymesh,
+from fracplasma import (ExtensionField, apply_fractional, build_domain, build_ymesh,
                         check_uy_sign, dtn, eigendecompose,
                         extension_energy_constant, extend_fd,
                         extend_semianalytic, laplacian_matrix, mode_profile,
@@ -141,6 +141,27 @@ def test_weighted_energy_converges_to_spectral_energy():
         errs.append(abs(weighted_energy(w) - ref) / ref)
     assert errs[1] < 1e-2
     assert errs[1] < 0.35 * errs[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_weighted_energy_exact_for_linear_field(dim, s):
+    # w = 0.3 + 1.7 x_1 - 0.6 y has |grad w|^2 = 1.7^2 + 0.6^2 everywhere and
+    # is its own multilinear interpolant, so the energy is exact on any mesh:
+    # |grad w|^2 |Omega| Y^(1+a) / (1+a), here on a graded y-mesh
+    a = 1.0 - 2.0 * s
+    if dim == 1:
+        dom = build_domain("interval", 13, bounds=(0.0, 1.5))
+    else:
+        dom = build_domain("rectangle", (13, 9), bounds=((0.0, 1.5), (0.0, 1.0)))
+    ym = build_ymesh(s, 1.0, span_factor=2.0, layers=24)
+    assert ym.grading > 1
+    x1 = dom.axes[0].reshape((-1,) + (1,) * dim)
+    vals = 0.3 + 1.7 * x1 - 0.6 * ym.nodes + np.zeros(dom.grid_shape + (1,))
+    w = ExtensionField(domain=dom, ymesh=ym, s=s, values=vals)
+    area = 1.5 if dim == 1 else 1.5 * 1.0
+    ref = (1.7**2 + 0.6**2) * area * ym.Y ** (1 + a) / (1 + a)
+    assert weighted_energy(w) == pytest.approx(ref, rel=1e-13)
 
 
 # -- finite-difference extension -----------------------------------------------------

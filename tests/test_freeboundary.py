@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
 from fracplasma import (ExtensionField, blowup, build_domain, build_ymesh,
                         check_boundary_inclusion, check_subharmonic_strip,
-                        classify_point, extract_free_boundary,
-                        frequency_profile, singular_census)
-from fracplasma.freeboundary import _cluster_cells
+                        classify_point, eigendecompose, extend_semianalytic,
+                        extract_free_boundary, frequency_profile,
+                        singular_census, solve_fixed_lambda)
+from fracplasma import freeboundary
+from fracplasma.freeboundary import (Classification, FreeBoundary,
+                                     FreeBoundaryPoint, _cluster_cells)
 
 
 def model_field(kind, s, n=161, layers=160):
@@ -303,3 +308,57 @@ def test_census_finds_synthetic_singular_point():
     if cen.singular_locations:
         loc = np.array(cen.singular_locations[0])
         assert np.linalg.norm(loc) < 5 * dom.h
+
+
+def _extract_reversed(monkeypatch):
+    forward = freeboundary.extract_free_boundary
+
+    def backward(*args, **kwargs):
+        found = forward(*args, **kwargs)
+        return replace(found, points=found.points[::-1])
+
+    monkeypatch.setattr(freeboundary, "extract_free_boundary", backward)
+
+
+def test_census_independent_of_point_order(monkeypatch):
+    # on the 17-node square at s = 0.5 the one unresolved cluster is mirror
+    # symmetric, so its members tie in distance to the centroid
+    s, gamma = 0.5, 0.1
+    dom = build_domain("rectangle", 17, bounds=((0.0, np.pi), (0.0, np.pi)))
+    basis = eigendecompose(dom, dom.n_interior)
+    lam = 4.0 * float(basis.eigenvalues[0] ** s)
+    sol = solve_fixed_lambda(basis, lam, gamma, s)
+    w = extend_semianalytic(sol.field, s, build_ymesh(s, float(basis.eigenvalues[0])))
+    forward = singular_census(w, gamma, lam)
+    _extract_reversed(monkeypatch)
+    backward = singular_census(w, gamma, lam)
+    assert len(forward.unresolved_locations) == 1
+    assert backward.unresolved_locations == forward.unresolved_locations
+    assert backward.singular_locations == forward.singular_locations
+    assert ((backward.n_points, backward.n_regular, backward.n_clusters)
+            == (forward.n_points, forward.n_regular, forward.n_clusters))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_census_lists_cluster_representatives_by_location(monkeypatch, reverse):
+    # two clusters, each a mirror-image pair about its centroid, listed with
+    # the far cluster first; every cluster classifies as unresolved
+    dom = build_domain("rectangle", 17, bounds=((0.0, 2.0), (0.0, 2.0)))
+    ym = build_ymesh(0.5, 1.0, span_factor=1.0, layers=8)
+    w = ExtensionField(domain=dom, ymesh=ym, s=0.5,
+                       values=np.zeros(dom.grid_shape + (ym.M + 1,)))
+    points = [FreeBoundaryPoint(location=loc, gradient=(0.0, 0.0),
+                                tag="unresolved", cell=cell)
+              for loc, cell in (((1.5, 1.6), (12, 12)), ((1.5, 1.4), (12, 11)),
+                                ((0.3, 0.2), (2, 1)), ((0.1, 0.2), (1, 1)))]
+    if reverse:
+        points = points[::-1]
+    monkeypatch.setattr(freeboundary, "extract_free_boundary",
+                        lambda *args: FreeBoundary(level=0.0, points=points,
+                                                   cells=[p.cell for p in points]))
+    monkeypatch.setattr(freeboundary, "classify_point",
+                        lambda *args: Classification("unresolved", 0.0, np.nan,
+                                                     np.nan, np.nan))
+    cen = singular_census(w, 0.0, 1.0)
+    assert cen.n_clusters == 2
+    assert cen.unresolved_locations == [(0.1, 0.2), (1.5, 1.4)]

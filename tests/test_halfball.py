@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
 from fracplasma import (ExtensionField, HalfBallQuadrature, build_domain,
                         build_ymesh)
+from fracplasma.halfball import interp_gradient, interp_values
 
 
 def _slab(dim, s, n=129, layers=96):
@@ -102,3 +105,69 @@ def test_cumulative_energy_additive():
     quad = HalfBallQuadrature(w, [0.0], 0.8)
     e1, e2, e3 = quad.energy(0.2), quad.energy(0.5), quad.energy(0.8)
     assert 0 < e1 < e2 < e3
+
+
+# -- the multilinear interpolant -------------------------------------------------
+
+
+def _probe_slab(dim):
+    # a non-square rectangle, so that mixing up the thin axes shows
+    if dim == 1:
+        dom = build_domain("interval", 17, bounds=(-1.0, 1.0))
+    else:
+        dom = build_domain("rectangle", (17, 9), bounds=((-1.0, 1.0), (0.0, 1.0)))
+    return dom, build_ymesh(0.4, 1.0, span_factor=1.0, layers=12)
+
+
+def _probe_points(dom, ym, rng):
+    """Random points, grid nodes, points on cell faces, and y above the top."""
+    lo = np.array([ax[0] for ax in dom.axes])
+    hi = np.array([ax[-1] for ax in dom.axes])
+    thin = rng.uniform(lo, hi, size=(200, dom.dim))
+    y = rng.uniform(0.0, ym.Y, size=200)
+    for k, ax in enumerate(dom.axes):
+        thin[:40, k] = ax[rng.integers(0, len(ax), size=40)]   # nodes ...
+        thin[40 + 20 * k:60 + 20 * k, k] = thin[:20, k]          # ... and faces
+    y[:40] = ym.nodes[rng.integers(0, ym.M + 1, size=40)]
+    y[150:] = ym.Y * rng.uniform(1.0, 2.0, size=50)            # clipped
+    y[149] = 0.0
+    return thin, y
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interpolant_values_match_regular_grid_oracle(dim):
+    dom, ym = _probe_slab(dim)
+    rng = np.random.default_rng(20 + dim)
+    vals = rng.standard_normal(dom.grid_shape + (ym.M + 1,))
+    w = ExtensionField(domain=dom, ymesh=ym, s=0.4, values=vals)
+    thin, y = _probe_points(dom, ym, rng)
+    ref = oracles.multilinear_values(tuple(dom.axes) + (ym.nodes,), vals,
+                                     np.column_stack([thin, y]))
+    np.testing.assert_allclose(interp_values(w, thin, y), ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interpolant_gradient_exact_for_multilinear_field(dim):
+    # f = sum over axis subsets S of c_S prod_{k in S} x_k is multilinear in
+    # every cell, so the interpolant is f itself and its gradient is exact
+    dom, ym = _probe_slab(dim)
+    rng = np.random.default_rng(30 + dim)
+    subsets = list(itertools.product((0, 1), repeat=dim + 1))
+    coef = rng.standard_normal(len(subsets))
+
+    def grad(p):
+        return [sum(c * np.prod([p[:, j] for j in range(dim + 1) if S[j] and j != k],
+                                axis=0)
+                    for c, S in zip(coef, subsets) if S[k])
+                for k in range(dim + 1)]
+
+    mesh = np.meshgrid(*dom.axes, ym.nodes, indexing="ij")
+    vals = sum(c * np.prod([m for m, b in zip(mesh, S) if b], axis=0)
+               for c, S in zip(coef, subsets))
+    w = ExtensionField(domain=dom, ymesh=ym, s=0.4, values=vals)
+    thin, y = _probe_points(dom, ym, rng)
+    got = interp_gradient(w, thin, y)
+    assert len(got) == dim + 1
+    ref = grad(np.column_stack([thin, np.minimum(y, ym.Y)]))
+    for g, r in zip(got, ref):
+        np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
