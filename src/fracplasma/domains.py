@@ -34,10 +34,9 @@ _SIGN_EPS = 1e-12
 class Domain:
     """A gridded thin domain.
 
-    ``axes`` holds the node coordinates per axis (boundary included),
-    ``interior``/``boundary`` are boolean masks over the full grid.
-    Boundary-flagged nodes are the non-interior nodes adjacent to an
-    interior node; Dirichlet data lives there.  ``symmetry_axes`` lists
+    ``axes`` holds the node coordinates per axis (boundary included)
+    and ``interior`` is a boolean mask over the full grid; Dirichlet
+    data (zero) lives on every other node.  ``symmetry_axes`` lists
     the axes along which the node set is mirror symmetric about
     ``center``.
     """
@@ -47,7 +46,6 @@ class Domain:
     h: float
     axes: tuple
     interior: np.ndarray = field(repr=False)
-    boundary: np.ndarray = field(repr=False)
     symmetry_axes: tuple
     center: tuple
     metadata: dict = field(default_factory=dict, repr=False)
@@ -183,12 +181,9 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
         h = xs[1] - xs[0]
         interior = np.zeros(nn, dtype=bool)
         interior[1:-1] = True
-        bdry = np.zeros(nn, dtype=bool)
-        bdry[0] = bdry[-1] = True
         return Domain(
             dim=1, shape="interval", h=float(h), axes=(xs,),
-            interior=interior, boundary=bdry,
-            symmetry_axes=(0,), center=((lo + hi) / 2,),
+            interior=interior, symmetry_axes=(0,), center=((lo + hi) / 2,),
         )
 
     if kind not in ("rectangle", "disk"):
@@ -214,13 +209,9 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
     if kind == "rectangle":
         interior = np.zeros((nx, ny), dtype=bool)
         interior[1:-1, 1:-1] = True
-        bdry = np.zeros((nx, ny), dtype=bool)
-        bdry[[0, -1], :] = True
-        bdry[:, [0, -1]] = True
         return Domain(
             dim=2, shape="rectangle", h=h, axes=(xs, ys),
-            interior=interior, boundary=bdry,
-            symmetry_axes=(0, 1),
+            interior=interior, symmetry_axes=(0, 1),
             center=((lox + hix) / 2, (loy + hiy) / 2),
         )
 
@@ -240,20 +231,13 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
     interior[:, [0, -1]] = False
     if not interior.any():
         raise ValueError("disk mask has no interior nodes; refine the grid")
-    bdry = np.zeros_like(interior)
-    for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-        shifted = np.roll(interior, shift, axis=axis)
-        # roll wraps around; wrapped entries can never be neighbours of
-        # interior nodes because the outermost ring is masked off above
-        bdry |= shifted & ~interior
     sym = tuple(
         k for k in (0, 1)
         if np.array_equal(interior, np.flip(interior, axis=k))
     )
     return Domain(
         dim=2, shape="disk", h=h, axes=(xs, ys),
-        interior=interior, boundary=bdry,
-        symmetry_axes=sym, center=(cx, cy),
+        interior=interior, symmetry_axes=sym, center=(cx, cy),
         metadata={"radius": radius, "center": (cx, cy)},
     )
 
@@ -261,8 +245,8 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
 def laplacian_matrix(domain: Domain, *, sparse: bool = False):
     """Positive-definite second-difference Dirichlet Laplacian -Delta_h.
 
-    Acts on packed interior vectors; Dirichlet (zero) values at
-    boundary-flagged nodes are eliminated.
+    Acts on packed interior vectors; the Dirichlet (zero) values off the
+    interior are eliminated.
     """
     idx = domain.interior_index_map()
     m = domain.n_interior

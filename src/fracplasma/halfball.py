@@ -126,6 +126,8 @@ class HalfBallQuadrature:
             self._unit_thin = t.reshape(-1, 1)
             self._unit_y = np.sqrt(np.maximum(1 - t**2, 0.0))
             self._ang_w = wt
+            # the unit sphere of the thin line: two points of weight 1
+            ring, w_ring = np.array([[-1.0], [1.0]]), 1.0
         else:
             # tau = cos(polar angle from thin plane) in (0, 1), weight tau^a;
             # the azimuth phi is periodic and integrated by the trapezoid rule
@@ -142,6 +144,8 @@ class HalfBallQuadrature:
             )
             self._unit_y = TT.ravel()
             self._ang_w = WW.ravel()
+            ring = np.column_stack([np.cos(phi), np.sin(phi)])
+            w_ring = wphi[0]
 
         n_radial = int(max(192, min(1536, np.ceil(8 * rmax / h))))
         self._rho = np.linspace(0.0, rmax, n_radial + 1)[1:]
@@ -159,30 +163,18 @@ class HalfBallQuadrature:
             gD[sl] = np.sum(self._ang_w * sq, axis=1)
         self._cum_energy = self._cumulative(gD, dom.dim + a)
 
-        # thin-ball profiles (no y^a weight; the trace lives at y = 0)
+        # thin-ball profiles: the squared trace on the thin sphere of radius
+        # rho (no y^a weight; the trace lives at y = 0)
         trace = field.values[..., 0]
-        if dom.dim == 1:
-            xs = dom.axes[0]
-            def thin_line(f):
-                return (np.interp(self.center[0] - self._rho, xs, f)
-                        + np.interp(self.center[0] + self._rho, xs, f))
-            self._cum_thin_sq = self._cumulative(thin_line(trace**2), 0.0)
-            self._cum_thin_pos = self._cumulative(
-                thin_line(np.maximum(trace, 0.0) ** 2), 0.0
-            )
-        else:
-            phi = 2 * np.pi * np.arange(_N_PHI) / _N_PHI
-            ring = np.column_stack([np.cos(phi), np.sin(phi)])
-            wring = 2 * np.pi / _N_PHI
-            sq, pos = np.empty(n_radial), np.empty(n_radial)
-            for sl in _chunks(n_radial):
-                r = self._rho[sl, None, None]
-                pts = (self.center + r * ring).reshape(-1, 2)
-                vals = _multilinear(trace, dom.axes, pts.T).reshape(len(r), -1)
-                sq[sl] = wring * np.sum(vals**2, axis=1)
-                pos[sl] = wring * np.sum(np.maximum(vals, 0.0) ** 2, axis=1)
-            self._cum_thin_sq = self._cumulative(sq, 1.0)
-            self._cum_thin_pos = self._cumulative(pos, 1.0)
+        sq, pos = np.empty(n_radial), np.empty(n_radial)
+        for sl in _chunks(n_radial):
+            r = self._rho[sl, None, None]
+            pts = (self.center + r * ring).reshape(-1, dom.dim)
+            vals = _multilinear(trace, dom.axes, pts.T).reshape(len(r), -1)
+            sq[sl] = w_ring * np.sum(vals**2, axis=1)
+            pos[sl] = w_ring * np.sum(np.maximum(vals, 0.0) ** 2, axis=1)
+        self._cum_thin_sq = self._cumulative(sq, dom.dim - 1.0)
+        self._cum_thin_pos = self._cumulative(pos, dom.dim - 1.0)
 
     # -- radial accumulation ------------------------------------------------
 

@@ -18,13 +18,16 @@ where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
   plasma set and the solution is known in closed form.
 * ``solve_constrained``: outer 1-D root-find in lam matching a mass
   constraint, warm-starting the inner solver along the bracket.
-* ``minimize_energy``: augmented-Lagrangian minimisation of the
-  fractional Dirichlet energy subject to the same constraint; an
-  independent route whose multiplier recovers lam.
+* ``minimize_energy``: minimisation of the fractional Dirichlet energy
+  over directions, each scaled in closed form onto the same constraint;
+  an independent route whose multiplier gives lam.
 
 The mass constraint is quadratic by default, G(u) = h^dim sum (u-gamma)_+^2,
-whose Euler-Lagrange equation is exactly the equation above; the linear
-variant G(u) = h^dim sum (u-gamma)_+ is available via ``constraint_kind``.
+whose Euler-Lagrange equation is exactly the equation above, so the
+energy route recovers lam.  The linear variant G(u) = h^dim sum (u-gamma)_+
+is available via ``constraint_kind``; its Euler-Lagrange equation is
+L^s u = mu 1_{u > gamma}, not the plasma equation, so there the energy
+route's lam is that mu and differs from the lam of ``solve_constrained``.
 """
 
 from __future__ import annotations
@@ -64,9 +67,6 @@ _ACTIVE_SET_MAX = 80
 # solve_constrained scans lam over geometric multiples of lam_1^s
 _LAMBDA_BRACKET = (1.05, 50.0)
 _BRACKET_SAMPLES = 12
-# minimize_energy's outer iterations and the relative gap that ends them
-_ENERGY_OUTER_MAX = 40
-_ENERGY_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -419,136 +419,97 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
                    constraint_value=achieved)
 
 
+def _scale_onto_mass(u: np.ndarray, gamma: float, target: float,
+                     p: int) -> float:
+    """The t > 0 with sum (t u - gamma)_+^p = target; u needs a positive value.
+
+    With the positive values sorted decreasingly, the top j nodes are
+    active on the stretch (gamma / u_j, gamma / u_{j+1}], where the sum
+    is a polynomial of degree p in t.  The sum grows with t, so the root
+    lies on the last stretch whose left end carries less than the target.
+    """
+    pos = -np.sort(-u[u > 0])
+    j = np.arange(1, pos.size + 1)
+    s1, s2 = np.cumsum(pos), np.cumsum(pos**2)
+    # the sum on stretch j, highest power of t first
+    poly = [s1, -j * gamma] if p == 1 else [s2, -2 * gamma * s1, j * gamma**2]
+    k = np.count_nonzero(np.polyval(poly, gamma / pos) < target) - 1
+    if p == 1:
+        return float((target + j[k] * gamma) / s1[k])
+    # the larger root: the smaller one lies below the stretch
+    disc = (gamma * s1[k]) ** 2 - s2[k] * (j[k] * gamma**2 - target)
+    return float((gamma * s1[k] + np.sqrt(max(disc, 0.0))) / s2[k])
+
+
+def _reduced_energy(c: np.ndarray, basis: EigenBasis, scale: np.ndarray,
+                    gamma: float, target: float, p: int):
+    """F(c) = E(t a) over directions c = scale * a, scale = sqrt(lam_k^s).
+
+    t = t(a) puts t a on the mass constraint, and in these variables
+    E(t a) = t^2 |c|^2 / 2, so the operator adds no spread of curvature.
+    Returns (F, grad F, t, mu).  With b = t a, mu = 2 E(b) / (grad G(b) . b)
+    and grad F = t (lam_k^s b_k - mu dG/db_k) / scale_k, which vanishes
+    exactly where b solves the Euler-Lagrange equation with multiplier mu.
+    """
+    a = c / scale
+    u = basis.vectors @ a
+    t = _scale_onto_mass(u, gamma, target, p)
+    plus = np.maximum(t * u - gamma, 0.0)
+    dg = basis.weight * (basis.vectors.T @ (2 * plus if p == 2 else
+                                            (plus > 0).astype(float)))
+    energy = 0.5 * t**2 * float(c @ c)
+    mu = 2 * energy / (t * float(dg @ a))
+    return energy, t * (t * c - mu * dg / scale), t, mu
+
+
+# relative Euler-Lagrange residual below which minimize_energy has converged
+_STATIONARITY_RTOL = 1e-6
+
+
 def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
                     *, options: SolverOptions = None) -> PlasmaSolution:
     """Minimise the fractional Dirichlet energy at fixed overshoot mass.
 
-    Augmented-Lagrangian outer loop with L-BFGS inner solves in
-    coefficient space; the converged multiplier is reported as lam.
-    This route is deliberately independent of the fixed-point solvers.
+    One unconstrained L-BFGS-B minimisation, from the ground mode, of
+    F = E(t(a) a) over directions a (in the variables lam_k^{s/2} a_k);
+    the closed-form scale t(a) puts every direction on the constraint.  The
+    minimiser's multiplier mu gives lam: 2 mu for the quadratic
+    constraint, whose Euler-Lagrange equation is the plasma equation,
+    and mu for the linear one, whose equation is L^s u = mu 1_{u > gamma}.
+    ``residual`` is the norm of that equation, and ``status`` is
+    'converged' when it is below _STATIONARITY_RTOL times |L^s u|.
+    ``iterations`` counts L-BFGS-B iterations and ``history`` holds the
+    energy after each.  The route is deliberately independent of the
+    fixed-point solvers; like any descent it finds a local minimum.
     """
     opts = options or SolverOptions()
     _validate_problem(basis, 1.0, gamma, s)
     if mass <= 0:
         raise ValueError("constraint mass must be positive")
-    dom = basis.domain
-    V = basis.vectors
-    w = basis.weight
-    lam_s = basis.eigenvalues**s
     kind = opts.constraint_kind
     p = 2 if kind == "quadratic" else 1
-
-    def gval_grad(a):
-        u = V @ a
-        plus = np.maximum(u - gamma, 0.0)
-        if p == 2:
-            g = w * np.sum(plus**2) - mass
-            grad = 2 * w * (V.T @ plus)
-        else:
-            g = w * np.sum(plus) - mass
-            grad = w * (V.T @ (plus > 0).astype(float))
-        return g, grad
-
-    # feasible start: a multiple of the ground mode matching the mass
-    phi1_max = V[:, 0].max()
-
-    def mass_of_beta(beta):
-        u = beta * V[:, 0]
-        return constraint_mass(dom, dom.embed(u), gamma, kind) - mass
-
-    lo = gamma / phi1_max * (1 + 1e-9)
-    hi = 2 * lo
-    while mass_of_beta(hi) < 0:
-        hi *= 2
-        if hi > 1e12 * lo:
-            raise SolverError("could not find a feasible starting amplitude")
-    beta = brentq(mass_of_beta, lo, hi, rtol=1e-12)
-    a = np.zeros(basis.size)
-    a[0] = beta
-    a0 = a.copy()
-
-    def restore_feasibility(a_):
-        """Rescale the amplitude until the mass constraint holds again.
-
-        The constraint gradient vanishes identically on {u <= gamma}, so
-        an inner solve that collapses below the obstacle leaves the
-        augmented Lagrangian without a restoring force; rescaling puts
-        the iterate back where the constraint is active.
-        """
-        base = a_ if np.linalg.norm(a_) > 1e-12 * beta else a0
-
-        def gap(t):
-            u = V @ (t * base)
-            plus = np.maximum(u - gamma, 0.0)
-            return w * np.sum(plus**p) - mass
-
-        t_hi = 1.0
-        while gap(t_hi) < 0:
-            t_hi *= 2
-            if t_hi > 1e9:
-                raise SolverError("feasibility restoration failed")
-        t_lo = t_hi / 2 if t_hi > 1 else 0.0
-        while gap(t_lo) > 0:
-            t_lo /= 2
-        t = brentq(gap, t_lo, t_hi, rtol=1e-12)
-        return t * base
-
-    mu = 0.0
-    # full constraint violation must cost more than the energy saved by
-    # collapsing below the obstacle, else the dead zone swallows the iterate
-    e0 = 0.5 * float(np.sum(lam_s * a**2))
-    rho = 4.0 * max(e0, 1e-12) / mass**2
-    g_prev = None
+    scale = np.sqrt(basis.eigenvalues**s)
+    args = (basis, scale, gamma, mass / basis.weight, p)
+    c = np.zeros(basis.size)
+    c[0] = scale[0] * _scale_onto_mass(basis.vectors[:, 0], *args[2:])
     history = []
-    outer_used = _ENERGY_OUTER_MAX
-    for outer in range(1, _ENERGY_OUTER_MAX + 1):
-
-        def objective(a_):
-            g, ggrad = gval_grad(a_)
-            e = 0.5 * np.sum(lam_s * a_**2)
-            f = e + mu * g + 0.5 * rho * g * g
-            grad = lam_s * a_ + (mu + rho * g) * ggrad
-            return f, grad
-
-        result = minimize(objective, a, jac=True, method="L-BFGS-B",
-                          options={"maxiter": 800, "ftol": 1e-18, "gtol": 1e-13})
-        a = result.x
-        g, ggrad = gval_grad(a)
-        if g <= -0.99 * mass:  # collapsed below the obstacle
-            a = restore_feasibility(a)
-            rho *= 10.0
-            g, ggrad = gval_grad(a)
-        history.append(abs(g))
-        mu_eff = mu + rho * g
-        if abs(g) <= _ENERGY_RTOL * mass:
-            outer_used = outer
-            break
-        if g_prev is not None and abs(g) > 0.25 * abs(g_prev):
-            rho *= 10.0
-        mu = mu_eff
-        g_prev = g
-    else:
-        raise SolverError(
-            f"constraint gap stalled at {history[-1]:.3e} after "
-            f"{_ENERGY_OUTER_MAX} outer iterations",
-            history=history,
-        )
-
-    # stationarity:  lam_k^s a_k + mu_eff * dG/da_k = 0  identifies lam
-    if p == 2:
-        lam_est = -2.0 * mu_eff
-    else:
-        lam_est = -mu_eff
-    res = residual_norm(basis, a, lam_est, gamma, s) if p == 2 else float(
-        np.linalg.norm(lam_s * a + mu_eff * gval_grad(a)[1])
-    )
-    achieved = constraint_mass(dom, dom.embed(V @ a), gamma, kind)
-    status = "converged" if abs(achieved - mass) <= opts.constraint_rtol * mass else "failed"
+    result = minimize(lambda x: _reduced_energy(x, *args)[:2], c, jac=True,
+                      method="L-BFGS-B",
+                      callback=lambda intermediate_result: history.append(
+                          float(intermediate_result.fun)),
+                      options={"maxiter": 800, "ftol": 1e-18, "gtol": 1e-13})
+    _, grad, t, mu = _reduced_energy(result.x, *args)
+    b = t * result.x / scale
+    res = float(np.linalg.norm(scale * grad)) / t
+    stationary = res <= _STATIONARITY_RTOL * float(np.linalg.norm(scale**2 * b))
     return PlasmaSolution(
-        field=SpectralField(basis, a), lam=float(lam_est), gamma=float(gamma),
-        s=float(s), residual=res, iterations=outer_used, status=status,
-        method="energy", history=np.asarray(history), constraint_kind=kind,
-        constraint_target=float(mass), constraint_value=achieved,
+        field=SpectralField(basis, b), lam=float(p * mu), gamma=float(gamma),
+        s=float(s), residual=res, iterations=int(result.nit),
+        status="converged" if stationary else "failed", method="energy",
+        history=np.asarray(history), constraint_kind=kind,
+        constraint_target=float(mass),
+        constraint_value=constraint_mass(basis.domain, basis.nodal(b), gamma,
+                                         kind),
     )
 
 

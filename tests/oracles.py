@@ -10,6 +10,7 @@ import numpy as np
 import scipy.integrate
 import scipy.interpolate
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 import scipy.special
@@ -154,6 +155,26 @@ def active_set_step(vectors: np.ndarray, eigenvalues: np.ndarray, weight: float,
     M = np.diag(eigenvalues**s) - lam * weight * (VA.T @ VA)
     rhs = -lam * gamma * weight * (VA.T @ np.ones(VA.shape[0]))
     return np.linalg.solve(M, rhs)
+
+
+# -- scale of a direction onto the overshoot mass -------------------------------------
+
+
+def scale_onto_mass(u: np.ndarray, gamma: float, target: float, p: int) -> float:
+    """The t > 0 with sum (t u - gamma)_+^p = target, by bracketing and brentq.
+
+    The sum is zero up to t = gamma / max(u) and grows without bound
+    after it, so doubling from there brackets the root.
+    """
+    def gap(t):
+        return float(np.sum(np.maximum(t * u - gamma, 0.0) ** p)) - target
+
+    lo = gamma / u.max()
+    hi = 2 * lo
+    while gap(hi) < 0:
+        hi *= 2
+    return scipy.optimize.brentq(gap, lo, hi, xtol=1e-300,
+                                 rtol=4 * np.finfo(float).eps)
 
 
 # -- multilinear interpolation ---------------------------------------------------------

@@ -115,6 +115,23 @@ def test_cli_solve_writes_outputs(tmp_path):
     assert report["passed"]
 
 
+def test_cli_constrained_and_energy_solves_agree_on_lambda(tmp_path):
+    lams = {}
+    for mode, method in (("constrained", "active-set"), ("energy", "energy")):
+        path = write_config(tmp_path, {
+            "domain": {"kind": "rectangle", "n": 17,
+                       "bounds": [[0.0, np.pi], [0.0, np.pi]]},
+            "mode": mode, "constraint_target": 0.025,
+        }, name=f"{mode}.json")
+        out = tmp_path / mode
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        payload = json.loads((out / "solution.json").read_text())
+        assert payload["method"] == method
+        assert payload["constraint_kind"] == "quadratic"
+        lams[mode] = payload["lam"]
+    assert lams["energy"] == pytest.approx(lams["constrained"], rel=1e-6)
+
+
 def test_cli_frequency_writes_profiles(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "freq"

@@ -71,8 +71,8 @@ def test_thin_mass_squares_the_trace():
     quad = HalfBallQuadrature(w, [0.0], 0.8)
     r = 0.5
     # int of x^2 over [-r, r] is 2r^3/3; the positive part keeps half of it
-    assert quad.thin_mass(r) == pytest.approx(2 * r**3 / 3, rel=5e-3)
-    assert quad.thin_mass(r, positive=True) == pytest.approx(r**3 / 3, rel=5e-3)
+    assert quad.thin_mass(r) == pytest.approx(2 * r**3 / 3, rel=1e-4)
+    assert quad.thin_mass(r, positive=True) == pytest.approx(r**3 / 3, rel=1e-4)
 
 
 def test_boundary_norm_scales_with_radius_for_homogeneous_field():

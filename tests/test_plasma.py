@@ -8,7 +8,8 @@ from fracplasma import (SolverOptions, apply_fractional, build_domain,
                         constraint_mass, eigendecompose, minimize_energy,
                         project, residual_norm, solve_constrained,
                         solve_fixed_lambda, steiner_symmetrize)
-from fracplasma.plasma import (_active_set_step, _plasma_rhs,
+from fracplasma.plasma import (_active_set_step, _plasma_rhs, _reduced_energy,
+                               _scale_onto_mass,
                                _symmetric_decreasing_rearrangement)
 
 GAMMA = 0.1
@@ -226,6 +227,80 @@ def test_energy_minimizer_meets_constraint_and_equation(basis1d):
     # minimizer satisfies the same Euler-Lagrange equation
     res = residual_norm(basis1d, sol.field.coeffs, sol.lam, GAMMA, s)
     assert res < 1e-5
+
+
+@pytest.mark.parametrize("kind", ["interval", "square"])
+@pytest.mark.parametrize("s", [0.3, 0.75])
+def test_energy_route_recovers_constrained_multiplier(basis1d, basis2d, kind, s):
+    basis = basis1d if kind == "interval" else basis2d
+    sol = minimize_energy(basis, 0.025, GAMMA, s)
+    ref = solve_constrained(basis, 0.025, GAMMA, s)
+    assert sol.status == "converged"
+    assert sol.constraint_value == pytest.approx(0.025, rel=1e-12)
+    assert sol.lam == pytest.approx(ref.lam, rel=1e-6)
+    assert len(sol.history) == sol.iterations
+
+
+@pytest.mark.parametrize("route", [solve_constrained, minimize_energy])
+def test_linear_constraint_meets_mass_and_own_equation(basis1d, route):
+    s = 0.5
+    lam = 4.0 * float(basis1d.eigenvalues[0] ** s)
+    ref = solve_fixed_lambda(basis1d, lam, GAMMA, s)
+    target = constraint_mass(basis1d.domain, ref.field.nodal, GAMMA, "linear")
+    sol = route(basis1d, target, GAMMA, s,
+                options=SolverOptions(constraint_kind="linear"))
+    assert sol.status == "converged"
+    assert sol.constraint_kind == "linear"
+    got = constraint_mass(basis1d.domain, sol.field.nodal, GAMMA, "linear")
+    assert got == pytest.approx(target, rel=1e-6)
+    a = sol.field.coeffs
+    lam_s = basis1d.eigenvalues**s
+    if route is solve_constrained:
+        # the plasma equation, at the multiplier of the reference solution
+        assert residual_norm(basis1d, a, sol.lam, GAMMA, s) <= 1e-10
+        assert sol.lam == pytest.approx(lam, rel=1e-6)
+    else:
+        # the linear mass's own Euler-Lagrange equation L^s u = lam 1_{u > gamma},
+        # whose multiplier is not the plasma lam
+        active = (sol.field.nodal > GAMMA).astype(float)
+        res = lam_s * a - sol.lam * basis1d.weight * (basis1d.vectors.T @ active)
+        assert np.linalg.norm(res) <= 1e-6 * np.linalg.norm(lam_s * a)
+        assert abs(sol.lam - lam) > 0.5 * lam
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_scale_onto_mass_matches_brentq_oracle(p):
+    rng = np.random.default_rng(p)
+    u = rng.normal(0.2, 0.3, 60)
+    u[10:14] = u[3] = 0.35  # a tie of five nodal values
+    u[20] = 0.004  # active only for the largest target
+    # a target at the breakpoint where the tied nodes become active
+    on_break = float(np.sum(np.maximum(GAMMA / 0.35 * u - GAMMA, 0.0) ** p))
+    for target in (1e-6, 0.05, on_break, 0.7, 30.0, 1e5):
+        t = _scale_onto_mass(u, GAMMA, target, p)
+        assert t == pytest.approx(oracles.scale_onto_mass(u, GAMMA, target, p),
+                                  rel=1e-13)
+        got = np.sum(np.maximum(t * u - GAMMA, 0.0) ** p)
+        assert got == pytest.approx(target, rel=1e-12)
+    assert _scale_onto_mass(u, GAMMA, on_break, p) == pytest.approx(
+        GAMMA / 0.35, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_reduced_energy_gradient_matches_central_differences(p):
+    dom = build_domain("rectangle", 17, bounds=((0.0, np.pi), (0.0, np.pi)))
+    basis = eigendecompose(dom, dom.n_interior)
+    scale = np.sqrt(basis.eigenvalues**0.5)
+    args = (basis, scale, GAMMA, 0.02 / basis.weight, p)
+    rng = np.random.default_rng(5)
+    c = 0.05 * rng.standard_normal(basis.size)
+    c[0] = 1.0
+    _, grad, _, _ = _reduced_energy(c, *args)
+    step = 1e-6
+    fd = [(_reduced_energy(c + step * e, *args)[0]
+           - _reduced_energy(c - step * e, *args)[0]) / (2 * step)
+          for e in np.eye(basis.size)]
+    np.testing.assert_allclose(fd, grad, rtol=0, atol=1e-7 * np.abs(grad).max())
 
 
 # -- rearrangements ------------------------------------------------------------------

@@ -27,7 +27,7 @@ def test_projection_accepts_full_grid(basis):
     U[dom.interior] = 1.0
     f = project(basis, U)
     np.testing.assert_allclose(f.nodal, 1.0, atol=1e-10)
-    np.testing.assert_allclose(f.full()[dom.boundary], 0.0, atol=0.0)
+    np.testing.assert_allclose(f.full()[~dom.interior], 0.0, atol=0.0)
 
 
 def test_operator_scales_each_mode(basis):
