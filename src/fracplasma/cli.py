@@ -150,6 +150,7 @@ def _pipeline(name: str, cfg: ExperimentConfig, out: Path, work, *,
         _write_json(out / "report.json", {
             "name": name, "passed": False, "error": str(exc),
             "history": [float(x) for x in exc.history],
+            "minres_iterations": list(exc.minres_iterations),
         })
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -199,11 +200,16 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
             "constraint_target": sol.constraint_target,
             "constraint_value": sol.constraint_value,
             "sup_u": float(sol.trace.max()),
+            "minres_iterations": sol.minres_iterations,
         })
+        value, tol = sol.residual, cfg.solver.tolerance
+        if sol.method == "energy":
+            # judged by stationarity relative to |L^s u|
+            value /= float(np.linalg.norm(basis.eigenvalues**sol.s * sol.field.coeffs))
+            tol = SolverOptions.stationarity_rtol
         return [CheckResult(name="solver converged",
                             passed=sol.status in ("converged", "trivial"),
-                            value=sol.residual, tolerance=cfg.solver.tolerance,
-                            note=sol.status)]
+                            value=value, tolerance=tol, note=sol.status)]
     return _pipeline("solve", cfg, out, work, extends=False)
 
 

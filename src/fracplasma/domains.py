@@ -12,6 +12,7 @@ inner product  <f, g> = h^dim * sum(f * g)  over interior nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -54,7 +55,7 @@ class Domain:
     def grid_shape(self) -> tuple:
         return tuple(len(ax) for ax in self.axes)
 
-    @property
+    @cached_property
     def n_interior(self) -> int:
         return int(self.interior.sum())
 
@@ -115,14 +116,19 @@ class Domain:
 class EigenBasis:
     """Eigenpairs of the discrete Dirichlet Laplacian on a domain.
 
-    ``vectors`` has shape (n_interior, K); columns are orthonormal in
-    the discrete inner product and each column's first component above
-    the sign-convention threshold is positive.  Eigenvalues ascend.
+    Eigenvalues ascend.  The eigenvectors are orthonormal in the discrete
+    inner product and each one's first component above the sign-convention
+    threshold is positive.  On intervals and rectangles mode k is a
+    product of sampled sines whose per-axis indices are stored as the flat
+    index ``_modes[k]`` into the tensor grid of sine modes, and no vector
+    is stored: ``nodal`` and ``coefficients`` are DST-I transforms, batched
+    over trailing axes.  Disk masks store their dense vectors.
     """
 
     domain: Domain
     eigenvalues: np.ndarray = field(repr=False)
-    vectors: np.ndarray = field(repr=False)
+    _modes: np.ndarray = field(default=None, repr=False)
+    _dense: np.ndarray = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -133,19 +139,98 @@ class EigenBasis:
         """Quadrature weight h^dim of the discrete inner product."""
         return self.domain.h ** self.domain.dim
 
+    @property
+    def _mode_shape(self) -> tuple:
+        return tuple(n - 2 for n in self.domain.grid_shape)
+
+    def _sine_transform(self, values: np.ndarray) -> np.ndarray:
+        """Orthonormal DST-I, its own inverse, over the grid axes of packed
+        interior values (node or sine-mode order), any trailing axes."""
+        tail = values.shape[1:]
+        out = scipy.fft.dstn(values.reshape(self._mode_shape + tail), type=1,
+                             norm="ortho", axes=tuple(range(self.domain.dim)))
+        return out.reshape(values.shape)
+
     def nodal(self, coeffs: np.ndarray) -> np.ndarray:
-        """Interior nodal values of sum_k coeffs[k] * phi_k."""
+        """Interior nodal values of sum_k coeffs[k] * phi_k.
+
+        Trailing axes of ``coeffs`` are carried through: shape (K, ...)
+        gives (n_interior, ...).
+        """
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.size,):
+        if coeffs.shape[:1] != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got {coeffs.shape}")
-        return self.vectors @ coeffs
+        if self._dense is not None:
+            return self._dense @ coeffs
+        grid = np.zeros((self.domain.n_interior,) + coeffs.shape[1:])
+        grid[self._modes] = coeffs * self.weight**-0.5
+        return self._sine_transform(grid)
 
     def coefficients(self, interior_values: np.ndarray) -> np.ndarray:
-        """Discrete-L2 projection of interior nodal values onto the basis."""
+        """Discrete-L2 projection of interior nodal values onto the basis.
+
+        Trailing axes are carried through: shape (n_interior, ...) gives
+        (K, ...).
+        """
         v = np.asarray(interior_values, dtype=float)
-        if v.shape != (self.domain.n_interior,):
+        if v.shape[:1] != (self.domain.n_interior,):
             raise ValueError("interior value vector has the wrong length")
-        return self.weight * (self.vectors.T @ v)
+        if self._dense is not None:
+            return self.weight * (self._dense.T @ v)
+        return self._sine_transform(v)[self._modes] * self.weight**0.5
+
+    def spectral_apply(self, interior_values: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+        """Nodal values of sum_k weights[k] <v, phi_k> phi_k for interior
+        values v: a function of the Laplacian applied in one pass."""
+        v = np.asarray(interior_values, dtype=float)
+        if self._dense is not None:
+            return self._dense @ (weights * self.coefficients(v))
+        grid = np.zeros(v.shape)
+        grid[self._modes] = weights
+        return self._sine_transform(self._sine_transform(v) * grid)
+
+    def rows(self, nodes, modes=slice(None)) -> np.ndarray:
+        """Values of the basis vectors at the given interior nodes.
+
+        ``nodes`` indexes the packed interior nodes and ``modes`` the
+        basis vectors (each a boolean mask, indices or a slice); the
+        result has one row per node and one column per mode.  Sine bases
+        multiply per-axis sine tables over the axis modes in use, then
+        pick each basis vector's product.
+        """
+        if self._dense is not None:
+            return self._dense[nodes][:, modes]
+        at = np.unravel_index(np.arange(self.domain.n_interior)[nodes],
+                              self._mode_shape)
+        of = np.unravel_index(self._modes[modes], self._mode_shape)
+        block = np.full((1, len(at[0])), self.domain.h ** (-self.domain.dim / 2))
+        pick = np.zeros(len(of[0]), dtype=int)
+        for table, i, j in zip(self._sine_tables, at, of):
+            used, pos = np.unique(j, return_inverse=True)
+            block = (block[:, None, :] * table[np.ix_(used, i)]).reshape(-1, len(i))
+            pick = pick * len(used) + pos
+        return block[pick].T
+
+    @cached_property
+    def _sine_tables(self) -> tuple:
+        """Sampled sines of each axis (symmetric: node j, mode k)."""
+        return tuple(_sine_vectors(n) for n in self.domain.grid_shape)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Dense (n_interior, K) matrix of the eigenvectors.
+
+        Sine bases build it on first access, as ``rows`` would, and keep
+        it; the solvers never read it.
+        """
+        if self._dense is not None:
+            return self._dense
+        of = np.unravel_index(self._modes, self._mode_shape)
+        V = self._sine_tables[0][:, of[0]] * self.domain.h ** (-self.domain.dim / 2)
+        for table, j in zip(self._sine_tables[1:], of[1:]):
+            V = (V[:, None, :] * table[:, j]).reshape(-1, self.size)
+        return V
 
 
 def _axis_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -294,46 +379,6 @@ def _sine_vectors(n: int) -> np.ndarray:
     return np.sqrt(2.0 / N) * sign * np.sin(folded * (np.pi / N))
 
 
-def _laplacian_modes(domain: Domain):
-    """Eigen-transform of the graph Laplacian B = h^2 (-Delta_h).
-
-    Returns ``(mu, to_modes, from_modes)``: the eigenvalues of B, a map
-    from full-grid arrays (any trailing axes) to coefficients in B's
-    orthonormal eigenbasis, shaped ``mu.shape`` plus those trailing axes,
-    and its inverse back to full-grid arrays that vanish off the interior.
-    Intervals and rectangles use the closed-form sine modes and DST-I, so
-    no matrix is stored; disk masks use a dense ``eigh`` of B.
-    """
-    dim = domain.dim
-    if domain.shape in ("interval", "rectangle"):
-        block = (slice(1, -1),) * dim
-        axes = tuple(range(dim))
-        per_axis = [_sine_eigenvalues(n) for n in domain.grid_shape]
-        mu = sum(np.meshgrid(*per_axis, indexing="ij"))
-
-        def to_modes(full):
-            return scipy.fft.dstn(full[block], type=1, norm="ortho", axes=axes)
-
-        def from_modes(coeffs):
-            full = np.zeros(domain.grid_shape + coeffs.shape[dim:])
-            full[block] = scipy.fft.idstn(coeffs, type=1, norm="ortho", axes=axes)
-            return full
-
-        return mu, to_modes, from_modes
-
-    mu, Q = scipy.linalg.eigh(laplacian_matrix(domain) * domain.h**2)
-
-    def to_modes(full):
-        return Q.T @ full[domain.interior]
-
-    def from_modes(coeffs):
-        full = np.zeros(domain.grid_shape + coeffs.shape[1:])
-        full[domain.interior] = Q @ coeffs
-        return full
-
-    return mu, to_modes, from_modes
-
-
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """First component above the noise threshold made positive, per column."""
     out = vectors.copy()
@@ -344,30 +389,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
         if col[j] < 0:
             out[:, k] = -col
     return out
-
-
-def _tensor_sine_basis(domain: Domain, K: int):
-    """First K eigenpairs of an interval or rectangle in closed form.
-
-    Eigenvalues are sums of per-axis sine eigenvalues, ordered by a
-    stable sort so that tied sums (lambda_jk = lambda_kj on a square)
-    keep row-major (j, k) order; eigenvectors are products of sampled
-    sines, whose first interior component is positive.
-    """
-    per_axis = [_sine_eigenvalues(n) / domain.h**2 for n in domain.grid_shape]
-    sums = sum(np.meshgrid(*per_axis, indexing="ij"))
-    order = np.argsort(sums.ravel(), kind="stable")[:K]
-    factors = [_sine_vectors(n)[:, j]
-               for n, j in zip(domain.grid_shape, np.unravel_index(order, sums.shape))]
-    lead = factors[0] * domain.h ** (-domain.dim / 2)
-    # one C-ordered allocation: the solvers gather rows V[active], and
-    # packed interior nodes are row-major, so axis 0 varies slowest
-    V = np.empty(sums.shape + (K,))
-    if domain.dim == 1:
-        V[...] = lead
-    else:
-        np.multiply(lead[:, None, :], factors[1][None, :, :], out=V)
-    return sums.ravel()[order], V.reshape(-1, K)
 
 
 def eigendecompose(domain: Domain, K: int) -> EigenBasis:
@@ -383,8 +404,13 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
     if not 1 <= K <= m:
         raise ValueError(f"K must be in [1, {m}], got {K}")
     if domain.shape in ("interval", "rectangle"):
-        lam, V = _tensor_sine_basis(domain, K)
-        return EigenBasis(domain=domain, eigenvalues=lam, vectors=V)
+        # tied sums (lambda_jk = lambda_kj on a square) keep row-major
+        # (j, k) order under the stable sort, so a cutoff inside a cluster
+        # keeps the same modes on every run
+        per_axis = [_sine_eigenvalues(n) / domain.h**2 for n in domain.grid_shape]
+        sums = sum(np.meshgrid(*per_axis, indexing="ij")).ravel()
+        order = np.argsort(sums, kind="stable")[:K]
+        return EigenBasis(domain=domain, eigenvalues=sums[order], _modes=order)
     if K <= m // 12:
         A = laplacian_matrix(domain, sparse=True)
         lam, V = scipy.sparse.linalg.eigsh(
@@ -399,5 +425,5 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
         else:
             lam, V = scipy.linalg.eigh(A, subset_by_index=[0, K - 1])
     V = _fix_signs(V) / np.sqrt(domain.h**domain.dim)
-    return EigenBasis(domain=domain, eigenvalues=lam, vectors=V)
+    return EigenBasis(domain=domain, eigenvalues=lam, _dense=V)
 

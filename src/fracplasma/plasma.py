@@ -9,8 +9,8 @@ where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
 * ``solve_fixed_lambda``: one semismooth Newton (primal-dual active set)
   method.  Each update solves the piecewise-linear problem exactly on a
   guess A of {u > gamma}; each exact solve is a symmetric |A| x |A|
-  system on the plasma set (K x K in the modal coefficients only when a
-  truncated basis has fewer modes than the set has nodes).  At or below
+  system on the plasma set, assembled for small sets and solved by MINRES
+  through the basis transforms for large ones.  At or below
   lam_1^s the only solution is u = 0.  Above it the solver returns the
   nontrivial branch: Newton runs at lam from the given start or a bump,
   and when that does not reach a nontrivial solution it follows the
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import ClassVar
 
 import numpy as np
+import scipy.sparse.linalg
 from scipy.optimize import brentq, minimize
 
 from .domains import Domain, EigenBasis
@@ -55,15 +56,32 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Raised when an iterative solver cannot meet its tolerance."""
+    """Raised when an iterative solver cannot meet its tolerance.
 
-    def __init__(self, message: str, history=None):
+    ``history`` and ``minres_iterations`` are those of the failed solve.
+    """
+
+    def __init__(self, message: str, history=None, minres_iterations=None):
         super().__init__(message)
         self.history = history if history is not None else []
+        self.minres_iterations = tuple(minres_iterations or ())
 
 
-# Newton updates of the first solve at lam and of the first continuation rung
+@dataclass
+class _Log:
+    """Residual after each Newton update and MINRES iterations of each
+    active-set step (0 for a direct step) of one fixed-lambda solve."""
+
+    residuals: list = dc_field(default_factory=list)
+    minres: list = dc_field(default_factory=list)
+
+
+# Newton updates of the first solve at lam and of the first continuation
+# rung, and the updates in a row without a new smallest residual after which
+# such a solve has stalled: a first attempt that converged wandered for up
+# to 36 (49-node square, K = 400, s = 0.5, 4 lam_1^s) before it landed
 _ACTIVE_SET_MAX = 80
+_STALL_UPDATES = 40
 # solve_constrained scans lam over geometric multiples of lam_1^s
 _LAMBDA_BRACKET = (1.05, 50.0)
 _BRACKET_SAMPLES = 12
@@ -75,13 +93,16 @@ class SolverOptions:
 
     ``tolerance`` is the residual a fixed-lambda solve must reach and
     ``constraint_kind`` selects the mass constraint.  ``constraint_rtol``
-    is the relative mass error a constrained solve may leave; it is a
-    class constant, not a setting.
+    is the relative mass error a constrained solve may leave, and
+    ``stationarity_rtol`` the Euler-Lagrange residual, relative to
+    |L^s u|, below which ``minimize_energy`` has converged; both are
+    class constants, not settings.
     """
 
     tolerance: float = 1e-10
     constraint_kind: str = "quadratic"
     constraint_rtol: ClassVar[float] = 1e-6
+    stationarity_rtol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -103,6 +124,8 @@ class PlasmaSolution:
     status: str              # 'converged' | 'trivial' | 'failed'
     method: str              # 'exact' | 'active-set' | 'active-set+continuation' | 'energy'
     history: np.ndarray = dc_field(repr=False, default=None)
+    # MINRES iterations of each active-set step, 0 for a direct step
+    minres_iterations: tuple = dc_field(repr=False, default=())
     constraint_kind: str = None
     constraint_target: float = None
     constraint_value: float = None
@@ -141,8 +164,13 @@ def residual_norm(basis: EigenBasis, coeffs: np.ndarray, lam: float,
     L^s u - lam (u - gamma)_+; with a truncated basis it measures the
     component the spectral method can see.
     """
-    u = basis.nodal(coeffs)
-    proj = basis.weight * (basis.vectors.T @ _plasma_rhs(u, gamma))
+    return _residual(basis, coeffs, basis.nodal(coeffs), lam, gamma, s)
+
+
+def _residual(basis: EigenBasis, coeffs: np.ndarray, u: np.ndarray, lam: float,
+              gamma: float, s: float) -> float:
+    """residual_norm with the nodal values u of ``coeffs`` already at hand."""
+    proj = basis.coefficients(_plasma_rhs(u, gamma))
     return float(np.linalg.norm(basis.eigenvalues**s * coeffs - lam * proj))
 
 
@@ -154,8 +182,16 @@ def _validate_problem(basis: EigenBasis, lam: float, gamma: float, s: float):
         raise ValueError("lam must be nonnegative")
 
 
+# plasma sets up to this many nodes take a direct step from the gathered
+# basis rows; larger ones a MINRES step through nodal/coefficients, which
+# never forms a matrix (the two cost the same near 256 nodes)
+_DIRECT_MAX = 256
+# relative residual at which a MINRES step is taken as exact
+_MINRES_RTOL = 1e-13
+
+
 def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
-                     active: np.ndarray) -> np.ndarray:
+                     active: np.ndarray, minres: list = None) -> np.ndarray:
     """Exact coefficient solve of the problem linearized on a plasma set.
 
     On a guessed coincidence complement A = {u > gamma} the equation is
@@ -163,94 +199,114 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
 
         (D - lam h^dim V_A^T V_A) a = -lam gamma h^dim V_A^T 1,   D = diag(lam_k^s).
 
-    With X = V_A D^{-1/2} the same step reduces to the plasma set:
-    z = u_A - gamma solves the symmetric |A| x |A| system
+    The same step reduces to the plasma set: z = u_A - gamma solves the
+    symmetric |A| x |A| system
 
-        (lam h^dim X X^T - I) z = gamma 1,   a = lam h^dim D^{-1/2} X^T z,
+        (lam R_A L^{-s} E_A - I) z = gamma 1,   a = lam D^{-1} h^dim V_A^T z,
 
-    which is singular exactly when the modal system is.  The reduced
-    system is used whenever |A| <= K (every set on a complete basis);
-    only a truncated basis with |A| > K keeps the K x K modal system.
+    (E_A extends by zero off A, R_A restricts to A), which is singular
+    exactly when the modal system is.  Up to _DIRECT_MAX nodes the system
+    is assembled from the basis rows on A, X = V_A D^{-1/2}, as
+    lam h^dim X X^T - I; larger sets are solved by MINRES with L^{-s}
+    applied through the basis transforms.  Appends the MINRES iterations
+    (0 for a direct solve) to ``minres`` when it is given.
     """
-    if not active.any():
+    minres = [] if minres is None else minres
+    minres.append(0)
+    p = int(np.count_nonzero(active))
+    if p == 0:
         return np.zeros(basis.size)
     lam_s = basis.eigenvalues**s
-    c = lam * basis.weight
-    X = basis.vectors[active]
-    p, K = X.shape
-    if p <= K:
+    if p <= _DIRECT_MAX:
+        c = lam * basis.weight
         d_half = np.sqrt(lam_s)
+        X = basis.rows(active)
         X /= d_half
         S = X @ X.T
         S *= c
         S.flat[::p + 1] -= 1.0
         z = np.linalg.solve(S, np.full(p, gamma))
         return c * (X.T @ z) / d_half
-    rhs = -c * gamma * X.sum(axis=0)
-    M = X.T @ X
-    M *= -c
-    M.flat[::K + 1] += lam_s
-    return np.linalg.solve(M, rhs)
+
+    def spread(z):
+        full = np.zeros(basis.domain.n_interior)
+        full[active] = z
+        return full
+
+    def apply(z):
+        return basis.spectral_apply(spread(z), lam / lam_s)[active] - z
+
+    op = scipy.sparse.linalg.LinearOperator((p, p), matvec=apply, dtype=float)
+    z, info = scipy.sparse.linalg.minres(
+        op, np.full(p, gamma), rtol=_MINRES_RTOL,
+        callback=lambda _: minres.__setitem__(-1, minres[-1] + 1))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"MINRES stopped after {minres[-1]} "
+                                    f"iterations on a {p}-node plasma set")
+    return lam * basis.coefficients(spread(z)) / lam_s
 
 
 def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
-                      a0: np.ndarray, max_updates: int, tol: float,
-                      history: list):
+                      a0: np.ndarray, max_updates: int, tol: float, log: _Log,
+                      u0: np.ndarray = None):
     """Semismooth Newton on the piecewise-linear plasma equation.
 
     Fresh plasma sets take the full Newton step (exact solve on the set),
     which converges in a few steps when it converges at all; a set seen
     before signals a cycle, broken by a backtracking blend step from the
     best iterate so far (strict residual decrease, so the same cycle
-    cannot recur).  Appends each new residual to ``history``.  Returns
-    (coeffs, iterations, status).
+    cannot recur).  The solve fails once _STALL_UPDATES updates in a row
+    have not lowered the best residual.  ``u0`` holds the nodal values of
+    ``a0`` when the caller has them.  Appends each new residual and the
+    MINRES iterations of each step to ``log``.  Returns (coeffs,
+    iterations, status).
     """
-    V = basis.vectors
     a = np.asarray(a0, dtype=float).copy()
-    res = residual_norm(basis, a, lam, gamma, s)
-    history.append(res)
-    best = (res, a.copy())
+    u = basis.nodal(a) if u0 is None else u0
+    res = _residual(basis, a, u, lam, gamma, s)
+    log.residuals.append(res)
+    best, best_it = (res, a.copy(), u), 0
     seen = set()
     for it in range(1, max_updates + 1):
         if res <= tol:
             return a, it, "converged"
-        active = (V @ a) > gamma
+        if it - best_it > _STALL_UPDATES:
+            return best[1], it, "failed"
+        active = u > gamma
         key = active.tobytes()
         if key not in seen:
             seen.add(key)
             try:
-                a_new = _active_set_step(basis, lam, gamma, s, active)
+                a = _active_set_step(basis, lam, gamma, s, active, log.minres)
             except np.linalg.LinAlgError:
                 return best[1], it, "failed"
-            stable = np.array_equal((V @ a_new) > gamma, active)
-            a = a_new
-            res = residual_norm(basis, a, lam, gamma, s)
-            history.append(res)
+            u = basis.nodal(a)
+            res = _residual(basis, a, u, lam, gamma, s)
+            log.residuals.append(res)
             if res < best[0]:
-                best = (res, a.copy())
-            if stable:
+                best, best_it = (res, a.copy(), u), it
+            if np.array_equal(u > gamma, active):
                 return a, it, "converged"  # stable set: exact piecewise solve
             continue
         # cycle: blend from the best point along its own Newton direction
-        res, a = best
-        a = a.copy()
+        res, a, u = best
         try:
-            a_new = _active_set_step(basis, lam, gamma, s, (V @ a) > gamma)
+            d = _active_set_step(basis, lam, gamma, s, u > gamma, log.minres) - a
         except np.linalg.LinAlgError:
             return best[1], it, "failed"
-        d = a_new - a
         t, accepted = 1.0, False
         while t >= 2.0**-30:
             trial = a + t * d
-            res_t = residual_norm(basis, trial, lam, gamma, s)
+            u_t = basis.nodal(trial)
+            res_t = _residual(basis, trial, u_t, lam, gamma, s)
             if res_t <= tol or res_t < res * (1.0 - 1e-4 * t):
-                a, res, accepted = trial, res_t, True
-                history.append(res)
+                a, u, res, accepted = trial, u_t, res_t, True
+                log.residuals.append(res)
                 break
             t *= 0.5
         if not accepted:
             return best[1], it, "failed"  # stalled on a kink of the residual
-        best = (res, a.copy())
+        best, best_it = (res, a.copy(), u), it
     return best[1], max_updates, "failed"
 
 
@@ -262,7 +318,7 @@ _RUNG_UPDATES = 12
 
 
 def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
-                             s: float, opts: SolverOptions, history: list):
+                             s: float, opts: SolverOptions, log: _Log):
     """Follow the nontrivial branch in lam up from just above lam_1^s.
 
     The branch comes in from infinity at lam_1^s with every node in the
@@ -274,28 +330,34 @@ def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
     nontrivial solution.  Returns (coeffs, iterations, status).
     """
     lam_s = basis.eigenvalues**s
-    V = basis.vectors
     lam_j = min(1.05 * float(lam_s[0]), lam)
-    a = lam_j * gamma * basis.weight * V.sum(axis=0) / (lam_j - lam_s)
+    ones = basis.coefficients(np.ones(basis.domain.n_interior))
+    a = lam_j * gamma * ones / (lam_j - lam_s)
     a, iterations, status = _active_set_solve(
-        basis, lam_j, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, history
+        basis, lam_j, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log
     )
-    if status != "converged" or (V @ a).max() <= gamma:
+    if status != "converged" or basis.nodal(a).max() <= gamma:
         return a, iterations, "failed"
     step = np.log(lam / lam_j)
     while lam_j < lam:
         lam_next = lam if step >= np.log(lam / lam_j) else lam_j * np.exp(step)
         trial, more, status = _active_set_solve(
-            basis, lam_next, gamma, s, a, _RUNG_UPDATES, opts.tolerance, history
+            basis, lam_next, gamma, s, a, _RUNG_UPDATES, opts.tolerance, log
         )
         iterations += more
-        if status == "converged" and (V @ trial).max() > gamma:
+        if status == "converged" and basis.nodal(trial).max() > gamma:
             a, lam_j = trial, lam_next
         else:
             step /= 2
             if step < _MIN_LOG_STEP:
                 return a, iterations, "failed"
     return a, iterations, "converged"
+
+
+def _ground_mode(basis: EigenBasis) -> np.ndarray:
+    """Interior nodal values of the first eigenvector, read from its row
+    block, so that nodes tied in exact arithmetic stay tied."""
+    return basis.rows(slice(None), [0])[:, 0]
 
 
 def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
@@ -314,14 +376,16 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
     """
     opts = options or SolverOptions()
     _validate_problem(basis, lam, gamma, s)
-    V = basis.vectors
     if initial is not None:
         a = np.asarray(initial, dtype=float).copy()
         if a.shape != (basis.size,):
             raise ValueError("initial coefficients have the wrong length")
+        u = None
     else:
+        phi = _ground_mode(basis)
         a = np.zeros(basis.size)
-        a[0] = 2.0 * gamma / max(V[:, 0].max(), 1e-300)
+        a[0] = 2.0 * gamma / max(phi.max(), 1e-300)
+        u = a[0] * phi
 
     if lam <= float(basis.eigenvalues[0] ** s) * (1 + 1e-9):
         return PlasmaSolution(
@@ -329,24 +393,25 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
             gamma=float(gamma), s=float(s), residual=0.0, iterations=0,
             status="trivial", method="exact", history=np.zeros(1),
         )
-    history = []
+    log = _Log()
     method = "active-set"
     a, iterations, status = _active_set_solve(
-        basis, lam, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, history
+        basis, lam, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log, u
     )
-    if status != "converged" or (V @ a).max() <= gamma:
+    if status != "converged" or basis.nodal(a).max() <= gamma:
         method += "+continuation"
-        a, more, status = _continue_from_threshold(basis, lam, gamma, s, opts,
-                                                   history)
+        a, more, status = _continue_from_threshold(basis, lam, gamma, s, opts, log)
         iterations += more
-    res = residual_norm(basis, a, lam, gamma, s)
-    history.append(res)
-    if status != "converged" or res > opts.tolerance or (V @ a).max() <= gamma:
+    field = SpectralField(basis, a)
+    res = _residual(basis, a, field.nodal, lam, gamma, s)
+    log.residuals.append(res)
+    if status != "converged" or res > opts.tolerance or field.nodal.max() <= gamma:
         status = "failed"
     return PlasmaSolution(
-        field=SpectralField(basis, a), lam=float(lam), gamma=float(gamma),
-        s=float(s), residual=res, iterations=iterations, status=status,
-        method=method, history=np.asarray(history),
+        field=field, lam=float(lam), gamma=float(gamma), s=float(s),
+        residual=res, iterations=iterations, status=status, method=method,
+        history=np.asarray(log.residuals),
+        minres_iterations=tuple(log.minres),
     )
 
 
@@ -373,7 +438,7 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
         if sol.status == "failed":
             raise SolverError(
                 f"inner solve failed at lam={lam:.6g} (residual {sol.residual:.3e})",
-                history=sol.history,
+                history=sol.history, minres_iterations=sol.minres_iterations,
             )
         cache["coeffs"] = sol.field.coeffs
         return sol
@@ -452,18 +517,13 @@ def _reduced_energy(c: np.ndarray, basis: EigenBasis, scale: np.ndarray,
     exactly where b solves the Euler-Lagrange equation with multiplier mu.
     """
     a = c / scale
-    u = basis.vectors @ a
+    u = basis.nodal(a)
     t = _scale_onto_mass(u, gamma, target, p)
     plus = np.maximum(t * u - gamma, 0.0)
-    dg = basis.weight * (basis.vectors.T @ (2 * plus if p == 2 else
-                                            (plus > 0).astype(float)))
+    dg = basis.coefficients(2 * plus if p == 2 else (plus > 0).astype(float))
     energy = 0.5 * t**2 * float(c @ c)
     mu = 2 * energy / (t * float(dg @ a))
     return energy, t * (t * c - mu * dg / scale), t, mu
-
-
-# relative Euler-Lagrange residual below which minimize_energy has converged
-_STATIONARITY_RTOL = 1e-6
 
 
 def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
@@ -477,7 +537,7 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     constraint, whose Euler-Lagrange equation is the plasma equation,
     and mu for the linear one, whose equation is L^s u = mu 1_{u > gamma}.
     ``residual`` is the norm of that equation, and ``status`` is
-    'converged' when it is below _STATIONARITY_RTOL times |L^s u|.
+    'converged' when it is below ``stationarity_rtol`` times |L^s u|.
     ``iterations`` counts L-BFGS-B iterations and ``history`` holds the
     energy after each.  The route is deliberately independent of the
     fixed-point solvers; like any descent it finds a local minimum.
@@ -491,7 +551,7 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     scale = np.sqrt(basis.eigenvalues**s)
     args = (basis, scale, gamma, mass / basis.weight, p)
     c = np.zeros(basis.size)
-    c[0] = scale[0] * _scale_onto_mass(basis.vectors[:, 0], *args[2:])
+    c[0] = scale[0] * _scale_onto_mass(_ground_mode(basis), *args[2:])
     history = []
     result = minimize(lambda x: _reduced_energy(x, *args)[:2], c, jac=True,
                       method="L-BFGS-B",
@@ -501,7 +561,7 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     _, grad, t, mu = _reduced_energy(result.x, *args)
     b = t * result.x / scale
     res = float(np.linalg.norm(scale * grad)) / t
-    stationary = res <= _STATIONARITY_RTOL * float(np.linalg.norm(scale**2 * b))
+    stationary = res <= opts.stationarity_rtol * float(np.linalg.norm(scale**2 * b))
     return PlasmaSolution(
         field=SpectralField(basis, b), lam=float(p * mu), gamma=float(gamma),
         s=float(s), residual=res, iterations=int(result.nit),

@@ -71,6 +71,35 @@ def dense_dirichlet_eigh(grid_shape, h: float):
     return lam, V / np.sqrt(h ** len(ms))
 
 
+def sine_basis(grid_shape, h: float, K: int):
+    """First K eigenpairs of the Dirichlet stencil on an interval or grid
+    rectangle as dense products of sampled sines.
+
+    The sines sin(pi j k / (n - 1)) are evaluated directly with ``np.sin``;
+    modes are ordered by a stable sort of the tensor sums, so tied modes
+    keep row-major (j, k) order.  The sums round like the package's (per
+    axis 4 sin^2(k pi / (2 (n - 1))) / h^2, summed over the axes), so that
+    modes tied only up to rounding, such as (1, 24) and (15, 17) on a
+    49-node square, come in the same order.  Returns the eigenvalues and the
+    (n_interior, K) vectors, orthonormal in the h^dim-weighted inner
+    product, with interior nodes packed row-major.
+    """
+    lams, sines = [], []
+    for n in grid_shape:
+        k = np.arange(1, n - 1)
+        lams.append(4.0 * np.sin(k * np.pi / (2 * (n - 1))) ** 2 / h**2)
+        sines.append(np.sqrt(2.0 / (n - 1)) * np.sin(np.pi * np.outer(k, k) / (n - 1)))
+    sums = lams[0]
+    for lam in lams[1:]:
+        sums = np.add.outer(sums, lam).ravel()
+    order = np.argsort(sums, kind="stable")[:K]
+    modes = np.unravel_index(order, [n - 2 for n in grid_shape])
+    V = sines[0][:, modes[0]]
+    for S, j in zip(sines[1:], modes[1:]):
+        V = (V[:, None, :] * S[:, j][None, :, :]).reshape(-1, K)
+    return sums[order], V / np.sqrt(h ** len(grid_shape))
+
+
 # -- stencil application on full grids -----------------------------------------------
 
 

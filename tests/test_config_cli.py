@@ -132,6 +132,22 @@ def test_cli_constrained_and_energy_solves_agree_on_lambda(tmp_path):
     assert lams["energy"] == pytest.approx(lams["constrained"], rel=1e-6)
 
 
+@pytest.mark.parametrize("mode", ["fixed_lambda", "constrained", "energy"])
+def test_cli_solver_check_reports_the_quantity_it_judges(tmp_path, mode):
+    overrides = {"domain": {"kind": "rectangle", "n": 17,
+                            "bounds": [[0.0, np.pi], [0.0, np.pi]]}, "mode": mode}
+    if mode != "fixed_lambda":
+        overrides["constraint_target"] = 0.025
+    path = write_config(tmp_path, overrides)
+    out = tmp_path / mode
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    check, = json.loads((out / "report.json").read_text())["checks"]
+    assert check["name"] == "solver converged" and check["passed"]
+    assert check["value"] <= check["tolerance"]
+    expected = 1e-6 if mode == "energy" else 1e-10
+    assert check["tolerance"] == expected
+
+
 def test_cli_frequency_writes_profiles(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "freq"

@@ -221,3 +221,82 @@ def test_square_basis_is_mirror_exact_in_both_axes():
         signs = np.sign(np.sum(flipped * grid, axis=(0, 1)))
         assert np.all(np.abs(signs) == 1)
         assert np.array_equal(flipped, grid * signs)
+
+
+# -- matrix-free sine transforms against dense sampled-sine products ----------------
+
+PI_SQUARE = ((0.0, np.pi), (0.0, np.pi))
+# K = 400 and 700 are the suite's truncated squares, whose cutoffs split
+# degenerate clusters
+TRANSFORM_CASES = {
+    "interval129-full": ("interval", 129, (0.0, np.pi), None),
+    "interval129-K40": ("interval", 129, (0.0, np.pi), 40),
+    "square25-full": ("rectangle", 25, PI_SQUARE, None),
+    "square49-K400": ("rectangle", 49, PI_SQUARE, 400),
+    "square81-K700": ("rectangle", 81, PI_SQUARE, 700),
+    "rect11x21-full": ("rectangle", (11, 21), ((0.0, 1.0), (0.0, 2.0)), None),
+    "rect21x11-K45": ("rectangle", (21, 11), ((0.0, 2.0), (0.0, 1.0)), 45),
+}
+
+
+@pytest.fixture(params=list(TRANSFORM_CASES.values()), ids=list(TRANSFORM_CASES))
+def transform_case(request):
+    kind, n, bounds, K = request.param
+    dom = build_domain(kind, n, bounds=bounds)
+    basis = eigendecompose(dom, K or dom.n_interior)
+    lam_ref, V_ref = oracles.sine_basis(dom.grid_shape, dom.h, basis.size)
+    return basis, lam_ref, V_ref
+
+
+def test_sine_transforms_match_dense_products(transform_case):
+    basis, lam_ref, V_ref = transform_case
+    dom = basis.domain
+    rng = np.random.default_rng(11)
+    np.testing.assert_array_equal(basis.eigenvalues, lam_ref)
+    a = rng.standard_normal((basis.size, 3))
+    v = rng.standard_normal((dom.n_interior, 3))
+    nodal_ref, coef_ref = V_ref @ a, dom.h**dom.dim * (V_ref.T @ v)
+    # single vectors and batches over a trailing axis
+    np.testing.assert_allclose(basis.nodal(a[:, 0]), nodal_ref[:, 0], rtol=0,
+                               atol=1e-12 * np.abs(nodal_ref).max())
+    np.testing.assert_allclose(basis.nodal(a), nodal_ref, rtol=0,
+                               atol=1e-12 * np.abs(nodal_ref).max())
+    np.testing.assert_allclose(basis.coefficients(v[:, 1]), coef_ref[:, 1], rtol=0,
+                               atol=1e-12 * np.abs(coef_ref).max())
+    np.testing.assert_allclose(basis.coefficients(v), coef_ref, rtol=0,
+                               atol=1e-12 * np.abs(coef_ref).max())
+    weights = rng.uniform(0.5, 2.0, basis.size)
+    ref = V_ref @ (weights * coef_ref[:, 2])
+    np.testing.assert_allclose(basis.spectral_apply(v[:, 2], weights), ref, rtol=0,
+                               atol=1e-12 * np.abs(ref).max())
+    scale = np.abs(V_ref).max()
+    mask = rng.random(dom.n_interior) < 0.1
+    np.testing.assert_allclose(basis.rows(mask), V_ref[mask], rtol=0, atol=1e-13 * scale)
+    nodes, modes = [5, 0, 17], [2, 0, basis.size - 1]
+    np.testing.assert_allclose(basis.rows(nodes, modes), V_ref[nodes][:, modes],
+                               rtol=0, atol=1e-13 * scale)
+    # none of the above builds the dense matrix
+    assert "vectors" not in basis.__dict__
+    np.testing.assert_allclose(basis.vectors, V_ref, rtol=0, atol=1e-13 * scale)
+    assert "vectors" in basis.__dict__
+    assert basis.rows(mask).tobytes() == basis.vectors[mask].tobytes()
+
+
+def test_sine_vectors_are_the_rows_of_every_node():
+    dom = build_domain("rectangle", (13, 25), bounds=((0.0, 1.0), (0.0, 2.0)))
+    basis = eigendecompose(dom, 150)
+    assert basis.rows(slice(None)).tobytes() == basis.vectors.tobytes()
+
+
+def test_disk_basis_methods_are_dense_products():
+    dom = build_domain("disk", 21, bounds=((-1.2, 1.2), (-1.2, 1.2)),
+                       radius=1.0, center=(0.0, 0.0))
+    basis = eigendecompose(dom, 40)
+    V = basis.vectors
+    rng = np.random.default_rng(2)
+    a, v = rng.standard_normal(40), rng.standard_normal(dom.n_interior)
+    np.testing.assert_allclose(basis.nodal(a), V @ a, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(basis.coefficients(v), dom.h**2 * (V.T @ v),
+                               rtol=1e-13, atol=1e-13)
+    mask = rng.random(dom.n_interior) < 0.2
+    np.testing.assert_array_equal(basis.rows(mask, [0, 3]), V[mask][:, [0, 3]])

@@ -4,9 +4,9 @@ import scipy.linalg
 import scipy.special
 
 import oracles
-from fracplasma import (ExtensionField, apply_fractional, build_domain, build_ymesh,
-                        check_uy_sign, dtn, eigendecompose,
-                        extension_energy_constant, extend_fd,
+from fracplasma import (ExtensionField, SpectralField, apply_fractional,
+                        build_domain, build_ymesh, check_uy_sign, dtn,
+                        eigendecompose, extension_energy_constant, extend_fd,
                         extend_semianalytic, laplacian_matrix, mode_profile,
                         project, weighted_energy)
 
@@ -106,6 +106,33 @@ def test_semianalytic_single_mode_profile(interval):
     lam_k = float(basis.eigenvalues[k])
     expected = f.full()[:, None] * mode_profile(s, np.sqrt(lam_k) * ym.nodes)
     np.testing.assert_allclose(w.values, expected, atol=1e-12)
+
+
+# a square with tied modes (one profile per distinct eigenvalue), a truncated
+# square whose cutoff splits a cluster, a rectangle, and a disk mask
+@pytest.mark.parametrize("kind, n, bounds, K", [
+    ("rectangle", 25, ((0.0, np.pi), (0.0, np.pi)), None),
+    ("rectangle", 49, ((0.0, np.pi), (0.0, np.pi)), 400),
+    ("rectangle", (21, 11), ((0.0, 2.0), (0.0, 1.0)), None),
+    ("disk", 21, ((-1.2, 1.2), (-1.2, 1.2)), 60),
+])
+def test_semianalytic_matches_dense_mode_sum(kind, n, bounds, K):
+    extra = {"radius": 1.0, "center": (0.0, 0.0)} if kind == "disk" else {}
+    dom = build_domain(kind, n, bounds=bounds, **extra)
+    basis = eigendecompose(dom, K or dom.n_interior)
+    if kind == "disk":
+        V = basis.vectors
+    else:
+        _, V = oracles.sine_basis(dom.grid_shape, dom.h, basis.size)
+    s = 0.6
+    rng = np.random.default_rng(4)
+    f = SpectralField(basis, rng.standard_normal(basis.size) / (1 + np.arange(basis.size)))
+    ym = build_ymesh(s, float(basis.eigenvalues[0]), layers=40)
+    w = extend_semianalytic(f, s, ym)
+    psi = mode_profile(s, np.sqrt(basis.eigenvalues)[:, None] * ym.nodes[None, :])
+    ref = np.zeros(dom.grid_shape + (ym.M + 1,))
+    ref[dom.interior] = V @ (f.coeffs[:, None] * psi)
+    np.testing.assert_allclose(w.values, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_dtn_matches_spectral_operator(interval):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,8 +10,9 @@ from fracplasma import (SolverOptions, apply_fractional, build_domain,
                         constraint_mass, eigendecompose, minimize_energy,
                         project, residual_norm, solve_constrained,
                         solve_fixed_lambda, steiner_symmetrize)
-from fracplasma.plasma import (_active_set_step, _plasma_rhs, _reduced_energy,
-                               _scale_onto_mass,
+from fracplasma.plasma import (_ACTIVE_SET_MAX, _DIRECT_MAX, _STALL_UPDATES,
+                               _active_set_solve, _active_set_step, _Log,
+                               _plasma_rhs, _reduced_energy, _scale_onto_mass,
                                _symmetric_decreasing_rearrangement)
 
 GAMMA = 0.1
@@ -173,7 +176,8 @@ def _ground_mode_set(basis, p):
 
 
 # K = None is the complete basis; K = 105 of the square's 529 modes makes
-# the 10% set p < K and the larger sets p > K, so both branches run
+# the 10% set p < K and the larger sets p > K; the 10% sets and the interval
+# take the direct step, the larger square and disk sets the MINRES step
 @pytest.mark.parametrize("fraction", [0.1, 0.5, 1.0])
 @pytest.mark.parametrize("kind, K", [("interval", None), ("square", None),
                                      ("disk", None), ("square", 105)])
@@ -187,6 +191,32 @@ def test_active_set_step_matches_dense_modal_oracle(step_domains, kind, K, fract
     ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
                                   lam, GAMMA, s, active)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+# sets of exactly _DIRECT_MAX nodes take the direct step, one node more the
+# MINRES step, on every kind of basis
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("kind, n, K", [("interval", 513, None), ("square", 25, None),
+                                        ("square", 25, 105), ("disk", 25, None)])
+def test_active_set_step_on_both_sides_of_direct_threshold(kind, n, K, extra):
+    if kind == "interval":
+        dom = build_domain("interval", n, bounds=(0.0, np.pi))
+    elif kind == "square":
+        dom = build_domain("rectangle", n, bounds=((0.0, np.pi), (0.0, np.pi)))
+    else:
+        dom = build_domain("disk", n, bounds=((-1.2, 1.2), (-1.2, 1.2)),
+                           radius=1.0, center=(0.0, 0.0))
+    basis = eigendecompose(dom, K or dom.n_interior)
+    s = 0.5
+    lam = 3.2 * float(basis.eigenvalues[0] ** s)
+    active = _ground_mode_set(basis, _DIRECT_MAX + extra)
+    minres = []
+    got = _active_set_step(basis, lam, GAMMA, s, active, minres)
+    ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
+                                  lam, GAMMA, s, active)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert len(minres) == 1
+    assert (minres[0] > 0) == bool(extra)
 
 
 def test_active_set_step_on_empty_set_is_zero(basis2d):
@@ -359,3 +389,61 @@ def test_history_records_decreasing_residuals(basis1d):
     sol = solve_fixed_lambda(basis1d, lam, GAMMA, s)
     assert sol.history is not None and len(sol.history) >= 1
     assert sol.history[-1] <= 1e-10
+
+
+# -- matrix-free solves and what they record ----------------------------------------
+
+
+def test_large_square_solve_never_builds_the_dense_basis():
+    dom = build_domain("rectangle", 129, bounds=((0.0, np.pi), (0.0, np.pi)))
+    basis = eigendecompose(dom, dom.n_interior)
+    s = 0.75
+    sol = solve_fixed_lambda(basis, 4.0 * float(basis.eigenvalues[0] ** s), GAMMA, s)
+    assert sol.status == "converged"
+    assert sol.residual <= SolverOptions().tolerance
+    assert _mirror_asymmetry(sol) <= 1e-10
+    # the large plasma sets took MINRES steps
+    assert max(sol.minres_iterations) > 0
+    assert "vectors" not in basis.__dict__
+
+
+def test_solution_records_minres_iterations_per_step(basis2d):
+    s = 0.5
+    lam = 3.2 * float(basis2d.eigenvalues[0] ** s)
+    sol = solve_fixed_lambda(basis2d, lam, GAMMA, s)
+    assert sol.method == "active-set"
+    # one entry per step: direct steps on the small sets, MINRES on the large
+    assert len(sol.minres_iterations) in (sol.iterations - 1, sol.iterations)
+    assert all(isinstance(k, int) and k >= 0 for k in sol.minres_iterations)
+    below = solve_fixed_lambda(basis2d, 0.5 * lam / 3.2, GAMMA, s)
+    assert below.status == "trivial" and below.minres_iterations == ()
+
+
+def test_solver_error_carries_minres_iterations(basis1d, monkeypatch):
+    import fracplasma.plasma as plasma
+
+    def failing(basis, lam, gamma, s, **kwargs):
+        sol = solve_fixed_lambda(basis, lam, gamma, s, **kwargs)
+        return replace(sol, status="failed", minres_iterations=(7, 0, 3))
+
+    monkeypatch.setattr(plasma, "solve_fixed_lambda", failing)
+    with pytest.raises(plasma.SolverError) as info:
+        plasma.solve_constrained(basis1d, 0.02, GAMMA, 0.5)
+    assert info.value.minres_iterations == (7, 0, 3)
+
+
+def test_first_attempt_stops_once_it_stalls(basis2d):
+    # from the bump, Newton at 3.3 lam_1^s on the 25-node square wanders
+    # over fresh plasma sets without landing (the solve continues in lam)
+    s = 0.3
+    lam = 3.3 * float(basis2d.eigenvalues[0] ** s)
+    phi = basis2d.vectors[:, 0]
+    a0 = np.zeros(basis2d.size)
+    a0[0] = 2 * GAMMA / phi.max()
+    log = _Log()
+    _, iterations, status = _active_set_solve(
+        basis2d, lam, GAMMA, s, a0, _ACTIVE_SET_MAX, SolverOptions().tolerance, log)
+    assert status == "failed"
+    assert iterations < _ACTIVE_SET_MAX
+    res = log.residuals
+    assert min(res[-_STALL_UPDATES:]) >= min(res[:-_STALL_UPDATES])
