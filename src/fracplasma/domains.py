@@ -190,27 +190,33 @@ class EigenBasis:
         grid[self._modes] = weights
         return self._sine_transform(self._sine_transform(v) * grid)
 
-    def rows(self, nodes, modes=slice(None)) -> np.ndarray:
+    def rows(self, nodes, modes=None) -> np.ndarray:
         """Values of the basis vectors at the given interior nodes.
 
         ``nodes`` indexes the packed interior nodes and ``modes`` the
-        basis vectors (each a boolean mask, indices or a slice); the
-        result has one row per node and one column per mode.  Sine bases
-        multiply per-axis sine tables over the axis modes in use, then
-        pick each basis vector's product.
+        basis vectors (each a boolean mask, indices or a slice; None is
+        every vector); the result has one row per node and one column per
+        mode.  Sine bases multiply per-axis sine tables over the axis
+        modes in use, then pick each basis vector's product.
         """
         if self._dense is not None:
-            return self._dense[nodes][:, modes]
+            return self._dense[nodes] if modes is None else self._dense[nodes][:, modes]
         at = np.unravel_index(np.arange(self.domain.n_interior)[nodes],
                               self._mode_shape)
-        of = np.unravel_index(self._modes[modes], self._mode_shape)
+        used, pick = (self._every_axis_mode if modes is None
+                      else _axis_modes(self._modes[modes], self._mode_shape))
         block = np.full((1, len(at[0])), self.domain.h ** (-self.domain.dim / 2))
-        pick = np.zeros(len(of[0]), dtype=int)
-        for table, i, j in zip(self._sine_tables, at, of):
-            used, pos = np.unique(j, return_inverse=True)
-            block = (block[:, None, :] * table[np.ix_(used, i)]).reshape(-1, len(i))
-            pick = pick * len(used) + pos
-        return block[pick].T
+        for table, u, i in zip(self._sine_tables, used, at):
+            factor = table.take(i, 1)
+            if len(u) < len(table):
+                factor = factor.take(u, 0)
+            block = (block[:, None, :] * factor).reshape(-1, len(i))
+        return (block if pick is None else block[pick]).T
+
+    @cached_property
+    def _every_axis_mode(self) -> tuple:
+        """_axis_modes of every basis vector."""
+        return _axis_modes(self._modes, self._mode_shape)
 
     @cached_property
     def _sine_tables(self) -> tuple:
@@ -231,6 +237,20 @@ class EigenBasis:
         for table, j in zip(self._sine_tables[1:], of[1:]):
             V = (V[:, None, :] * table[:, j]).reshape(-1, self.size)
         return V
+
+
+def _axis_modes(flat: np.ndarray, shape: tuple):
+    """Split flat sine-mode indices into the sorted indices each axis uses
+    and, per mode, its position in the product of those index sets (None
+    when every position is taken in order, as on a complete interval)."""
+    used, pick = [], np.zeros(len(flat), dtype=int)
+    for j in np.unravel_index(flat, shape):
+        u, pos = np.unique(j, return_inverse=True)
+        used.append(u)
+        pick = pick * len(u) + pos
+    if np.array_equal(pick, np.arange(np.prod([len(u) for u in used]))):
+        pick = None
+    return used, pick
 
 
 def _axis_nodes(lo: float, hi: float, n: int) -> np.ndarray:

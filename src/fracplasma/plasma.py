@@ -64,7 +64,8 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, history=None, minres_iterations=None):
         super().__init__(message)
         self.history = history if history is not None else []
-        self.minres_iterations = tuple(minres_iterations or ())
+        self.minres_iterations = (minres_iterations
+                                  if minres_iterations is not None else ())
 
 
 @dataclass

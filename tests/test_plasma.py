@@ -415,7 +415,8 @@ def test_solution_records_minres_iterations_per_step(basis2d):
     # one entry per step: direct steps on the small sets, MINRES on the large
     assert len(sol.minres_iterations) in (sol.iterations - 1, sol.iterations)
     assert all(isinstance(k, int) and k >= 0 for k in sol.minres_iterations)
-    below = solve_fixed_lambda(basis2d, 0.5 * lam / 3.2, GAMMA, s)
+    below = solve_fixed_lambda(basis2d, 0.5 * float(basis2d.eigenvalues[0] ** s),
+                               GAMMA, s)
     assert below.status == "trivial" and below.minres_iterations == ()
 
 
