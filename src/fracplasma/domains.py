@@ -399,6 +399,46 @@ def _sine_vectors(n: int) -> np.ndarray:
     return np.sqrt(2.0 / N) * sign * np.sin(folded * (np.pi / N))
 
 
+def _laplacian_modes(domain: Domain):
+    """Eigen-transform of the graph Laplacian B = h^2 (-Delta_h).
+
+    Returns ``(mu, to_modes, from_modes)``: the eigenvalues of B, a map
+    from full-grid arrays (any trailing axes) to coefficients in B's
+    orthonormal eigenbasis, shaped ``mu.shape`` plus those trailing axes,
+    and its inverse back to full-grid arrays that vanish off the interior.
+    Intervals and rectangles use the closed-form sine modes and DST-I, so
+    no matrix is stored; disk masks use a dense ``eigh`` of B.
+    """
+    dim = domain.dim
+    if domain.shape in ("interval", "rectangle"):
+        block = (slice(1, -1),) * dim
+        axes = tuple(range(dim))
+        per_axis = [_sine_eigenvalues(n) for n in domain.grid_shape]
+        mu = sum(np.meshgrid(*per_axis, indexing="ij"))
+
+        def to_modes(full):
+            return scipy.fft.dstn(full[block], type=1, norm="ortho", axes=axes)
+
+        def from_modes(coeffs):
+            full = np.zeros(domain.grid_shape + coeffs.shape[dim:])
+            full[block] = scipy.fft.idstn(coeffs, type=1, norm="ortho", axes=axes)
+            return full
+
+        return mu, to_modes, from_modes
+
+    mu, Q = scipy.linalg.eigh(laplacian_matrix(domain) * domain.h**2)
+
+    def to_modes(full):
+        return Q.T @ full[domain.interior]
+
+    def from_modes(coeffs):
+        full = np.zeros(domain.grid_shape + coeffs.shape[1:])
+        full[domain.interior] = Q @ coeffs
+        return full
+
+    return mu, to_modes, from_modes
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """First component above the noise threshold made positive, per column."""
     out = vectors.copy()

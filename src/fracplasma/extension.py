@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.special import gamma as gamma_fn, kve
 
-from .domains import Domain, eigendecompose
+from .domains import Domain, _laplacian_modes
 from .spectral import SpectralField, _check_order
 
 __all__ = [
@@ -212,10 +212,9 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
     maximum principle (nonnegative data give nonnegative solutions).
 
     The slab matrix is B (x) diag(cond_x) + I (x) T_y with B = h^2 (-Delta_h)
-    the thin graph Laplacian, so the system is solved mode by mode in the
-    complete Dirichlet eigenbasis (DST-I on intervals and rectangles, dense
-    ``eigh`` on disk masks): each eigenvalue mu_k of B leaves one
-    tridiagonal system in y,
+    the thin graph Laplacian, so the system is solved mode by mode in B's
+    eigenbasis (DST-I on intervals and rectangles, dense ``eigh`` on disk
+    masks): each eigenvalue mu_k leaves one tridiagonal system in y,
     (mu_k diag(cond_x) + T_y) c_k = cond_y[0] u_k e_1, and one Thomas
     sweep vectorised over the modes solves them all.  Past the transform
     the cost is linear in the number of layers.
@@ -245,8 +244,7 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
     resist = (ys[1:] ** (1 - a) - ys[:-1] ** (1 - a)) / (1 - a)
     cond_y = h**dim / resist
 
-    basis = eigendecompose(domain, domain.n_interior)
-    mu = basis.eigenvalues * h**2
+    mu, to_modes, from_modes = _laplacian_modes(domain)
     # tridiagonal T_k = diag(mu_k cond_x + cond_y[:-1] + cond_y[1:]) with
     # off-diagonal -cond_y[1:M-1]; its only right-hand side is in layer 1
     diag = mu[..., None] * cond_x + (cond_y[:-1] + cond_y[1:])
@@ -254,7 +252,7 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
     c = np.empty_like(diag)
     ratio = np.empty_like(diag[..., :-1])
     pivot = diag[..., 0]
-    c[..., 0] = cond_y[0] * basis.coefficients(trace_full[domain.interior]) / pivot
+    c[..., 0] = cond_y[0] * to_modes(trace_full) / pivot
     for j in range(1, M - 1):
         ratio[..., j - 1] = couple[j - 1] / pivot
         pivot = diag[..., j] - couple[j - 1] * ratio[..., j - 1]
@@ -264,7 +262,7 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
 
     vals = np.zeros(domain.grid_shape + (M + 1,))
     vals[..., 0] = trace_full
-    vals[domain.interior, 1:M] = basis.nodal(c)
+    vals[..., 1:M] = from_modes(c)
     return ExtensionField(domain=domain, ymesh=ymesh, s=s, values=vals,
                           provenance="fd")
 
