@@ -58,16 +58,25 @@ _COMMANDS = {
 def _write_csv(path: Path, header: list, table) -> None:
     """Write a 2-D table, one '%.17g' value per cell.
 
-    Each block of rows is formatted by one %-operation over a repeated
-    row template, so no Python code runs per value.
+    Rows go out in blocks.  In a block each column formats each of its
+    distinct values once (distinct bit patterns, so 0.0 and -0.0 stay
+    apart), and one %-operation over a repeated '%s' row template places
+    the strings.
     """
     table = np.asarray(table, dtype=float).reshape(-1, len(header))
-    row = ",".join([_FMT] * len(header)) + "\n"
+    row = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), _CSV_BLOCK):
             block = table[start:start + _CSV_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            cells = np.empty(block.shape, dtype=object)
+            for k, col in enumerate(block.T):
+                bits, where = np.unique(np.ascontiguousarray(col).view(np.int64),
+                                        return_inverse=True)
+                text = np.array([_FMT % v for v in bits.view(float).tolist()],
+                                dtype=object)
+                cells[:, k] = text[where]
+            fh.write((row * len(block)) % tuple(cells.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -118,19 +127,23 @@ class _Run:
             self.sol = solver(self.basis, cfg.constraint_target, cfg.gamma,
                               cfg.s, options=opts)
 
-    def _ymesh(self, layers: int):
+    def ymesh(self, layers: int = None):
+        """The configured y-mesh, or one with that many layers."""
         ext = self.cfg.extension
         return build_ymesh(self.cfg.s, self.lam1, span_factor=ext.span_factor,
-                           layers=layers, grading=ext.grading)
+                           layers=layers or ext.layers, grading=ext.grading)
 
-    def extension(self):
-        """Semianalytic extension of the solution on the configured y-mesh."""
+    def extension(self, ymesh=None, layers=None):
+        """Semianalytic extension of the solution on the configured y-mesh,
+        or on ``ymesh`` (a prefix of it), or on the layers with the
+        indices ``layers``."""
         return extend_semianalytic(self.sol.field, self.cfg.s,
-                                   self._ymesh(self.cfg.extension.layers))
+                                   self.ymesh() if ymesh is None else ymesh,
+                                   layers)
 
     def fd_energy(self, values) -> float:
         """Weighted energy of the finite-volume extension of ``values``."""
-        ym = self._ymesh(min(self.cfg.extension.layers, _FD_MAX_LAYERS))
+        ym = self.ymesh(min(self.cfg.extension.layers, _FD_MAX_LAYERS))
         return weighted_energy(extend_fd(self.dom, values, self.cfg.s, ym))
 
 
@@ -177,13 +190,15 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
         _write_csv(out / "u.csv", _coord_header(dom) + ["u"],
                    _grid_rows(dom.axes, [sol.trace]))
         if cfg.s < 1:
-            w = run.extension()
-            M = w.ymesh.M
-            picks = sorted({0, 1, 2, 4, M // 8, M // 4, M // 2, M})
-            table = np.concatenate([_grid_rows((w.ymesh.nodes[[j]],) + dom.axes,
-                                               [w.values[..., j]]) for j in picks])
+            # only the written layers are extended
+            ym = run.ymesh()
+            M = ym.M
+            w = run.extension(ym, sorted({0, 1, 2, 4, M // 8, M // 4, M // 2, M}))
+            # layer by layer (y slowest), thin nodes row-major
             _write_csv(out / "extension_slices.csv",
-                       ["y"] + _coord_header(dom) + ["w"], table)
+                       ["y"] + _coord_header(dom) + ["w"],
+                       _grid_rows((w.ymesh.nodes,) + dom.axes,
+                                  [np.moveaxis(w.values, -1, 0)]))
         _write_json(out / "solution.json", {
             "config": cfg.to_dict(),
             "lam": sol.lam,
@@ -225,12 +240,19 @@ def _frequency_radii(cfg, dom, ym, center):
 def run_frequency(cfg: ExperimentConfig, out: Path) -> int:
     def work(run):
         sol = run.sol
-        w = run.extension().shifted(sol.gamma)
+        # ladders and room come from the full mesh; the extension reaches
+        # only up to the largest radius
+        ym = run.ymesh()
+        ladders = [_frequency_radii(cfg, run.dom, ym, center)
+                   for center in cfg.frequency.centers]
+        reach = max((radii[-1] for radii in ladders if radii is not None),
+                    default=None)
+        if reach is not None:
+            w = run.extension(ym.prefix(reach)).shifted(sol.gamma)
         header = ["center_index", "r", "energy", "boundary", "thin_mass",
                   "frequency", "adjusted", "corrected"]
         rows, summaries = [], []
-        for ci, center in enumerate(cfg.frequency.centers):
-            radii = _frequency_radii(cfg, run.dom, w.ymesh, center)
+        for ci, (center, radii) in enumerate(zip(cfg.frequency.centers, ladders)):
             if radii is None:
                 summaries.append({"center": list(center),
                                   "skipped": "no room for a radius ladder"})
@@ -275,7 +297,8 @@ def run_blowup(cfg: ExperimentConfig, out: Path) -> int:
                           f"grid cells ({5 * h:.4g})")
 
     def work(run):
-        w = run.extension().shifted(run.sol.gamma)
+        ym = run.ymesh().prefix(cfg.blowup.radius)
+        w = run.extension(ym).shifted(run.sol.gamma)
         bl = fb.blowup(w, cfg.blowup.center, cfg.blowup.radius,
                        ref_nodes=cfg.blowup.ref_nodes,
                        ref_layers=cfg.blowup.ref_layers)

@@ -10,6 +10,7 @@ grids scaled for convergence studies.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 __all__ = [
@@ -42,22 +43,73 @@ def _take(d: dict, cls_name: str, allowed: dict):
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _numbers(value, count: int) -> bool:
+    """Whether ``value`` is a list of ``count`` finite numbers."""
+    return (isinstance(value, (list, tuple)) and len(value) == count
+            and all(_is_number(v) for v in value))
+
+
+_KINDS = {int: (_is_int, "an integer"), float: (_is_number, "a finite number"),
+          str: (lambda v: isinstance(v, str), "a string")}
+
+
+def _check_types(spec, prefix: str, types: dict) -> None:
+    """Raise ConfigError unless each named field of ``spec`` holds its type
+    (an int for float fields too); a field whose default is None may be None."""
+    for name, kind in types.items():
+        value = getattr(spec, name)
+        if value is None and getattr(type(spec), name) is None:
+            continue
+        test, noun = _KINDS[kind]
+        if not test(value):
+            raise ConfigError(f"{prefix}{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     kind: str = "interval"
-    n: object = 129                    # int, or [nx, ny]
-    bounds: object = (0.0, 3.141592653589793)
+    n: object = 129                    # int, or one int per axis
+    bounds: object = None              # [lo, hi], or [[lo, hi], [lo, hi]] in 2-D
     radius: float = None
     center: object = None
+
+    def __post_init__(self):
+        # only an interval has default bounds
+        if self.bounds is None and self.kind == "interval":
+            object.__setattr__(self, "bounds", (0.0, 3.141592653589793))
 
     def validate(self):
         if self.kind not in ("interval", "rectangle", "disk"):
             raise ConfigError(f"domain.kind must be interval/rectangle/disk, "
                               f"got {self.kind!r}")
-        if self.kind != "interval" and self.bounds is not None:
-            b = self.bounds
-            if not (len(b) == 2 and all(len(bb) == 2 for bb in b)):
-                raise ConfigError("2-D domains need bounds [[lo, hi], [lo, hi]]")
+        dim = 1 if self.kind == "interval" else 2
+        n = self.n
+        if not (_is_int(n) or (isinstance(n, (list, tuple)) and len(n) == dim
+                               and all(_is_int(k) for k in n))):
+            raise ConfigError(f"domain.n must be an integer or a list of {dim} "
+                              f"integers, got {n!r}")
+        if dim == 1:
+            ok, shape = _numbers(self.bounds, 2), "[lo, hi]"
+        else:
+            ok = (isinstance(self.bounds, (list, tuple)) and len(self.bounds) == 2
+                  and all(_numbers(b, 2) for b in self.bounds))
+            shape = "[[lo, hi], [lo, hi]]"
+        if not ok:
+            raise ConfigError(f"{self.kind} domains need bounds {shape} of finite "
+                              f"numbers, got {self.bounds!r}")
+        if self.radius is not None and not _is_number(self.radius):
+            raise ConfigError(f"domain.radius must be a number, got {self.radius!r}")
+        if self.center is not None and not _numbers(self.center, 2):
+            raise ConfigError(f"domain.center must be [x, y], got {self.center!r}")
         if self.kind == "disk" and (self.radius is None or self.center is None):
             raise ConfigError("disk domains need radius and center")
 
@@ -69,6 +121,8 @@ class ExtensionSpec:
     grading: float = None
 
     def validate(self):
+        _check_types(self, "extension.",
+                     {"span_factor": float, "layers": int, "grading": float})
         if self.span_factor <= 0:
             raise ConfigError("extension.span_factor must be positive")
         if self.layers < 8:
@@ -81,6 +135,7 @@ class SolverSpec:
     constraint_kind: str = "quadratic"
 
     def validate(self):
+        _check_types(self, "solver.", {"tolerance": float, "constraint_kind": str})
         if self.tolerance <= 0:
             raise ConfigError("solver.tolerance must be positive")
         if self.constraint_kind not in ("quadratic", "linear"):
@@ -94,6 +149,7 @@ class FrequencySpec:
     r_max_fraction: float = 0.5
 
     def validate(self):
+        _check_types(self, "frequency.", {"n_radii": int, "r_max_fraction": float})
         if self.n_radii < 1:
             raise ConfigError("frequency.n_radii must be positive")
         if not 0 < self.r_max_fraction <= 1:
@@ -108,6 +164,12 @@ class BlowupSpec:
     ref_layers: int = 48
 
     def validate(self):
+        _check_types(self, "blowup.",
+                     {"radius": float, "ref_nodes": int, "ref_layers": int})
+        if self.center is not None and not (_numbers(self.center, 1)
+                                            or _numbers(self.center, 2)):
+            raise ConfigError(f"blowup.center must be a list of 1 or 2 numbers, "
+                              f"got {self.center!r}")
         if self.ref_nodes < 9:
             raise ConfigError("blowup.ref_nodes must be at least 9")
         if self.ref_layers < 8:
@@ -133,6 +195,10 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def validate(self):
+        _check_types(self, "", {
+            "s": float, "gamma": float, "mode": str, "lambda_factor": float,
+            "lambda_value": float, "constraint_target": float, "basis_size": int,
+            "out_dir": str})
         if not 0 < self.s <= 1:
             raise ConfigError(f"s must lie in (0, 1], got {self.s}")
         if self.gamma <= 0:
@@ -177,6 +243,12 @@ class ExperimentConfig:
                                  for f in spec_cls.__dataclass_fields__}
                 spec_kwargs = _take(value, key, spec_defaults)
                 if key == "frequency" and spec_kwargs.get("centers") is not None:
+                    centers = spec_kwargs["centers"]
+                    if not (isinstance(centers, (list, tuple))
+                            and all(_is_number(pt) or _numbers(pt, 1) or _numbers(pt, 2)
+                                    for pt in centers)):
+                        raise ConfigError("frequency.centers must be a list of "
+                                          f"points of 1 or 2 numbers, got {centers!r}")
                     spec_kwargs["centers"] = tuple(
                         tuple(float(c) for c in pt) if hasattr(pt, "__len__")
                         else (float(pt),)

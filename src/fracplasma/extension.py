@@ -64,6 +64,12 @@ class YMesh:
     def Y(self) -> float:
         return float(self.nodes[-1])
 
+    def prefix(self, height: float) -> "YMesh":
+        """The nodes up to and including the first node >= ``height`` (all
+        of them if none is that high)."""
+        j = min(int(np.searchsorted(self.nodes, height)), self.M)
+        return YMesh(nodes=self.nodes[:j + 1], grading=self.grading)
+
 
 def build_ymesh(s: float, lam1: float, *, span_factor: float = 20.0,
                 layers: int = 200, grading: float = None) -> YMesh:
@@ -172,26 +178,39 @@ def extension_energy_constant(s: float) -> float:
 _LAYER_BLOCK = 32
 
 
-def extend_semianalytic(f: SpectralField, s: float, ymesh: YMesh) -> ExtensionField:
+def extend_semianalytic(f: SpectralField, s: float, ymesh: YMesh,
+                        layers=None) -> ExtensionField:
     """Extend a spectral field mode by mode with the exact profile.
 
     The profile is evaluated once per distinct eigenvalue (tied modes
     share it), and one batched transform takes a block of layers to the
-    nodes, so no temporary is larger than a block.
+    nodes, so no temporary is larger than a block.  ``layers`` (indices
+    into ``ymesh.nodes``) restricts the extension to those layers; the
+    result then lives on a mesh of just their nodes.  Every layer is
+    computed independently of the others, so a restricted extension (or
+    one on a ``YMesh.prefix``) equals the matching layers of the full one
+    bit for bit.
     """
     _check_order(s)
     if s == 1.0:
         raise ValueError("extension requires s in (0, 1)")
     basis = f.basis
     dom = basis.domain
+    if layers is not None:
+        ymesh = YMesh(nodes=ymesh.nodes[np.asarray(layers)], grading=ymesh.grading)
     distinct, which = np.unique(basis.eigenvalues, return_inverse=True)
     roots = np.sqrt(distinct)[:, None]
     vals = np.zeros(dom.grid_shape + (ymesh.M + 1,))
+    prof = np.zeros((basis.size, _LAYER_BLOCK))
     for start in range(0, ymesh.M + 1, _LAYER_BLOCK):
         block = slice(start, start + _LAYER_BLOCK)
-        layers = mode_profile(s, roots * ymesh.nodes[block])[which]
-        layers *= f.coeffs[:, None]
-        vals[dom.interior, block] = basis.nodal(layers)
+        nodes = ymesh.nodes[block]
+        # a short block keeps zero profiles in its unused columns: every
+        # product then has the same width, so a dense (disk) basis runs the
+        # same BLAS kernel whichever layers are asked for
+        prof[:, len(nodes):] = 0.0
+        prof[:, :len(nodes)] = mode_profile(s, roots * nodes)[which] * f.coeffs[:, None]
+        vals[dom.interior, block] = basis.nodal(prof)[:, :len(nodes)]
     return ExtensionField(domain=dom, ymesh=ymesh, s=s, values=vals,
                           provenance="semianalytic")
 

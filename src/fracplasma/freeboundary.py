@@ -232,7 +232,7 @@ def frequency_profile(w: ExtensionField, center, radii, lam: float) -> Frequency
 
     engine = halfball.HalfBallQuadrature(w, center, radii[-1])
     D = np.array([engine.energy(r) for r in radii])
-    H = np.array([engine.boundary_norm(r) for r in radii])
+    H = engine.boundary_norms(radii)
     T = np.array([engine.thin_mass(r, positive=True) for r in radii])
 
     floor = H.max() * 1e-13
@@ -333,11 +333,9 @@ def blowup(w: ExtensionField, center, r: float, *, ref_nodes: int = 65,
 
     mesh = np.meshgrid(*ref_dom.axes, indexing="ij")
     thin = np.column_stack([m.ravel() for m in mesh])            # (Q, dim)
-    nthin = thin.shape[0]
     yv = ref_ym.nodes
-    pts_thin = np.repeat(center[None, :] + r * thin, len(yv), axis=0)
-    pts_y = np.tile(r * yv, nthin)
-    vals = halfball.interp_values(w, pts_thin, pts_y).reshape(
+    # every height at every thin node: (Q, 1, dim) against (L,)
+    vals = halfball.interp_values(w, (center + r * thin)[:, None, :], r * yv).reshape(
         ref_dom.grid_shape + (len(yv),))
 
     raw = ExtensionField(domain=ref_dom, ymesh=ref_ym, s=w.s, values=vals,

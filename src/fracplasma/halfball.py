@@ -18,7 +18,6 @@ the thin grid too.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -26,53 +25,86 @@ from scipy.special import roots_jacobi
 __all__ = ["HalfBallQuadrature", "interp_values", "interp_gradient"]
 
 
-def _multilinear(values: np.ndarray, axes, coords, *, gradient: bool = False):
-    """Multilinear interpolant of a tensor-grid array at scattered points.
+def _locate(ax: np.ndarray, q):
+    """Cell of each coordinate on one grid axis: (index, local coordinate
+    t in [0, 1], cell width), with the coordinate clipped onto the axis."""
+    q = np.clip(q, ax[0], ax[-1])
+    i = np.clip(np.searchsorted(ax, q) - 1, 0, len(ax) - 2)
+    width = ax[i + 1] - ax[i]
+    return i, (q - ax[i]) / width, width
 
-    ``coords`` holds one coordinate array per entry of ``axes``.  Each
-    coordinate is clipped onto its axis and located in its cell; the 2^d
-    corner values of the cell come from the flat array, one gather per
-    corner.  Returns the values, or with ``gradient`` the partial
+
+def _products(factors, prefix=None):
+    """Left-to-right products of one factor per axis, for every choice in
+    lexicographic order (the last axis fastest); a partial product is
+    formed once and reused by every choice that shares it."""
+    if not factors:
+        yield 1 if prefix is None else prefix
+        return
+    for f in factors[0]:
+        yield from _products(factors[1:], f if prefix is None else prefix * f)
+
+
+def _combine(values: np.ndarray, cells, *, gradient: bool = False):
+    """Multilinear interpolant of a tensor-grid array from located cells.
+
+    ``cells`` holds one ``_locate`` result per axis of ``values``, their
+    arrays broadcasting against each other.  The 2^d corner values of each
+    cell come from the flat array, one gather per corner; the factors
+    (1 - t, t) are formed once per axis and their products once per
+    prefix.  Returns the values, or with ``gradient`` the partial
     derivatives along every axis from the same corner weights.
     """
     flat = np.ravel(values)
     strides = np.cumprod((values.shape[1:] + (1,))[::-1])[::-1]
-    base, ts, widths = 0, [], []
-    for ax, q, stride in zip(axes, coords, strides):
-        q = np.clip(q, ax[0], ax[-1])
-        i = np.clip(np.searchsorted(ax, q) - 1, 0, len(ax) - 2)
-        widths.append(ax[i + 1] - ax[i])
-        ts.append((q - ax[i]) / widths[-1])
-        base = base + i * stride
-    cube = list(itertools.product((0, 1), repeat=len(axes)))
+    base = sum(i * stride for (i, _, _), stride in zip(cells, strides))
+    factors = [(1 - t, t) for _, t, _ in cells]
+    cube = list(itertools.product((0, 1), repeat=len(cells)))
 
     def corner(bits):
         return flat[base + np.dot(bits, strides)]
 
-    def weight(bits, skip=None):
-        return math.prod(t if b else 1 - t
-                         for k, (t, b) in enumerate(zip(ts, bits)) if k != skip)
-
     if not gradient:
         # one corner at a time, so large point sets hold one gather at once
-        return sum(corner(bits) * weight(bits) for bits in cube)
+        return sum(corner(bits) * w for bits, w in zip(cube, _products(factors)))
     corners = {bits: corner(bits) for bits in cube}
-    return [sum((corners[bits[:k] + (1,) + bits[k + 1:]] - c) * weight(bits, k)
-                for bits, c in corners.items() if not bits[k]) / widths[k]
-            for k in range(len(axes))]
+    grads = []
+    for k, (_, _, width) in enumerate(cells):
+        low = [bits for bits in cube if not bits[k]]
+        weights = _products(factors[:k] + factors[k + 1:])
+        grads.append(sum((corners[bits[:k] + (1,) + bits[k + 1:]] - corners[bits]) * w
+                         for bits, w in zip(low, weights)) / width)
+    return grads
+
+
+def _multilinear(values: np.ndarray, axes, coords, *, gradient: bool = False):
+    """Multilinear interpolant of a tensor-grid array at a set of points.
+
+    ``coords`` holds one coordinate array per entry of ``axes``.  The
+    arrays broadcast against each other and each is located on its own
+    shape, so a coordinate that does not vary along some dimension of a
+    structured point set is located once there.  The result is the same,
+    bit for bit, as for the broadcast points listed one by one.
+    """
+    return _combine(values, [_locate(ax, q) for ax, q in zip(axes, coords)],
+                    gradient=gradient)
 
 
 def interp_values(field, thin_pts: np.ndarray, y_pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of an extension field at points
-    (thin_pts (N, dim), y_pts (N,)), clipped onto the slab."""
+    """Multilinear interpolation of an extension field at the points
+    (thin_pts[..., :], y_pts), clipped onto the slab.  The thin points
+    (shape (..., dim)) and the heights broadcast against each other, e.g.
+    (N, dim) with (N,), or (N, 1, dim) with (L,) for every height at every
+    thin point."""
     return _multilinear(field.values, (*field.domain.axes, field.ymesh.nodes),
-                        (*np.transpose(thin_pts), y_pts))
+                        (*np.moveaxis(thin_pts, -1, 0), y_pts))
 
 
 def interp_gradient(field, thin_pts: np.ndarray, y_pts: np.ndarray):
-    """Gradient of the multilinear interpolant; returns [thin grads..., g_y]."""
+    """Gradient of the multilinear interpolant at the points of
+    ``interp_values``; returns [thin grads..., g_y]."""
     return _multilinear(field.values, (*field.domain.axes, field.ymesh.nodes),
-                        (*np.transpose(thin_pts), y_pts), gradient=True)
+                        (*np.moveaxis(thin_pts, -1, 0), y_pts), gradient=True)
 
 
 # angular nodes of the 1-D half-circle rule (half as many polar nodes in
@@ -81,11 +113,10 @@ _N_ANGULAR = 48
 _N_PHI = 64
 
 
-def _chunks(n: int, size: int = 32):
-    """Slices covering range(n) in blocks of ``size``; radial profiles are
-    evaluated one block of radii per interpolation call, which bounds the
-    temporary arrays while removing the per-radius Python overhead."""
-    return [slice(k, min(k + size, n)) for k in range(0, n, size)]
+# radii per interpolation call of the half-sphere profiles: large enough
+# to spread the Python overhead, small enough (about 12K points in 2-D)
+# that a block's temporaries stay in cache
+_RADII_BLOCK = 8
 
 
 class HalfBallQuadrature:
@@ -122,9 +153,10 @@ class HalfBallQuadrature:
         # that absorb the y^a factor exactly
         if dom.dim == 1:
             # t = cos(theta) in (-1, 1), weight (1 - t^2)^{(a-1)/2}
+            # (each node its own polar node with a single azimuth)
             t, wt = roots_jacobi(_N_ANGULAR, (a - 1) / 2, (a - 1) / 2)
-            self._unit_thin = t.reshape(-1, 1)
-            self._unit_y = np.sqrt(np.maximum(1 - t**2, 0.0))
+            self._unit_thin = t.reshape(-1, 1, 1)
+            self._unit_y = np.sqrt(np.maximum(1 - t**2, 0.0)).reshape(-1, 1)
             self._ang_w = wt
             # the unit sphere of the thin line: two points of weight 1
             ring, w_ring = np.array([[-1.0], [1.0]]), 1.0
@@ -139,10 +171,9 @@ class HalfBallQuadrature:
             TT, PP = np.meshgrid(tau, phi, indexing="ij")
             WW = np.outer(wtau, wphi)
             sin_pol = np.sqrt(np.maximum(1 - TT**2, 0.0))
-            self._unit_thin = np.column_stack(
-                [(sin_pol * np.cos(PP)).ravel(), (sin_pol * np.sin(PP)).ravel()]
-            )
-            self._unit_y = TT.ravel()
+            self._unit_thin = np.stack([sin_pol * np.cos(PP), sin_pol * np.sin(PP)],
+                                       axis=-1)
+            self._unit_y = TT[:, :1]
             self._ang_w = WW.ravel()
             ring = np.column_stack([np.cos(phi), np.sin(phi)])
             w_ring = wphi[0]
@@ -150,31 +181,31 @@ class HalfBallQuadrature:
         n_radial = int(max(192, min(1536, np.ceil(8 * rmax / h))))
         self._rho = np.linspace(0.0, rmax, n_radial + 1)[1:]
 
-        # angular profiles on the radial grid
+        # angular profiles on the radial grid, one block of radii at a time
         gD = np.empty(n_radial)
-        for sl in _chunks(n_radial):
-            r = self._rho[sl, None]
-            grads = interp_gradient(
-                field,
-                (self.center + r[..., None] * self._unit_thin).reshape(-1, dom.dim),
-                (r * self._unit_y).ravel(),
-            )
-            sq = sum(g**2 for g in grads).reshape(len(r), -1)
-            gD[sl] = np.sum(self._ang_w * sq, axis=1)
+        for k in range(0, n_radial, _RADII_BLOCK):
+            rho = self._rho[k:k + _RADII_BLOCK]
+            grads = interp_gradient(field, *self._sphere(rho))
+            sq = sum(g**2 for g in grads).reshape(len(rho), -1)
+            gD[k:k + len(rho)] = np.sum(self._ang_w * sq, axis=1)
         self._cum_energy = self._cumulative(gD, dom.dim + a)
 
         # thin-ball profiles: the squared trace on the thin sphere of radius
         # rho (no y^a weight; the trace lives at y = 0)
-        trace = field.values[..., 0]
-        sq, pos = np.empty(n_radial), np.empty(n_radial)
-        for sl in _chunks(n_radial):
-            r = self._rho[sl, None, None]
-            pts = (self.center + r * ring).reshape(-1, dom.dim)
-            vals = _multilinear(trace, dom.axes, pts.T).reshape(len(r), -1)
-            sq[sl] = w_ring * np.sum(vals**2, axis=1)
-            pos[sl] = w_ring * np.sum(np.maximum(vals, 0.0) ** 2, axis=1)
+        pts = (self.center + self._rho[:, None, None] * ring).reshape(-1, dom.dim)
+        vals = _multilinear(field.values[..., 0], dom.axes, pts.T).reshape(n_radial, -1)
+        sq = w_ring * np.sum(vals**2, axis=1)
+        pos = w_ring * np.sum(np.maximum(vals, 0.0) ** 2, axis=1)
         self._cum_thin_sq = self._cumulative(sq, dom.dim - 1.0)
         self._cum_thin_pos = self._cumulative(pos, dom.dim - 1.0)
+
+    def _sphere(self, radii):
+        """The half-sphere nodes at the given radii: thin points shaped
+        (radius, polar node, azimuth, dim) and heights shaped (radius,
+        polar node, 1).  A height r * tau does not depend on the azimuth,
+        so the interpolant locates it once per polar node."""
+        r = np.asarray(radii, dtype=float)[:, None, None]
+        return self.center + r[..., None] * self._unit_thin, r * self._unit_y
 
     # -- radial accumulation ------------------------------------------------
 
@@ -209,10 +240,15 @@ class HalfBallQuadrature:
 
     def boundary_norm(self, r: float) -> float:
         """H(r) = int_{(dB_r)^+} y^a w^2."""
-        vals = interp_values(
-            self.field, self.center + r * self._unit_thin, r * self._unit_y
-        )
-        return float(r ** (self.thin_dim + self.a) * np.sum(self._ang_w * vals**2))
+        return float(self.boundary_norms([r])[0])
+
+    def boundary_norms(self, radii) -> np.ndarray:
+        """H(r) at every radius of a ladder, from one interpolation call."""
+        radii = np.asarray(radii, dtype=float)
+        vals = interp_values(self.field, *self._sphere(radii)).reshape(len(radii), -1)
+        p = self.thin_dim + self.a
+        return np.array([float(r ** p * np.sum(self._ang_w * v**2))
+                         for r, v in zip(radii, vals)])
 
     def thin_mass(self, r: float, *, positive: bool = False) -> float:
         """int_{B'_r} w(.,0)^2, or the positive part's square if requested."""

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from fracplasma import ConfigError, ExperimentConfig, load_config
+from fracplasma import (ConfigError, ExperimentConfig, extend_semianalytic,
+                        load_config)
 from fracplasma.cli import main
 
 BASE = {
@@ -86,14 +94,29 @@ def test_refine_scales_cells_and_layers():
 
 
 def test_csv_writer_bytes_match_per_value_formatting(tmp_path):
-    from fracplasma.cli import _write_csv
+    from fracplasma.cli import _CSV_BLOCK, _write_csv
     table = np.array([
         [0, 1.0, -2.5, 1e-300],
         [3, -0.0, 5e-324, 123456789.123456789],
         [-7, np.pi, -1e-17, 2.0**60],
         [12, 1 / 3, -np.e, 7.0],
     ] * 3000)
-    header = ["i", "a", "b", "c"]
+    # columns that repeat a few values across block boundaries, 0.0 next to
+    # -0.0, nan (two payloads), infinities and subnormals
+    rng = np.random.default_rng(8)
+    n = len(table)
+    assert n > 2 * _CSV_BLOCK
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                        -2.2e-310, np.finfo(float).tiny, 0.1, 0.1 + 2e-17])
+    special[3] = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0]
+    table = np.column_stack([
+        table,
+        np.repeat(np.arange(7) * 0.1, n // 7 + 1)[:n],
+        special[rng.integers(0, len(special), size=n)],
+        np.tile([0.0, -0.0], n // 2),
+    ])
+    assert np.signbit(table[1, -1]) and not np.signbit(table[0, -1])
+    header = ["i", "a", "b", "c", "repeated", "special", "zeros"]
     _write_csv(tmp_path / "new.csv", header, table)
     with open(tmp_path / "ref.csv", "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -170,6 +193,53 @@ def test_cli_blowup_roundtrip(tmp_path):
     meta = json.loads((out / "blowup.json").read_text())
     assert meta["boundary_mass"] == pytest.approx(1.0, abs=1e-6)
     assert (out / "blowup.csv").exists()
+
+
+def test_cli_extends_only_the_layers_it_reads(tmp_path, monkeypatch):
+    import fracplasma.cli as cli
+    calls = []
+
+    def spy(f, s, ymesh, layers=None):
+        w = extend_semianalytic(f, s, ymesh, layers)
+        calls.append((ymesh, layers, w.ymesh.nodes))
+        return w
+
+    monkeypatch.setattr(cli, "extend_semianalytic", spy)
+    path = write_config(tmp_path, {
+        "frequency": {"centers": [[1.0], [1.5707963267948966], [0.01]]},
+        "blowup": {"center": [1.5707963267948966], "radius": 0.5},
+    })
+    for command in ("solve", "frequency", "blowup"):
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / command)]) == 0
+    (full, picks, solve_nodes), (freq, no, freq_nodes), (blow, _, _) = calls
+    assert full.M == 48 and picks == [0, 1, 2, 4, 6, 12, 24, 48] and no is None
+    assert np.array_equal(solve_nodes, full.nodes[picks])
+    slices = np.loadtxt(tmp_path / "solve" / "extension_slices.csv", delimiter=",",
+                        skiprows=1)
+    assert np.array_equal(np.unique(slices[:, 0]), full.nodes[picks])
+    # the largest ladder is the centre pi/2's: half its room
+    reach = 0.5 * min(np.pi / 2, full.Y)
+    assert freq_nodes[-2] < reach <= freq_nodes[-1] < full.Y
+    assert np.array_equal(freq.nodes, full.nodes[:freq.M + 1])
+    assert blow.nodes[-2] < 0.5 <= blow.nodes[-1]
+
+
+def test_cli_frequency_without_a_ladder_does_not_extend(tmp_path, monkeypatch):
+    import fracplasma.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no centre has room for a ladder")
+
+    monkeypatch.setattr(cli, "extend_semianalytic", forbidden)
+    path = write_config(tmp_path, {"frequency": {"centers": [[0.01], [3.13]]}})
+    out = tmp_path / "freq"
+    assert main(["frequency", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "frequency.json").read_text())
+    assert [c["skipped"] for c in summary["centers"]] == \
+        ["no room for a radius ladder"] * 2
+    assert (out / "profiles.csv").read_text() == \
+        "center_index,r,energy,boundary,thin_mass,frequency,adjusted,corrected\n"
 
 
 def test_cli_symmetrize_reports_energy(tmp_path):
@@ -387,3 +457,95 @@ def test_cli_verify_strip_note_says_where(tmp_path):
     at = ", ".join(f"{c:.6g}" for c in ref.location)
     assert strip["value"] == ref.min_laplacian
     assert strip["note"] == f"minimum at ({at}) of {ref.n_nodes} strip nodes"
+
+
+# -- malformed configurations end in exit 2 -------------------------------------------
+
+
+@pytest.mark.parametrize("domain", [
+    {"kind": "disk", "n": 25, "radius": 1.0, "center": [0.0, 0.0]},
+    {"kind": "rectangle", "n": 25, "bounds": [0, 1]},
+    {"kind": "interval", "n": 25, "bounds": [[0, 1], [0, 1]]},
+])
+def test_malformed_domain_is_config_error_exit_2(tmp_path, capsys, domain):
+    path = write_config(tmp_path, {"domain": domain})
+    with pytest.raises(ConfigError, match="bounds"):
+        load_config(str(path))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+_GOOD_DOMAINS = {
+    "interval": {"kind": "interval", "n": 17, "bounds": [0.0, np.pi]},
+    "rectangle": {"kind": "rectangle", "n": 9,
+                  "bounds": [[0.0, np.pi], [0.0, np.pi]]},
+    "disk": {"kind": "disk", "n": 13, "bounds": [[-1.5, 1.5], [-1.5, 1.5]],
+             "radius": 1.4, "center": [0.0, 0.0]},
+}
+# values of a wrong type or shape for any field
+_JUNK = st.sampled_from([None, True, "7", "interval", 2.5, -3, 0, [], [1.0],
+                         [1, 2, 3], [0, 1], [[0, 1]], [[0, 1], [0, 1]],
+                         [["a", 1], [0, 1]], {"x": 1}, float("nan"),
+                         [0, float("inf")]])
+_DOMAIN_FIELDS = {
+    "kind": st.sampled_from(["interval", "rectangle", "disk", "torus"]) | _JUNK,
+    "n": st.integers(-1, 21) | st.lists(st.integers(2, 21), min_size=1,
+                                        max_size=3) | _JUNK,
+    "bounds": st.sampled_from([[0.0, np.pi], [np.pi, 0.0], [[0.0, np.pi]] * 2,
+                               [[-1.5, 1.5]] * 2, [[0.0, 1.0], [0.0, 2.0]]]) | _JUNK,
+    "radius": st.floats(-1.0, 2.0) | _JUNK,
+    "center": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3) | _JUNK,
+}
+# every other field of the configuration, with the value it is set to
+_OTHER_FIELDS = [
+    ("s",), ("gamma",), ("mode",), ("lambda_factor",), ("lambda_value",),
+    ("constraint_target",), ("basis_size",), ("out_dir",),
+    ("extension", "span_factor"), ("extension", "layers"),
+    ("extension", "grading"), ("solver", "tolerance"),
+    ("solver", "constraint_kind"), ("frequency", "centers"),
+    ("frequency", "n_radii"), ("frequency", "r_max_fraction"),
+    ("blowup", "center"), ("blowup", "radius"), ("blowup", "ref_nodes"),
+    ("blowup", "ref_layers"),
+]
+
+
+@settings(max_examples=200)
+@given(base=st.sampled_from(sorted(_GOOD_DOMAINS)),
+       changes=st.fixed_dictionaries({}, optional=_DOMAIN_FIELDS),
+       missing=st.sets(st.sampled_from(sorted(_DOMAIN_FIELDS))),
+       other=st.none() | st.tuples(st.sampled_from(_OTHER_FIELDS), _JUNK))
+def test_any_domain_config_exits_cleanly(base, changes, missing, other):
+    # the solve stage is stubbed to fail at its first step, the eigenbasis,
+    # so a config that gets through validation and domain construction
+    # exits 1 with a report, and no example pays for a solve (a disk
+    # without "n" would have the default 129 nodes per axis)
+    import fracplasma.cli as cli
+    from fracplasma import SolverError
+
+    def diverged(*args, **kwargs):
+        raise SolverError("stub solve")
+
+    data = json.loads(json.dumps(BASE))
+    data["domain"] = {**_GOOD_DOMAINS[base], **changes}
+    for key in missing:
+        data["domain"].pop(key, None)
+    if other is not None:
+        path, value = other
+        (data.setdefault(path[0], {}) if len(path) == 2 else data)[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "eigendecompose", diverged), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = Path(tmp) / "out"
+        code = main(["solve", "--config", str(cfg), "--out", str(out)])
+        has_report = (out / "report.json").is_file()
+    text = err.getvalue()
+    event(f"exit {code}")
+    assert "Traceback" not in text
+    if code == 2:
+        assert len(text.strip().splitlines()) == 1, text
+    else:
+        assert code == 1 and has_report, (code, text)

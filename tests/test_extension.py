@@ -135,6 +135,43 @@ def test_semianalytic_matches_dense_mode_sum(kind, n, bounds, K):
     np.testing.assert_allclose(w.values, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
+def test_ymesh_prefix_ends_at_first_node_reaching_height():
+    ym = build_ymesh(0.5, 4.0, layers=100)
+    for height, last in ((ym.nodes[7], 7), (0.5 * (ym.nodes[7] + ym.nodes[8]), 8),
+                         (1e-300, 1), (ym.Y, ym.M), (2 * ym.Y, ym.M)):
+        short = ym.prefix(height)
+        assert short.M == last
+        assert np.array_equal(short.nodes, ym.nodes[:last + 1])
+        assert short.grading == ym.grading
+
+
+# the disk's 25-node mask has few enough nodes that a product with a handful
+# of layers takes another BLAS kernel than one with a full block
+@pytest.mark.parametrize("kind, n, bounds", [
+    ("interval", 65, (0.0, np.pi)),
+    ("rectangle", 25, ((0.0, np.pi), (0.0, np.pi))),
+    ("disk", 25, ((-1.5, 1.5), (-1.5, 1.5))),
+])
+def test_semianalytic_prefix_and_layers_equal_full_extension(kind, n, bounds):
+    extra = {"radius": 1.4, "center": (0.0, 0.0)} if kind == "disk" else {}
+    dom = build_domain(kind, n, bounds=bounds, **extra)
+    basis = eigendecompose(dom, dom.n_interior)
+    rng = np.random.default_rng(6)
+    f = SpectralField(basis, rng.standard_normal(basis.size) / (1 + np.arange(basis.size)))
+    s = 0.75
+    ym = build_ymesh(s, float(basis.eigenvalues[0]), layers=200)
+    full = extend_semianalytic(f, s, ym).values
+    for height in (ym.nodes[32], ym.nodes[33], ym.nodes[38] - 1e-9, 0.5 * ym.Y, ym.Y):
+        short = ym.prefix(height)
+        w = extend_semianalytic(f, s, short)
+        assert np.array_equal(w.ymesh.nodes, short.nodes)
+        assert np.array_equal(w.values, full[..., :short.M + 1])
+    for picks in ([0, 1, 2, 4, 25, 50, 100, 200], [3, 40, 41, 170], [7], list(range(200, -1, -9))):
+        w = extend_semianalytic(f, s, ym, picks)
+        assert np.array_equal(w.ymesh.nodes, ym.nodes[picks])
+        assert np.array_equal(w.values, full[..., picks])
+
+
 def test_dtn_matches_spectral_operator(interval):
     dom, basis = interval
     rng = np.random.default_rng(1)

@@ -171,3 +171,93 @@ def test_interpolant_gradient_exact_for_multilinear_field(dim):
     ref = grad(np.column_stack([thin, np.minimum(y, ym.Y)]))
     for g, r in zip(got, ref):
         np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+
+
+# -- bit for bit against the corner-weight oracle ------------------------------------
+
+
+def _oracle_slab(kind):
+    """A random field on a 1-D, a square or a disk slab (values off the
+    disk included, which the half-ball never reaches)."""
+    if kind == "interval":
+        dom = build_domain("interval", 65, bounds=(0.0, np.pi))
+    elif kind == "square":
+        dom = build_domain("rectangle", 25, bounds=((0.0, np.pi), (0.0, np.pi)))
+    else:
+        dom = build_domain("disk", 25, bounds=((-1.5, 1.5), (-1.5, 1.5)),
+                           radius=1.4, center=(0.0, 0.0))
+    s = 0.75
+    ym = build_ymesh(s, 2.0, span_factor=2.0, layers=40)
+    rng = np.random.default_rng(len(kind))
+    vals = rng.standard_normal(dom.grid_shape + (ym.M + 1,))
+    return ExtensionField(domain=dom, ymesh=ym, s=s, values=vals)
+
+
+def _oracle_centres(dom):
+    """A grid node, a point on a cell face (a node coordinate on the first
+    axis only, where searchsorted ties) and a generic point."""
+    node = np.array([ax[len(ax) // 2 - 1] for ax in dom.axes])
+    face = node + np.r_[0.0, 0.5 * dom.h][:dom.dim]
+    generic = node + 0.37 * dom.h
+    return node, face, generic
+
+
+@pytest.mark.parametrize("kind", ["interval", "square", "disk"])
+def test_profiles_and_boundary_norms_match_corner_weight_oracle(kind):
+    w = _oracle_slab(kind)
+    dom, ym = w.domain, w.ymesh
+    for center in _oracle_centres(dom):
+        room = min(dom.distance_to_boundary(center), ym.Y)
+        for rmax in (room, 0.5 * room):
+            quad = HalfBallQuadrature(w, center, rmax)
+            edges, energy, thin_sq, thin_pos = oracles.halfball_profiles(
+                dom.axes, ym.nodes, w.values, w.a, center, rmax, dom.h)
+            for cum, ref in ((quad._cum_energy, energy), (quad._cum_thin_sq, thin_sq),
+                             (quad._cum_thin_pos, thin_pos)):
+                assert np.array_equal(cum[0], edges)
+                assert np.array_equal(cum[1], ref)
+            radii = np.linspace(5 * dom.h, rmax, 12)
+            ref = [oracles.halfball_boundary_norm(dom.axes, ym.nodes, w.values, w.a,
+                                                  center, r) for r in radii]
+            assert np.array_equal(quad.boundary_norms(radii), ref)
+            assert quad.boundary_norm(radii[-1]) == ref[-1]
+
+
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_profiles_on_a_prefix_field_match_the_full_field(kind):
+    # the y-prefix up to rmax holds every layer the half-ball reads
+    w = _oracle_slab(kind)
+    dom, ym = w.domain, w.ymesh
+    center = _oracle_centres(dom)[1]
+    rmax = 0.5 * min(dom.distance_to_boundary(center), ym.Y)
+    short = ym.prefix(rmax)
+    assert short.M < ym.M
+    part = ExtensionField(domain=dom, ymesh=short, s=w.s,
+                          values=w.values[..., :short.M + 1])
+    quad = HalfBallQuadrature(part, center, rmax)
+    edges, energy, thin_sq, thin_pos = oracles.halfball_profiles(
+        dom.axes, ym.nodes, w.values, w.a, center, rmax, dom.h)
+    assert np.array_equal(quad._cum_energy[1], energy)
+    assert np.array_equal(quad._cum_thin_pos[1], thin_pos)
+    radii = np.linspace(5 * dom.h, rmax, 12)
+    assert np.array_equal(quad.boundary_norms(radii),
+                          [oracles.halfball_boundary_norm(dom.axes, ym.nodes, w.values,
+                                                          w.a, center, r)
+                           for r in radii])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_structured_points_match_scattered_points(dim):
+    # heights broadcast against thin points give the listed points' values
+    dom, ym = _probe_slab(dim)
+    rng = np.random.default_rng(40 + dim)
+    w = ExtensionField(domain=dom, ymesh=ym, s=0.4,
+                       values=rng.standard_normal(dom.grid_shape + (ym.M + 1,)))
+    thin, y = _probe_points(dom, ym, rng)
+    grid = interp_values(w, thin[:, None, :], y[:30])
+    listed = interp_values(w, np.repeat(thin, 30, axis=0), np.tile(y[:30], len(thin)))
+    assert np.array_equal(grid.ravel(), listed)
+    for g, ref in zip(interp_gradient(w, thin[:, None, :], y[:30]),
+                      interp_gradient(w, np.repeat(thin, 30, axis=0),
+                                      np.tile(y[:30], len(thin)))):
+        assert np.array_equal(g.ravel(), ref)
