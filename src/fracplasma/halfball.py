@@ -182,20 +182,21 @@ class HalfBallQuadrature:
         self._rho = np.linspace(0.0, rmax, n_radial + 1)[1:]
 
         # angular profiles on the radial grid, one block of radii at a time
-        gD = np.empty(n_radial)
+        gD, sq, pos = (np.empty(n_radial) for _ in range(3))
+        trace = field.values[..., 0]
         for k in range(0, n_radial, _RADII_BLOCK):
             rho = self._rho[k:k + _RADII_BLOCK]
+            block = slice(k, k + len(rho))
             grads = interp_gradient(field, *self._sphere(rho))
-            sq = sum(g**2 for g in grads).reshape(len(rho), -1)
-            gD[k:k + len(rho)] = np.sum(self._ang_w * sq, axis=1)
+            gD[block] = np.sum(self._ang_w * sum(g**2 for g in grads).reshape(len(rho), -1),
+                               axis=1)
+            # thin-ball profiles: the squared trace on the thin sphere of
+            # radius rho (no y^a weight; the trace lives at y = 0)
+            ring_pts = self.center + rho[:, None, None] * ring
+            vals = _multilinear(trace, dom.axes, np.moveaxis(ring_pts, -1, 0))
+            sq[block] = w_ring * np.sum(vals**2, axis=1)
+            pos[block] = w_ring * np.sum(np.maximum(vals, 0.0) ** 2, axis=1)
         self._cum_energy = self._cumulative(gD, dom.dim + a)
-
-        # thin-ball profiles: the squared trace on the thin sphere of radius
-        # rho (no y^a weight; the trace lives at y = 0)
-        pts = (self.center + self._rho[:, None, None] * ring).reshape(-1, dom.dim)
-        vals = _multilinear(field.values[..., 0], dom.axes, pts.T).reshape(n_radial, -1)
-        sq = w_ring * np.sum(vals**2, axis=1)
-        pos = w_ring * np.sum(np.maximum(vals, 0.0) ** 2, axis=1)
         self._cum_thin_sq = self._cumulative(sq, dom.dim - 1.0)
         self._cum_thin_pos = self._cumulative(pos, dom.dim - 1.0)
 

@@ -496,6 +496,7 @@ _DOMAIN_FIELDS = {
                                [[-1.5, 1.5]] * 2, [[0.0, 1.0], [0.0, 2.0]]]) | _JUNK,
     "radius": st.floats(-1.0, 2.0) | _JUNK,
     "center": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3) | _JUNK,
+    "spacing": _JUNK,                  # not a field: an unknown key
 }
 # every other field of the configuration, with the value it is set to
 _OTHER_FIELDS = [
