@@ -77,21 +77,31 @@ def _check_types(spec, prefix: str, types: dict) -> None:
 @dataclass(frozen=True)
 class DomainSpec:
     kind: str = "interval"
-    n: object = 129                    # int, or one int per axis
+    n: object = None                   # int, or one int per axis; 129 if not given
     bounds: object = None              # [lo, hi], or [[lo, hi], [lo, hi]] in 2-D
     radius: float = None
     center: object = None
 
     def __post_init__(self):
-        # only an interval has default bounds
+        # only an interval has default bounds; a disk has no default size,
+        # since a 129-node disk needs a dense eigh of about 11,400 nodes
         if self.bounds is None and self.kind == "interval":
             object.__setattr__(self, "bounds", (0.0, 3.141592653589793))
+        if self.n is None and self.kind != "disk":
+            object.__setattr__(self, "n", 129)
+
+    @property
+    def dim(self) -> int:
+        return 1 if self.kind == "interval" else 2
 
     def validate(self):
         if self.kind not in ("interval", "rectangle", "disk"):
             raise ConfigError(f"domain.kind must be interval/rectangle/disk, "
                               f"got {self.kind!r}")
-        dim = 1 if self.kind == "interval" else 2
+        if self.kind == "disk" and (self.n is None or self.radius is None
+                                    or self.center is None):
+            raise ConfigError("disk domains need n, radius and center")
+        dim = self.dim
         n = self.n
         if not (_is_int(n) or (isinstance(n, (list, tuple)) and len(n) == dim
                                and all(_is_int(k) for k in n))):
@@ -110,8 +120,6 @@ class DomainSpec:
             raise ConfigError(f"domain.radius must be a number, got {self.radius!r}")
         if self.center is not None and not _numbers(self.center, 2):
             raise ConfigError(f"domain.center must be [x, y], got {self.center!r}")
-        if self.kind == "disk" and (self.radius is None or self.center is None):
-            raise ConfigError("disk domains need radius and center")
 
 
 @dataclass(frozen=True)
@@ -217,6 +225,15 @@ class ExperimentConfig:
         self.solver.validate()
         self.frequency.validate()
         self.blowup.validate()
+        # points must live in the domain's thin space
+        dim = self.domain.dim
+        points = [("frequency.centers", pt) for pt in self.frequency.centers]
+        if self.blowup.center is not None:
+            points.append(("blowup.center", self.blowup.center))
+        for name, pt in points:
+            if len(pt) != dim:
+                raise ConfigError(f"{name} needs points of {dim} coordinates on "
+                                  f"a {self.domain.kind} domain, got {list(pt)!r}")
         return self
 
     @staticmethod
@@ -242,7 +259,7 @@ class ExperimentConfig:
                 spec_defaults = {f: getattr(spec_cls, f)
                                  for f in spec_cls.__dataclass_fields__}
                 spec_kwargs = _take(value, key, spec_defaults)
-                if key == "frequency" and spec_kwargs.get("centers") is not None:
+                if key == "frequency":
                     centers = spec_kwargs["centers"]
                     if not (isinstance(centers, (list, tuple))
                             and all(_is_number(pt) or _numbers(pt, 1) or _numbers(pt, 2)

@@ -340,8 +340,7 @@ def blowup(w: ExtensionField, center, r: float, *, ref_nodes: int = 65,
 
     raw = ExtensionField(domain=ref_dom, ymesh=ref_ym, s=w.s, values=vals,
                          provenance="synthetic")
-    engine = halfball.HalfBallQuadrature(raw, np.zeros(dom.dim), 1.0)
-    h1 = engine.boundary_norm(1.0)
+    h1 = float(halfball.boundary_norms(raw, np.zeros(dom.dim), [1.0])[0])
     if not np.isfinite(h1) or h1 <= 0:
         raise ValueError("field has vanishing boundary mass at this centre/radius")
     norm = float(np.sqrt(h1))

@@ -22,16 +22,52 @@ import itertools
 import numpy as np
 from scipy.special import roots_jacobi
 
-__all__ = ["HalfBallQuadrature", "interp_values", "interp_gradient"]
+__all__ = ["HalfBallQuadrature", "boundary_norms", "interp_values", "interp_gradient"]
 
 
-def _locate(ax: np.ndarray, q):
+class _Axis:
+    """One grid axis prepared for ``_locate``: ``diff[i]`` is the width
+    ``nodes[i + 1] - nodes[i]`` of cell i; ``scale`` is the inverse mean
+    spacing when every node lies within a quarter step of its equally
+    spaced position (every thin axis, a ``linspace``), else None (the
+    graded y-mesh)."""
+
+    def __init__(self, nodes):
+        self.nodes = nodes = np.asarray(nodes, dtype=float)
+        n = len(nodes)
+        self.diff = np.diff(nodes)
+        step = (nodes[-1] - nodes[0]) / (n - 1)
+        even = nodes[0] + step * np.arange(n)
+        self.scale = 1 / step if np.abs(nodes - even).max() <= step / 4 else None
+        # for a guess i in [0, n - 1]: the node that must lie below q for
+        # cell i (none for cell 0) and the node that must not
+        self.below = np.concatenate([[-np.inf], nodes[1:]])
+        self.above = np.concatenate([nodes[1:], [np.inf]])
+
+
+def _locate(axis: _Axis, q):
     """Cell of each coordinate on one grid axis: (index, local coordinate
-    t in [0, 1], cell width), with the coordinate clipped onto the axis."""
-    q = np.clip(q, ax[0], ax[-1])
-    i = np.clip(np.searchsorted(ax, q) - 1, 0, len(ax) - 2)
-    width = ax[i + 1] - ax[i]
-    return i, (q - ax[i]) / width, width
+    t in [0, 1], cell width), with the coordinate clipped onto the axis.
+
+    The cell is ``clip(searchsorted(nodes, q) - 1, 0, n - 2)``, i.e. the
+    number of interior nodes strictly below q, so a coordinate on a node
+    belongs to the cell below it.  On an equally spaced axis the spacing
+    gives a guess that is off by at most one cell (nodes lie within a
+    quarter step of their positions), and one comparison with each
+    bounding node corrects it; other axes are searched.  Coordinates must
+    not be NaN (the guess has no cell for them).
+    """
+    nodes = axis.nodes
+    q = np.clip(q, nodes[0], nodes[-1])
+    if axis.scale is None:
+        i = np.clip(np.searchsorted(nodes, q) - 1, 0, len(nodes) - 2)
+    else:
+        # q - nodes[0] >= 0, so the integer cast is the floor
+        i = ((q - nodes[0]) * axis.scale).astype(np.intp)
+        i -= axis.below[i] >= q
+        i += axis.above[i] < q
+    width = axis.diff[i]
+    return i, (q - nodes[i]) / width, width
 
 
 def _products(factors, prefix=None):
@@ -50,30 +86,45 @@ def _combine(values: np.ndarray, cells, *, gradient: bool = False):
 
     ``cells`` holds one ``_locate`` result per axis of ``values``, their
     arrays broadcasting against each other.  The 2^d corner values of each
-    cell come from the flat array, one gather per corner; the factors
-    (1 - t, t) are formed once per axis and their products once per
-    prefix.  Returns the values, or with ``gradient`` the partial
-    derivatives along every axis from the same corner weights.
+    cell are gathered from the flat array through one reused index
+    buffer; the factors (1 - t, t) are formed once per axis and their
+    products once per prefix.  Returns the values, or with ``gradient``
+    the partial derivatives along every axis from the same corner
+    weights.  Each sum runs in place from zero, term by term in corner
+    order, as ``sum`` over the corners would.
     """
     flat = np.ravel(values)
     strides = np.cumprod((values.shape[1:] + (1,))[::-1])[::-1]
-    base = sum(i * stride for (i, _, _), stride in zip(cells, strides))
+    base = np.asarray(sum(i * stride for (i, _, _), stride in zip(cells, strides)))
     factors = [(1 - t, t) for _, t, _ in cells]
-    cube = list(itertools.product((0, 1), repeat=len(cells)))
+    d = len(cells)
+    offsets = [int(np.dot(bits, strides))
+               for bits in itertools.product((0, 1), repeat=d)]
+    index, term = np.empty_like(base), np.empty(base.shape)
 
-    def corner(bits):
-        return flat[base + np.dot(bits, strides)]
+    def corner(offset, out):
+        np.add(base, offset, out=index)
+        return flat.take(index, out=out, mode="clip")
 
     if not gradient:
         # one corner at a time, so large point sets hold one gather at once
-        return sum(corner(bits) * w for bits, w in zip(cube, _products(factors)))
-    corners = {bits: corner(bits) for bits in cube}
+        total = np.zeros(base.shape)
+        for offset, w in zip(offsets, _products(factors)):
+            total += np.multiply(corner(offset, term), w, out=term)
+        return total[()]
+    corners = np.empty((len(offsets),) + base.shape)
+    for c, offset in enumerate(offsets):
+        corner(offset, corners[c, ...])
     grads = []
     for k, (_, _, width) in enumerate(cells):
-        low = [bits for bits in cube if not bits[k]]
-        weights = _products(factors[:k] + factors[k + 1:])
-        grads.append(sum((corners[bits[:k] + (1,) + bits[k + 1:]] - corners[bits]) * w
-                         for bits, w in zip(low, weights)) / width)
+        flip = 1 << (d - 1 - k)          # corner index of the bit of axis k
+        low = [c for c in range(len(offsets)) if not c & flip]
+        total = np.zeros(base.shape)
+        for c, w in zip(low, _products(factors[:k] + factors[k + 1:])):
+            diff = np.subtract(corners[c + flip], corners[c], out=term)
+            total += np.multiply(diff, w, out=diff)
+        total /= width
+        grads.append(total[()])
     return grads
 
 
@@ -86,7 +137,7 @@ def _multilinear(values: np.ndarray, axes, coords, *, gradient: bool = False):
     structured point set is located once there.  The result is the same,
     bit for bit, as for the broadcast points listed one by one.
     """
-    return _combine(values, [_locate(ax, q) for ax, q in zip(axes, coords)],
+    return _combine(values, [_locate(_Axis(ax), q) for ax, q in zip(axes, coords)],
                     gradient=gradient)
 
 
@@ -95,7 +146,7 @@ def interp_values(field, thin_pts: np.ndarray, y_pts: np.ndarray) -> np.ndarray:
     (thin_pts[..., :], y_pts), clipped onto the slab.  The thin points
     (shape (..., dim)) and the heights broadcast against each other, e.g.
     (N, dim) with (N,), or (N, 1, dim) with (L,) for every height at every
-    thin point."""
+    thin point.  No coordinate may be NaN."""
     return _multilinear(field.values, (*field.domain.axes, field.ymesh.nodes),
                         (*np.moveaxis(thin_pts, -1, 0), y_pts))
 
@@ -119,6 +170,60 @@ _N_PHI = 64
 _RADII_BLOCK = 8
 
 
+def _angular_rule(a: float, dim: int):
+    """Nodes and weights on the upper unit half-sphere around a thin point.
+
+    Returns (unit thin offsets, one array per thin axis shaped (polar
+    node, azimuth); unit heights shaped (polar node, 1); weights, one per
+    node in row-major order, absorbing the y^a factor exactly; the thin
+    unit sphere, one array per axis; its weight).
+    """
+    if dim == 1:
+        # t = cos(theta) in (-1, 1), weight (1 - t^2)^{(a-1)/2}
+        # (each node its own polar node with a single azimuth)
+        t, wt = roots_jacobi(_N_ANGULAR, (a - 1) / 2, (a - 1) / 2)
+        # the unit sphere of the thin line: two points of weight 1
+        return ([t.reshape(-1, 1)], np.sqrt(np.maximum(1 - t**2, 0.0)).reshape(-1, 1),
+                wt, [np.array([-1.0, 1.0])], 1.0)
+    # tau = cos(polar angle from thin plane) in (0, 1), weight tau^a;
+    # the azimuth phi is periodic and integrated by the trapezoid rule
+    xi, wxi = roots_jacobi(_N_ANGULAR // 2, 0.0, a)
+    tau = (1 + xi) / 2
+    wtau = wxi / 2 ** (1 + a)
+    phi = 2 * np.pi * np.arange(_N_PHI) / _N_PHI
+    wphi = np.full(_N_PHI, 2 * np.pi / _N_PHI)
+    TT, PP = np.meshgrid(tau, phi, indexing="ij")
+    sin_pol = np.sqrt(np.maximum(1 - TT**2, 0.0))
+    return ([sin_pol * np.cos(PP), sin_pol * np.sin(PP)], TT[:, :1],
+            np.outer(wtau, wphi).ravel(), [np.cos(phi), np.sin(phi)], wphi[0])
+
+
+def _sphere(center, unit_thin, unit_y, radii):
+    """The half-sphere nodes at the given radii: one contiguous thin
+    coordinate array per axis shaped (radius, polar node, azimuth), and
+    heights shaped (radius, polar node, 1).  A height r * tau does not
+    depend on the azimuth, so the interpolant locates it once per polar
+    node."""
+    r = np.asarray(radii, dtype=float)[:, None, None]
+    return [c + r * u for c, u in zip(center, unit_thin)], r * unit_y
+
+
+def boundary_norms(field, center, radii) -> np.ndarray:
+    """H(r) = int_{(dB_r)^+} y^a w^2 on the half-spheres of the given radii
+    around a thin point, from one interpolation call.  Only the sphere
+    nodes are evaluated, so a single H needs none of the profiles of
+    ``HalfBallQuadrature``."""
+    dom = field.domain
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    radii = np.asarray(radii, dtype=float)
+    unit_thin, unit_y, ang_w, _, _ = _angular_rule(field.a, dom.dim)
+    thin, heights = _sphere(center, unit_thin, unit_y, radii)
+    vals = _multilinear(field.values, (*dom.axes, field.ymesh.nodes),
+                        (*thin, heights)).reshape(len(radii), -1)
+    p = dom.dim + field.a
+    return np.array([float(r ** p * np.sum(ang_w * v**2)) for r, v in zip(radii, vals)])
+
+
 class HalfBallQuadrature:
     """Quadrature engine for half-balls centred at ``center`` on the thin space.
 
@@ -132,7 +237,6 @@ class HalfBallQuadrature:
         self.field = field
         self.a = field.a
         dom = field.domain
-        self.thin_dim = dom.dim
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         if self.center.shape != (dom.dim,):
             raise ValueError(f"center must have {dom.dim} coordinates")
@@ -146,67 +250,34 @@ class HalfBallQuadrature:
                 f"by the box (available distance {dist})"
             )
         self.rmax = rmax
-        h = dom.h
-        a = self.a
+        unit_thin, unit_y, ang_w, ring, w_ring = _angular_rule(self.a, dom.dim)
 
-        # angular rule: nodes on the upper unit half-sphere plus weights
-        # that absorb the y^a factor exactly
-        if dom.dim == 1:
-            # t = cos(theta) in (-1, 1), weight (1 - t^2)^{(a-1)/2}
-            # (each node its own polar node with a single azimuth)
-            t, wt = roots_jacobi(_N_ANGULAR, (a - 1) / 2, (a - 1) / 2)
-            self._unit_thin = t.reshape(-1, 1, 1)
-            self._unit_y = np.sqrt(np.maximum(1 - t**2, 0.0)).reshape(-1, 1)
-            self._ang_w = wt
-            # the unit sphere of the thin line: two points of weight 1
-            ring, w_ring = np.array([[-1.0], [1.0]]), 1.0
-        else:
-            # tau = cos(polar angle from thin plane) in (0, 1), weight tau^a;
-            # the azimuth phi is periodic and integrated by the trapezoid rule
-            xi, wxi = roots_jacobi(_N_ANGULAR // 2, 0.0, a)
-            tau = (1 + xi) / 2
-            wtau = wxi / 2 ** (1 + a)
-            phi = 2 * np.pi * np.arange(_N_PHI) / _N_PHI
-            wphi = np.full(_N_PHI, 2 * np.pi / _N_PHI)
-            TT, PP = np.meshgrid(tau, phi, indexing="ij")
-            WW = np.outer(wtau, wphi)
-            sin_pol = np.sqrt(np.maximum(1 - TT**2, 0.0))
-            self._unit_thin = np.stack([sin_pol * np.cos(PP), sin_pol * np.sin(PP)],
-                                       axis=-1)
-            self._unit_y = TT[:, :1]
-            self._ang_w = WW.ravel()
-            ring = np.column_stack([np.cos(phi), np.sin(phi)])
-            w_ring = wphi[0]
-
-        n_radial = int(max(192, min(1536, np.ceil(8 * rmax / h))))
+        n_radial = int(max(192, min(1536, np.ceil(8 * rmax / dom.h))))
         self._rho = np.linspace(0.0, rmax, n_radial + 1)[1:]
 
-        # angular profiles on the radial grid, one block of radii at a time
-        gD, sq, pos = (np.empty(n_radial) for _ in range(3))
-        trace = field.values[..., 0]
+        # angular profile of the gradient energy, one block of radii at a time
+        gD = np.empty(n_radial)
+        axes = [_Axis(ax) for ax in (*dom.axes, field.ymesh.nodes)]
         for k in range(0, n_radial, _RADII_BLOCK):
             rho = self._rho[k:k + _RADII_BLOCK]
-            block = slice(k, k + len(rho))
-            grads = interp_gradient(field, *self._sphere(rho))
-            gD[block] = np.sum(self._ang_w * sum(g**2 for g in grads).reshape(len(rho), -1),
-                               axis=1)
-            # thin-ball profiles: the squared trace on the thin sphere of
-            # radius rho (no y^a weight; the trace lives at y = 0)
-            ring_pts = self.center + rho[:, None, None] * ring
-            vals = _multilinear(trace, dom.axes, np.moveaxis(ring_pts, -1, 0))
-            sq[block] = w_ring * np.sum(vals**2, axis=1)
-            pos[block] = w_ring * np.sum(np.maximum(vals, 0.0) ** 2, axis=1)
-        self._cum_energy = self._cumulative(gD, dom.dim + a)
+            thin, heights = _sphere(self.center, unit_thin, unit_y, rho)
+            grads = _combine(field.values, [_locate(axis, q) for axis, q
+                                            in zip(axes, (*thin, heights))],
+                             gradient=True)
+            square = np.multiply(grads[0], grads[0], out=grads[0])
+            for g in grads[1:]:
+                square += np.multiply(g, g, out=g)
+            gD[k:k + len(rho)] = np.sum(ang_w * square.reshape(len(rho), -1), axis=1)
+        # thin-ball profiles at every radius at once: the squared trace on
+        # the thin sphere of radius rho (no y^a weight; the trace lives at y = 0)
+        vals = _combine(field.values[..., 0],
+                        [_locate(axis, c + self._rho[:, None] * u)
+                         for axis, c, u in zip(axes, self.center, ring)])
+        sq = w_ring * np.sum(vals**2, axis=1)
+        pos = w_ring * np.sum(np.maximum(vals, 0.0) ** 2, axis=1)
+        self._cum_energy = self._cumulative(gD, dom.dim + self.a)
         self._cum_thin_sq = self._cumulative(sq, dom.dim - 1.0)
         self._cum_thin_pos = self._cumulative(pos, dom.dim - 1.0)
-
-    def _sphere(self, radii):
-        """The half-sphere nodes at the given radii: thin points shaped
-        (radius, polar node, azimuth, dim) and heights shaped (radius,
-        polar node, 1).  A height r * tau does not depend on the azimuth,
-        so the interpolant locates it once per polar node."""
-        r = np.asarray(radii, dtype=float)[:, None, None]
-        return self.center + r[..., None] * self._unit_thin, r * self._unit_y
 
     # -- radial accumulation ------------------------------------------------
 
@@ -245,11 +316,7 @@ class HalfBallQuadrature:
 
     def boundary_norms(self, radii) -> np.ndarray:
         """H(r) at every radius of a ladder, from one interpolation call."""
-        radii = np.asarray(radii, dtype=float)
-        vals = interp_values(self.field, *self._sphere(radii)).reshape(len(radii), -1)
-        p = self.thin_dim + self.a
-        return np.array([float(r ** p * np.sum(self._ang_w * v**2))
-                         for r, v in zip(radii, vals)])
+        return boundary_norms(self.field, self.center, radii)
 
     def thin_mass(self, r: float, *, positive: bool = False) -> float:
         """int_{B'_r} w(.,0)^2, or the positive part's square if requested."""

@@ -221,6 +221,16 @@ def multilinear_values(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return scipy.interpolate.RegularGridInterpolator(axes, values)(pts)
 
 
+def searchsorted_cells(ax: np.ndarray, q):
+    """Cell of each coordinate on a sorted axis by ``searchsorted``: (index,
+    local coordinate t, cell width), with the coordinate clipped onto the
+    axis and a coordinate on a node placed in the cell below it."""
+    q = np.clip(q, ax[0], ax[-1])
+    i = np.clip(np.searchsorted(ax, q) - 1, 0, len(ax) - 2)
+    width = ax[i + 1] - ax[i]
+    return i, (q - ax[i]) / width, width
+
+
 def corner_weight_interpolant(axes, values: np.ndarray, coords, gradient=False):
     """Multilinear interpolant at scattered points by the corner-weight formula.
 
@@ -238,10 +248,9 @@ def corner_weight_interpolant(axes, values: np.ndarray, coords, gradient=False):
     strides = np.cumprod((values.shape[1:] + (1,))[::-1])[::-1]
     base, ts, widths = 0, [], []
     for ax, q, stride in zip(axes, coords, strides):
-        q = np.clip(q, ax[0], ax[-1])
-        i = np.clip(np.searchsorted(ax, q) - 1, 0, len(ax) - 2)
-        widths.append(ax[i + 1] - ax[i])
-        ts.append((q - ax[i]) / widths[-1])
+        i, t, width = searchsorted_cells(ax, q)
+        widths.append(width)
+        ts.append(t)
         base = base + i * stride
     cube = list(itertools.product((0, 1), repeat=len(axes)))
     corners = {bits: flat[base + np.dot(bits, strides)] for bits in cube}

@@ -32,6 +32,9 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
             data[key].update(value)
         else:
             data[key] = value
+    if data["domain"]["kind"] != "interval" and "frequency" not in (overrides or {}):
+        # BASE's frequency centre is a point of the interval
+        data["frequency"]["centers"] = []
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
@@ -65,6 +68,7 @@ def test_invalid_values_rejected(tmp_path):
         ({"mode": "warp"}, "mode"),
         ({"mode": "constrained"}, "constraint_target"),
         ({"domain": {"kind": "torus"}}, "domain.kind"),
+        ({"frequency": {"centers": None}}, "frequency.centers"),
     ):
         path = write_config(tmp_path, overrides, name="bad.json")
         with pytest.raises(ConfigError, match=fragment):
@@ -519,8 +523,7 @@ _OTHER_FIELDS = [
 def test_any_domain_config_exits_cleanly(base, changes, missing, other):
     # the solve stage is stubbed to fail at its first step, the eigenbasis,
     # so a config that gets through validation and domain construction
-    # exits 1 with a report, and no example pays for a solve (a disk
-    # without "n" would have the default 129 nodes per axis)
+    # exits 1 with a report, and no example pays for a solve
     import fracplasma.cli as cli
     from fracplasma import SolverError
 
@@ -529,6 +532,8 @@ def test_any_domain_config_exits_cleanly(base, changes, missing, other):
 
     data = json.loads(json.dumps(BASE))
     data["domain"] = {**_GOOD_DOMAINS[base], **changes}
+    if base != "interval":
+        data["frequency"]["centers"] = [[0.5, 0.5]]
     for key in missing:
         data["domain"].pop(key, None)
     if other is not None:
@@ -550,3 +555,49 @@ def test_any_domain_config_exits_cleanly(base, changes, missing, other):
         assert len(text.strip().splitlines()) == 1, text
     else:
         assert code == 1 and has_report, (code, text)
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("frequency", {"frequency": {"centers": [[1.0, 1.0]]}}),
+    ("blowup", {"blowup": {"center": [1.0, 1.0], "radius": 0.5}}),
+    ("frequency", {"domain": {"kind": "rectangle", "n": 17,
+                              "bounds": [[0.0, np.pi], [0.0, np.pi]]},
+                   "frequency": {"centers": [[1.0, 1.0], [1.0]]}}),
+    ("blowup", {"domain": {"kind": "disk", "n": 13, "bounds": [[-1.5, 1.5]] * 2,
+                           "radius": 1.4, "center": [0.0, 0.0]},
+                "blowup": {"center": [0.2], "radius": 0.5}}),
+])
+def test_centre_of_another_dimension_refused_before_solve(
+        tmp_path, monkeypatch, capsys, command, overrides):
+    import fracplasma.cli as cli
+
+    monkeypatch.setattr(cli, "eigendecompose", _solve_forbidden)
+    path = write_config(tmp_path, overrides)
+    with pytest.raises(ConfigError, match="coordinates"):
+        load_config(str(path))
+    out = tmp_path / command
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_disk_without_n_refused_before_solve(tmp_path, monkeypatch, capsys):
+    import fracplasma.cli as cli
+
+    monkeypatch.setattr(cli, "eigendecompose", _solve_forbidden)
+    path = write_config(tmp_path, {"domain": {
+        "kind": "disk", "bounds": [[-1.5, 1.5]] * 2, "radius": 1.4,
+        "center": [0.0, 0.0]}})
+    data = json.loads(path.read_text())
+    data["domain"].pop("n")
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="disk domains need n"):
+        load_config(str(path))
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+    # the other kinds keep their default size
+    assert load_config(str(write_config(tmp_path, {"domain": {"n": None}}))).domain.n == 129

@@ -220,6 +220,37 @@ def test_cubic_model_unresolved_with_frequency_three():
     assert cls.frequency_at_zero == pytest.approx(3.0, abs=0.15)
 
 
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_blowup_normalises_by_the_unit_boundary_norm_alone(kind, monkeypatch):
+    # H(1) is read from the sphere nodes; no half-ball profiles are built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("blowup built a half-ball engine")
+
+    monkeypatch.setattr(freeboundary.halfball, "HalfBallQuadrature", forbidden)
+    if kind == "interval":
+        dom = build_domain("interval", 65, bounds=(0.0, np.pi))
+    else:
+        dom = build_domain("rectangle", 25, bounds=((0.0, np.pi), (0.0, np.pi)))
+    ym = build_ymesh(0.75, 2.0, span_factor=2.0, layers=40)
+    rng = np.random.default_rng(17)
+    w = ExtensionField(domain=dom, ymesh=ym, s=0.75,
+                       values=rng.standard_normal(dom.grid_shape + (ym.M + 1,)))
+    center, r = np.full(dom.dim, 1.3) + 0.37 * dom.h, 0.8
+    bl = blowup(w, center, r)
+    ref = bl.field
+    # the resampled field and its H(1) by the corner-weight oracle
+    shape = ref.domain.grid_shape + (ref.ymesh.M + 1,)
+    mesh = np.meshgrid(*ref.domain.axes, indexing="ij")
+    coords = [np.broadcast_to((c + r * m)[..., None], shape) for c, m in zip(center, mesh)]
+    coords.append(np.broadcast_to(r * ref.ymesh.nodes, shape))
+    raw = oracles.corner_weight_interpolant((*dom.axes, ym.nodes), w.values, coords)
+    h1 = oracles.halfball_boundary_norm(ref.domain.axes, ref.ymesh.nodes, raw, w.a,
+                                        np.zeros(dom.dim), 1.0)
+    assert bl.normalization == np.sqrt(h1)
+    assert bl.boundary_mass == h1 / bl.normalization**2
+    assert np.array_equal(ref.values, raw / bl.normalization)
+
+
 def test_classification_rejects_off_level_centre():
     _, w = model_field("linear", 0.5)
     with pytest.raises(ValueError):

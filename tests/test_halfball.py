@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import oracles
 from fracplasma import (ExtensionField, HalfBallQuadrature, build_domain,
                         build_ymesh)
-from fracplasma.halfball import interp_gradient, interp_values
+from fracplasma.halfball import _Axis, _locate, interp_gradient, interp_values
 
 
 def _slab(dim, s, n=129, layers=96):
@@ -261,3 +263,65 @@ def test_structured_points_match_scattered_points(dim):
                       interp_gradient(w, np.repeat(thin, 30, axis=0),
                                       np.tile(y[:30], len(thin)))):
         assert np.array_equal(g.ravel(), ref)
+
+
+def _probe_coordinates(ax, rng):
+    """Every node, its floating-point neighbours on both sides, every cell
+    midpoint, points beyond both ends and uniform points inside."""
+    span = ax[-1] - ax[0]
+    return np.concatenate([
+        ax, np.nextafter(ax, -np.inf), np.nextafter(ax, np.inf),
+        (ax[:-1] + ax[1:]) / 2,
+        [ax[0] - span, ax[0] - 1e-300, ax[-1] + 1e-9 * span, ax[-1] + span,
+         -np.inf, np.inf],
+        rng.uniform(ax[0], ax[-1], 64),
+    ])
+
+
+def _same_cells(got, ref):
+    """Same cell index and the same bits of t and width."""
+    (i, t, width), (i_ref, t_ref, width_ref) = got, ref
+    return (np.array_equal(i, i_ref)
+            and np.array_equal(np.asarray(t).view(np.int64), t_ref.view(np.int64))
+            and np.array_equal(np.asarray(width).view(np.int64),
+                               width_ref.view(np.int64)))
+
+
+@given(kind=st.sampled_from(["interval", "rectangle", "disk"]),
+       n=st.integers(3, 160), extra=st.integers(0, 40),
+       lo=st.floats(-20.0, 20.0), length=st.floats(1e-3, 50.0),
+       seed=st.integers(0, 2**16))
+def test_locate_matches_searchsorted_on_domain_axes(kind, n, extra, lo, length, seed):
+    hi = lo + length
+    try:
+        if kind == "interval":
+            dom = build_domain("interval", n, bounds=(lo, hi))
+        elif kind == "rectangle":
+            # a second axis with more nodes at the same spacing
+            dom = build_domain("rectangle", (n, n + extra), bounds=(
+                (lo, hi), (-lo, -lo + length * (n + extra - 1) / (n - 1))))
+        else:
+            dom = build_domain("disk", n, bounds=((lo, hi), (lo, hi)),
+                               radius=0.45 * length, center=(lo + length / 2,) * 2)
+    except ValueError:                  # unequal spacing or an empty disk
+        assume(False)
+    rng = np.random.default_rng(seed)
+    for ax in dom.axes:
+        axis = _Axis(ax)
+        assert axis.scale is not None   # an equally spaced axis is not searched
+        q = _probe_coordinates(ax, rng)
+        assert _same_cells(_locate(axis, q), oracles.searchsorted_cells(ax, q))
+        # broadcast shapes and single coordinates locate the same way
+        grid = q[:len(q) // 4 * 4].reshape(4, -1, 1)
+        assert _same_cells(_locate(axis, grid), oracles.searchsorted_cells(ax, grid))
+        assert _same_cells(_locate(axis, q[0]), oracles.searchsorted_cells(ax, q[0]))
+
+
+@pytest.mark.parametrize("grading", [1.0, 2.0, 3.5])
+def test_locate_matches_searchsorted_on_y_meshes(grading):
+    # a graded mesh is searched; an ungraded one takes the guess
+    ym = build_ymesh(0.6, 1.0, span_factor=3.0, layers=37, grading=grading)
+    axis = _Axis(ym.nodes)
+    assert (axis.scale is None) == (grading != 1.0)
+    q = _probe_coordinates(ym.nodes, np.random.default_rng(3))
+    assert _same_cells(_locate(axis, q), oracles.searchsorted_cells(ym.nodes, q))
