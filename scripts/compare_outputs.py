@@ -6,8 +6,11 @@ every given config under each tree, each run in a fresh Python process
 with that tree first on PYTHONPATH and its own output directory.  The
 script names every output file whose bytes differ, every file that only
 one side wrote, and every subcommand whose exit code, standard output or
-standard error differs.  It exits 0 when nothing differs and 1
-otherwise.
+standard error differs.  For a differing CSV or JSON file it also gives
+the largest difference of a number, relative to the largest magnitude in
+that number's CSV column or JSON field (list indices ignored), and says
+whether everything else in the file (header, layout, keys, text) is
+equal.  It exits 0 when nothing differs and 1 otherwise.
 
 Example (a second checkout of the parent commit in ../parent):
     python3 scripts/compare_outputs.py --parent ../parent/src --change src \\
@@ -15,6 +18,10 @@ Example (a second checkout of the parent commit in ../parent):
 """
 
 import argparse
+import csv
+import io
+import json
+import math
 import os
 import pathlib
 import subprocess
@@ -54,6 +61,82 @@ def files(root: pathlib.Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _number(value):
+    """``value`` as a float if it is a number (a JSON bool is not)."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    return None
+
+
+def _split(name: str, data: bytes):
+    """The numbers of a CSV or JSON file grouped by column or field, and
+    everything else in file order; None for another kind of file."""
+    numbers, rest = {}, []
+
+    def add(key, value):
+        x = _number(value)
+        if x is None:
+            rest.append((key, value))
+        else:
+            numbers.setdefault(key, []).append(x)
+
+    if name.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(data.decode())))
+        header = rows[0] if rows else []
+        rest.append(("header", header))
+        for row in rows[1:]:
+            rest.append(("row length", len(row)))
+            for key, value in zip(header, row):
+                add(key, value)
+        return numbers, rest
+    if name.endswith(".json"):
+        def walk(node, key):
+            if isinstance(node, dict):
+                rest.append((key, sorted(node)))
+                for k in sorted(node):
+                    walk(node[k], f"{key}.{k}")
+            elif isinstance(node, list):
+                rest.append((key, len(node)))
+                for item in node:
+                    walk(item, key + "[]")
+            else:
+                add(key, node)
+        walk(json.loads(data), "")
+        return numbers, rest
+    return None
+
+
+def numeric_difference(name: str, old: bytes, new: bytes) -> str:
+    """How two versions of a CSV or JSON file differ: the largest relative
+    difference of a number and whether the rest is equal (empty for other
+    files)."""
+    a, b = _split(name, old), _split(name, new)
+    if a is None:
+        return ""
+    (num_a, rest_a), (num_b, rest_b) = a, b
+    same_rest = rest_a == rest_b and all(
+        len(num_a.get(k, ())) == len(num_b.get(k, ())) for k in set(num_a) | set(num_b))
+    worst, where = 0.0, None
+    for key in sorted(set(num_a) & set(num_b)):
+        xs, ys = num_a[key], num_b[key]
+        if len(xs) != len(ys):
+            continue
+        scale = max((abs(x) for x in xs + ys if math.isfinite(x)), default=0.0)
+        for x, y in zip(xs, ys):
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            rel = abs(x - y) / scale if scale > 0 and math.isfinite(x - y) else math.inf
+            if where is None or rel > worst:
+                worst, where = rel, (key, x, y)
+    numbers = (f"largest relative difference {worst:.2g} in {where[0]!r}: "
+               f"{where[1]:.17g} -> {where[2]:.17g}"
+               if where is not None else "numbers equal")
+    return f" ({numbers}; non-numeric content {'equal' if same_rest else 'differs'})"
+
+
 def compare(parent: pathlib.Path, change: pathlib.Path, config: pathlib.Path,
             work: pathlib.Path) -> list:
     """Differences between the two trees on one config, one line each;
@@ -79,7 +162,8 @@ def compare(parent: pathlib.Path, change: pathlib.Path, config: pathlib.Path,
             elif name not in old:
                 diffs.append(f"{where}: {name} written by the change only")
             elif old[name] != new[name]:
-                diffs.append(f"{where}: {name} differs")
+                diffs.append(f"{where}: {name} differs"
+                             + numeric_difference(name, old[name], new[name]))
     return diffs
 
 

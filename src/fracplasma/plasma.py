@@ -259,8 +259,8 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
     cannot recur).  The solve fails once _STALL_UPDATES updates in a row
     have not lowered the best residual.  ``u0`` holds the nodal values of
     ``a0`` when the caller has them.  Appends each new residual and the
-    MINRES iterations of each step to ``log``.  Returns (coeffs,
-    iterations, status).
+    MINRES iterations of each step to ``log``.  Returns (coeffs, their
+    nodal values, iterations, status).
     """
     a = np.asarray(a0, dtype=float).copy()
     u = basis.nodal(a) if u0 is None else u0
@@ -270,9 +270,9 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
     seen = set()
     for it in range(1, max_updates + 1):
         if res <= tol:
-            return a, it, "converged"
+            return a, u, it, "converged"
         if it - best_it > _STALL_UPDATES:
-            return best[1], it, "failed"
+            return best[1], best[2], it, "failed"
         active = u > gamma
         key = active.tobytes()
         if key not in seen:
@@ -280,21 +280,21 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
             try:
                 a = _active_set_step(basis, lam, gamma, s, active, log.minres)
             except np.linalg.LinAlgError:
-                return best[1], it, "failed"
+                return best[1], best[2], it, "failed"
             u = basis.nodal(a)
             res = _residual(basis, a, u, lam, gamma, s)
             log.residuals.append(res)
             if res < best[0]:
                 best, best_it = (res, a.copy(), u), it
             if np.array_equal(u > gamma, active):
-                return a, it, "converged"  # stable set: exact piecewise solve
+                return a, u, it, "converged"  # stable set: exact piecewise solve
             continue
         # cycle: blend from the best point along its own Newton direction
         res, a, u = best
         try:
             d = _active_set_step(basis, lam, gamma, s, u > gamma, log.minres) - a
         except np.linalg.LinAlgError:
-            return best[1], it, "failed"
+            return best[1], best[2], it, "failed"
         t, accepted = 1.0, False
         while t >= 2.0**-30:
             trial = a + t * d
@@ -306,9 +306,9 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
                 break
             t *= 0.5
         if not accepted:
-            return best[1], it, "failed"  # stalled on a kink of the residual
+            return best[1], best[2], it, "failed"  # stalled on a kink of the residual
         best, best_it = (res, a.copy(), u), it
-    return best[1], max_updates, "failed"
+    return best[1], best[2], max_updates, "failed"
 
 
 # smallest log-step in lam the continuation tries before it gives up, and
@@ -328,31 +328,32 @@ def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
     c = h^dim V^T 1.  The first rung solves from that state at
     min(1.05 lam_1^s, lam); each later rung jumps toward lam by the
     current log-step, which halves whenever a rung fails to reach a
-    nontrivial solution.  Returns (coeffs, iterations, status).
+    nontrivial solution.  Returns (coeffs, their nodal values, iterations,
+    status).
     """
     lam_s = basis.eigenvalues**s
     lam_j = min(1.05 * float(lam_s[0]), lam)
     ones = basis.coefficients(np.ones(basis.domain.n_interior))
     a = lam_j * gamma * ones / (lam_j - lam_s)
-    a, iterations, status = _active_set_solve(
+    a, u, iterations, status = _active_set_solve(
         basis, lam_j, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log
     )
-    if status != "converged" or basis.nodal(a).max() <= gamma:
-        return a, iterations, "failed"
+    if status != "converged" or u.max() <= gamma:
+        return a, u, iterations, "failed"
     step = np.log(lam / lam_j)
     while lam_j < lam:
         lam_next = lam if step >= np.log(lam / lam_j) else lam_j * np.exp(step)
-        trial, more, status = _active_set_solve(
-            basis, lam_next, gamma, s, a, _RUNG_UPDATES, opts.tolerance, log
+        trial, u_trial, more, status = _active_set_solve(
+            basis, lam_next, gamma, s, a, _RUNG_UPDATES, opts.tolerance, log, u
         )
         iterations += more
-        if status == "converged" and basis.nodal(trial).max() > gamma:
-            a, lam_j = trial, lam_next
+        if status == "converged" and u_trial.max() > gamma:
+            a, u, lam_j = trial, u_trial, lam_next
         else:
             step /= 2
             if step < _MIN_LOG_STEP:
-                return a, iterations, "failed"
-    return a, iterations, "converged"
+                return a, u, iterations, "failed"
+    return a, u, iterations, "converged"
 
 
 def _ground_mode(basis: EigenBasis) -> np.ndarray:
@@ -396,14 +397,14 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
         )
     log = _Log()
     method = "active-set"
-    a, iterations, status = _active_set_solve(
+    a, u, iterations, status = _active_set_solve(
         basis, lam, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log, u
     )
-    if status != "converged" or basis.nodal(a).max() <= gamma:
+    if status != "converged" or u.max() <= gamma:
         method += "+continuation"
-        a, more, status = _continue_from_threshold(basis, lam, gamma, s, opts, log)
+        a, u, more, status = _continue_from_threshold(basis, lam, gamma, s, opts, log)
         iterations += more
-    field = SpectralField(basis, a)
+    field = SpectralField(basis, a, _nodal=u)
     res = _residual(basis, a, field.nodal, lam, gamma, s)
     log.residuals.append(res)
     if status != "converged" or res > opts.tolerance or field.nodal.max() <= gamma:

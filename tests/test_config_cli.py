@@ -601,3 +601,28 @@ def test_disk_without_n_refused_before_solve(tmp_path, monkeypatch, capsys):
     assert not out.exists()
     # the other kinds keep their default size
     assert load_config(str(write_config(tmp_path, {"domain": {"n": None}}))).domain.n == 129
+
+
+def test_compare_outputs_bounds_numeric_differences():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    compare_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_outputs)
+    diff = compare_outputs.numeric_difference
+    # relative to the largest magnitude in the column, text compared as such
+    assert diff("u.csv", b"x,u\n0,4\n1,-8\n", b"x,u\n0,4\n1,-7\n") == (
+        " (largest relative difference 0.12 in 'u': -8 -> -7; non-numeric content equal)")
+    assert diff("u.csv", b"x,note\n0,a\n", b"x,note\n0,b\n") == (
+        " (numbers equal; non-numeric content differs)")
+    assert diff("u.csv", b"x,u\n0,1\n", b"x,u\n0,1\n1,2\n").endswith("content differs)")
+    # JSON fields ignore list indices; a bool is not a number
+    old = json.dumps({"checks": [{"value": 1.0, "passed": True}, {"value": 2.0}]})
+    new = json.dumps({"checks": [{"value": 1.5, "passed": True}, {"value": 2.0}]})
+    assert diff("r.json", old.encode(), new.encode()) == (
+        " (largest relative difference 0.25 in '.checks[].value': 1 -> 1.5; "
+        "non-numeric content equal)")
+    flipped = new.replace("true", "false")
+    assert diff("r.json", new.encode(), flipped.encode()).endswith("content differs)")
+    assert diff("out.txt", b"a", b"b") == ""

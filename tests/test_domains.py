@@ -227,13 +227,19 @@ def test_square_basis_is_mirror_exact_in_both_axes():
 
 PI_SQUARE = ((0.0, np.pi), (0.0, np.pi))
 # K = 400 and 700 are the suite's truncated squares, whose cutoffs split
-# degenerate clusters
+# degenerate clusters.  The 257-node interval and the 97-node square are the
+# largest grids whose transform is a table product, the 513-node interval
+# and the 129-node square the smallest that go through scipy.fft.
 TRANSFORM_CASES = {
     "interval129-full": ("interval", 129, (0.0, np.pi), None),
     "interval129-K40": ("interval", 129, (0.0, np.pi), 40),
+    "interval257-full": ("interval", 257, (0.0, np.pi), None),
+    "interval513-full": ("interval", 513, (0.0, np.pi), None),
     "square25-full": ("rectangle", 25, PI_SQUARE, None),
     "square49-K400": ("rectangle", 49, PI_SQUARE, 400),
     "square81-K700": ("rectangle", 81, PI_SQUARE, 700),
+    "square97-K600": ("rectangle", 97, PI_SQUARE, 600),
+    "square129-K300": ("rectangle", 129, PI_SQUARE, 300),
     "rect11x21-full": ("rectangle", (11, 21), ((0.0, 1.0), (0.0, 2.0)), None),
     "rect21x11-K45": ("rectangle", (21, 11), ((0.0, 2.0), (0.0, 1.0)), 45),
 }
@@ -265,21 +271,81 @@ def test_sine_transforms_match_dense_products(transform_case):
                                atol=1e-12 * np.abs(coef_ref).max())
     np.testing.assert_allclose(basis.coefficients(v), coef_ref, rtol=0,
                                atol=1e-12 * np.abs(coef_ref).max())
+    # more than one trailing axis
+    np.testing.assert_allclose(basis.nodal(a[:, None, :])[:, 0], nodal_ref, rtol=0,
+                               atol=1e-12 * np.abs(nodal_ref).max())
+    np.testing.assert_allclose(basis.coefficients(v[:, :, None])[..., 0], coef_ref,
+                               rtol=0, atol=1e-12 * np.abs(coef_ref).max())
     weights = rng.uniform(0.5, 2.0, basis.size)
     ref = V_ref @ (weights * coef_ref[:, 2])
     np.testing.assert_allclose(basis.spectral_apply(v[:, 2], weights), ref, rtol=0,
                                atol=1e-12 * np.abs(ref).max())
-    scale = np.abs(V_ref).max()
+    # the oracle's unreduced phases pi j k / (n - 1) reach about pi n, where
+    # np.sin loses about eps * pi * n (the package reduces them exactly)
+    scale = np.abs(V_ref).max() * max(1e-13, np.finfo(float).eps * np.pi
+                                      * max(dom.grid_shape))
     mask = rng.random(dom.n_interior) < 0.1
-    np.testing.assert_allclose(basis.rows(mask), V_ref[mask], rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(basis.rows(mask), V_ref[mask], rtol=0, atol=scale)
     nodes, modes = [5, 0, 17], [2, 0, basis.size - 1]
     np.testing.assert_allclose(basis.rows(nodes, modes), V_ref[nodes][:, modes],
-                               rtol=0, atol=1e-13 * scale)
+                               rtol=0, atol=scale)
     # none of the above builds the dense matrix
     assert "vectors" not in basis.__dict__
-    np.testing.assert_allclose(basis.vectors, V_ref, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(basis.vectors, V_ref, rtol=0, atol=scale)
     assert "vectors" in basis.__dict__
     assert basis.rows(mask).tobytes() == basis.vectors[mask].tobytes()
+
+
+@pytest.mark.parametrize("shape, by_tables", [
+    ((255,), True), ((511,), False), ((95, 95), True), ((127, 127), False),
+    ((255, 39), True), ((255, 40), False), ((23, 511), False)])
+def test_sine_transform_path_follows_the_grid_shape(shape, by_tables, monkeypatch):
+    from fracplasma import domains
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the other transform path was taken")
+
+    grid = domains._SineGrid(shape)
+    assert grid.by_tables == by_tables
+    if by_tables:
+        monkeypatch.setattr(scipy.fft, "dstn", forbidden)
+    else:
+        monkeypatch.setattr(domains, "_sine_vectors", forbidden)
+    values = np.random.default_rng(5).standard_normal(shape + (2,))
+    # orthonormal and its own inverse on either path
+    np.testing.assert_allclose(grid.transform(grid.transform(values)), values,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grid.transform(values[..., 0])[..., None],
+                               grid.transform(values[..., :1]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, n, by_tables", [
+    ("interval", 257, True), ("interval", 513, False),
+    ("rectangle", 97, True), ("rectangle", 129, False)])
+def test_basis_and_slab_transforms_take_the_grid_path(kind, n, by_tables, monkeypatch):
+    from fracplasma import domains
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the other transform path was taken")
+
+    bounds = (0.0, np.pi) if kind == "interval" else PI_SQUARE
+    dom = build_domain(kind, n, bounds=bounds)
+    basis = eigendecompose(dom, 50)
+    if by_tables:
+        monkeypatch.setattr(scipy.fft, "dstn", forbidden)
+    else:
+        monkeypatch.setattr(domains, "_sine_vectors", forbidden)
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal(dom.n_interior)
+    a = basis.coefficients(v)
+    np.testing.assert_allclose(basis.coefficients(basis.nodal(a)), a, rtol=0,
+                               atol=1e-12 * np.abs(a).max())
+    weights = np.ones(basis.size)
+    np.testing.assert_allclose(basis.spectral_apply(v, weights), basis.nodal(a),
+                               rtol=0, atol=1e-12 * np.abs(v).max())
+    _, to_modes, from_modes = domains._laplacian_modes(dom)
+    full = dom.embed(v)
+    np.testing.assert_allclose(from_modes(to_modes(full)), full, rtol=0, atol=1e-12)
 
 
 def test_sine_vectors_are_the_rows_of_every_node():

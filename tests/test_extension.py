@@ -259,13 +259,15 @@ def _fd_domain(kind):
     if kind == "rectangle":
         return build_domain("rectangle", (17, 25),
                             bounds=((0.0, 2 * np.pi / 3), (0.0, np.pi)))
+    if kind == "square":
+        return build_domain("rectangle", 25, bounds=((0.0, np.pi), (0.0, np.pi)))
     return build_domain("disk", 25, bounds=((-1.2, 1.2), (-1.2, 1.2)),
                         radius=1.0, center=(0.0, 0.0))
 
 
 @pytest.mark.parametrize("layers", [8, 40])
 @pytest.mark.parametrize("s", [0.3, 0.75])
-@pytest.mark.parametrize("kind", ["interval", "rectangle", "disk"])
+@pytest.mark.parametrize("kind", ["interval", "rectangle", "square", "disk"])
 def test_fd_extension_matches_sparse_lu_oracle(kind, s, layers):
     dom = _fd_domain(kind)
     ym = build_ymesh(s, 2.0, layers=layers)

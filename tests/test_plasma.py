@@ -73,6 +73,70 @@ def basis257():
     return eigendecompose(dom, dom.n_interior)
 
 
+@pytest.fixture(scope="module")
+def basis49():
+    dom = build_domain("rectangle", 49, bounds=((0.0, np.pi), (0.0, np.pi)))
+    return eigendecompose(dom, dom.n_interior)
+
+
+# LAMBDA_FACTORS of perfbench/worker.py: the lam_1^s multiples per s of the
+# solver-sweep's fixed-lambda solves on the 257-node interval and the
+# 25-node square
+SWEEP_LAMBDA_FACTORS = {0.3: (1.5, 2.0, 3.3, 6.5), 0.5: (1.5, 2.0, 3.2, 4.4),
+                        0.75: (1.5, 2.0, 4.0, 5.0)}
+# method, |A| = #{u > gamma} and sup u of each of those solves and of the
+# README's 49-node square at 4 lam_1^s, all converged, as computed when every
+# sine transform went through scipy.fft's DST-I
+PINNED_ANSWERS = {
+    "interval": {
+        (0.3, 1.5): ("active-set", 167, 0.43698112986614784),
+        (0.3, 2.0): ("active-set", 109, 0.31754441760587193),
+        (0.3, 3.3): ("active-set", 47, 0.25070350309809436),
+        (0.3, 6.5): ("active-set+continuation", 15, 0.21877998484783423),
+        (0.5, 1.5): ("active-set", 195, 0.4016801192334988),
+        (0.5, 2.0): ("active-set", 153, 0.27474835082740134),
+        (0.5, 3.2): ("active-set", 99, 0.20412916234108403),
+        (0.5, 4.4): ("active-set", 73, 0.18212079704369777),
+        (0.75, 1.5): ("active-set", 205, 0.38851432376416917),
+        (0.75, 2.0): ("active-set", 173, 0.25949176935085766),
+        (0.75, 4.0): ("active-set", 113, 0.16996235392645062),
+        (0.75, 5.0): ("active-set", 97, 0.15781994699450932),
+    },
+    "square25": {
+        (0.3, 1.5): ("active-set", 185, 0.6951532635257353),
+        (0.3, 2.0): ("active-set", 69, 0.5691055934586092),
+        (0.3, 3.3): ("active-set+continuation", 9, 0.5356446684272204),
+        (0.3, 6.5): ("active-set", 201, 0.1558063263002505),
+        (0.5, 1.5): ("active-set", 285, 0.5677756706649303),
+        (0.5, 2.0): ("active-set", 169, 0.41414488244356207),
+        (0.5, 3.2): ("active-set", 69, 0.3333873216910761),
+        (0.5, 4.4): ("active-set", 37, 0.31406153734677467),
+        (0.75, 1.5): ("active-set", 329, 0.5194983499504116),
+        (0.75, 2.0): ("active-set", 241, 0.35576041768450356),
+        (0.75, 4.0): ("active-set", 97, 0.2433808015923822),
+        (0.75, 5.0): ("active-set", 69, 0.2279131088238336),
+    },
+    "square49": {
+        (0.3, 4.0): ("active-set+continuation", 25, 0.5176027915965036),
+        (0.5, 4.0): ("active-set+continuation", 177, 0.31436299231238657),
+        (0.75, 4.0): ("active-set", 373, 0.24278041170293224),
+    },
+}
+
+
+@pytest.mark.parametrize("kind, s, factor", [
+    (kind, s, f) for kind in ("interval", "square25")
+    for s, factors in SWEEP_LAMBDA_FACTORS.items() for f in factors
+] + [("square49", s, 4.0) for s in (0.3, 0.5, 0.75)])
+def test_fixed_lambda_answers_are_pinned(basis257, basis2d, basis49, kind, s, factor):
+    basis = {"interval": basis257, "square25": basis2d, "square49": basis49}[kind]
+    method, active, sup_u = PINNED_ANSWERS[kind][s, factor]
+    sol = solve_fixed_lambda(basis, factor * float(basis.eigenvalues[0] ** s), GAMMA, s)
+    assert (sol.status, sol.method) == ("converged", method)
+    assert np.count_nonzero(sol.field.nodal > GAMMA) == active
+    assert abs(sol.field.nodal.max() - sup_u) <= 1e-10
+
+
 def _mirror_asymmetry(sol):
     U = sol.trace
     return max(float(np.abs(U - np.flip(U, axis=ax)).max()) for ax in range(U.ndim))
@@ -442,7 +506,7 @@ def test_first_attempt_stops_once_it_stalls(basis2d):
     a0 = np.zeros(basis2d.size)
     a0[0] = 2 * GAMMA / phi.max()
     log = _Log()
-    _, iterations, status = _active_set_solve(
+    _, _, iterations, status = _active_set_solve(
         basis2d, lam, GAMMA, s, a0, _ACTIVE_SET_MAX, SolverOptions().tolerance, log)
     assert status == "failed"
     assert iterations < _ACTIVE_SET_MAX
