@@ -32,7 +32,7 @@ from . import freeboundary as fb
 from .config import (CheckResult, ConfigError, ExperimentConfig, RunReport,
                      load_config)
 from .domains import build_domain, eigendecompose
-from .extension import (build_ymesh, check_uy_sign, dtn, extend_fd,
+from .extension import (YMesh, build_ymesh, check_uy_sign, dtn, extend_fd,
                         extend_semianalytic, weighted_energy)
 from .plasma import (SolverError, SolverOptions, constraint_mass,
                      minimize_energy, solve_constrained, solve_fixed_lambda,
@@ -133,13 +133,11 @@ class _Run:
         return build_ymesh(self.cfg.s, self.lam1, span_factor=ext.span_factor,
                            layers=layers or ext.layers, grading=ext.grading)
 
-    def extension(self, ymesh=None, layers=None):
+    def extension(self, ymesh=None):
         """Semianalytic extension of the solution on the configured y-mesh,
-        or on ``ymesh`` (a prefix of it), or on the layers with the
-        indices ``layers``."""
+        or on ``ymesh`` (some of its nodes)."""
         return extend_semianalytic(self.sol.field, self.cfg.s,
-                                   self.ymesh() if ymesh is None else ymesh,
-                                   layers)
+                                   self.ymesh() if ymesh is None else ymesh)
 
     def fd_energy(self, values) -> float:
         """Weighted energy of the finite-volume extension of ``values``."""
@@ -193,7 +191,8 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
             # only the written layers are extended
             ym = run.ymesh()
             M = ym.M
-            w = run.extension(ym, sorted({0, 1, 2, 4, M // 8, M // 4, M // 2, M}))
+            picks = sorted({0, 1, 2, 4, M // 8, M // 4, M // 2, M})
+            w = run.extension(YMesh(nodes=ym.nodes[picks], grading=ym.grading))
             # layer by layer (y slowest), thin nodes row-major
             _write_csv(out / "extension_slices.csv",
                        ["y"] + _coord_header(dom) + ["w"],

@@ -166,7 +166,8 @@ class EigenBasis:
         if self._dense is not None:
             return self._dense @ coeffs
         grid = np.zeros((self.domain.n_interior,) + coeffs.shape[1:])
-        grid[self._modes] = coeffs * self.weight**-0.5
+        grid[self._modes] = coeffs
+        grid *= self.weight**-0.5
         return self._sine_transform(grid)
 
     def coefficients(self, interior_values: np.ndarray) -> np.ndarray:
@@ -445,57 +446,18 @@ class _SineGrid:
         return out.reshape(values.shape)
 
 
-def _laplacian_modes(domain: Domain):
-    """Eigen-transform of the graph Laplacian B = h^2 (-Delta_h).
-
-    Returns ``(mu, to_modes, from_modes)``: the eigenvalues of B, a map
-    from full-grid arrays (any trailing axes) to coefficients in B's
-    orthonormal eigenbasis, shaped ``mu.shape`` plus those trailing axes,
-    and its inverse back to full-grid arrays that vanish off the interior.
-    Intervals and rectangles use the closed-form sine modes and their
-    sine transform, so no matrix is stored; disk masks use a dense
-    ``eigh`` of B.
-    """
-    dim = domain.dim
-    if domain.shape in ("interval", "rectangle"):
-        block = (slice(1, -1),) * dim
-        per_axis = [_sine_eigenvalues(n) for n in domain.grid_shape]
-        mu = sum(np.meshgrid(*per_axis, indexing="ij"))
-        sine = _SineGrid(mu.shape)
-
-        def to_modes(full):
-            return sine.transform(full[block])
-
-        def from_modes(coeffs):
-            full = np.zeros(domain.grid_shape + coeffs.shape[dim:])
-            full[block] = sine.transform(coeffs)
-            return full
-
-        return mu, to_modes, from_modes
-
-    mu, Q = scipy.linalg.eigh(laplacian_matrix(domain) * domain.h**2)
-
-    def to_modes(full):
-        return Q.T @ full[domain.interior]
-
-    def from_modes(coeffs):
-        full = np.zeros(domain.grid_shape + coeffs.shape[1:])
-        full[domain.interior] = Q @ coeffs
-        return full
-
-    return mu, to_modes, from_modes
+# columns _fix_signs takes at a time, so its temporaries stay small
+_SIGN_BLOCK = 256
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """First component above the noise threshold made positive, per column."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        big = np.abs(col) > _SIGN_EPS * np.abs(col).max()
-        j = np.argmax(big)
-        if col[j] < 0:
-            out[:, k] = -col
-    return out
+def _fix_signs(vectors: np.ndarray, scale: float) -> None:
+    """Divide each column by ``scale`` in place, and negate it where its
+    first component above the noise threshold is negative."""
+    for start in range(0, vectors.shape[1], _SIGN_BLOCK):
+        block = vectors[:, start:start + _SIGN_BLOCK]
+        size = np.abs(block)
+        first = np.argmax(size > _SIGN_EPS * size.max(axis=0), axis=0)
+        block /= np.where(block[first, np.arange(block.shape[1])] < 0, -scale, scale)
 
 
 def eigendecompose(domain: Domain, K: int) -> EigenBasis:
@@ -526,11 +488,11 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
         order = np.argsort(lam)
         lam, V = lam[order], V[:, order]
     else:
-        A = laplacian_matrix(domain)
-        if K == m:
-            lam, V = scipy.linalg.eigh(A)
-        else:
-            lam, V = scipy.linalg.eigh(A, subset_by_index=[0, K - 1])
-    V = _fix_signs(V) / np.sqrt(domain.h**domain.dim)
+        # B = h^2 (-Delta_h) has O(1) entries, which LAPACK factors faster
+        h2 = domain.h**2
+        B = (laplacian_matrix(domain, sparse=True) * h2).toarray()
+        lam, V = scipy.linalg.eigh(B, subset_by_index=None if K == m else [0, K - 1])
+        lam /= h2
+    _fix_signs(V, np.sqrt(domain.h**domain.dim))
     return EigenBasis(domain=domain, eigenvalues=lam, _dense=V)
 

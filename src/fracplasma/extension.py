@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.special import gamma as gamma_fn, kve
 
-from .domains import Domain, _laplacian_modes
+from .domains import Domain, eigendecompose
 from .spectral import SpectralField, _check_order
 
 __all__ = [
@@ -178,26 +178,21 @@ def extension_energy_constant(s: float) -> float:
 _LAYER_BLOCK = 32
 
 
-def extend_semianalytic(f: SpectralField, s: float, ymesh: YMesh,
-                        layers=None) -> ExtensionField:
+def extend_semianalytic(f: SpectralField, s: float, ymesh: YMesh) -> ExtensionField:
     """Extend a spectral field mode by mode with the exact profile.
 
     The profile is evaluated once per distinct eigenvalue (tied modes
     share it), and one batched transform takes a block of layers to the
-    nodes, so no temporary is larger than a block.  ``layers`` (indices
-    into ``ymesh.nodes``) restricts the extension to those layers; the
-    result then lives on a mesh of just their nodes.  Every layer is
-    computed independently of the others, so a restricted extension (or
-    one on a ``YMesh.prefix``) equals the matching layers of the full one
-    bit for bit.
+    nodes, so no temporary is larger than a block.  Every layer is
+    computed independently of the others, so an extension on some of a
+    mesh's nodes (a ``YMesh.prefix``, or any subset) equals the matching
+    layers of the full one bit for bit.
     """
     _check_order(s)
     if s == 1.0:
         raise ValueError("extension requires s in (0, 1)")
     basis = f.basis
     dom = basis.domain
-    if layers is not None:
-        ymesh = YMesh(nodes=ymesh.nodes[np.asarray(layers)], grading=ymesh.grading)
     distinct, which = np.unique(basis.eigenvalues, return_inverse=True)
     roots = np.sqrt(distinct)[:, None]
     vals = np.zeros(dom.grid_shape + (ymesh.M + 1,))
@@ -231,9 +226,9 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
     maximum principle (nonnegative data give nonnegative solutions).
 
     The slab matrix is B (x) diag(cond_x) + I (x) T_y with B = h^2 (-Delta_h)
-    the thin graph Laplacian, so the system is solved mode by mode in B's
-    eigenbasis (DST-I on intervals and rectangles, dense ``eigh`` on disk
-    masks): each eigenvalue mu_k leaves one tridiagonal system in y,
+    the thin graph Laplacian, so the system is solved mode by mode in the
+    domain's complete ``EigenBasis``: each eigenvalue mu_k = h^2 lambda_k
+    leaves one tridiagonal system in y,
     (mu_k diag(cond_x) + T_y) c_k = cond_y[0] u_k e_1, and one Thomas
     sweep vectorised over the modes solves them all.  Past the transform
     the cost is linear in the number of layers.
@@ -263,25 +258,25 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
     resist = (ys[1:] ** (1 - a) - ys[:-1] ** (1 - a)) / (1 - a)
     cond_y = h**dim / resist
 
-    mu, to_modes, from_modes = _laplacian_modes(domain)
+    basis = eigendecompose(domain, domain.n_interior)
     # tridiagonal T_k = diag(mu_k cond_x + cond_y[:-1] + cond_y[1:]) with
     # off-diagonal -cond_y[1:M-1]; its only right-hand side is in layer 1
-    diag = mu[..., None] * cond_x + (cond_y[:-1] + cond_y[1:])
+    diag = (basis.eigenvalues * h**2)[:, None] * cond_x + (cond_y[:-1] + cond_y[1:])
     couple = cond_y[1:M - 1]
     c = np.empty_like(diag)
-    ratio = np.empty_like(diag[..., :-1])
-    pivot = diag[..., 0]
-    c[..., 0] = cond_y[0] * to_modes(trace_full) / pivot
+    ratio = np.empty_like(diag[:, :-1])
+    pivot = diag[:, 0]
+    c[:, 0] = cond_y[0] * basis.coefficients(trace_full[domain.interior]) / pivot
     for j in range(1, M - 1):
-        ratio[..., j - 1] = couple[j - 1] / pivot
-        pivot = diag[..., j] - couple[j - 1] * ratio[..., j - 1]
-        c[..., j] = couple[j - 1] * c[..., j - 1] / pivot
+        ratio[:, j - 1] = couple[j - 1] / pivot
+        pivot = diag[:, j] - couple[j - 1] * ratio[:, j - 1]
+        c[:, j] = couple[j - 1] * c[:, j - 1] / pivot
     for j in range(M - 3, -1, -1):
-        c[..., j] += ratio[..., j] * c[..., j + 1]
+        c[:, j] += ratio[:, j] * c[:, j + 1]
 
     vals = np.zeros(domain.grid_shape + (M + 1,))
     vals[..., 0] = trace_full
-    vals[..., 1:M] = from_modes(c)
+    vals[domain.interior, 1:M] = basis.nodal(c)
     return ExtensionField(domain=domain, ymesh=ymesh, s=s, values=vals,
                           provenance="fd")
 

@@ -49,13 +49,15 @@ def rectangle_eigenvalues(bounds, nx: int, ny: int, K: int) -> np.ndarray:
     return sums[:K]
 
 
-def dense_dirichlet_eigh(grid_shape, h: float):
+def dense_dirichlet_eigh(grid_shape, h: float, interior=None):
     """All eigenpairs of the 3/5-point Dirichlet Laplacian by a dense solve.
 
     ``grid_shape`` counts nodes per axis, boundary included; interior
     nodes are packed row-major.  The matrix is the Kronecker sum of 1D
     second differences; vectors are scaled to be orthonormal in the
-    h^dim-weighted inner product.  Eigenvalues ascend.
+    h^dim-weighted inner product.  Eigenvalues ascend.  ``interior``, a
+    boolean mask over the full grid (a disk mask), keeps the rows and
+    columns of its nodes only, which imposes zero on every other node.
     """
     ms = [n - 2 for n in grid_shape]
 
@@ -68,7 +70,11 @@ def dense_dirichlet_eigh(grid_shape, h: float):
     else:
         A = (scipy.sparse.kron(second(ms[0]), scipy.sparse.identity(ms[1]))
              + scipy.sparse.kron(scipy.sparse.identity(ms[0]), second(ms[1])))
-    lam, V = scipy.linalg.eigh(A.toarray() / h**2)
+    A = A.toarray()
+    if interior is not None:
+        keep = np.asarray(interior)[(slice(1, -1),) * len(ms)].ravel()
+        A = A[np.ix_(keep, keep)]
+    lam, V = scipy.linalg.eigh(A / h**2)
     return lam, V / np.sqrt(h ** len(ms))
 
 

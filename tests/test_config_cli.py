@@ -10,8 +10,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fracplasma import (ConfigError, ExperimentConfig, extend_semianalytic,
-                        load_config)
+from fracplasma import (ConfigError, ExperimentConfig, build_ymesh,
+                        extend_semianalytic, load_config)
 from fracplasma.cli import main
 
 BASE = {
@@ -201,13 +201,18 @@ def test_cli_blowup_roundtrip(tmp_path):
 
 def test_cli_extends_only_the_layers_it_reads(tmp_path, monkeypatch):
     import fracplasma.cli as cli
-    calls = []
+    meshes, calls = [], []
 
-    def spy(f, s, ymesh, layers=None):
-        w = extend_semianalytic(f, s, ymesh, layers)
-        calls.append((ymesh, layers, w.ymesh.nodes))
+    def mesh_spy(*args, **kwargs):
+        meshes.append(build_ymesh(*args, **kwargs))
+        return meshes[-1]
+
+    def spy(f, s, ymesh):
+        w = extend_semianalytic(f, s, ymesh)
+        calls.append((ymesh, w.ymesh.nodes))
         return w
 
+    monkeypatch.setattr(cli, "build_ymesh", mesh_spy)
     monkeypatch.setattr(cli, "extend_semianalytic", spy)
     path = write_config(tmp_path, {
         "frequency": {"centers": [[1.0], [1.5707963267948966], [0.01]]},
@@ -216,8 +221,11 @@ def test_cli_extends_only_the_layers_it_reads(tmp_path, monkeypatch):
     for command in ("solve", "frequency", "blowup"):
         assert main([command, "--config", str(path),
                      "--out", str(tmp_path / command)]) == 0
-    (full, picks, solve_nodes), (freq, no, freq_nodes), (blow, _, _) = calls
-    assert full.M == 48 and picks == [0, 1, 2, 4, 6, 12, 24, 48] and no is None
+    (solve, solve_nodes), (freq, freq_nodes), (blow, _) = calls
+    # the solve's configured mesh, of which it extends the written layers
+    full, picks = meshes[0], [0, 1, 2, 4, 6, 12, 24, 48]
+    assert full.M == 48 and solve.grading == full.grading
+    assert np.array_equal(solve.nodes, full.nodes[picks])
     assert np.array_equal(solve_nodes, full.nodes[picks])
     slices = np.loadtxt(tmp_path / "solve" / "extension_slices.csv", delimiter=",",
                         skiprows=1)

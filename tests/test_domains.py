@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from fracplasma import build_domain, eigendecompose, laplacian_matrix
+from fracplasma import (build_domain, build_ymesh, eigendecompose, extend_fd,
+                        laplacian_matrix)
 
 
 def test_interval_nodes_and_masks():
@@ -71,13 +74,44 @@ def test_rectangle_eigenvalues_are_tensor_sums():
     np.testing.assert_allclose(basis.eigenvalues, ref, rtol=1e-12)
 
 
-def test_disk_eigenvalues_match_dense_oracle():
+# the 21-node disk has m = 221 interior nodes: K <= m // 12 = 18 runs the
+# sparse eigsh, 18 < K < 221 the subset eigh, K = 221 the complete eigh
+@pytest.mark.parametrize("K, solver", [(8, "eigsh"), (60, "subset-eigh"),
+                                       (221, "full-eigh")],
+                         ids=["eigsh", "subset-eigh", "full-eigh"])
+def test_disk_eigenvalues_match_dense_oracle(K, solver, monkeypatch):
     dom = build_domain("disk", 21, bounds=((-1.2, 1.2), (-1.2, 1.2)),
                        radius=1.0, center=(0.0, 0.0))
-    basis = eigendecompose(dom, 8)
-    A = laplacian_matrix(dom)
-    lam_ref = np.sort(np.linalg.eigvalsh(A))[:8]
-    np.testing.assert_allclose(basis.eigenvalues, lam_ref, rtol=1e-11)
+    lam_ref, V_ref = oracles.dense_dirichlet_eigh(dom.grid_shape, dom.h, dom.interior)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the other eigensolver was called")
+
+    if solver == "eigsh":
+        monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+    else:
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", forbidden)
+    basis = eigendecompose(dom, K)
+    np.testing.assert_allclose(basis.eigenvalues, lam_ref[:K], rtol=1e-12)
+    V, w = basis.vectors, dom.h**dom.dim
+    # clusters of the oracle spectrum that the basis holds completely
+    breaks = np.flatnonzero(np.diff(lam_ref) > 1e-9 * lam_ref[-1]) + 1
+    edges = [0, *breaks, len(lam_ref)]
+    n_checked = 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi > K:
+            break
+        P = w * V[:, lo:hi] @ V[:, lo:hi].T
+        P_ref = w * V_ref[:, lo:hi] @ V_ref[:, lo:hi].T
+        np.testing.assert_allclose(P, P_ref, rtol=0, atol=1e-10)
+        n_checked += hi - lo
+    assert n_checked >= K - 1  # at most the cluster cut by K is skipped
+    # LAPACK's MRRR driver (evr) keeps the complete basis orthonormal to
+    # O(m eps) only: 1.1e-13 here
+    np.testing.assert_allclose(w * V.T @ V, np.eye(K), rtol=0, atol=1e-12)
+    for col in V.T:
+        first = np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())
+        assert col[first] > 0
 
 
 def test_sparse_and_dense_laplacian_agree():
@@ -343,9 +377,14 @@ def test_basis_and_slab_transforms_take_the_grid_path(kind, n, by_tables, monkey
     weights = np.ones(basis.size)
     np.testing.assert_allclose(basis.spectral_apply(v, weights), basis.nodal(a),
                                rtol=0, atol=1e-12 * np.abs(v).max())
-    _, to_modes, from_modes = domains._laplacian_modes(dom)
-    full = dom.embed(v)
-    np.testing.assert_allclose(from_modes(to_modes(full)), full, rtol=0, atol=1e-12)
+    # the finite-volume extension transforms through the complete basis;
+    # its layers obey the discrete maximum principle
+    trace = dom.embed(v)
+    w = extend_fd(dom, trace, 0.75, build_ymesh(0.75, float(basis.eigenvalues[0]),
+                                                layers=8))
+    assert np.array_equal(w.trace, trace)
+    assert np.abs(w.values).max() <= np.abs(v).max() * (1 + 1e-12)
+    assert np.abs(w.values[..., 1]).max() > 0
 
 
 def test_sine_vectors_are_the_rows_of_every_node():

@@ -298,6 +298,26 @@ def test_subharmonic_strip_flags_concave_model():
     assert rep.min_laplacian < 0
 
 
+def test_subharmonic_strip_location_ignores_rounding_ties():
+    # the strip minimum sits on the mirror pair (-x*, 0), (x*, 0); lowering
+    # either node's Laplacian by rounding must not move the named location
+    dom = build_domain("rectangle", 49, bounds=((-1.0, 1.0), (-1.0, 1.0)))
+    xs, ys = np.meshgrid(*dom.axes, indexing="ij")
+    u = 1.0 - xs**2 - ys**2 - 0.5 * xs**4 + 0.1 * ys**4
+    u = 0.5 * (u + np.flip(u, 0))
+    rep = check_subharmonic_strip(dom, u, 0.75, 0.75)
+    assert rep.location[0] < 0 and rep.location[1] == 0.0
+    i = int(np.argmin(np.abs(dom.axes[0] - rep.location[0])))
+    for node in ((i, 24), (48 - i, 24)):
+        bumped = u.copy()
+        bumped[node] = np.nextafter(u[node], np.inf)
+        moved = check_subharmonic_strip(dom, bumped, 0.75, 0.75)
+        assert moved.location == rep.location
+        # the reported value is still the minimum: the bumped node's
+        assert moved.min_laplacian < rep.min_laplacian
+        assert moved.min_laplacian == pytest.approx(rep.min_laplacian, rel=1e-12)
+
+
 def test_subharmonic_strip_requires_large_order():
     dom = build_domain("rectangle", 25, bounds=((-1.0, 1.0), (-1.0, 1.0)))
     with pytest.raises(ValueError):
