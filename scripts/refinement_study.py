@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from fracplasma import (build_domain, build_ymesh, constraint_mass,
-                        eigendecompose, extend_semianalytic, singular_census,
-                        solve_fixed_lambda)
+from fracplasma import (build_domain, build_ymesh, census_reach,
+                        constraint_mass, eigendecompose, extend_semianalytic,
+                        singular_census, solve_fixed_lambda)
 
 
 def parse_args(argv):
@@ -63,8 +63,11 @@ def main(argv=None):
             print(f"{n:>4}  solver status: {sol.status}; skipped")
             continue
         mass = constraint_mass(dom, sol.field.nodal, args.gamma)
-        w = extend_semianalytic(sol.field, s, build_ymesh(s, lam1))
-        cen = singular_census(w, args.gamma, lam)
+        # the census reads the extension only up to its largest radius
+        ym = build_ymesh(s, lam1)
+        reach = census_reach(dom, sol.trace, args.gamma, ym.Y)
+        w = extend_semianalytic(sol.field, s, ym.prefix(reach))
+        cen = singular_census(w, args.gamma, lam, ym.Y)
         u = sol.trace
         d2 = max(float(np.abs(np.diff(u, 2, axis=ax)).max()) / dom.h**2
                  for ax in range(dom.dim))

@@ -17,7 +17,8 @@ from .extension import (ExtensionField, UySignReport, YMesh, build_ymesh,
                         weighted_energy)
 from .freeboundary import (BlowupField, Census, Classification, FreeBoundary,
                            FreeBoundaryPoint, FrequencyProfile, InclusionReport,
-                           StripReport, blowup, check_boundary_inclusion,
+                           StripReport, blowup, census_reach,
+                           check_boundary_inclusion,
                            check_subharmonic_strip, classify_point,
                            extract_free_boundary, frequency_profile,
                            singular_census)
@@ -39,7 +40,8 @@ __all__ = [
     "extend_semianalytic", "mode_profile", "weighted_energy",
     "BlowupField", "Census", "Classification", "FreeBoundary",
     "FreeBoundaryPoint", "FrequencyProfile", "InclusionReport", "StripReport",
-    "blowup", "check_boundary_inclusion", "check_subharmonic_strip",
+    "blowup", "census_reach", "check_boundary_inclusion",
+    "check_subharmonic_strip",
     "classify_point", "extract_free_boundary", "frequency_profile",
     "singular_census",
     "HalfBallQuadrature",

@@ -403,11 +403,16 @@ def run_verify(cfg: ExperimentConfig, out: Path) -> int:
                                       passed=e1 <= e0 * (1 + 1e-10) + 1e-12,
                                       value=e1 - e0, tolerance=0.0))
 
-        # 7. census is stable under one refinement
+        # 7. census is stable under one refinement; the refined solution is
+        # extended only up to the census's largest radius
         try:
             c0 = fb.singular_census(w, sol.gamma, sol.lam)
+            del w       # nothing reads the base slab past here
             fine = _Run(cfg.refine(2.0))
-            c2 = fb.singular_census(fine.extension(), fine.sol.gamma, fine.sol.lam)
+            ym = fine.ymesh()
+            reach = fb.census_reach(fine.dom, fine.sol.trace, fine.sol.gamma, ym.Y)
+            c2 = fb.singular_census(fine.extension(ym.prefix(reach)),
+                                    fine.sol.gamma, fine.sol.lam, ym.Y)
             checks.append(CheckResult(
                 name="census stable under refinement",
                 passed=c0.singular_count == c2.singular_count,

@@ -211,9 +211,9 @@ class EigenBasis:
                       else _axis_modes(self._modes[modes], self._mode_shape))
         block = np.full((1, len(at[0])), self.domain.h ** (-self.domain.dim / 2))
         for table, u, i in zip(self._sine.tables, used, at):
-            factor = table.take(i, 1)
-            if len(u) < len(table):
-                factor = factor.take(u, 0)
+            # the used modes first, so no table of every mode at every node
+            # is formed (1.1 GB for the ground mode of a 513-node square)
+            factor = (table if len(u) == len(table) else table.take(u, 0)).take(i, 1)
             block = (block[:, None, :] * factor).reshape(-1, len(i))
         return (block if pick is None else block[pick]).T
 

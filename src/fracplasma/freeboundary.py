@@ -56,6 +56,7 @@ __all__ = [
     "StripReport",
     "check_subharmonic_strip",
     "Census",
+    "census_reach",
     "singular_census",
 ]
 
@@ -410,7 +411,13 @@ def _quadratic_fit(bl: BlowupField):
     return c_rel, resid
 
 
-def classify_point(w: ExtensionField, center, lam: float) -> Classification:
+def _half_room(dom: Domain, center, Y: float) -> float:
+    """Largest radius ``classify_point`` reads around a centre."""
+    return 0.5 * min(dom.distance_to_boundary(center), Y)
+
+
+def classify_point(w: ExtensionField, center, lam: float,
+                   Y: float = None) -> Classification:
     """Tag a free-boundary point as regular, singular candidate, or unresolved.
 
     ``w`` must be the extension of the shifted solution (zero at the free
@@ -419,6 +426,11 @@ def classify_point(w: ExtensionField, center, lam: float) -> Classification:
     within ``_BAND`` of 1 regular, within ``_BAND`` of 2 a quadratic-model
     fit of the blow-up (relative residual below ``_FIT_TOL``) confirms or
     rejects the singular candidacy.
+
+    The radii reach half the room, min(distance to the boundary, Y), where
+    Y is the height of the full y-mesh (by default w's own); w is read only
+    up to that radius, so it may hold just a prefix of the mesh that
+    reaches it.
     """
     dom = w.domain
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -438,8 +450,7 @@ def classify_point(w: ExtensionField, center, lam: float) -> Classification:
                               fit_residual=float("nan"),
                               note="trace gradient above discretisation noise")
 
-    room = min(dom.distance_to_boundary(center), w.ymesh.Y)
-    rmax = 0.5 * room
+    rmax = _half_room(dom, center, w.ymesh.Y if Y is None else Y)
     rmin = 5 * dom.h
     if rmax < 1.2 * rmin:
         return Classification(tag="unresolved", gradient_norm=gnorm,
@@ -635,7 +646,26 @@ def _cluster_cells(cells, reach: int = 2):
     return [np.flatnonzero(labels == k).tolist() for k in range(n_groups)]
 
 
-def singular_census(w: ExtensionField, level: float, lam: float) -> Census:
+def _reach(dom: Domain, points, Y: float) -> float:
+    """Largest radius the census reads: the half room of the farthest
+    point its gradient leaves undecided (0 when there is none)."""
+    return max((_half_room(dom, p.location, Y) for p in points
+                if p.tag != "regular"), default=0.0)
+
+
+def census_reach(domain: Domain, values: np.ndarray, level: float,
+                 Y: float) -> float:
+    """Height up to which ``singular_census`` reads an extension of the
+    full-grid trace ``values`` at ``level``, on a y-mesh of height Y.
+
+    An extension on ``ymesh.prefix(census_reach(...))`` is all the census
+    needs; 0 (the trace alone) when every point is regular by its gradient.
+    """
+    return _reach(domain, extract_free_boundary(domain, values, level).points, Y)
+
+
+def singular_census(w: ExtensionField, level: float, lam: float,
+                    Y: float = None) -> Census:
     """Classify every free-boundary point of the trace of w at a level.
 
     Points whose trace gradient clears the discretisation-noise
@@ -645,6 +675,11 @@ def singular_census(w: ExtensionField, level: float, lam: float) -> Census:
     outcome is shared by the cluster's members.  The singular and
     unresolved locations are listed in ascending order, so the census
     does not depend on the order of the extracted points.
+
+    Y is the height of the full y-mesh (by default w's own).  The census
+    shifts and reads only the layers up to ``census_reach``, so w may hold
+    just the prefix of the mesh up to there: the outcome is the same, bit
+    for bit, as on the full extension.
     """
     dom = w.domain
     u = w.trace
@@ -659,13 +694,21 @@ def singular_census(w: ExtensionField, level: float, lam: float) -> Census:
                       n_clusters=0, singular_locations=[],
                       unresolved_locations=[], note="no free boundary")
 
-    shifted = w.shifted(level)
+    Y = w.ymesh.Y if Y is None else Y
     regular = [p for p in fb.points if p.tag == "regular"]
     pending = [p for p in fb.points if p.tag != "regular"]
     singular_locs, unresolved_locs = [], []
     tagged = list(regular)
     clusters = []
     if pending:
+        reach = _reach(dom, pending, Y)
+        ym = w.ymesh.prefix(reach)
+        if ym.Y < reach:
+            raise ValueError(f"the extension ends at y = {ym.Y:.4g}, below the "
+                             f"census reach {reach:.4g}")
+        # a view of the layers the census reads; only they are shifted
+        shifted = ExtensionField(domain=dom, ymesh=ym, s=w.s,
+                                 values=w.values[..., :ym.M + 1]).shifted(level)
         clusters = _cluster_cells([p.cell for p in pending])
         for group in clusters:
             members = [pending[i] for i in group]
@@ -676,7 +719,7 @@ def singular_census(w: ExtensionField, level: float, lam: float) -> Census:
             tied = np.flatnonzero(dist <= dist.min() + 1e-9 * dist.max())
             rep = min((members[i] for i in tied), key=lambda m: m.location)
             try:
-                tag = classify_point(shifted, rep.location, lam).tag
+                tag = classify_point(shifted, rep.location, lam, Y).tag
             except ValueError:
                 tag = "unresolved"
             if tag == "singular-candidate":

@@ -398,10 +398,35 @@ def mode_energy_integral(s: float) -> float:
     return float(val)
 
 
+def bessel_profile(s: float, z) -> np.ndarray:
+    """psi_s(z) = 2^(1-s)/Gamma(s) z^s K_s(z) with psi_s(0) = 1, from the
+    unscaled K_s at every argument (no cut at large z)."""
+    z = np.asarray(z, dtype=float)
+    out = np.ones_like(z)
+    pos = z > 0
+    out[pos] = (2.0 ** (1.0 - s) / scipy.special.gamma(s)
+                * z[pos] ** s * scipy.special.kv(s, z[pos]))
+    return out
+
+
 def flux_constant(s: float) -> float:
     """2^{1-2s} Gamma(1-s) / Gamma(s), the spectral-to-flux normalization."""
     return float(2.0 ** (1 - 2 * s) * scipy.special.gamma(1 - s)
                  / scipy.special.gamma(s))
+
+
+# -- sign of the y-derivative over the whole slab ------------------------------------
+
+
+def uy_sign_reduction(values: np.ndarray, ynodes: np.ndarray, tol: float):
+    """(largest one-sided y-difference quotient, number above tol times the
+    field scale, index of the first largest in row-major order), from one
+    slab-sized array of quotients."""
+    grad = np.diff(values, axis=-1) / np.diff(ynodes)
+    scale = max(float(np.abs(values).max()), 1.0)
+    worst = np.unravel_index(int(np.argmax(grad)), grad.shape)
+    return (float(grad.max()), int(np.count_nonzero(grad > tol * scale)),
+            tuple(int(k) for k in worst))
 
 
 # -- finite-volume slab extension by one sparse LU ------------------------------------

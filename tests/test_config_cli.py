@@ -10,8 +10,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fracplasma import (ConfigError, ExperimentConfig, build_ymesh,
-                        extend_semianalytic, load_config)
+from fracplasma import (ConfigError, ExperimentConfig, ExtensionField,
+                        build_ymesh, extend_semianalytic, load_config)
 from fracplasma.cli import main
 
 BASE = {
@@ -235,6 +235,49 @@ def test_cli_extends_only_the_layers_it_reads(tmp_path, monkeypatch):
     assert freq_nodes[-2] < reach <= freq_nodes[-1] < full.Y
     assert np.array_equal(freq.nodes, full.nodes[:freq.M + 1])
     assert blow.nodes[-2] < 0.5 <= blow.nodes[-1]
+
+
+def test_cli_verify_census_shifts_and_extends_only_its_prefix(tmp_path, monkeypatch):
+    import fracplasma.cli as cli
+    meshes, extended, shifted = {}, [], []
+
+    def mesh_spy(*args, **kwargs):
+        ym = build_ymesh(*args, **kwargs)
+        meshes[ym.M] = ym
+        return ym
+
+    def spy(f, s, ymesh):
+        extended.append((f.basis.domain.grid_shape, ymesh.M))
+        return extend_semianalytic(f, s, ymesh)
+
+    shift = ExtensionField.shifted
+
+    def shift_spy(self, level):
+        shifted.append((self.domain.grid_shape, self.ymesh.M))
+        return shift(self, level)
+
+    monkeypatch.setattr(cli, "build_ymesh", mesh_spy)
+    monkeypatch.setattr(cli, "extend_semianalytic", spy)
+    monkeypatch.setattr(ExtensionField, "shifted", shift_spy)
+    path = write_config(tmp_path, {
+        "domain": {"kind": "rectangle", "n": 25,
+                   "bounds": [[0.0, np.pi], [0.0, np.pi]]},
+        "s": 0.75, "extension": {"span_factor": 20.0, "layers": 64}})
+    out = tmp_path / "verify"
+    main(["verify", "--config", str(path), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    census = [c for c in report["checks"]
+              if c["name"] == "census stable under refinement"]
+    assert census[0]["note"] == "0 singular at base, 0 refined"
+    # the base extension is the whole mesh (dtn and the y-sign check read
+    # it); the refined one stops at the refined census's prefix
+    assert extended[0] == ((25, 25), 64)
+    assert extended[1][0] == (49, 49) and 0 < extended[1][1] < 128
+    assert set(meshes) >= {64, 128}
+    # each census shifts only a prefix, well short of its mesh
+    assert [grid for grid, _ in shifted] == [(25, 25), (49, 49)]
+    assert shifted[0][1] < 64 // 4
+    assert extended[1][1] == shifted[1][1] < 128 // 4
 
 
 def test_cli_frequency_without_a_ladder_does_not_extend(tmp_path, monkeypatch):

@@ -32,12 +32,26 @@ def test_mode_profile_half_is_exponential():
 
 
 def test_mode_profile_decays():
-    z = np.array([1.0, 5.0, 20.0, 100.0, 800.0])
+    # strictly decreasing up to the cut at z = 40, exact zeros beyond it
+    z = np.array([1.0, 5.0, 20.0, 40.0, 100.0, 800.0])
     for s in (0.25, 0.75):
         vals = mode_profile(s, z)
-        assert np.all(np.diff(vals) < 0)
-        assert vals[-1] >= 0.0
-        assert vals[-1] < 1e-100
+        assert np.all(np.diff(vals[:4]) < 0)
+        assert vals[3] > 0.0
+        assert np.all(vals[4:] == 0.0)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.75, 0.9, 0.99])
+def test_mode_profile_cut_at_forty_within_bound(s):
+    z = np.concatenate([np.linspace(0.0, 60.0, 601), [40.0 - 1e-12, 40.0 + 1e-12, 700.0]])
+    vals = mode_profile(s, z)
+    ref = oracles.bessel_profile(s, z)
+    cut = z > 40.0
+    # zeros where the profile is cut, within the bound of the formula there,
+    # and the formula to rounding everywhere else
+    assert np.all(vals[cut] == 0.0)
+    assert np.abs(vals[cut] - ref[cut]).max() <= 3.5e-17
+    np.testing.assert_allclose(vals[~cut], ref[~cut], rtol=1e-12, atol=0.0)
 
 
 def test_mode_profile_small_z_flux_power():
@@ -231,6 +245,23 @@ def test_weighted_energy_exact_for_linear_field(dim, s):
 # -- finite-difference extension -----------------------------------------------------
 
 
+@pytest.mark.parametrize("kind, n, bounds", [
+    ("interval", 65, (0.0, np.pi)),
+    ("rectangle", 25, ((0.0, np.pi), (0.0, np.pi))),
+])
+def test_weighted_energy_same_bits_in_any_row_block(kind, n, bounds, monkeypatch):
+    import fracplasma.extension as extension
+    dom = build_domain(kind, n, bounds=bounds)
+    basis = eigendecompose(dom, dom.n_interior)
+    rng = np.random.default_rng(3)
+    f = SpectralField(basis, rng.standard_normal(basis.size) / (1 + np.arange(basis.size)))
+    w = extend_semianalytic(f, 0.75, build_ymesh(0.75, float(basis.eigenvalues[0]), layers=40))
+    whole = weighted_energy(w)
+    for cells in (1, 100, 1000):
+        monkeypatch.setattr(extension, "_ENERGY_CELLS", cells)
+        assert weighted_energy(w) == whole
+
+
 def test_fd_extension_agrees_with_semianalytic(interval):
     dom, basis = interval
     s = 0.5
@@ -308,6 +339,38 @@ def test_uy_sign_flags_negative_mode(interval):
     rep = check_uy_sign(w)
     assert not rep.passed
     assert rep.n_violations > 0
+
+
+def _uy_fields():
+    rng = np.random.default_rng(11)
+    square = build_domain("rectangle", 9, bounds=((0.0, 1.0), (0.0, 1.0)))
+    line = build_domain("interval", 9, bounds=(0.0, 1.0))
+    ym = build_ymesh(0.5, 1.0, layers=100)          # four blocks of layers
+    unit = YMesh(nodes=np.arange(101.0), grading=1.0)
+    # equal quotients in two blocks, the first in row-major order in the
+    # earlier block or in the later one
+    for early, late in ((3, 5), (5, 3)):
+        steps = np.zeros(line.grid_shape + (unit.M + 1,))
+        steps[early, 40:] = 1.0
+        steps[late, 70:] = 1.0
+        yield ExtensionField(domain=line, ymesh=unit, s=0.5, values=steps)
+        yield ExtensionField(domain=line, ymesh=unit, s=0.5, values=steps[:, ::-1].copy())
+    decay = np.exp(-ym.nodes) * rng.random(square.grid_shape)[..., None]
+    yield ExtensionField(domain=square, ymesh=ym, s=0.5, values=decay)
+    yield ExtensionField(domain=square, ymesh=ym, s=0.5,
+                         values=rng.standard_normal(square.grid_shape + (ym.M + 1,)))
+    yield ExtensionField(domain=square, ymesh=ym, s=0.5,
+                         values=np.zeros(square.grid_shape + (ym.M + 1,)))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-8])
+def test_uy_sign_blocks_match_whole_slab_reduction(tol):
+    for w in _uy_fields():
+        rep = check_uy_sign(w, tol=tol)
+        top, count, worst = oracles.uy_sign_reduction(w.values, w.ymesh.nodes, tol)
+        assert (rep.max_derivative, rep.n_violations, rep.worst_location) == \
+            (top, count, worst)
+        assert rep.passed == (count == 0)
 
 
 # -- smallest eigenvalue -------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from fracplasma import (ExtensionField, blowup, build_domain, build_ymesh,
-                        check_boundary_inclusion, check_subharmonic_strip,
+                        census_reach, check_boundary_inclusion, check_subharmonic_strip,
                         classify_point, eigendecompose, extend_semianalytic,
                         extract_free_boundary, frequency_profile,
                         singular_census, solve_fixed_lambda)
@@ -359,6 +359,55 @@ def test_census_finds_synthetic_singular_point():
     if cen.singular_locations:
         loc = np.array(cen.singular_locations[0])
         assert np.linalg.norm(loc) < 5 * dom.h
+
+
+def _saddle(n=81, layers=64):
+    s = 0.5
+    dom = build_domain("rectangle", n, bounds=((-1.0, 1.0), (-1.0, 1.0)))
+    ym = build_ymesh(s, 1.0, span_factor=1.0, layers=layers)
+    xs, ys = np.meshgrid(*dom.axes, indexing="ij")
+    vals = np.repeat((xs**2 - ys**2)[..., None], ym.M + 1, axis=-1)
+    return ExtensionField(domain=dom, ymesh=ym, s=s, values=vals)
+
+
+def test_census_on_its_prefix_equals_full_census_of_plasma_solution(square25):
+    dom, basis = square25
+    s, gamma = 0.75, 0.1
+    lam = 4.0 * float(basis.eigenvalues[0] ** s)
+    sol = solve_fixed_lambda(basis, lam, gamma, s)
+    ym = build_ymesh(s, float(basis.eigenvalues[0]))
+    full = singular_census(extend_semianalytic(sol.field, s, ym), gamma, lam)
+    reach = census_reach(dom, sol.trace, gamma, ym.Y)
+    short = ym.prefix(reach)
+    assert 0 < reach <= short.Y and short.M < ym.M // 4
+    prefix = singular_census(extend_semianalytic(sol.field, s, short), gamma, lam, ym.Y)
+    assert full.n_clusters > 0
+    assert prefix == full
+
+
+def test_census_on_its_prefix_equals_full_census_of_saddle():
+    w = _saddle()
+    full = singular_census(w, 0.0, 0.0)
+    reach = census_reach(w.domain, w.trace, 0.0, w.ymesh.Y)
+    short = w.ymesh.prefix(reach)
+    assert short.M < w.ymesh.M
+    view = ExtensionField(domain=w.domain, ymesh=short, s=w.s,
+                          values=w.values[..., :short.M + 1])
+    prefix = singular_census(view, 0.0, 0.0, w.ymesh.Y)
+    assert len(full.singular_locations) + len(full.unresolved_locations) >= 1
+    assert prefix == full
+    # one layer short of the reach is refused, not read past its end
+    cut = w.ymesh.prefix(w.ymesh.nodes[short.M - 1])
+    with pytest.raises(ValueError, match="census reach"):
+        singular_census(ExtensionField(domain=w.domain, ymesh=cut, s=w.s,
+                                       values=w.values[..., :cut.M + 1]),
+                        0.0, 0.0, w.ymesh.Y)
+
+
+def test_census_reach_is_zero_when_every_point_is_regular():
+    dom = build_domain("rectangle", 49, bounds=((-1.0, 1.0), (-1.0, 1.0)))
+    xs, ys = np.meshgrid(*dom.axes, indexing="ij")
+    assert census_reach(dom, 1.0 - xs**2 - ys**2, 0.5, 1.0) == 0.0
 
 
 def _extract_reversed(monkeypatch):
