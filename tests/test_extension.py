@@ -43,7 +43,8 @@ def test_mode_profile_decays():
 
 @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.75, 0.9, 0.99])
 def test_mode_profile_cut_at_forty_within_bound(s):
-    z = np.concatenate([np.linspace(0.0, 60.0, 601), [40.0 - 1e-12, 40.0 + 1e-12, 700.0]])
+    z = np.concatenate([np.linspace(0.0, 60.0, 601),
+                        [40.0 - 1e-12, 40.0 + 1e-12, 700.0]])
     vals = mode_profile(s, z)
     ref = oracles.bessel_profile(s, z)
     cut = z > 40.0
@@ -255,7 +256,8 @@ def test_weighted_energy_same_bits_in_any_row_block(kind, n, bounds, monkeypatch
     basis = eigendecompose(dom, dom.n_interior)
     rng = np.random.default_rng(3)
     f = SpectralField(basis, rng.standard_normal(basis.size) / (1 + np.arange(basis.size)))
-    w = extend_semianalytic(f, 0.75, build_ymesh(0.75, float(basis.eigenvalues[0]), layers=40))
+    ym = build_ymesh(0.75, float(basis.eigenvalues[0]), layers=40)
+    w = extend_semianalytic(f, 0.75, ym)
     whole = weighted_energy(w)
     for cells in (1, 100, 1000):
         monkeypatch.setattr(extension, "_ENERGY_CELLS", cells)
