@@ -13,8 +13,8 @@ from .domains import (Domain, EigenBasis, build_domain, eigendecompose,
                       laplacian_matrix)
 from .extension import (ExtensionField, UySignReport, YMesh, build_ymesh,
                         check_uy_sign, dtn, extension_energy_constant,
-                        extend_fd, extend_semianalytic, mode_profile,
-                        weighted_energy)
+                        extend_fd, extend_semianalytic, fd_energy,
+                        mode_profile, weighted_energy)
 from .freeboundary import (BlowupField, Census, Classification, FreeBoundary,
                            FreeBoundaryPoint, FrequencyProfile, InclusionReport,
                            StripReport, blowup, census_reach,
@@ -37,7 +37,7 @@ __all__ = [
     "laplacian_matrix",
     "ExtensionField", "UySignReport", "YMesh", "build_ymesh",
     "check_uy_sign", "dtn", "extension_energy_constant", "extend_fd",
-    "extend_semianalytic", "mode_profile", "weighted_energy",
+    "extend_semianalytic", "fd_energy", "mode_profile", "weighted_energy",
     "BlowupField", "Census", "Classification", "FreeBoundary",
     "FreeBoundaryPoint", "FrequencyProfile", "InclusionReport", "StripReport",
     "blowup", "census_reach", "check_boundary_inclusion",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,8 @@ from . import freeboundary as fb
 from .config import (CheckResult, ConfigError, ExperimentConfig, RunReport,
                      load_config)
 from .domains import build_domain, eigendecompose
-from .extension import (YMesh, build_ymesh, check_uy_sign, dtn, extend_fd,
-                        extend_semianalytic, weighted_energy)
+from .extension import (YMesh, build_ymesh, check_uy_sign, dtn,
+                        extend_semianalytic, fd_energy)
 from .plasma import (SolverError, SolverOptions, constraint_mass,
                      minimize_energy, solve_constrained, solve_fixed_lambda,
                      steiner_symmetrize)
@@ -139,10 +140,18 @@ class _Run:
         return extend_semianalytic(self.sol.field, self.cfg.s,
                                    self.ymesh() if ymesh is None else ymesh)
 
+    @cached_property
+    def complete_basis(self):
+        """The run's basis when it is complete, else the complete basis,
+        built on first use and kept."""
+        if self.basis.size == self.dom.n_interior:
+            return self.basis
+        return eigendecompose(self.dom, self.dom.n_interior)
+
     def fd_energy(self, values) -> float:
-        """Weighted energy of the finite-volume extension of ``values``."""
+        """Finite-volume extension energy E_h of ``values``."""
         ym = self.ymesh(min(self.cfg.extension.layers, _FD_MAX_LAYERS))
-        return weighted_energy(extend_fd(self.dom, values, self.cfg.s, ym))
+        return fd_energy(self.complete_basis, values, self.cfg.s, ym)
 
 
 def _pipeline(name: str, cfg: ExperimentConfig, out: Path, work, *,

@@ -141,6 +141,15 @@ class EigenBasis:
         return self.domain.h ** self.domain.dim
 
     @property
+    def columnwise(self) -> bool:
+        """True when ``nodal`` gives each trailing column the same bits
+        whatever other columns come with it: the ``dstn`` transform of a
+        large sine grid.  Dense products (a disk's vectors, the sine
+        tables of a small grid) round their last bits by the number of
+        columns."""
+        return self._dense is None and not self._sine.by_tables
+
+    @property
     def _mode_shape(self) -> tuple:
         return tuple(n - 2 for n in self.domain.grid_shape)
 

@@ -20,8 +20,11 @@ Bessel function only below it.
 Near y = 0 the profile behaves like 1 - kappa_s z^{2s} + O(z^2): the
 Dirichlet-to-Neumann map (dtn) therefore fits the first few off-trace layers
 against the powers {y^{2s}, y^2, y^{2s+2}, y^4} instead of differencing.
-weighted_energy integrates the slab energy of the multilinear interpolant
-exactly, in any thin dimension.
+
+extend_fd solves the finite-volume slab scheme, and fd_energy gives the
+energy E_h that this scheme minimises, in closed form per mode, without
+forming the slab.  weighted_energy integrates the slab energy of the
+multilinear interpolant exactly, in any thin dimension.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.special import gamma as gamma_fn, kve
 
-from .domains import Domain, eigendecompose
+from .domains import Domain, EigenBasis, eigendecompose
 from .spectral import SpectralField, _check_order
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
     "extension_energy_constant",
     "extend_semianalytic",
     "extend_fd",
+    "fd_energy",
     "dtn",
     "check_uy_sign",
     "UySignReport",
@@ -193,10 +197,11 @@ def extend_semianalytic(f: SpectralField, s: float, ymesh: YMesh) -> ExtensionFi
 
     The profile is evaluated once per distinct eigenvalue (tied modes
     share it), and one batched transform takes a block of layers to the
-    nodes, so no temporary is larger than a block.  Every layer is
-    computed independently of the others, so an extension on some of a
-    mesh's nodes (a ``YMesh.prefix``, or any subset) equals the matching
-    layers of the full one bit for bit.
+    nodes, so no temporary is larger than a block.  Short blocks are
+    padded to the full width unless the basis is ``columnwise``.  Every
+    layer is computed independently of the others, so an extension on
+    some of a mesh's nodes (a ``YMesh.prefix``, or any subset) equals the
+    matching layers of the full one bit for bit.
     """
     _check_order(s)
     if s == 1.0:
@@ -211,42 +216,23 @@ def extend_semianalytic(f: SpectralField, s: float, ymesh: YMesh) -> ExtensionFi
         block = slice(start, start + _LAYER_BLOCK)
         nodes = ymesh.nodes[block]
         # a short block keeps zero profiles in its unused columns: every
-        # product then has the same width, so a dense (disk) basis runs the
-        # same BLAS kernel whichever layers are asked for
+        # dense product then has the same width, so it runs the same BLAS
+        # kernel whichever layers are asked for; a columnwise transform
+        # takes only the columns in use
+        width = len(nodes) if basis.columnwise else _LAYER_BLOCK
         prof[:, len(nodes):] = 0.0
         prof[:, :len(nodes)] = mode_profile(s, roots * nodes)[which] * f.coeffs[:, None]
-        vals[dom.interior, block] = basis.nodal(prof)[:, :len(nodes)]
+        vals[dom.interior, block] = basis.nodal(prof[:, :width])[:, :len(nodes)]
     return ExtensionField(domain=dom, ymesh=ymesh, s=s, values=vals,
                           provenance="semianalytic")
 
 
-def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
-              ymesh: YMesh) -> ExtensionField:
-    """Solve the weighted slab problem by a finite-volume scheme.
-
-    Unknowns live at interior grid nodes and layers 1..M-1; the trace is
-    Dirichlet data at y = 0, and zero is imposed on the lateral walls and
-    the top.  Face conductances integrate the weight y^a exactly:
-
-      horizontal faces of layer j:  int over the control volume of y^a
-      vertical   faces j -> j+1:    harmonic transmissibility
-                                    (1 - a) / (y_{j+1}^{1-a} - y_j^{1-a})
-
-    so the matrix is symmetric positive definite and satisfies a discrete
-    maximum principle (nonnegative data give nonnegative solutions).
-
-    The slab matrix is B (x) diag(cond_x) + I (x) T_y with B = h^2 (-Delta_h)
-    the thin graph Laplacian, so the system is solved mode by mode in the
-    domain's complete ``EigenBasis``: each eigenvalue mu_k = h^2 lambda_k
-    leaves one tridiagonal system in y,
-    (mu_k diag(cond_x) + T_y) c_k = cond_y[0] u_k e_1, and one Thomas
-    sweep vectorised over the modes solves them all.  Past the transform
-    the cost is linear in the number of layers.
-    """
+def _checked_trace(domain: Domain, trace_values: np.ndarray, s: float) -> np.ndarray:
+    """The trace as a full-grid float array, refused unless it is finite,
+    vanishes off the interior and s is in (0, 1)."""
     _check_order(s)
     if s == 1.0:
         raise ValueError("extension requires s in (0, 1)")
-    a = 1.0 - 2.0 * s
     trace_full = np.asarray(trace_values, dtype=float)
     if trace_full.shape != domain.grid_shape:
         raise ValueError("trace must be a full-grid array")
@@ -256,17 +242,50 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
     scale = max(np.abs(trace_full).max(), 1.0)
     if off.size and off.max() > 1e-12 * scale:
         raise ValueError("trace must vanish off the interior nodes")
+    return trace_full
 
+
+def _conductances(domain: Domain, s: float, ymesh: YMesh):
+    """Face conductances of the finite-volume slab scheme.
+
+    cond_x[j - 1] belongs to the horizontal faces of layer j = 1..M-1: the
+    integral of y^a over its control volume [mid_{j-1}, mid_j], times
+    h^(dim-2).  cond_y[j] belongs to the vertical face between layers j
+    and j+1, j = 0..M-1: the harmonic transmissibility
+    (1 - a) / (y_{j+1}^{1-a} - y_j^{1-a}), times h^dim.
+    """
+    a = 1.0 - 2.0 * s
     ys = ymesh.nodes
-    M = ymesh.M
     h, dim = domain.h, domain.dim
     mid = 0.5 * (ys[:-1] + ys[1:])
-    # control volume of layer j = 1..M-1 spans [mid_{j-1}, mid_j]
-    wvol = (mid[1:] ** (1 + a) - mid[:-1] ** (1 + a)) / (1 + a)  # layers 1..M-1
-    cond_x = wvol * h ** (dim - 2)
-    # vertical conductance between layers j and j+1, j = 0..M-1
+    wvol = (mid[1:] ** (1 + a) - mid[:-1] ** (1 + a)) / (1 + a)
     resist = (ys[1:] ** (1 - a) - ys[:-1] ** (1 - a)) / (1 - a)
-    cond_y = h**dim / resist
+    return wvol * h ** (dim - 2), h**dim / resist
+
+
+def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
+              ymesh: YMesh) -> ExtensionField:
+    """Solve the weighted slab problem by a finite-volume scheme.
+
+    Unknowns live at interior grid nodes and layers 1..M-1; the trace is
+    Dirichlet data at y = 0, and zero is imposed on the lateral walls and
+    the top.  Face conductances integrate the weight y^a exactly
+    (``_conductances``): control-volume integrals on the horizontal faces,
+    harmonic transmissibilities on the vertical ones, so the matrix is
+    symmetric positive definite and satisfies a discrete maximum
+    principle (nonnegative data give nonnegative solutions).
+
+    The slab matrix is B (x) diag(cond_x) + I (x) T_y with B = h^2 (-Delta_h)
+    the thin graph Laplacian, so the system is solved mode by mode in the
+    domain's complete ``EigenBasis``: each eigenvalue mu_k = h^2 lambda_k
+    leaves one tridiagonal system in y,
+    (mu_k diag(cond_x) + T_y) c_k = cond_y[0] u_k e_1, and one Thomas
+    sweep vectorised over the modes solves them all.  Past the transform
+    the cost is linear in the number of layers.
+    """
+    trace_full = _checked_trace(domain, trace_values, s)
+    M = ymesh.M
+    cond_x, cond_y = _conductances(domain, s, ymesh)
 
     basis = eigendecompose(domain, domain.n_interior)
     # tridiagonal T_k = diag(mu_k cond_x + cond_y[:-1] + cond_y[1:]) with
@@ -274,7 +293,7 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
     # The diagonal is formed one layer at a time, so at most three
     # slab-sized arrays live at once: c and ratio in the sweep, c and the
     # transform's scatter grid and output in nodal.
-    mu = basis.eigenvalues * h**2
+    mu = basis.eigenvalues * domain.h**2
     cond_sum = cond_y[:-1] + cond_y[1:]
     couple = cond_y[1:M - 1]
     c = np.empty((basis.size, M - 1))
@@ -296,6 +315,40 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
     vals[domain.interior, 1:M] = layers
     return ExtensionField(domain=domain, ymesh=ymesh, s=s, values=vals,
                           provenance="fd")
+
+
+def fd_energy(basis: EigenBasis, trace_values: np.ndarray, s: float,
+              ymesh: YMesh) -> float:
+    """Finite-volume energy E_h of the extension ``extend_fd`` builds.
+
+    E_h = sum_j cond_x[j] W_j^T B W_j + sum_j cond_y[j] |W_{j+1} - W_j|^2
+    over the slab nodal values W (W_0 the trace, W_M = 0), the quadratic
+    form that extend_fd minimises.  ``basis`` must be complete; in it E_h
+    is diagonal: mode k with coefficient c_k contributes
+    h^-dim cond_y[0] (1 - r_k) c_k^2, with r_k = cond_y[0] / S_k and S_k the
+    Schur complement of its tridiagonal system onto layer 1.
+
+    S_k - cond_y[0] is the conductance G_1 of the ladder above the first
+    face: with x_j = mu_k cond_x of layer j, G_{M-1} = x_{M-1} + cond_y[M-1]
+    and G_j = x_j + cond_y[j] G_{j+1} / (cond_y[j] + G_{j+1}).  So
+    cond_y[0] (1 - r_k) = cond_y[0] G_1 / (cond_y[0] + G_1) is formed
+    without cancellation, by one backward sweep over the layers that is
+    vectorised over the modes, after one ``coefficients`` call; no slab
+    is formed.
+    """
+    domain = basis.domain
+    if basis.size != domain.n_interior:
+        raise ValueError("fd_energy needs a complete basis "
+                         f"({domain.n_interior} modes, got {basis.size})")
+    trace_full = _checked_trace(domain, trace_values, s)
+    cond_x, cond_y = _conductances(domain, s, ymesh)
+    mu = basis.eigenvalues * domain.h**2
+    ladder = mu * cond_x[-1] + cond_y[-1]
+    for j in range(ymesh.M - 2, 0, -1):
+        ladder = mu * cond_x[j - 1] + cond_y[j] * ladder / (cond_y[j] + ladder)
+    coeffs = basis.coefficients(trace_full[domain.interior])
+    modal = cond_y[0] * ladder / (cond_y[0] + ladder)
+    return float(modal @ coeffs**2) / basis.weight
 
 
 # -- boundary-layer fits ---------------------------------------------------------

@@ -470,11 +470,12 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
             f"{min(masses):.6g}); choose a larger mass"
         )
 
-    def gap(lam):
-        sol = solve_at(lam)
-        return constraint_mass(dom, sol.trace, gamma, kind) - mass
-
-    lam_star = brentq(gap, bracket[0], bracket[1], xtol=1e-13 * lam1s, rtol=8.9e-16)
+    # the problem goes in through args: brentq's wrapper of the function
+    # refers to itself, and a closure over solve_at in that cycle would keep
+    # the basis alive after the return until the cyclic GC ran
+    lam_star = brentq(_mass_gap, bracket[0], bracket[1],
+                      args=(solve_at, dom, gamma, kind, mass),
+                      xtol=1e-13 * lam1s, rtol=8.9e-16)
     sol = solve_at(lam_star)
     achieved = constraint_mass(dom, sol.trace, gamma, kind)
     if abs(achieved - mass) > opts.constraint_rtol * mass:
@@ -484,6 +485,12 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
         )
     return replace(sol, constraint_kind=kind, constraint_target=float(mass),
                    constraint_value=achieved)
+
+
+def _mass_gap(lam, solve_at, dom, gamma, kind, mass) -> float:
+    """Constraint mass of the solution at ``lam`` minus the target."""
+    sol = solve_at(lam)
+    return constraint_mass(dom, sol.trace, gamma, kind) - mass
 
 
 def _scale_onto_mass(u: np.ndarray, gamma: float, target: float,

@@ -432,6 +432,17 @@ def uy_sign_reduction(values: np.ndarray, ynodes: np.ndarray, tol: float):
 # -- finite-volume slab extension by one sparse LU ------------------------------------
 
 
+def _fd_conductances(ys: np.ndarray, s: float, h: float, dim: int):
+    """Control-volume integrals of y^a for layers 1..M-1 (horizontal
+    faces) and harmonic transmissibilities between adjacent layers
+    (vertical faces), scaled by the thin cell size."""
+    a = 1.0 - 2.0 * s
+    mid = 0.5 * (ys[:-1] + ys[1:])
+    cond_x = (mid[1:] ** (1 + a) - mid[:-1] ** (1 + a)) / (1 + a) * h ** (dim - 2)
+    cond_y = h**dim * (1 - a) / (ys[1:] ** (1 - a) - ys[:-1] ** (1 - a))
+    return cond_x, cond_y
+
+
 def fd_slab_extension(interior: np.ndarray, h: float, trace: np.ndarray,
                       s: float, ys: np.ndarray) -> np.ndarray:
     """Finite-volume extension of ``trace`` assembled as one 3-D matrix.
@@ -444,7 +455,6 @@ def fd_slab_extension(interior: np.ndarray, h: float, trace: np.ndarray,
     integrals of y^a horizontally, harmonic transmissibilities
     vertically.  Returns values of shape grid_shape + (M + 1,).
     """
-    a = 1.0 - 2.0 * s
     dim = interior.ndim
     M = len(ys) - 1
     L = M - 1
@@ -461,9 +471,7 @@ def fd_slab_extension(interior: np.ndarray, h: float, trace: np.ndarray,
     keep = np.flatnonzero(interior.ravel())
     B = B.tocsr()[keep][:, keep]
 
-    mid = 0.5 * (ys[:-1] + ys[1:])
-    cond_x = (mid[1:] ** (1 + a) - mid[:-1] ** (1 + a)) / (1 + a) * h ** (dim - 2)
-    cond_y = h**dim * (1 - a) / (ys[1:] ** (1 - a) - ys[:-1] ** (1 - a))
+    cond_x, cond_y = _fd_conductances(ys, s, h, dim)
     Ty = scipy.sparse.diags([-cond_y[1:L], cond_y[:-1] + cond_y[1:], -cond_y[1:L]],
                             [-1, 0, 1])
     A = (scipy.sparse.kron(B, scipy.sparse.diags(cond_x))
@@ -475,6 +483,28 @@ def fd_slab_extension(interior: np.ndarray, h: float, trace: np.ndarray,
     out[..., 0] = trace
     out[interior, 1:M] = sol
     return out
+
+
+def fd_slab_energy(interior: np.ndarray, h: float, trace: np.ndarray,
+                   s: float, ys: np.ndarray) -> float:
+    """Finite-volume energy of the assembled extension, face by face.
+
+    Sums cond_x of each layer 1..M-1 times the squared differences across
+    every thin grid face of that layer (zero off the interior, so faces to
+    the walls count), plus cond_y of each vertical face times the squared
+    differences between the layers it joins.
+    """
+    W = fd_slab_extension(interior, h, trace, s, ys)
+    dim = interior.ndim
+    cond_x, cond_y = _fd_conductances(ys, s, h, dim)
+    total = 0.0
+    for j in range(1, len(ys) - 1):
+        layer = W[..., j]
+        total += cond_x[j - 1] * sum(float(np.sum(np.diff(layer, axis=ax) ** 2))
+                                     for ax in range(dim))
+    for j in range(len(ys) - 1):
+        total += cond_y[j] * float(np.sum((W[..., j + 1] - W[..., j]) ** 2))
+    return total
 
 
 # -- level-set crossings and cell clusters ------------------------------------------

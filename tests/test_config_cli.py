@@ -471,13 +471,13 @@ def test_cli_verify_steiner_energy_matches_symmetrize(tmp_path, monkeypatch):
     import fracplasma.cli as cli
 
     meshes = []
-    extend = cli.extend_fd
+    energy = cli.fd_energy
 
-    def recording(dom, values, s, ymesh):
+    def recording(basis, values, s, ymesh):
         meshes.append(ymesh.nodes)
-        return extend(dom, values, s, ymesh)
+        return energy(basis, values, s, ymesh)
 
-    monkeypatch.setattr(cli, "extend_fd", recording)
+    monkeypatch.setattr(cli, "fd_energy", recording)
     path = write_config(tmp_path)
     main(["symmetrize", "--config", str(path), "--out", str(tmp_path / "sym")])
     main(["verify", "--config", str(path), "--out", str(tmp_path / "ver")])
@@ -488,6 +488,58 @@ def test_cli_verify_steiner_energy_matches_symmetrize(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "ver" / "report.json").read_text())
     steiner = {c["name"]: c for c in report["checks"]}["Steiner energy non-increasing"]
     assert steiner["value"] == meta["energy_after"] - meta["energy_before"]
+
+
+def _patch_every_binding(monkeypatch, module, name, replacement):
+    """Replace ``module.name`` under every package module name bound to it,
+    so calls through imported names reach the replacement too."""
+    import sys
+
+    original = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("fracplasma")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, replacement)
+    return original
+
+
+@pytest.mark.parametrize("command", ["symmetrize", "verify"])
+def test_cli_energy_needs_no_slab(tmp_path, monkeypatch, command):
+    import fracplasma.extension as extension
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Steiner energy needs no slab")
+
+    for name in ("extend_fd", "weighted_energy"):
+        _patch_every_binding(monkeypatch, extension, name, forbidden)
+    path = write_config(tmp_path)
+    main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    name = ("energy does not increase" if command == "symmetrize"
+            else "Steiner energy non-increasing")
+    assert {c["name"]: c for c in report["checks"]}[name]["passed"]
+
+
+# BASE's 65-node interval has 63 interior nodes, and verify's refined run 127
+@pytest.mark.parametrize("command, basis_size, sizes", [
+    ("symmetrize", None, [63]),
+    ("verify", None, [63, 127]),
+    ("symmetrize", 20, [20, 63]),
+])
+def test_cli_energy_builds_the_complete_basis_once(tmp_path, monkeypatch,
+                                                   command, basis_size, sizes):
+    import fracplasma.domains as domains
+
+    built = []
+
+    def counting(domain, K):
+        built.append(K)
+        return build(domain, K)
+
+    build = _patch_every_binding(monkeypatch, domains, "eigendecompose", counting)
+    path = write_config(tmp_path, {"basis_size": basis_size})
+    main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert built == sizes
 
 
 def test_cli_verify_strip_note_says_where(tmp_path):

@@ -1,14 +1,19 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fracplasma import (ExtensionField, SpectralField, YMesh, apply_fractional,
                         build_domain, build_ymesh, check_uy_sign, dtn,
                         eigendecompose, extension_energy_constant, extend_fd,
-                        extend_semianalytic, laplacian_matrix, mode_profile,
-                        project, weighted_energy)
+                        extend_semianalytic, fd_energy, laplacian_matrix,
+                        mode_profile, project, steiner_symmetrize,
+                        weighted_energy)
 
 
 @pytest.fixture(scope="module")
@@ -161,16 +166,21 @@ def test_ymesh_prefix_ends_at_first_node_reaching_height():
 
 
 # the disk's 25-node mask has few enough nodes that a product with a handful
-# of layers takes another BLAS kernel than one with a full block
+# of layers takes another BLAS kernel than one with a full block; the 129-
+# and 257-node squares are past the sine-table rule, so their short blocks
+# go through dstn unpadded
 @pytest.mark.parametrize("kind, n, bounds", [
     ("interval", 65, (0.0, np.pi)),
     ("rectangle", 25, ((0.0, np.pi), (0.0, np.pi))),
     ("disk", 25, ((-1.5, 1.5), (-1.5, 1.5))),
+    ("rectangle", 129, ((0.0, np.pi), (0.0, np.pi))),
+    ("rectangle", 257, ((0.0, np.pi), (0.0, np.pi))),
 ])
 def test_semianalytic_prefix_and_layers_equal_full_extension(kind, n, bounds):
     extra = {"radius": 1.4, "center": (0.0, 0.0)} if kind == "disk" else {}
     dom = build_domain(kind, n, bounds=bounds, **extra)
     basis = eigendecompose(dom, dom.n_interior)
+    assert basis.columnwise == (n > 100)
     rng = np.random.default_rng(6)
     f = SpectralField(basis, rng.standard_normal(basis.size) / (1 + np.arange(basis.size)))
     s = 0.75
@@ -314,6 +324,78 @@ def test_fd_extension_matches_sparse_lu_oracle(kind, s, layers):
     positive = dom.embed(rng.uniform(0.0, 1.0, dom.n_interior))
     w = extend_fd(dom, positive, s, ym)
     assert w.values.min() >= -1e-14 * positive.max()
+
+
+# -- finite-volume energy in closed form ---------------------------------------------
+
+
+_ENERGY_DOMAINS = {
+    "interval33": ("interval", 33, (0.0, np.pi), {}),
+    "square17": ("rectangle", 17, ((0.0, np.pi), (0.0, np.pi)), {}),
+    "square25": ("rectangle", 25, ((0.0, np.pi), (0.0, np.pi)), {}),
+    "square33": ("rectangle", 33, ((0.0, np.pi), (0.0, np.pi)), {}),
+    "disk25": ("disk", 25, ((-1.5, 1.5), (-1.5, 1.5)),
+               {"radius": 1.4, "center": (0.0, 0.0)}),
+}
+
+
+@lru_cache(maxsize=None)
+def _complete_basis(name):
+    kind, n, bounds, extra = _ENERGY_DOMAINS[name]
+    dom = build_domain(kind, n, bounds=bounds, **extra)
+    return eigendecompose(dom, dom.n_interior)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("name", ["interval33", "square25", "disk25"])
+def test_fd_energy_matches_assembled_slab_sum(name, s):
+    basis = _complete_basis(name)
+    dom = basis.domain
+    ym = build_ymesh(s, float(basis.eigenvalues[0]), layers=16)
+    rng = np.random.default_rng(int(10 * s))
+    draw = rng.standard_normal if s < 0.5 else rng.random
+    trace = dom.embed(draw(dom.n_interior))
+    ref = oracles.fd_slab_energy(dom.interior, dom.h, trace, s, ym.nodes)
+    assert fd_energy(basis, trace, s, ym) == pytest.approx(ref, rel=1e-12)
+
+
+def test_fd_energy_needs_a_complete_basis_and_a_clean_trace():
+    basis = _complete_basis("square17")
+    dom = basis.domain
+    ym = build_ymesh(0.5, float(basis.eigenvalues[0]), layers=16)
+    trace = dom.embed(np.ones(dom.n_interior))
+    with pytest.raises(ValueError, match="complete basis"):
+        fd_energy(eigendecompose(dom, 50), trace, 0.5, ym)
+    with pytest.raises(ValueError, match="vanish"):
+        fd_energy(basis, np.ones(dom.grid_shape), 0.5, ym)
+    with pytest.raises(ValueError, match="s in"):
+        fd_energy(basis, trace, 1.0, ym)
+
+
+# the discrete Steiner inequality: along each grid line the symmetric
+# decreasing rearrangement does not raise a nearest-neighbour sum of squared
+# differences, nor lower the sum of products of two rearranged layers, so
+# rearranging every layer of extend_fd's minimiser gives a competitor for the
+# symmetrised trace with no more E_h (Hardy, Littlewood & Polya, ch. X)
+@settings(max_examples=200)
+@given(name=st.sampled_from(["square17", "square25", "square33", "disk25"]),
+       s=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]),
+       axis=st.sampled_from([0, 1]),
+       zeros=st.sampled_from([0.0, 0.5, 0.9]),
+       power=st.sampled_from([1, 3]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_steiner_symmetrisation_never_raises_fd_energy(name, s, axis, zeros, power,
+                                                       seed):
+    basis = _complete_basis(name)
+    dom = basis.domain
+    ym = build_ymesh(s, float(basis.eigenvalues[0]), layers=120)
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.0, 1.0, dom.n_interior) ** power
+    vals[rng.random(dom.n_interior) < zeros] = 0.0
+    raw = dom.embed(vals)
+    sym = steiner_symmetrize(dom, raw, axis)
+    e0, e1 = fd_energy(basis, raw, s, ym), fd_energy(basis, sym, s, ym)
+    assert e1 <= e0 * (1 + 1e-12)
 
 
 # -- derivative sign and Hopf ratio --------------------------------------------------

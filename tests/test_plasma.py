@@ -301,6 +301,24 @@ def test_constrained_solve_hits_mass_target(basis1d):
     assert sol.lam == pytest.approx(lam, rel=1e-4)
 
 
+def test_constrained_solve_leaves_no_cycle_holding_its_basis():
+    import gc
+    import weakref
+
+    dom = build_domain("interval", 65, bounds=(0.0, np.pi))
+    basis = eigendecompose(dom, dom.n_interior)
+    held = weakref.ref(basis)
+    gc.disable()
+    try:
+        sol = solve_constrained(basis, 0.025, GAMMA, 0.5)
+        assert sol.status == "converged"
+        # with the cyclic GC off, only reference counts can free the basis
+        del basis, sol
+        assert held() is None
+    finally:
+        gc.enable()
+
+
 def test_constrained_solve_keeps_its_multiplier_2d(basis2d):
     # lam found by the solver chain this one replaced (Picard, active set,
     # fully active restart), on the 25-node square
