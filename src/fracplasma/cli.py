@@ -115,18 +115,16 @@ class _Run:
         n = self.dom.n_interior
         self.basis = eigendecompose(self.dom, min(cfg.basis_size or n, n))
         self.lam1 = float(self.basis.eigenvalues[0])
-        opts = SolverOptions(tolerance=cfg.solver.tolerance,
-                             constraint_kind=cfg.solver.constraint_kind)
         if cfg.mode == "fixed_lambda":
             lam = cfg.lambda_value if cfg.lambda_value is not None \
                 else cfg.lambda_factor * self.lam1**cfg.s
             self.sol = solve_fixed_lambda(self.basis, lam, cfg.gamma, cfg.s,
-                                          options=opts)
+                                          options=cfg.solver)
         else:
             solver = solve_constrained if cfg.mode == "constrained" \
                 else minimize_energy
             self.sol = solver(self.basis, cfg.constraint_target, cfg.gamma,
-                              cfg.s, options=opts)
+                              cfg.s, options=cfg.solver)
 
     def ymesh(self, layers: int = None):
         """The configured y-mesh, or one with that many layers."""
@@ -299,10 +297,14 @@ def run_blowup(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.blowup.center is None or cfg.blowup.radius is None:
         raise ConfigError("blowup requires blowup.center and blowup.radius in "
                           "the configuration")
-    h = _domain(cfg).h
-    if cfg.blowup.radius < 5 * h * (1 - 1e-9):
-        raise ConfigError(f"blow-up radius {cfg.blowup.radius:.4g} is below five "
-                          f"grid cells ({5 * h:.4g})")
+    dom, radius = _domain(cfg), cfg.blowup.radius
+    if radius < 5 * dom.h * (1 - 1e-9):
+        raise ConfigError(f"blow-up radius {radius:.4g} is below five "
+                          f"grid cells ({5 * dom.h:.4g})")
+    room = dom.distance_to_boundary(cfg.blowup.center)
+    if radius > room * (1 + 1e-9):
+        raise ConfigError(f"blow-up ball of radius {radius:.4g} leaves the "
+                          f"domain (room {room:.4g})")
 
     def work(run):
         ym = run.ymesh().prefix(cfg.blowup.radius)

@@ -1,23 +1,31 @@
 """Experiment configuration and run reports.
 
 Experiments are described by a JSON file mirroring ``ExperimentConfig``.
-Parsing is strict: unknown keys anywhere in the tree raise
-``ConfigError`` with the offending names, so typos cannot silently fall
-back to defaults.  ``refine`` produces a new configuration with the
-grids scaled for convergence studies.
+Each section is a dataclass (``solver`` is ``plasma.SolverOptions``), and
+one parser reads every section from its fields: unknown keys anywhere in
+the tree raise ``ConfigError`` with the offending names, so typos cannot
+silently fall back to defaults, and each ``int``, ``float`` or ``str``
+field is checked against its annotation.  ``validate`` then checks
+ranges, so malformed and out-of-range values are refused before anything
+is solved; a configuration built in Python is range-checked but not
+type-checked.  ``refine`` produces a new configuration with the grids
+scaled for convergence studies.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+
+from .extension import build_ymesh
+from .plasma import SolverOptions
 
 __all__ = [
     "ConfigError",
     "DomainSpec",
     "ExtensionSpec",
-    "SolverSpec",
     "FrequencySpec",
     "BlowupSpec",
     "ExperimentConfig",
@@ -29,18 +37,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
-
-
-def _take(d: dict, cls_name: str, allowed: dict):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown keys in {cls_name}: {sorted(unknown)}; "
-            f"allowed keys are {sorted(allowed)}"
-        )
-    out = dict(allowed)
-    out.update(d)
-    return out
 
 
 def _is_int(value) -> bool:
@@ -62,16 +58,39 @@ _KINDS = {int: (_is_int, "an integer"), float: (_is_number, "a finite number"),
           str: (lambda v: isinstance(v, str), "a string")}
 
 
-def _check_types(spec, prefix: str, types: dict) -> None:
-    """Raise ConfigError unless each named field of ``spec`` holds its type
-    (an int for float fields too); a field whose default is None may be None."""
-    for name, kind in types.items():
-        value = getattr(spec, name)
-        if value is None and getattr(type(spec), name) is None:
-            continue
-        test, noun = _KINDS[kind]
-        if not test(value):
-            raise ConfigError(f"{prefix}{name} must be {noun}, got {value!r}")
+def _parse(cls, data, path: str = ""):
+    """Build the section ``cls`` from the JSON object ``data``.
+
+    Unknown keys are refused; a field annotated ``int``, ``float`` or
+    ``str`` must hold that type (an int passes as a float, None only where
+    the default is None); a field typed by another section is parsed in
+    turn.  A ValueError of the section's constructor becomes a
+    ConfigError named after the section.  ``path`` is the section's key,
+    empty for the root.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'configuration root'} must be a JSON object")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(data) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown keys in {path or 'configuration'}: "
+                          f"{sorted(unknown)}; allowed keys are {sorted(defaults)}")
+    prefix = f"{path}." if path else ""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in data.items():
+        kind = hints[name]
+        if is_dataclass(kind):
+            value = _parse(kind, value, prefix + name)
+        elif kind in _KINDS and not (value is None and defaults[name] is None):
+            test, noun = _KINDS[kind]
+            if not test(value):
+                raise ConfigError(f"{prefix}{name} must be {noun}, got {value!r}")
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -116,8 +135,6 @@ class DomainSpec:
         if not ok:
             raise ConfigError(f"{self.kind} domains need bounds {shape} of finite "
                               f"numbers, got {self.bounds!r}")
-        if self.radius is not None and not _is_number(self.radius):
-            raise ConfigError(f"domain.radius must be a number, got {self.radius!r}")
         if self.center is not None and not _numbers(self.center, 2):
             raise ConfigError(f"domain.center must be [x, y], got {self.center!r}")
 
@@ -129,25 +146,14 @@ class ExtensionSpec:
     grading: float = None
 
     def validate(self):
-        _check_types(self, "extension.",
-                     {"span_factor": float, "layers": int, "grading": float})
         if self.span_factor <= 0:
             raise ConfigError("extension.span_factor must be positive")
         if self.layers < 8:
             raise ConfigError("extension.layers must be at least 8")
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    tolerance: float = 1e-10
-    constraint_kind: str = "quadratic"
-
-    def validate(self):
-        _check_types(self, "solver.", {"tolerance": float, "constraint_kind": str})
-        if self.tolerance <= 0:
-            raise ConfigError("solver.tolerance must be positive")
-        if self.constraint_kind not in ("quadratic", "linear"):
-            raise ConfigError("solver.constraint_kind must be quadratic or linear")
+        try:        # the mesh's own rule on the grading
+            build_ymesh(0.5, 1.0, grading=self.grading)
+        except ValueError as exc:
+            raise ConfigError(f"extension.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -156,8 +162,18 @@ class FrequencySpec:
     n_radii: int = 12
     r_max_fraction: float = 0.5
 
+    def __post_init__(self):
+        centers = self.centers
+        if not (isinstance(centers, (list, tuple))
+                and all(_is_number(pt) or _numbers(pt, 1) or _numbers(pt, 2)
+                        for pt in centers)):
+            raise ValueError("centers must be a list of points of 1 or 2 "
+                             f"numbers, got {centers!r}")
+        object.__setattr__(self, "centers", tuple(
+            tuple(float(c) for c in pt) if hasattr(pt, "__len__") else (float(pt),)
+            for pt in centers))
+
     def validate(self):
-        _check_types(self, "frequency.", {"n_radii": int, "r_max_fraction": float})
         if self.n_radii < 1:
             raise ConfigError("frequency.n_radii must be positive")
         if not 0 < self.r_max_fraction <= 1:
@@ -172,8 +188,6 @@ class BlowupSpec:
     ref_layers: int = 48
 
     def validate(self):
-        _check_types(self, "blowup.",
-                     {"radius": float, "ref_nodes": int, "ref_layers": int})
         if self.center is not None and not (_numbers(self.center, 1)
                                             or _numbers(self.center, 2)):
             raise ConfigError(f"blowup.center must be a list of 1 or 2 numbers, "
@@ -197,16 +211,12 @@ class ExperimentConfig:
     constraint_target: float = None
     basis_size: int = None              # None = full basis
     extension: ExtensionSpec = field(default_factory=ExtensionSpec)
-    solver: SolverSpec = field(default_factory=SolverSpec)
+    solver: SolverOptions = field(default_factory=SolverOptions)
     frequency: FrequencySpec = field(default_factory=FrequencySpec)
     blowup: BlowupSpec = field(default_factory=BlowupSpec)
     out_dir: str = "out"
 
     def validate(self):
-        _check_types(self, "", {
-            "s": float, "gamma": float, "mode": str, "lambda_factor": float,
-            "lambda_value": float, "constraint_target": float, "basis_size": int,
-            "out_dir": str})
         if not 0 < self.s <= 1:
             raise ConfigError(f"s must lie in (0, 1], got {self.s}")
         if self.gamma <= 0:
@@ -216,13 +226,16 @@ class ExperimentConfig:
                               f"got {self.mode!r}")
         if self.mode in ("constrained", "energy") and self.constraint_target is None:
             raise ConfigError(f"mode {self.mode!r} needs constraint_target")
+        if self.constraint_target is not None and self.constraint_target <= 0:
+            raise ConfigError("constraint_target must be positive")
+        if self.lambda_value is not None and self.lambda_value < 0:
+            raise ConfigError("lambda_value must be nonnegative")
         if self.lambda_value is None and self.lambda_factor <= 0:
             raise ConfigError("lambda_factor must be positive")
         if self.basis_size is not None and self.basis_size < 1:
             raise ConfigError("basis_size must be positive when given")
         self.domain.validate()
         self.extension.validate()
-        self.solver.validate()
         self.frequency.validate()
         self.blowup.validate()
         # points must live in the domain's thin space
@@ -238,43 +251,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("configuration root must be a JSON object")
-        sub = {
-            "domain": DomainSpec, "extension": ExtensionSpec,
-            "solver": SolverSpec, "frequency": FrequencySpec,
-            "blowup": BlowupSpec,
-        }
-        defaults = {f: getattr(ExperimentConfig, "__dataclass_fields__")[f].name
-                    for f in ExperimentConfig.__dataclass_fields__}
-        merged = _take(data, "configuration", {k: None for k in defaults})
-        kwargs = {}
-        for key, value in merged.items():
-            if value is None and key not in data:
-                continue
-            if key in sub:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{key} must be a JSON object")
-                spec_cls = sub[key]
-                spec_defaults = {f: getattr(spec_cls, f)
-                                 for f in spec_cls.__dataclass_fields__}
-                spec_kwargs = _take(value, key, spec_defaults)
-                if key == "frequency":
-                    centers = spec_kwargs["centers"]
-                    if not (isinstance(centers, (list, tuple))
-                            and all(_is_number(pt) or _numbers(pt, 1) or _numbers(pt, 2)
-                                    for pt in centers)):
-                        raise ConfigError("frequency.centers must be a list of "
-                                          f"points of 1 or 2 numbers, got {centers!r}")
-                    spec_kwargs["centers"] = tuple(
-                        tuple(float(c) for c in pt) if hasattr(pt, "__len__")
-                        else (float(pt),)
-                        for pt in spec_kwargs["centers"]
-                    )
-                kwargs[key] = spec_cls(**spec_kwargs)
-            else:
-                kwargs[key] = value
-        return ExperimentConfig(**kwargs).validate()
+        return _parse(ExperimentConfig, data).validate()
 
     def to_dict(self) -> dict:
         return asdict(self)

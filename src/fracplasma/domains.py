@@ -105,12 +105,6 @@ class Domain:
             dists.append(ax[-1] - p[k])
         return float(min(dists))
 
-    def interior_index_map(self) -> np.ndarray:
-        """Full-grid array of packed interior indices (-1 outside)."""
-        idx = -np.ones(self.grid_shape, dtype=int)
-        idx[self.interior] = np.arange(self.n_interior)
-        return idx
-
 
 @dataclass(frozen=True)
 class EigenBasis:
@@ -360,29 +354,16 @@ def laplacian_matrix(domain: Domain, *, sparse: bool = False):
     """Positive-definite second-difference Dirichlet Laplacian -Delta_h.
 
     Acts on packed interior vectors; the Dirichlet (zero) values off the
-    interior are eliminated.
+    interior are eliminated.  The 1-D second differences are summed over
+    the axes on the full grid (a Kronecker sum, last axis fastest) and
+    the sum is restricted to the interior nodes.
     """
-    idx = domain.interior_index_map()
-    m = domain.n_interior
-    h2 = domain.h**2
-    rows, cols, vals = [], [], []
-    it = np.argwhere(domain.interior)
-    flat = idx[domain.interior]
-    rows.extend(flat)
-    cols.extend(flat)
-    vals.extend(np.full(m, 2.0 * domain.dim / h2))
-    for axis in range(domain.dim):
-        for step in (-1, 1):
-            nb = it.copy()
-            nb[:, axis] += step
-            ok = (nb[:, axis] >= 0) & (nb[:, axis] < domain.grid_shape[axis])
-            nb_idx = np.full(len(it), -1)
-            nb_idx[ok] = idx[tuple(nb[ok].T)]
-            inside = nb_idx >= 0
-            rows.extend(flat[inside])
-            cols.extend(nb_idx[inside])
-            vals.extend(np.full(inside.sum(), -1.0 / h2))
-    A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+    full = None
+    for n in domain.grid_shape:
+        second = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+        full = second if full is None else scipy.sparse.kronsum(second, full)
+    keep = domain.interior.ravel()
+    A = full.tocsr()[keep][:, keep] / domain.h**2
     return A if sparse else A.toarray()
 
 

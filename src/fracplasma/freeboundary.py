@@ -360,10 +360,10 @@ class Classification:
     """Outcome of the regular/singular test at one free-boundary point."""
 
     tag: str                     # 'regular' | 'singular-candidate' | 'unresolved'
-    gradient_norm: float
-    frequency_at_zero: float
-    quadratic_coefficient: float
-    fit_residual: float
+    gradient_norm: float = float("nan")
+    frequency_at_zero: float = float("nan")
+    quadratic_coefficient: float = float("nan")
+    fit_residual: float = float("nan")
     note: str = ""
     profile: FrequencyProfile = dc_field(default=None, repr=False)
 
@@ -445,18 +445,12 @@ def classify_point(w: ExtensionField, center, lam: float,
     thr = 10.0 * dom.h * _second_difference_scale(dom, u)
     if gnorm > thr:
         return Classification(tag="regular", gradient_norm=gnorm,
-                              frequency_at_zero=float("nan"),
-                              quadratic_coefficient=float("nan"),
-                              fit_residual=float("nan"),
                               note="trace gradient above discretisation noise")
 
     rmax = _half_room(dom, center, w.ymesh.Y if Y is None else Y)
     rmin = 5 * dom.h
     if rmax < 1.2 * rmin:
         return Classification(tag="unresolved", gradient_norm=gnorm,
-                              frequency_at_zero=float("nan"),
-                              quadratic_coefficient=float("nan"),
-                              fit_residual=float("nan"),
                               note="too close to the boundary for a radius ladder")
     radii = np.linspace(rmin, rmax, 10)
     prof = frequency_profile(w, center, radii, lam)
@@ -464,15 +458,11 @@ def classify_point(w: ExtensionField, center, lam: float,
     if not np.isfinite(n0):
         return Classification(tag="unresolved", gradient_norm=gnorm,
                               frequency_at_zero=n0,
-                              quadratic_coefficient=float("nan"),
-                              fit_residual=float("nan"),
                               note="frequency limit could not be extrapolated",
                               profile=prof)
     if abs(n0 - 1.0) <= _BAND:
         return Classification(tag="regular", gradient_norm=gnorm,
                               frequency_at_zero=n0,
-                              quadratic_coefficient=float("nan"),
-                              fit_residual=float("nan"),
                               note="frequency limit near 1", profile=prof)
     if abs(n0 - 2.0) <= _BAND:
         # resampling error of the blow-up scales like (h / r)^2, so fit the
@@ -493,8 +483,6 @@ def classify_point(w: ExtensionField, center, lam: float,
                                    "quadratic model", profile=prof)
     return Classification(tag="unresolved", gradient_norm=gnorm,
                           frequency_at_zero=n0,
-                          quadratic_coefficient=float("nan"),
-                          fit_residual=float("nan"),
                           note=f"frequency limit {n0:.3f} away from 1 and 2",
                           profile=prof)
 

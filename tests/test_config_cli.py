@@ -1,7 +1,10 @@
 import contextlib
+import dataclasses
 import io
 import json
+import re
 import tempfile
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -73,6 +76,32 @@ def test_invalid_values_rejected(tmp_path):
         path = write_config(tmp_path, overrides, name="bad.json")
         with pytest.raises(ConfigError, match=fragment):
             load_config(str(path))
+
+
+def _typed_fields(cls, path=""):
+    """(dotted name, annotated type) of every field of ``cls`` and of the
+    sections it holds."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            yield from _typed_fields(kind, f"{path}{f.name}.")
+        else:
+            yield f"{path}{f.name}", kind
+
+
+def test_every_typed_field_refuses_a_wrong_type():
+    typed = [(name, kind) for name, kind in _typed_fields(ExperimentConfig)
+             if kind in (int, float, str)]
+    assert {name.split(".")[0] for name, _ in typed} >= {
+        "domain", "extension", "solver", "frequency", "blowup", "s"}
+    for name, kind in typed:
+        for value in ("7" if kind is not str else 7, True, float("nan")):
+            data = value
+            for key in reversed(name.split(".")):
+                data = {key: data}
+            with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be"):
+                ExperimentConfig.from_dict(data)
 
 
 def test_missing_file_is_config_error():
@@ -441,6 +470,38 @@ def test_cli_blowup_radius_below_five_cells_refused_before_solve(
     assert not out.exists()
 
 
+_SQUARE = {"kind": "rectangle", "bounds": [[0.0, np.pi], [0.0, np.pi]]}
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("solve", {"domain": {**_SQUARE, "n": 17}, "extension": {"grading": 0.5}},
+     "extension.grading must be >= 1"),
+    ("symmetrize", {"domain": {**_SQUARE, "n": 17}, "extension": {"grading": 0.5}},
+     "extension.grading must be >= 1"),
+    ("solve", {"mode": "constrained", "constraint_target": -1.0},
+     "constraint_target must be positive"),
+    ("solve", {"lambda_value": -1.0}, "lambda_value must be nonnegative"),
+    ("blowup", {"domain": {**_SQUARE, "n": 25},
+                "blowup": {"center": [0.3, 1.57], "radius": 0.7}},
+     "blow-up ball of radius 0.7 leaves the domain (room 0.3)"),
+    ("blowup", {"domain": {**_SQUARE, "n": 25},
+                "blowup": {"center": [9.0, 1.57], "radius": 0.7}},
+     "leaves the domain (room -5.858)"),
+])
+def test_out_of_range_values_refused_before_solve(tmp_path, monkeypatch, capsys,
+                                                  command, overrides, message):
+    import fracplasma.cli as cli
+
+    monkeypatch.setattr(cli, "eigendecompose", _solve_forbidden)
+    path = write_config(tmp_path, overrides)
+    out = tmp_path / command
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and len(err.splitlines()) == 1
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["frequency", "blowup", "symmetrize", "verify"])
 def test_cli_extension_commands_refuse_s_one_before_solve(
         tmp_path, monkeypatch, capsys, command):
@@ -618,15 +679,28 @@ _OTHER_FIELDS = [
 ]
 
 
+# values of the right type but out of range, with the subcommand that reads
+# them; the blow-up ball (its centre is put at 9 on every axis) leaves every
+# domain above, and its radius is above five of their grid cells
+_OUT_OF_RANGE = [
+    ("solve", {"extension": {"grading": 0.5}}),
+    ("solve", {"mode": "constrained", "constraint_target": -1}),
+    ("solve", {"lambda_value": -1}),
+    ("blowup", {"blowup": {"radius": 2.5}}),
+]
+
+
 @settings(max_examples=200)
 @given(base=st.sampled_from(sorted(_GOOD_DOMAINS)),
        changes=st.fixed_dictionaries({}, optional=_DOMAIN_FIELDS),
        missing=st.sets(st.sampled_from(sorted(_DOMAIN_FIELDS))),
-       other=st.none() | st.tuples(st.sampled_from(_OTHER_FIELDS), _JUNK))
-def test_any_domain_config_exits_cleanly(base, changes, missing, other):
+       other=st.none() | st.tuples(st.sampled_from(_OTHER_FIELDS), _JUNK),
+       bad=st.none() | st.sampled_from(_OUT_OF_RANGE))
+def test_any_domain_config_exits_cleanly(base, changes, missing, other, bad):
     # the solve stage is stubbed to fail at its first step, the eigenbasis,
     # so a config that gets through validation and domain construction
-    # exits 1 with a report, and no example pays for a solve
+    # exits 1 with a report, and no example pays for a solve; an
+    # out-of-range value is refused before that stub, with exit 2
     import fracplasma.cli as cli
     from fracplasma import SolverError
 
@@ -642,6 +716,16 @@ def test_any_domain_config_exits_cleanly(base, changes, missing, other):
     if other is not None:
         path, value = other
         (data.setdefault(path[0], {}) if len(path) == 2 else data)[path[-1]] = value
+    command = "solve"
+    if bad is not None:
+        command, values = bad
+        for key, value in values.items():
+            if isinstance(value, dict):
+                data.setdefault(key, {}).update(value)
+            else:
+                data[key] = value
+        if command == "blowup":
+            data["blowup"]["center"] = [9.0] * (1 if base == "interval" else 2)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "eigendecompose", diverged), \
@@ -649,11 +733,13 @@ def test_any_domain_config_exits_cleanly(base, changes, missing, other):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(data))
         out = Path(tmp) / "out"
-        code = main(["solve", "--config", str(cfg), "--out", str(out)])
+        code = main([command, "--config", str(cfg), "--out", str(out)])
         has_report = (out / "report.json").is_file()
     text = err.getvalue()
     event(f"exit {code}")
     assert "Traceback" not in text
+    if bad is not None:
+        assert code == 2, (bad, text)
     if code == 2:
         assert len(text.strip().splitlines()) == 1, text
     else:
