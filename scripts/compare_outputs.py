@@ -4,9 +4,9 @@
 Every subcommand (solve, frequency, blowup, symmetrize, verify) runs on
 every given config under each tree, each run in a fresh Python process
 with that tree first on PYTHONPATH and its own output directory.  The
-script names every output file whose bytes differ, every file that only
-one side wrote, and every subcommand whose exit code, standard output or
-standard error differs.  For a differing CSV or JSON file it also gives
+script names every output file whose bytes differ, every file and every
+output directory that only one side left, and every subcommand whose exit
+code, standard output or standard error differs.  For a differing CSV or JSON file it also gives
 the largest difference of a number, relative to the largest magnitude in
 that number's CSV column or JSON field (list indices ignored), and says
 whether everything else in the file (header, layout, keys, text) is
@@ -53,10 +53,11 @@ def run(src: pathlib.Path, command: str, config: pathlib.Path, out: pathlib.Path
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def files(root: pathlib.Path) -> dict:
-    """Relative path -> bytes of every file under ``root``."""
+def files(root: pathlib.Path):
+    """Relative path -> bytes of every file under ``root``; None when there
+    is no such directory, so a missing and an empty one differ."""
     if not root.is_dir():
-        return {}
+        return None
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -156,6 +157,10 @@ def compare(parent: pathlib.Path, change: pathlib.Path, config: pathlib.Path,
             if results["parent"][k] != results["change"][k]:
                 diffs.append(f"{where}: {stream} differs")
         old, new = files(outs["parent"]), files(outs["change"])
+        if (old is None) != (new is None):
+            diffs.append(f"{where}: output directory left by the "
+                         f"{'parent' if new is None else 'change'} only")
+        old, new = old or {}, new or {}
         for name in sorted(set(old) | set(new)):
             if name not in new:
                 diffs.append(f"{where}: {name} written by the parent only")

@@ -22,6 +22,7 @@ import numpy as np
 from fracplasma import (build_domain, build_ymesh, eigendecompose,
                         extend_semianalytic, extract_free_boundary,
                         frequency_profile, solve_fixed_lambda)
+from fracplasma import halfball
 
 
 def parse_args(argv):
@@ -48,11 +49,8 @@ def farthest_boundary_point(dom, trace, level):
     if not fb.points:
         raise SystemExit("no free boundary at this level; raise --lam-factor")
     locs = np.array([p.location for p in fb.points])
-    lo = np.array([ax[0] for ax in dom.axes])
-    hi = np.array([ax[-1] for ax in dom.axes])
-    dists = np.minimum(locs - lo, hi - locs).min(axis=1)
-    k = int(np.argmax(dists))
-    return locs[k], float(dists[k])
+    k = int(np.argmax([halfball.room(dom, x) for x in locs]))
+    return locs[k]
 
 
 def main(argv=None):
@@ -78,9 +76,9 @@ def main(argv=None):
             print(f"{s:>5.2f}  solver status: {sol.status}; skipped")
             continue
         w = extend_semianalytic(sol.field, s, build_ymesh(s, lam1)).shifted(args.gamma)
-        x0, dist = farthest_boundary_point(dom, w.trace, 0.0)
-        room = min(dist, w.ymesh.Y)
-        radii = np.linspace(5 * dom.h, room / 2, args.radii)
+        x0 = farthest_boundary_point(dom, w.trace, 0.0)
+        radii = np.linspace(halfball.MIN_CELLS * dom.h,
+                            halfball.room(dom, x0, w.ymesh.Y) / 2, args.radii)
         prof = frequency_profile(w, x0, radii, lam)
         corr_dec = int(np.sum(np.diff(prof.corrected) < 0))
         print(f"{s:>5.2f} {lam:>8.4f} {prof.n_zero_plus:>8.4f} "

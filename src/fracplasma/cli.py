@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import freeboundary as fb
+from . import freeboundary as fb, halfball
 from .config import (CheckResult, ConfigError, ExperimentConfig, RunReport,
                      load_config)
 from .domains import build_domain, eigendecompose
@@ -109,9 +109,9 @@ class _Run:
     only for the stages it reads.
     """
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, dom=None):
         self.cfg = cfg
-        self.dom = _domain(cfg)
+        self.dom = _domain(cfg) if dom is None else dom
         n = self.dom.n_interior
         self.basis = eigendecompose(self.dom, min(cfg.basis_size or n, n))
         self.lam1 = float(self.basis.eigenvalues[0])
@@ -153,17 +153,20 @@ class _Run:
 
 
 def _pipeline(name: str, cfg: ExperimentConfig, out: Path, work, *,
-              extends: bool = True) -> int:
+              extends: bool = True, dom=None) -> int:
     """Solve ``cfg``, call ``work(run) -> checks`` and write the report.
 
     A subcommand that ``extends`` the solution is refused at s = 1, where
-    there is no extension, before anything is solved or written.
+    there is no extension, before anything is solved or written.  The
+    domain (unless ``dom`` is given) is built before the output directory
+    is made, so a refused domain leaves none.
     """
     if extends and cfg.s == 1:
         raise ConfigError(f"{name} needs the extension, which requires s in (0, 1)")
+    dom = _domain(cfg) if dom is None else dom
     out.mkdir(parents=True, exist_ok=True)
     try:
-        run = _Run(cfg)
+        run = _Run(cfg, dom)
     except SolverError as exc:
         _write_json(out / "report.json", {
             "name": name, "passed": False, "error": str(exc),
@@ -235,9 +238,8 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _frequency_radii(cfg, dom, ym, center):
-    room = min(dom.distance_to_boundary(np.asarray(center)), ym.Y)
-    rmax = cfg.frequency.r_max_fraction * room
-    rmin = 5 * dom.h
+    rmax = cfg.frequency.r_max_fraction * halfball.room(dom, center, ym.Y)
+    rmin = halfball.MIN_CELLS * dom.h
     if rmax <= rmin:
         return None
     return np.linspace(rmin, rmax, cfg.frequency.n_radii)
@@ -297,14 +299,13 @@ def run_blowup(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.blowup.center is None or cfg.blowup.radius is None:
         raise ConfigError("blowup requires blowup.center and blowup.radius in "
                           "the configuration")
-    dom, radius = _domain(cfg), cfg.blowup.radius
-    if radius < 5 * dom.h * (1 - 1e-9):
-        raise ConfigError(f"blow-up radius {radius:.4g} is below five "
-                          f"grid cells ({5 * dom.h:.4g})")
-    room = dom.distance_to_boundary(cfg.blowup.center)
-    if radius > room * (1 + 1e-9):
-        raise ConfigError(f"blow-up ball of radius {radius:.4g} leaves the "
-                          f"domain (room {room:.4g})")
+    # no y-mesh before the solve: the room here is the thin domain's
+    dom = _domain(cfg)
+    try:
+        halfball.check_radii(dom, cfg.blowup.center, cfg.blowup.radius,
+                             what="blow-up ball")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     def work(run):
         ym = run.ymesh().prefix(cfg.blowup.radius)
@@ -327,7 +328,7 @@ def run_blowup(cfg: ExperimentConfig, out: Path) -> int:
         return [CheckResult(name="unit boundary mass",
                             passed=abs(bl.boundary_mass - 1) < 1e-6,
                             value=bl.boundary_mass, tolerance=1e-6)]
-    return _pipeline("blowup", cfg, out, work)
+    return _pipeline("blowup", cfg, out, work, dom=dom)
 
 
 def run_symmetrize(cfg: ExperimentConfig, out: Path, axis: int = 0) -> int:

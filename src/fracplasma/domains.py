@@ -39,7 +39,8 @@ class Domain:
     and ``interior`` is a boolean mask over the full grid; Dirichlet
     data (zero) lives on every other node.  ``symmetry_axes`` lists
     the axes along which the node set is mirror symmetric about
-    ``center``.
+    ``center``.  A disk is centred at ``center`` and has ``radius``
+    (None on other shapes).
     """
 
     dim: int
@@ -49,7 +50,7 @@ class Domain:
     interior: np.ndarray = field(repr=False)
     symmetry_axes: tuple
     center: tuple
-    metadata: dict = field(default_factory=dict, repr=False)
+    radius: float = None
 
     @property
     def grid_shape(self) -> tuple:
@@ -96,9 +97,7 @@ class Domain:
         if p.shape != (self.dim,):
             raise ValueError(f"point must have {self.dim} coordinates")
         if self.shape == "disk":
-            radius = self.metadata["radius"]
-            centre = np.asarray(self.metadata["center"])
-            return float(radius - np.linalg.norm(p - centre))
+            return float(self.radius - np.linalg.norm(p - np.asarray(self.center)))
         dists = []
         for k, ax in enumerate(self.axes):
             dists.append(p[k] - ax[0])
@@ -227,19 +226,10 @@ class EigenBasis:
 
     @cached_property
     def vectors(self) -> np.ndarray:
-        """Dense (n_interior, K) matrix of the eigenvectors.
-
-        Sine bases build it on first access, as ``rows`` would, and keep
-        it; the solvers never read it.
-        """
-        if self._dense is not None:
-            return self._dense
-        of = np.unravel_index(self._modes, self._mode_shape)
-        tables = self._sine.tables
-        V = tables[0][:, of[0]] * self.domain.h ** (-self.domain.dim / 2)
-        for table, j in zip(tables[1:], of[1:]):
-            V = (V[:, None, :] * table[:, j]).reshape(-1, self.size)
-        return V
+        """Dense (n_interior, K) matrix of the eigenvectors: the ``rows`` of
+        every node.  Sine bases build it on first access and keep it; the
+        solvers never read it."""
+        return self.rows(slice(None))
 
 
 def _axis_modes(flat: np.ndarray, shape: tuple):
@@ -345,8 +335,7 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
     )
     return Domain(
         dim=2, shape="disk", h=h, axes=(xs, ys),
-        interior=interior, symmetry_axes=sym, center=(cx, cy),
-        metadata={"radius": radius, "center": (cx, cy)},
+        interior=interior, symmetry_axes=sym, center=(cx, cy), radius=radius,
     )
 
 

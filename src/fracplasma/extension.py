@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, kve
@@ -107,17 +107,12 @@ def build_ymesh(s: float, lam1: float, *, span_factor: float = 20.0,
 
 @dataclass(frozen=True)
 class ExtensionField:
-    """Field on the slab grid: values[..., j] is the layer at height y_j.
-
-    ``provenance`` records how the field was produced ('semianalytic',
-    'fd', or 'synthetic' for resampled/blow-up fields).
-    """
+    """Field on the slab grid: values[..., j] is the layer at height y_j."""
 
     domain: Domain
     ymesh: YMesh
     s: float
     values: np.ndarray
-    provenance: str = "synthetic"
 
     def __post_init__(self):
         expected = self.domain.grid_shape + (self.ymesh.M + 1,)
@@ -138,13 +133,8 @@ class ExtensionField:
 
     def shifted(self, level: float) -> "ExtensionField":
         """Subtract a constant from every layer (free-boundary recentring)."""
-        return ExtensionField(
-            domain=self.domain,
-            ymesh=self.ymesh,
-            s=self.s,
-            values=self.values - level,
-            provenance="synthetic",
-        )
+        return ExtensionField(domain=self.domain, ymesh=self.ymesh, s=self.s,
+                              values=self.values - level)
 
 
 # -- mode profile and constants ------------------------------------------------
@@ -172,15 +162,20 @@ def mode_profile(s: float, z) -> np.ndarray:
     return out
 
 
+def _check_extension_order(s: float) -> None:
+    """Refuse an order outside (0, 1), where there is no extension."""
+    _check_order(s)
+    if s == 1.0:
+        raise ValueError("extension requires s in (0, 1)")
+
+
 def extension_energy_constant(s: float) -> float:
     """d_s = 2^{1-2s} Gamma(1-s)/Gamma(s): weighted energy of a unit mode.
 
     The slab energy of the extension of a single eigenmode equals
     d_s * lambda_k^s * a_k^2; d_{1/2} = 1.
     """
-    _check_order(s)
-    if s == 1.0:
-        raise ValueError("extension requires s in (0, 1)")
+    _check_extension_order(s)
     return float(2 ** (1 - 2 * s) * gamma_fn(1 - s) / gamma_fn(s))
 
 
@@ -203,9 +198,7 @@ def extend_semianalytic(f: SpectralField, s: float, ymesh: YMesh) -> ExtensionFi
     some of a mesh's nodes (a ``YMesh.prefix``, or any subset) equals the
     matching layers of the full one bit for bit.
     """
-    _check_order(s)
-    if s == 1.0:
-        raise ValueError("extension requires s in (0, 1)")
+    _check_extension_order(s)
     basis = f.basis
     dom = basis.domain
     distinct, which = np.unique(basis.eigenvalues, return_inverse=True)
@@ -223,16 +216,13 @@ def extend_semianalytic(f: SpectralField, s: float, ymesh: YMesh) -> ExtensionFi
         prof[:, len(nodes):] = 0.0
         prof[:, :len(nodes)] = mode_profile(s, roots * nodes)[which] * f.coeffs[:, None]
         vals[dom.interior, block] = basis.nodal(prof[:, :width])[:, :len(nodes)]
-    return ExtensionField(domain=dom, ymesh=ymesh, s=s, values=vals,
-                          provenance="semianalytic")
+    return ExtensionField(domain=dom, ymesh=ymesh, s=s, values=vals)
 
 
 def _checked_trace(domain: Domain, trace_values: np.ndarray, s: float) -> np.ndarray:
     """The trace as a full-grid float array, refused unless it is finite,
     vanishes off the interior and s is in (0, 1)."""
-    _check_order(s)
-    if s == 1.0:
-        raise ValueError("extension requires s in (0, 1)")
+    _check_extension_order(s)
     trace_full = np.asarray(trace_values, dtype=float)
     if trace_full.shape != domain.grid_shape:
         raise ValueError("trace must be a full-grid array")
@@ -313,8 +303,7 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
     vals = np.zeros(domain.grid_shape + (M + 1,))
     vals[..., 0] = trace_full
     vals[domain.interior, 1:M] = layers
-    return ExtensionField(domain=domain, ymesh=ymesh, s=s, values=vals,
-                          provenance="fd")
+    return ExtensionField(domain=domain, ymesh=ymesh, s=s, values=vals)
 
 
 def fd_energy(basis: EigenBasis, trace_values: np.ndarray, s: float,

@@ -30,7 +30,7 @@ interpolant of ``halfball``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -97,8 +97,9 @@ def _gradient_arrays(domain: Domain, values: np.ndarray):
     return [np.gradient(values, domain.h, axis=d) for d in range(domain.dim)]
 
 
-def _second_difference_scale(domain: Domain, values: np.ndarray) -> float:
-    """Largest second difference / h^2 over the grid, a curvature proxy."""
+def _gradient_floor(domain: Domain, values: np.ndarray) -> float:
+    """Noise floor 10 h max|D^2 u| of a trace gradient (a larger one is
+    resolved: its point is regular), D^2 the second differences / h^2."""
     h2 = domain.h**2
     worst = 0.0
     for d in range(domain.dim):
@@ -110,7 +111,7 @@ def _second_difference_scale(domain: Domain, values: np.ndarray) -> float:
         sl_hi[d] = slice(2, None)
         d2 = values[tuple(sl_lo)] - 2 * values[tuple(sl_mid)] + values[tuple(sl_hi)]
         worst = max(worst, float(np.abs(d2).max()) / h2)
-    return worst
+    return 10.0 * domain.h * worst
 
 
 def _edge_ends(dim: int, axis: int):
@@ -143,7 +144,7 @@ def extract_free_boundary(domain: Domain, values: np.ndarray, level: float) -> F
                             note="field sits at the level everywhere; "
                                  "level set is area-filling")
     grads = _gradient_arrays(domain, u)
-    thr = 10.0 * domain.h * _second_difference_scale(domain, u)
+    thr = _gradient_floor(domain, u)
     above = phi >= 0
     crossed = np.zeros(cell_shape, dtype=bool)
     points = []
@@ -207,34 +208,23 @@ def frequency_profile(w: ExtensionField, center, radii, lam: float) -> Frequency
     internally uses the thin-flux coefficient lam * d_s, because the
     half-sphere flux identity reads D - d_s lam T = int y^a w dw/dnu.
 
-    Radii must stay above five grid cells (below that the half-ball sees
-    too few nodes to mean anything) and inside both the thin domain and
-    the extension span.  Radii where the boundary integral underflows
-    relative to its peak are truncated from the end of the ladder.
+    Every radius must obey the half-ball radius rule of ``halfball``
+    (five grid cells up to the room in the thin domain and the extension
+    span).  Radii where the boundary integral underflows relative to its
+    peak are truncated from the end of the ladder.
     """
-    dom = w.domain
     center = np.atleast_1d(np.asarray(center, dtype=float))
     radii = np.asarray(sorted(set(float(r) for r in np.atleast_1d(radii))))
     if len(radii) == 0 or radii[0] <= 0:
         raise ValueError("radii must be positive")
-    if radii[0] < 5 * dom.h * (1 - 1e-9):
-        raise ValueError(
-            f"smallest radius {radii[0]:.4g} is below five grid cells "
-            f"({5 * dom.h:.4g}); the half-ball would be under-resolved"
-        )
-    room = min(dom.distance_to_boundary(center), w.ymesh.Y)
-    if radii[-1] > room * (1 + 1e-9):
-        raise ValueError(
-            f"largest radius {radii[-1]:.4g} exceeds the distance "
-            f"{room:.4g} to the boundary of the slab"
-        )
+    halfball.check_radii(w.domain, center, radii, w.ymesh.Y)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
 
     engine = halfball.HalfBallQuadrature(w, center, radii[-1])
     D = np.array([engine.energy(r) for r in radii])
-    H = engine.boundary_norms(radii)
-    T = np.array([engine.thin_mass(r, positive=True) for r in radii])
+    H = halfball.boundary_norms(w, center, radii)
+    T = np.array([engine.thin_mass(r) for r in radii])
 
     floor = H.max() * 1e-13
     keep = len(H)
@@ -312,16 +302,12 @@ class BlowupField:
 
 def blowup(w: ExtensionField, center, r: float, *, ref_nodes: int = 65,
            ref_layers: int = 48) -> BlowupField:
-    """Resample w around a centre at scale r onto the reference slab grid."""
+    """Resample w around a centre at scale r onto the reference slab grid;
+    r must obey the half-ball radius rule of ``halfball``."""
     dom = w.domain
     center = np.atleast_1d(np.asarray(center, dtype=float))
     r = float(r)
-    if r < 5 * dom.h * (1 - 1e-9):
-        raise ValueError(f"blow-up radius {r:.4g} is below five grid cells")
-    room = min(dom.distance_to_boundary(center), w.ymesh.Y)
-    if r > room * (1 + 1e-9):
-        raise ValueError(f"blow-up ball of radius {r:.4g} leaves the slab "
-                         f"(room {room:.4g})")
+    halfball.check_radii(dom, center, r, w.ymesh.Y, what="blow-up ball")
 
     if dom.dim == 1:
         ref_dom = build_domain("interval", ref_nodes, bounds=(-1.0, 1.0))
@@ -339,14 +325,12 @@ def blowup(w: ExtensionField, center, r: float, *, ref_nodes: int = 65,
     vals = halfball.interp_values(w, (center + r * thin)[:, None, :], r * yv).reshape(
         ref_dom.grid_shape + (len(yv),))
 
-    raw = ExtensionField(domain=ref_dom, ymesh=ref_ym, s=w.s, values=vals,
-                         provenance="synthetic")
+    raw = ExtensionField(domain=ref_dom, ymesh=ref_ym, s=w.s, values=vals)
     h1 = float(halfball.boundary_norms(raw, np.zeros(dom.dim), [1.0])[0])
     if not np.isfinite(h1) or h1 <= 0:
         raise ValueError("field has vanishing boundary mass at this centre/radius")
     norm = float(np.sqrt(h1))
-    scaled = ExtensionField(domain=ref_dom, ymesh=ref_ym, s=w.s,
-                            values=vals / norm, provenance="synthetic")
+    scaled = ExtensionField(domain=ref_dom, ymesh=ref_ym, s=w.s, values=vals / norm)
     return BlowupField(field=scaled, center=tuple(float(c) for c in center),
                        source_radius=r, normalization=norm,
                        boundary_mass=float(h1 / norm**2))
@@ -365,7 +349,6 @@ class Classification:
     quadratic_coefficient: float = float("nan")
     fit_residual: float = float("nan")
     note: str = ""
-    profile: FrequencyProfile = dc_field(default=None, repr=False)
 
 
 def _quadratic_fit(bl: BlowupField):
@@ -413,7 +396,7 @@ def _quadratic_fit(bl: BlowupField):
 
 def _half_room(dom: Domain, center, Y: float) -> float:
     """Largest radius ``classify_point`` reads around a centre."""
-    return 0.5 * min(dom.distance_to_boundary(center), Y)
+    return 0.5 * halfball.room(dom, center, Y)
 
 
 def classify_point(w: ExtensionField, center, lam: float,
@@ -442,13 +425,12 @@ def classify_point(w: ExtensionField, center, lam: float,
     gvec = [halfball._multilinear(g, dom.axes, at)[0]
             for g in _gradient_arrays(dom, u)]
     gnorm = float(np.linalg.norm(gvec))
-    thr = 10.0 * dom.h * _second_difference_scale(dom, u)
-    if gnorm > thr:
+    if gnorm > _gradient_floor(dom, u):
         return Classification(tag="regular", gradient_norm=gnorm,
                               note="trace gradient above discretisation noise")
 
     rmax = _half_room(dom, center, w.ymesh.Y if Y is None else Y)
-    rmin = 5 * dom.h
+    rmin = halfball.MIN_CELLS * dom.h
     if rmax < 1.2 * rmin:
         return Classification(tag="unresolved", gradient_norm=gnorm,
                               note="too close to the boundary for a radius ladder")
@@ -458,12 +440,10 @@ def classify_point(w: ExtensionField, center, lam: float,
     if not np.isfinite(n0):
         return Classification(tag="unresolved", gradient_norm=gnorm,
                               frequency_at_zero=n0,
-                              note="frequency limit could not be extrapolated",
-                              profile=prof)
+                              note="frequency limit could not be extrapolated")
     if abs(n0 - 1.0) <= _BAND:
         return Classification(tag="regular", gradient_norm=gnorm,
-                              frequency_at_zero=n0,
-                              note="frequency limit near 1", profile=prof)
+                              frequency_at_zero=n0, note="frequency limit near 1")
     if abs(n0 - 2.0) <= _BAND:
         # resampling error of the blow-up scales like (h / r)^2, so fit the
         # quadratic model on the widest radius the geometry allows up to 15h
@@ -474,17 +454,15 @@ def classify_point(w: ExtensionField, center, lam: float,
                                   frequency_at_zero=n0,
                                   quadratic_coefficient=c_rel,
                                   fit_residual=resid,
-                                  note="frequency near 2 and quadratic blow-up",
-                                  profile=prof)
+                                  note="frequency near 2 and quadratic blow-up")
         return Classification(tag="unresolved", gradient_norm=gnorm,
                               frequency_at_zero=n0, quadratic_coefficient=c_rel,
                               fit_residual=resid,
                               note="frequency near 2 but blow-up rejects the "
-                                   "quadratic model", profile=prof)
+                                   "quadratic model")
     return Classification(tag="unresolved", gradient_norm=gnorm,
                           frequency_at_zero=n0,
-                          note=f"frequency limit {n0:.3f} away from 1 and 2",
-                          profile=prof)
+                          note=f"frequency limit {n0:.3f} away from 1 and 2")
 
 
 # -- structural checks -------------------------------------------------------------
@@ -494,8 +472,6 @@ def classify_point(w: ExtensionField, center, lam: float,
 class InclusionReport:
     """Edge-set comparison of the two one-sided level transitions."""
 
-    n_lower_edges: int
-    n_upper_edges: int
     max_gap_cells: float
     violations: list
     passed: bool
@@ -531,10 +507,9 @@ def check_boundary_inclusion(domain: Domain, values: np.ndarray,
     lower = np.vstack(lower_mid) if lower_mid else np.empty((0, domain.dim))
     upper = np.vstack(upper_mid) if upper_mid else np.empty((0, domain.dim))
     if len(lower) == 0 and len(upper) == 0:
-        return InclusionReport(0, 0, 0.0, [], True, note="level set is empty")
+        return InclusionReport(0.0, [], True, note="level set is empty")
     if len(lower) == 0 or len(upper) == 0:
-        return InclusionReport(len(lower), len(upper), float("inf"),
-                               [], False,
+        return InclusionReport(float("inf"), [], False,
                                note="one-sided level set: transitions exist in "
                                     "only one direction")
     violations = []
@@ -545,11 +520,8 @@ def check_boundary_inclusion(domain: Domain, values: np.ndarray,
         max_gap = max(max_gap, float(dists.max()))
         bad = np.where(dists > 1.0 + 1e-9)[0]
         violations.extend(tuple(src[b]) for b in bad)
-    return InclusionReport(
-        n_lower_edges=len(lower), n_upper_edges=len(upper),
-        max_gap_cells=max_gap, violations=violations,
-        passed=len(violations) == 0,
-    )
+    return InclusionReport(max_gap_cells=max_gap, violations=violations,
+                           passed=len(violations) == 0)
 
 
 @dataclass(frozen=True)
@@ -606,7 +578,6 @@ def check_subharmonic_strip(domain: Domain, values: np.ndarray, level: float,
 class Census:
     """Free-boundary point census with cluster-level classification."""
 
-    points: list
     n_points: int
     n_cells: int
     n_regular: int
@@ -673,20 +644,18 @@ def singular_census(w: ExtensionField, level: float, lam: float,
     u = w.trace
     fb = extract_free_boundary(dom, u, level)
     if fb.degenerate:
-        return Census(points=[], n_points=0, n_cells=len(fb.cells),
-                      n_regular=0, n_clusters=0, singular_locations=[],
-                      unresolved_locations=[],
+        return Census(n_points=0, n_cells=len(fb.cells), n_regular=0, n_clusters=0,
+                      singular_locations=[], unresolved_locations=[],
                       note="degenerate plateau at the level; census unresolved")
     if not fb.points:
-        return Census(points=[], n_points=0, n_cells=0, n_regular=0,
-                      n_clusters=0, singular_locations=[],
-                      unresolved_locations=[], note="no free boundary")
+        return Census(n_points=0, n_cells=0, n_regular=0, n_clusters=0,
+                      singular_locations=[], unresolved_locations=[],
+                      note="no free boundary")
 
     Y = w.ymesh.Y if Y is None else Y
-    regular = [p for p in fb.points if p.tag == "regular"]
     pending = [p for p in fb.points if p.tag != "regular"]
     singular_locs, unresolved_locs = [], []
-    tagged = list(regular)
+    n_regular = len(fb.points) - len(pending)
     clusters = []
     if pending:
         reach = _reach(dom, pending, Y)
@@ -714,10 +683,9 @@ def singular_census(w: ExtensionField, level: float, lam: float,
                 singular_locs.append(rep.location)
             elif tag == "unresolved":
                 unresolved_locs.append(rep.location)
-            for m in members:
-                tagged.append(replace(m, tag=tag))
-    return Census(points=tagged, n_points=len(fb.points), n_cells=len(fb.cells),
-                  n_regular=sum(1 for p in tagged if p.tag == "regular"),
-                  n_clusters=len(clusters),
+            else:                           # regular, like every member
+                n_regular += len(members)
+    return Census(n_points=len(fb.points), n_cells=len(fb.cells),
+                  n_regular=n_regular, n_clusters=len(clusters),
                   singular_locations=sorted(singular_locs),
                   unresolved_locations=sorted(unresolved_locs))

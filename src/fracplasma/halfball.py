@@ -12,7 +12,8 @@ polynomials); radial integrals accumulate a sampled angular profile
 against exact moments of rho^p on each radial segment.  Field values
 and gradients come from one multilinear interpolant on the tensor grid,
 written once for any number of axes; the free-boundary module uses it on
-the thin grid too.
+the thin grid too.  ``room`` and ``check_radii`` state the one rule for
+the radius of a half-ball that every caller obeys.
 """
 
 from __future__ import annotations
@@ -22,7 +23,41 @@ import itertools
 import numpy as np
 from scipy.special import roots_jacobi
 
-__all__ = ["HalfBallQuadrature", "boundary_norms", "interp_values", "interp_gradient"]
+__all__ = ["HalfBallQuadrature", "MIN_CELLS", "boundary_norms", "check_radii",
+           "interp_values", "room"]
+
+
+# a half-ball radius is admissible from MIN_CELLS grid cells (fewer nodes
+# mean nothing) up to the room, each bound with a relative slack of _SLACK
+MIN_CELLS = 5
+_SLACK = 1e-9
+
+
+def room(domain, center, Y: float = np.inf) -> float:
+    """Largest admissible half-ball radius about a thin point: its distance
+    to the thin boundary, capped at the slab height Y (if one is given)."""
+    return min(domain.distance_to_boundary(center), Y)
+
+
+def _check_room(r: float, domain, center, Y: float, what: str) -> None:
+    top = room(domain, center, Y)
+    if r > top * (1 + _SLACK):
+        where = "domain" if Y == np.inf else "slab"
+        raise ValueError(f"{what} of radius {r:.4g} leaves the {where} "
+                         f"(room {top:.4g})")
+
+
+def check_radii(domain, center, radii, Y: float = np.inf, *,
+                what: str = "half-ball") -> None:
+    """Refuse radii about a thin point that break the radius rule: the
+    smallest below MIN_CELLS cells or the largest beyond ``room``.
+    ``what`` names the ball in the message."""
+    radii = np.asarray(radii, dtype=float)
+    floor = MIN_CELLS * domain.h
+    if radii.min() < floor * (1 - _SLACK):
+        raise ValueError(f"{what} of radius {radii.min():.4g} is below five "
+                         f"grid cells ({floor:.4g})")
+    _check_room(radii.max(), domain, center, Y, what)
 
 
 class _Axis:
@@ -151,13 +186,6 @@ def interp_values(field, thin_pts: np.ndarray, y_pts: np.ndarray) -> np.ndarray:
                         (*np.moveaxis(thin_pts, -1, 0), y_pts))
 
 
-def interp_gradient(field, thin_pts: np.ndarray, y_pts: np.ndarray):
-    """Gradient of the multilinear interpolant at the points of
-    ``interp_values``; returns [thin grads..., g_y]."""
-    return _multilinear(field.values, (*field.domain.axes, field.ymesh.nodes),
-                        (*np.moveaxis(thin_pts, -1, 0), y_pts), gradient=True)
-
-
 # angular nodes of the 1-D half-circle rule (half as many polar nodes in
 # 2-D) and azimuthal nodes of the 2-D half-sphere and thin ring
 _N_ANGULAR = 48
@@ -228,29 +256,24 @@ class HalfBallQuadrature:
     """Quadrature engine for half-balls centred at ``center`` on the thin space.
 
     The engine precomputes angular profiles of the gradient energy and
-    the thin-trace integrands on a fine radial grid up to ``rmax``,
-    then answers cumulative volume integrals and surface integrals at
-    arbitrary radii in (0, rmax].
+    the thin-trace integrand on a fine radial grid up to ``rmax``, then
+    answers the cumulative integrals D(r) and T(r) at arbitrary radii in
+    (0, rmax].  H(r) needs no profile: ``boundary_norms`` gives it.
     """
 
     def __init__(self, field, center, rmax: float):
-        self.field = field
-        self.a = field.a
+        a = field.a
         dom = field.domain
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         if self.center.shape != (dom.dim,):
             raise ValueError(f"center must have {dom.dim} coordinates")
         rmax = float(rmax)
-        dist = min(dom.distance_to_boundary(self.center), field.ymesh.Y)
         if rmax <= 0:
             raise ValueError("rmax must be positive")
-        if rmax > dist * (1 + 1e-9):
-            raise ValueError(
-                f"half-ball of radius {rmax} around {tuple(self.center)} is clipped "
-                f"by the box (available distance {dist})"
-            )
-        self.rmax = rmax
-        unit_thin, unit_y, ang_w, ring, w_ring = _angular_rule(self.a, dom.dim)
+        # the room half of the radius rule only: a caller may profile a
+        # half-ball narrower than MIN_CELLS cells
+        _check_room(rmax, dom, self.center, field.ymesh.Y, "half-ball")
+        unit_thin, unit_y, ang_w, ring, w_ring = _angular_rule(a, dom.dim)
 
         n_radial = int(max(192, min(1536, np.ceil(8 * rmax / dom.h))))
         self._rho = np.linspace(0.0, rmax, n_radial + 1)[1:]
@@ -268,15 +291,14 @@ class HalfBallQuadrature:
             for g in grads[1:]:
                 square += np.multiply(g, g, out=g)
             gD[k:k + len(rho)] = np.sum(ang_w * square.reshape(len(rho), -1), axis=1)
-        # thin-ball profiles at every radius at once: the squared trace on
-        # the thin sphere of radius rho (no y^a weight; the trace lives at y = 0)
+        # thin-ball profile at every radius at once: the squared positive part
+        # of the trace on the thin sphere of radius rho (no y^a weight; the
+        # trace lives at y = 0)
         vals = _combine(field.values[..., 0],
                         [_locate(axis, c + self._rho[:, None] * u)
                          for axis, c, u in zip(axes, self.center, ring)])
-        sq = w_ring * np.sum(vals**2, axis=1)
         pos = w_ring * np.sum(np.maximum(vals, 0.0) ** 2, axis=1)
-        self._cum_energy = self._cumulative(gD, dom.dim + self.a)
-        self._cum_thin_sq = self._cumulative(sq, dom.dim - 1.0)
+        self._cum_energy = self._cumulative(gD, dom.dim + a)
         self._cum_thin_pos = self._cumulative(pos, dom.dim - 1.0)
 
     # -- radial accumulation ------------------------------------------------
@@ -310,15 +332,6 @@ class HalfBallQuadrature:
         """D(r) = int_{B_r^+} y^a |grad w|^2."""
         return self._eval_cumulative(self._cum_energy, r)
 
-    def boundary_norm(self, r: float) -> float:
-        """H(r) = int_{(dB_r)^+} y^a w^2."""
-        return float(self.boundary_norms([r])[0])
-
-    def boundary_norms(self, radii) -> np.ndarray:
-        """H(r) at every radius of a ladder, from one interpolation call."""
-        return boundary_norms(self.field, self.center, radii)
-
-    def thin_mass(self, r: float, *, positive: bool = False) -> float:
-        """int_{B'_r} w(.,0)^2, or the positive part's square if requested."""
-        cum = self._cum_thin_pos if positive else self._cum_thin_sq
-        return self._eval_cumulative(cum, r)
+    def thin_mass(self, r: float) -> float:
+        """T(r) = int_{B'_r} (w(.,0))_+^2."""
+        return self._eval_cumulative(self._cum_thin_pos, r)

@@ -298,11 +298,10 @@ def halfball_profiles(axes, ynodes, values: np.ndarray, a: float, center,
                       rmax: float, h: float):
     """Cumulative radial integrals of the half-ball engine, one radius at a time.
 
-    Returns (edges, energy, thin_sq, thin_pos): the radial grid with 0
-    prepended and the cumulative integrals of rho^(dim+a) g_D (g_D the
-    angular integral of y^a |grad w|^2 on the half-sphere of radius rho)
-    and of rho^(dim-1) times the ring integrals of w(., 0)^2 and of its
-    positive part squared.  The profiles are piecewise linear in rho
+    Returns (edges, energy, thin_pos): the radial grid with 0 prepended and
+    the cumulative integrals of rho^(dim+a) g_D (g_D the angular integral
+    of y^a |grad w|^2 on the half-sphere of radius rho) and of rho^(dim-1)
+    times the ring integral of the positive part of w(., 0) squared.  The profiles are piecewise linear in rho
     (constant below the first radius) and integrated exactly against the
     power on every segment.
     """
@@ -311,14 +310,13 @@ def halfball_profiles(axes, ynodes, values: np.ndarray, a: float, center,
     unit_thin, unit_y, ang_w, ring, w_ring = halfball_rule(a, dim)
     n_radial = int(max(192, min(1536, np.ceil(8 * rmax / h))))
     rho = np.linspace(0.0, rmax, n_radial + 1)[1:]
-    gD, sq, pos = (np.empty(n_radial) for _ in range(3))
+    gD, pos = np.empty(n_radial), np.empty(n_radial)
     for k, r in enumerate(rho):
         pts = center + r * unit_thin
         grads = corner_weight_interpolant(tuple(axes) + (ynodes,), values,
                                           (*pts.T, r * unit_y), gradient=True)
         gD[k] = np.sum(ang_w * sum(g**2 for g in grads))
         vals = corner_weight_interpolant(axes, values[..., 0], (center + r * ring).T)
-        sq[k] = w_ring * np.sum(vals**2)
         pos[k] = w_ring * np.sum(np.maximum(vals, 0.0) ** 2)
     edges = np.concatenate([[0.0], rho])
 
@@ -331,8 +329,7 @@ def halfball_profiles(axes, ynodes, values: np.ndarray, a: float, center,
         seg = gext[:-1] * p1 + slope * (p2 - r0 * p1)
         return np.concatenate([[0.0], np.cumsum(seg)])
 
-    return (edges, cumulative(gD, dim + a), cumulative(sq, dim - 1.0),
-            cumulative(pos, dim - 1.0))
+    return edges, cumulative(gD, dim + a), cumulative(pos, dim - 1.0)
 
 
 def halfball_boundary_norm(axes, ynodes, values: np.ndarray, a: float, center,

@@ -470,6 +470,18 @@ def test_cli_blowup_radius_below_five_cells_refused_before_solve(
     assert not out.exists()
 
 
+def test_refused_domain_leaves_no_output_directory(tmp_path, capsys):
+    # unequal spacing on the two axes: the domain is refused before the
+    # output directory is made
+    path = write_config(tmp_path, {"domain": {
+        "kind": "rectangle", "n": [17, 17], "bounds": [[0.0, 3.14159], [0.0, 1.0]]}})
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request: grid spacing must agree on both axes")
+    assert not out.exists()
+
+
 _SQUARE = {"kind": "rectangle", "bounds": [[0.0, np.pi], [0.0, np.pi]]}
 
 

@@ -111,7 +111,6 @@ def test_semianalytic_trace_reproduces_field(interval):
     ym = build_ymesh(0.5, float(basis.eigenvalues[0]))
     w = extend_semianalytic(f, 0.5, ym)
     np.testing.assert_allclose(w.trace, f.full(), atol=1e-12)
-    assert w.provenance == "semianalytic"
 
 
 def test_semianalytic_single_mode_profile(interval):
@@ -285,7 +284,6 @@ def test_fd_extension_agrees_with_semianalytic(interval):
     wfd = extend_fd(dom, f.full(), s, ym)
     err = np.abs(wfd.values - wsa.values).max() / np.abs(wsa.values).max()
     assert err < 5e-3
-    assert wfd.provenance == "fd"
 
 
 def test_fd_extension_preserves_trace(interval):

@@ -173,7 +173,6 @@ def test_blowup_normalizes_boundary_mass():
     bl = blowup(w, [0.0], 0.25)
     assert bl.boundary_mass == pytest.approx(1.0, rel=1e-6)
     assert bl.source_radius == 0.25
-    assert bl.field.provenance == "synthetic"
 
 
 def test_blowup_reference_slab_geometry():

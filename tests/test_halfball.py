@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
-from fracplasma import (ExtensionField, HalfBallQuadrature, build_domain,
-                        build_ymesh)
-from fracplasma.halfball import _Axis, _locate, interp_gradient, interp_values
+from fracplasma import (ExtensionField, HalfBallQuadrature, blowup, build_domain,
+                        build_ymesh, cli, frequency_profile)
+from fracplasma.halfball import (MIN_CELLS, _Axis, _locate, _multilinear,
+                                 boundary_norms, interp_values, room)
 
 
 def _slab(dim, s, n=129, layers=96):
@@ -35,11 +37,10 @@ def test_boundary_norm_of_unit_field_matches_closed_form(dim, s):
     n = 129 if dim == 1 else 65
     dom, ym = _slab(dim, s, n=n)
     w = _field(dom, ym, s, lambda x, y: np.ones_like(y + sum(x)))
-    quad = HalfBallQuadrature(w, [0.0] * dim, 0.8)
     for r in (0.3, 0.6, 0.8):
         ref = oracles.halfsphere_surface_weight(a, dim) * r ** (dim + a)
         # H(r) is the boundary integral of w^2 = 1
-        assert quad.boundary_norm(r) == pytest.approx(ref, rel=2e-3)
+        assert boundary_norms(w, [0.0] * dim, [r])[0] == pytest.approx(ref, rel=2e-3)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -73,8 +74,7 @@ def test_thin_mass_squares_the_trace():
     quad = HalfBallQuadrature(w, [0.0], 0.8)
     r = 0.5
     # int of x^2 over [-r, r] is 2r^3/3; the positive part keeps half of it
-    assert quad.thin_mass(r) == pytest.approx(2 * r**3 / 3, rel=1e-4)
-    assert quad.thin_mass(r, positive=True) == pytest.approx(r**3 / 3, rel=1e-4)
+    assert quad.thin_mass(r) == pytest.approx(r**3 / 3, rel=1e-4)
 
 
 def test_boundary_norm_scales_with_radius_for_homogeneous_field():
@@ -82,9 +82,8 @@ def test_boundary_norm_scales_with_radius_for_homogeneous_field():
     a = 1.0 - 2.0 * s
     dom, ym = _slab(1, s)
     w = _field(dom, ym, s, lambda x, y: x[0] ** 2 - y**2 / (1 + a))
-    quad = HalfBallQuadrature(w, [0.0], 0.8)
     # degree-2 homogeneous: H(r) = (r2/r1)^(1+a+4) H(r1)
-    h1, h2 = quad.boundary_norm(0.3), quad.boundary_norm(0.6)
+    h1, h2 = boundary_norms(w, [0.0], [0.3, 0.6])
     assert h2 / h1 == pytest.approx(2.0 ** (1 + a + 4), rel=5e-3)
 
 
@@ -109,7 +108,71 @@ def test_cumulative_energy_additive():
     assert 0 < e1 < e2 < e3
 
 
+# -- the radius rule ---------------------------------------------------------------
+
+
+class _Solving(Exception):
+    """Raised in place of the eigenbasis: the CLI accepted the request."""
+
+
+def _cli_blowup(tmp_path, monkeypatch, capsys, dom, center):
+    """Run ``blowup`` through the CLI at a radius up to its solve; a refusal
+    (exit 2) is raised as a ValueError with its stderr."""
+    def solving(*args, **kwargs):
+        raise _Solving
+
+    monkeypatch.setattr(cli, "eigendecompose", solving)
+    path = tmp_path / "cfg.json"
+
+    def run(r):
+        path.write_text(json.dumps({
+            "domain": {"kind": "interval", "n": len(dom.axes[0]),
+                       "bounds": [dom.axes[0][0], dom.axes[0][-1]]},
+            "blowup": {"center": center, "radius": r}}))
+        try:
+            code = cli.main(["blowup", "--config", str(path),
+                             "--out", str(tmp_path / "out")])
+        except _Solving:
+            return
+        assert code == 2
+        raise ValueError(capsys.readouterr().err)
+    return run
+
+
+@pytest.mark.parametrize("entry", ["frequency_profile", "blowup",
+                                   "HalfBallQuadrature", "cli blowup"])
+def test_radius_rule_holds_at_every_entry_point(entry, tmp_path, monkeypatch,
+                                                capsys):
+    # five cells and the room are admissible, a relative 2e-9 beyond either
+    # is not; the engine checks the room only, and the CLI, before the
+    # solve, the room in the thin domain (here the tighter bound)
+    dom, ym = _slab(1, 0.5, n=65)
+    w = _field(dom, ym, 0.5, lambda x, y: 1.0 + x[0] + 0.0 * y)
+    center = [0.5]
+    run = {"frequency_profile": lambda r: frequency_profile(w, center, [r], 0.0),
+           "blowup": lambda r: blowup(w, center, r),
+           "HalfBallQuadrature": lambda r: HalfBallQuadrature(w, center, r),
+           "cli blowup": _cli_blowup(tmp_path, monkeypatch, capsys, dom, center),
+           }[entry]
+    floor, top = MIN_CELLS * dom.h, room(dom, center, ym.Y)
+    assert (floor, top) == (5 / 32, 0.5)
+    bounds = [(top, 1 + 2e-9, "leaves the")]
+    if entry != "HalfBallQuadrature":
+        bounds.append((floor, 1 - 2e-9, "below five grid cells"))
+    for edge, beyond, message in bounds:
+        run(edge)
+        with pytest.raises(ValueError, match=message):
+            run(edge * beyond)
+
+
 # -- the multilinear interpolant -------------------------------------------------
+
+
+def _gradient(w, thin, y):
+    """Gradient of the multilinear interpolant of w at (thin, y), as
+    ``interp_values`` places the points: [thin grads..., g_y]."""
+    return _multilinear(w.values, (*w.domain.axes, w.ymesh.nodes),
+                        (*np.moveaxis(thin, -1, 0), y), gradient=True)
 
 
 def _probe_slab(dim):
@@ -168,7 +231,7 @@ def test_interpolant_gradient_exact_for_multilinear_field(dim):
                for c, S in zip(coef, subsets))
     w = ExtensionField(domain=dom, ymesh=ym, s=0.4, values=vals)
     thin, y = _probe_points(dom, ym, rng)
-    got = interp_gradient(w, thin, y)
+    got = _gradient(w, thin, y)
     assert len(got) == dim + 1
     ref = grad(np.column_stack([thin, np.minimum(y, ym.Y)]))
     for g, r in zip(got, ref):
@@ -209,20 +272,19 @@ def test_profiles_and_boundary_norms_match_corner_weight_oracle(kind):
     w = _oracle_slab(kind)
     dom, ym = w.domain, w.ymesh
     for center in _oracle_centres(dom):
-        room = min(dom.distance_to_boundary(center), ym.Y)
-        for rmax in (room, 0.5 * room):
+        top = room(dom, center, ym.Y)
+        for rmax in (top, 0.5 * top):
             quad = HalfBallQuadrature(w, center, rmax)
-            edges, energy, thin_sq, thin_pos = oracles.halfball_profiles(
+            edges, energy, thin_pos = oracles.halfball_profiles(
                 dom.axes, ym.nodes, w.values, w.a, center, rmax, dom.h)
-            for cum, ref in ((quad._cum_energy, energy), (quad._cum_thin_sq, thin_sq),
-                             (quad._cum_thin_pos, thin_pos)):
+            for cum, ref in ((quad._cum_energy, energy), (quad._cum_thin_pos, thin_pos)):
                 assert np.array_equal(cum[0], edges)
                 assert np.array_equal(cum[1], ref)
             radii = np.linspace(5 * dom.h, rmax, 12)
             ref = [oracles.halfball_boundary_norm(dom.axes, ym.nodes, w.values, w.a,
                                                   center, r) for r in radii]
-            assert np.array_equal(quad.boundary_norms(radii), ref)
-            assert quad.boundary_norm(radii[-1]) == ref[-1]
+            assert np.array_equal(boundary_norms(w, center, radii), ref)
+            assert boundary_norms(w, center, radii[-1:])[0] == ref[-1]
 
 
 @pytest.mark.parametrize("kind", ["interval", "square"])
@@ -231,18 +293,18 @@ def test_profiles_on_a_prefix_field_match_the_full_field(kind):
     w = _oracle_slab(kind)
     dom, ym = w.domain, w.ymesh
     center = _oracle_centres(dom)[1]
-    rmax = 0.5 * min(dom.distance_to_boundary(center), ym.Y)
+    rmax = 0.5 * room(dom, center, ym.Y)
     short = ym.prefix(rmax)
     assert short.M < ym.M
     part = ExtensionField(domain=dom, ymesh=short, s=w.s,
                           values=w.values[..., :short.M + 1])
     quad = HalfBallQuadrature(part, center, rmax)
-    edges, energy, thin_sq, thin_pos = oracles.halfball_profiles(
+    edges, energy, thin_pos = oracles.halfball_profiles(
         dom.axes, ym.nodes, w.values, w.a, center, rmax, dom.h)
     assert np.array_equal(quad._cum_energy[1], energy)
     assert np.array_equal(quad._cum_thin_pos[1], thin_pos)
     radii = np.linspace(5 * dom.h, rmax, 12)
-    assert np.array_equal(quad.boundary_norms(radii),
+    assert np.array_equal(boundary_norms(part, center, radii),
                           [oracles.halfball_boundary_norm(dom.axes, ym.nodes, w.values,
                                                           w.a, center, r)
                            for r in radii])
@@ -259,9 +321,9 @@ def test_structured_points_match_scattered_points(dim):
     grid = interp_values(w, thin[:, None, :], y[:30])
     listed = interp_values(w, np.repeat(thin, 30, axis=0), np.tile(y[:30], len(thin)))
     assert np.array_equal(grid.ravel(), listed)
-    for g, ref in zip(interp_gradient(w, thin[:, None, :], y[:30]),
-                      interp_gradient(w, np.repeat(thin, 30, axis=0),
-                                      np.tile(y[:30], len(thin)))):
+    for g, ref in zip(_gradient(w, thin[:, None, :], y[:30]),
+                      _gradient(w, np.repeat(thin, 30, axis=0),
+                                np.tile(y[:30], len(thin)))):
         assert np.array_equal(g.ravel(), ref)
 
 
