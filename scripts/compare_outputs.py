@@ -12,6 +12,12 @@ that number's CSV column or JSON field (list indices ignored), and says
 whether everything else in the file (header, layout, keys, text) is
 equal.  It exits 0 when nothing differs and 1 otherwise.
 
+Per subcommand it also prints each side's wall time and peak RSS (the
+child's max RSS from ``os.wait4``).  They are for information only and
+never count as a difference.  Linux counts in a child's peak the RSS of
+this process when the child was started, so files are compared in chunks
+and only a differing one is read whole (peaks after it may read high).
+
 Example (a second checkout of the parent commit in ../parent):
     python3 scripts/compare_outputs.py --parent ../parent/src --change src \\
         cfg_square.json cfg_disk.json
@@ -19,6 +25,7 @@ Example (a second checkout of the parent commit in ../parent):
 
 import argparse
 import csv
+import filecmp
 import io
 import json
 import math
@@ -27,6 +34,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 
 COMMANDS = ("solve", "frequency", "blowup", "symmetrize", "verify")
 
@@ -43,22 +51,33 @@ def parse_args(argv):
 
 
 def run(src: pathlib.Path, command: str, config: pathlib.Path, out: pathlib.Path):
-    """One subcommand in a fresh process; (exit code, stdout, stderr)."""
+    """One subcommand in a fresh process: (exit code, stdout, stderr, wall
+    time in s, peak RSS in MB).  The time and the peak come from waiting on
+    that child alone (``os.wait4``); its output goes to temporary files."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src.resolve())] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "fracplasma", command,
-                           "--config", str(config.resolve()), "--out", str(out)],
-                          env=env, capture_output=True)
-    return proc.returncode, proc.stdout, proc.stderr
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "fracplasma", command,
+                                 "--config", str(config.resolve()), "--out", str(out)],
+                                env=env, stdout=stdout, stderr=stderr)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        # told the status, the Popen object does not wait for the child again
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        return (proc.returncode, stdout.read(), stderr.read(), wall,
+                usage.ru_maxrss / 1024)
 
 
 def files(root: pathlib.Path):
-    """Relative path -> bytes of every file under ``root``; None when there
+    """Relative path -> path of every file under ``root``; None when there
     is no such directory, so a missing and an empty one differ."""
     if not root.is_dir():
         return None
-    return {str(p.relative_to(root)): p.read_bytes()
+    return {str(p.relative_to(root)): p
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
@@ -150,7 +169,9 @@ def compare(parent: pathlib.Path, change: pathlib.Path, config: pathlib.Path,
             results[side] = run(src, command, config, outs[side])
         code = {side: res[0] for side, res in results.items()}
         where = f"{config.name} {command}"
-        print(f"{where}: exit {code['parent']} / {code['change']}")
+        cost = "; ".join(f"{side} {res[3]:.2f} s, {res[4]:.1f} MB"
+                         for side, res in results.items())
+        print(f"{where}: exit {code['parent']} / {code['change']}; {cost}")
         if code["parent"] != code["change"]:
             diffs.append(f"{where}: exit code {code['parent']} != {code['change']}")
         for k, stream in ((1, "stdout"), (2, "stderr")):
@@ -166,9 +187,9 @@ def compare(parent: pathlib.Path, change: pathlib.Path, config: pathlib.Path,
                 diffs.append(f"{where}: {name} written by the parent only")
             elif name not in old:
                 diffs.append(f"{where}: {name} written by the change only")
-            elif old[name] != new[name]:
-                diffs.append(f"{where}: {name} differs"
-                             + numeric_difference(name, old[name], new[name]))
+            elif not filecmp.cmp(old[name], new[name], shallow=False):
+                diffs.append(f"{where}: {name} differs" + numeric_difference(
+                    name, old[name].read_bytes(), new[name].read_bytes()))
     return diffs
 
 

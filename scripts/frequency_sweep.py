@@ -77,8 +77,12 @@ def main(argv=None):
             continue
         w = extend_semianalytic(sol.field, s, build_ymesh(s, lam1)).shifted(args.gamma)
         x0 = farthest_boundary_point(dom, w.trace, 0.0)
-        radii = np.linspace(halfball.MIN_CELLS * dom.h,
-                            halfball.room(dom, x0, w.ymesh.Y) / 2, args.radii)
+        rmin = halfball.MIN_CELLS * dom.h
+        rmax = halfball.room(dom, x0, w.ymesh.Y) / 2
+        if rmax <= rmin:
+            print(f"{s:>5.2f}  no room for a radius ladder; skipped")
+            continue
+        radii = np.linspace(rmin, rmax, args.radii)
         prof = frequency_profile(w, x0, radii, lam)
         corr_dec = int(np.sum(np.diff(prof.corrected) < 0))
         print(f"{s:>5.2f} {lam:>8.4f} {prof.n_zero_plus:>8.4f} "

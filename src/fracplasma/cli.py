@@ -56,20 +56,19 @@ _COMMANDS = {
 }
 
 
-def _write_csv(path: Path, header: list, table) -> None:
-    """Write a 2-D table, one '%.17g' value per cell.
+def _write_csv(path: Path, header: list, blocks) -> None:
+    """Write an iterable of 2-D blocks of rows, one '%.17g' value per cell.
 
-    Rows go out in blocks.  In a block each column formats each of its
-    distinct values once (distinct bit patterns, so 0.0 and -0.0 stay
-    apart), and one %-operation over a repeated '%s' row template places
-    the strings.
+    In a block each column formats each of its distinct values once
+    (distinct bit patterns, so 0.0 and -0.0 stay apart), and one
+    %-operation over a repeated '%s' row template places the strings.
+    Only one block is held at a time.
     """
-    table = np.asarray(table, dtype=float).reshape(-1, len(header))
     row = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
+        for block in blocks:
+            block = np.asarray(block, dtype=float).reshape(-1, len(header))
             cells = np.empty(block.shape, dtype=object)
             for k, col in enumerate(block.T):
                 bits, where = np.unique(np.ascontiguousarray(col).view(np.int64),
@@ -181,11 +180,25 @@ def _pipeline(name: str, cfg: ExperimentConfig, out: Path, work, *,
     return 0 if report.passed else 1
 
 
-def _grid_rows(axes, arrays):
-    """Table of node coordinates followed by the given full-grid arrays."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh]
-                           + [np.asarray(a).ravel() for a in arrays])
+def _grid_rows(axes, arrays, columns=None):
+    """Rows of node coordinates followed by the given full-grid arrays
+    (the first axis slowest), in blocks of at most ``_CSV_BLOCK`` rows.
+
+    ``columns`` orders the columns by their index in axes + arrays
+    (default: that order).  Each block gathers its values from the axes
+    and the arrays, which may be views, by the multi-index of a range of
+    flat indices, so no table of the whole grid is built.
+    """
+    shape = tuple(len(ax) for ax in axes)
+    sources = [*axes, *arrays]
+    columns = range(len(sources)) if columns is None else columns
+    n = int(np.prod(shape))
+    for start in range(0, n, _CSV_BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + _CSV_BLOCK, n)), shape)
+        block = np.empty((len(index[0]), len(columns)))
+        for j, c in enumerate(columns):
+            block[:, j] = sources[c][index[c] if c < len(axes) else index]
+        yield block
 
 
 def _coord_header(dom):
@@ -282,7 +295,7 @@ def run_frequency(cfg: ExperimentConfig, out: Path) -> int:
                 "n_truncated": prof.n_truncated,
                 "note": prof.note,
             })
-        _write_csv(out / "profiles.csv", header, rows)
+        _write_csv(out / "profiles.csv", header, [rows])
         _write_json(out / "frequency.json", {
             "lam": sol.lam, "gamma": sol.gamma, "s": sol.s, "centers": summaries,
         })
@@ -316,10 +329,10 @@ def run_blowup(cfg: ExperimentConfig, out: Path) -> int:
         ref = bl.field
         d = ref.domain.dim
         # layer by layer (y slowest), thin nodes row-major; columns x..., y, value
-        table = _grid_rows((ref.ymesh.nodes,) + ref.domain.axes,
-                           [np.moveaxis(ref.values, -1, 0)])
         _write_csv(out / "blowup.csv", _coord_header(ref.domain) + ["y", "value"],
-                   table[:, [*range(1, d + 1), 0, d + 1]])
+                   _grid_rows((ref.ymesh.nodes,) + ref.domain.axes,
+                              [np.moveaxis(ref.values, -1, 0)],
+                              columns=[*range(1, d + 1), 0, d + 1]))
         _write_json(out / "blowup.json", {
             "center": list(bl.center), "source_radius": bl.source_radius,
             "normalization": bl.normalization, "boundary_mass": bl.boundary_mass,

@@ -285,6 +285,11 @@ def frequency_profile(w: ExtensionField, center, radii, lam: float) -> Frequency
 # -- blow-up ------------------------------------------------------------------------
 
 
+# layers resampled per interpolation call: the call's temporaries are a
+# few times one block, against the many times the whole field in one call
+_LAYER_BLOCK = 8
+
+
 @dataclass(frozen=True)
 class BlowupField:
     """Rescaled field u(x0 + r.)/norm on the reference half-ball grid.
@@ -320,18 +325,23 @@ def blowup(w: ExtensionField, center, r: float, *, ref_nodes: int = 65,
 
     mesh = np.meshgrid(*ref_dom.axes, indexing="ij")
     thin = np.column_stack([m.ravel() for m in mesh])            # (Q, dim)
-    yv = ref_ym.nodes
-    # every height at every thin node: (Q, 1, dim) against (L,)
-    vals = halfball.interp_values(w, (center + r * thin)[:, None, :], r * yv).reshape(
-        ref_dom.grid_shape + (len(yv),))
+    pts = (center + r * thin)[:, None, :]
+    heights = r * ref_ym.nodes
+    # every height at every thin node, (Q, 1, dim) against a block of
+    # heights, so the interpolant's temporaries span one block of layers
+    vals = np.empty(ref_dom.grid_shape + (len(heights),))
+    for k in range(0, len(heights), _LAYER_BLOCK):
+        block = heights[k:k + _LAYER_BLOCK]
+        vals[..., k:k + len(block)] = halfball.interp_values(w, pts, block).reshape(
+            ref_dom.grid_shape + (len(block),))
 
-    raw = ExtensionField(domain=ref_dom, ymesh=ref_ym, s=w.s, values=vals)
-    h1 = float(halfball.boundary_norms(raw, np.zeros(dom.dim), [1.0])[0])
+    field = ExtensionField(domain=ref_dom, ymesh=ref_ym, s=w.s, values=vals)
+    h1 = float(halfball.boundary_norms(field, np.zeros(dom.dim), [1.0])[0])
     if not np.isfinite(h1) or h1 <= 0:
         raise ValueError("field has vanishing boundary mass at this centre/radius")
     norm = float(np.sqrt(h1))
-    scaled = ExtensionField(domain=ref_dom, ymesh=ref_ym, s=w.s, values=vals / norm)
-    return BlowupField(field=scaled, center=tuple(float(c) for c in center),
+    vals /= norm                 # in place: ``field`` holds ``vals``
+    return BlowupField(field=field, center=tuple(float(c) for c in center),
                        source_radius=r, normalization=norm,
                        boundary_mass=float(h1 / norm**2))
 

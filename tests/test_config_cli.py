@@ -150,12 +150,66 @@ def test_csv_writer_bytes_match_per_value_formatting(tmp_path):
     ])
     assert np.signbit(table[1, -1]) and not np.signbit(table[0, -1])
     header = ["i", "a", "b", "c", "repeated", "special", "zeros"]
-    _write_csv(tmp_path / "new.csv", header, table)
+    _write_csv(tmp_path / "new.csv", header, [table])
     with open(tmp_path / "ref.csv", "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in table.tolist():
             fh.write(",".join("%.17g" % float(v) for v in row) + "\n")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _reference_csv(path, header, axes, arrays, columns):
+    """Full meshgrid table, its columns reordered, written value by value."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    table = np.column_stack([m.ravel() for m in mesh]
+                            + [np.asarray(a).ravel() for a in arrays])[:, columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in table.tolist():
+            fh.write(",".join("%.17g" % float(v) for v in row) + "\n")
+
+
+@pytest.mark.parametrize("shape, columns", [
+    ((3, 37, 41), [1, 2, 0, 4, 3]),      # 4551 rows: one full block and a rest
+    ((9000,), [0, 1, 2]),
+])
+def test_streamed_grid_rows_match_per_value_formatting(tmp_path, shape, columns):
+    from fracplasma.cli import _CSV_BLOCK, _grid_rows, _write_csv
+    rng = np.random.default_rng(len(shape))
+    axes = tuple(np.sort(rng.standard_normal(n)) for n in shape)
+    n = int(np.prod(shape))
+    assert n > _CSV_BLOCK and n % _CSV_BLOCK
+    u = rng.standard_normal(shape)
+    u.flat[::5] = -0.0
+    # a view in another axis order, as the CLI passes a slab's layers
+    v = np.moveaxis(rng.standard_normal(shape[1:] + shape[:1]), -1, 0)
+    arrays = [u, v][:len(columns) - len(shape)]
+    header = [f"c{k}" for k in range(len(columns))]
+    blocks = list(_grid_rows(axes, arrays, columns=columns))
+    assert [len(b) for b in blocks[:-1]] == [_CSV_BLOCK] * (len(blocks) - 1)
+    assert sum(len(b) for b in blocks) == n
+    _write_csv(tmp_path / "new.csv", header, iter(blocks))
+    _reference_csv(tmp_path / "ref.csv", header, axes, arrays, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_streamed_csv_memory_does_not_grow_with_the_grid():
+    # a 129-node square blow-up with 96 layers: 1,614,177 rows
+    import os
+    import tracemalloc
+    from fracplasma.cli import _grid_rows, _write_csv
+    x = np.linspace(-1.0, 1.0, 129)
+    y = (np.arange(97) / 96) ** 2
+    values = np.random.default_rng(3).standard_normal((129, 129, 97))
+    tracemalloc.start()
+    try:
+        _write_csv(Path(os.devnull), ["x1", "x2", "y", "value"],
+                   _grid_rows((y, x, x), [np.moveaxis(values, -1, 0)],
+                              columns=[1, 2, 0, 3]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_cli_solve_writes_outputs(tmp_path):
@@ -804,14 +858,39 @@ def test_disk_without_n_refused_before_solve(tmp_path, monkeypatch, capsys):
     assert load_config(str(write_config(tmp_path, {"domain": {"n": None}}))).domain.n == 129
 
 
-def test_compare_outputs_bounds_numeric_differences():
+def _script(name):
     import importlib.util
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
-    spec = importlib.util.spec_from_file_location("compare_outputs", path)
-    compare_outputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare_outputs)
-    diff = compare_outputs.numeric_difference
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_frequency_sweep_skips_an_order_without_room(tmp_path, capsys):
+    # on the 25-node square half the room is below five cells at both orders
+    _script("frequency_sweep").main(["--domain", "square", "--n", "25",
+                                     "--s", "0.5,0.75", "--out", str(tmp_path)])
+    assert capsys.readouterr().out.count("no room for a radius ladder; skipped") == 2
+    assert (tmp_path / "frequency_sweep.csv").read_text().count("\n") == 1
+
+
+def test_compare_outputs_reports_cost_and_identical_runs(tmp_path, capsys):
+    path = write_config(tmp_path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    compare_outputs = _script("compare_outputs")
+    compare_outputs.COMMANDS = ("solve",)
+    assert compare_outputs.main(["--parent", str(src), "--change", str(src),
+                                 str(path)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"cfg\.json solve: exit 0 / 0; parent \d+\.\d\d s, "
+                     r"\d+\.\d MB; change \d+\.\d\d s, \d+\.\d MB\n", out)
+    assert out.endswith("identical\n")
+
+
+def test_compare_outputs_bounds_numeric_differences():
+    diff = _script("compare_outputs").numeric_difference
     # relative to the largest magnitude in the column, text compared as such
     assert diff("u.csv", b"x,u\n0,4\n1,-8\n", b"x,u\n0,4\n1,-7\n") == (
         " (largest relative difference 0.12 in 'u': -8 -> -7; non-numeric content equal)")

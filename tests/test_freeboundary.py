@@ -10,7 +10,7 @@ from fracplasma import (ExtensionField, blowup, build_domain, build_ymesh,
                         eigendecompose, extend_semianalytic,
                         extract_free_boundary, frequency_profile,
                         singular_census, solve_fixed_lambda)
-from fracplasma import freeboundary
+from fracplasma import freeboundary, halfball
 from fracplasma.freeboundary import (Classification, FreeBoundary,
                                      FreeBoundaryPoint, _cluster_cells)
 
@@ -249,6 +249,41 @@ def test_blowup_normalises_by_the_unit_boundary_norm_alone(kind, monkeypatch):
     assert bl.normalization == np.sqrt(h1)
     assert bl.boundary_mass == h1 / bl.normalization**2
     assert np.array_equal(ref.values, raw / bl.normalization)
+
+
+def _random_square_field(n=25, layers=40):
+    dom = build_domain("rectangle", n, bounds=((0.0, np.pi), (0.0, np.pi)))
+    ym = build_ymesh(0.75, 2.0, span_factor=2.0, layers=layers)
+    rng = np.random.default_rng(23)
+    return ExtensionField(domain=dom, ymesh=ym, s=0.75,
+                          values=rng.standard_normal(dom.grid_shape + (ym.M + 1,)))
+
+
+def test_blowup_resampled_in_layer_blocks_equals_one_call():
+    w = _random_square_field()
+    center, r, ref_layers = [1.3, 1.6], 0.8, 44
+    assert (ref_layers + 1) % freeboundary._LAYER_BLOCK
+    bl = blowup(w, center, r, ref_nodes=33, ref_layers=ref_layers)
+    ref = bl.field
+    mesh = np.meshgrid(*ref.domain.axes, indexing="ij")
+    thin = np.column_stack([m.ravel() for m in mesh])
+    raw = halfball.interp_values(w, (center + r * thin)[:, None, :],
+                                 r * ref.ymesh.nodes).reshape(ref.values.shape)
+    h1 = halfball.boundary_norms(replace(ref, values=raw), np.zeros(2), [1.0])[0]
+    assert bl.normalization == np.sqrt(h1)
+    assert np.array_equal(ref.values, raw / bl.normalization)
+
+
+def test_blowup_memory_is_about_its_result():
+    import tracemalloc
+    w = _random_square_field(n=49, layers=48)
+    tracemalloc.start()
+    try:
+        bl = blowup(w, [1.57, 1.57], 0.4, ref_nodes=129, ref_layers=96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * bl.field.values.nbytes
 
 
 def test_classification_rejects_off_level_centre():
