@@ -6,7 +6,9 @@ lam = factor * lam_1^s, extends the solution, picks the free-boundary
 point farthest from the domain walls, and records the Almgren frequency,
 the flux-adjusted frequency, and the drift-corrected functional along a
 radius ladder.  Output: one CSV row per (s, radius) plus a per-s summary
-table on stdout.
+table on stdout; its `raw dec.` and `corr dec.` columns count the
+profile's `monotone_violations` and `corrected_violations`, the steps the
+`frequency` subcommand counts too.
 
 Example:
     python3 scripts/frequency_sweep.py --domain square --n 49 --out /tmp/sweep
@@ -46,11 +48,10 @@ def parse_args(argv):
 
 def farthest_boundary_point(dom, trace, level):
     fb = extract_free_boundary(dom, trace, level)
-    if not fb.points:
+    if not len(fb.locations):
         raise SystemExit("no free boundary at this level; raise --lam-factor")
-    locs = np.array([p.location for p in fb.points])
-    k = int(np.argmax([halfball.room(dom, x) for x in locs]))
-    return locs[k]
+    k = int(np.argmax([halfball.room(dom, x) for x in fb.locations]))
+    return fb.locations[k]
 
 
 def main(argv=None):
@@ -84,10 +85,10 @@ def main(argv=None):
             continue
         radii = np.linspace(rmin, rmax, args.radii)
         prof = frequency_profile(w, x0, radii, lam)
-        corr_dec = int(np.sum(np.diff(prof.corrected) < 0))
         print(f"{s:>5.2f} {lam:>8.4f} {prof.n_zero_plus:>8.4f} "
               f"{prof.sandwich_constant:>9.4f} "
-              f"{len(prof.monotone_violations):>8d} {corr_dec:>9d}")
+              f"{len(prof.monotone_violations):>8d} "
+              f"{len(prof.corrected_violations):>9d}")
         for i, r in enumerate(prof.radii):
             rows.append([s, lam] + [float(c) for c in x0]
                         + [float(r), float(prof.frequency[i]),

@@ -14,8 +14,8 @@ from .extension import (ExtensionField, UySignReport, YMesh, build_ymesh,
                         extend_fd, extend_semianalytic, fd_energy,
                         mode_profile, weighted_energy)
 from .freeboundary import (BlowupField, Census, Classification, FreeBoundary,
-                           FreeBoundaryPoint, FrequencyProfile, InclusionReport,
-                           StripReport, blowup, census_reach,
+                           FrequencyProfile, InclusionReport, StripReport,
+                           blowup, census_reach,
                            check_boundary_inclusion,
                            check_subharmonic_strip, classify_point,
                            extract_free_boundary, frequency_profile,
@@ -42,7 +42,7 @@ __all__ = [
     "check_uy_sign", "dtn", "extension_energy_constant", "extend_fd",
     "extend_semianalytic", "fd_energy", "mode_profile", "weighted_energy",
     "BlowupField", "Census", "Classification", "FreeBoundary",
-    "FreeBoundaryPoint", "FrequencyProfile", "InclusionReport", "StripReport",
+    "FrequencyProfile", "InclusionReport", "StripReport",
     "blowup", "census_reach", "check_boundary_inclusion",
     "check_subharmonic_strip",
     "classify_point", "extract_free_boundary", "frequency_profile",

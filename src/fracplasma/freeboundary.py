@@ -42,7 +42,6 @@ from .extension import ExtensionField, YMesh, extension_energy_constant
 from . import halfball
 
 __all__ = [
-    "FreeBoundaryPoint",
     "FreeBoundary",
     "extract_free_boundary",
     "FrequencyProfile",
@@ -73,44 +72,42 @@ _STRIP_CELLS = 2.0
 
 
 @dataclass(frozen=True)
-class FreeBoundaryPoint:
-    """A level-set crossing on a grid edge."""
-
-    location: tuple
-    gradient: tuple
-    tag: str
-    cell: tuple
-
-
-@dataclass(frozen=True)
 class FreeBoundary:
-    """Level set of the trace: edge crossing points and the crossed cells."""
+    """Level set of the trace as arrays.
 
-    level: float
-    points: list
-    cells: list
+    One row per edge crossing in ``locations`` and ``gradients`` (n, dim),
+    ``regular`` (n,) and ``owners`` (n, dim), the cell the crossing belongs
+    to; ``cells`` (m, dim) lists the crossed cells in row-major order.
+    """
+
+    locations: np.ndarray
+    gradients: np.ndarray
+    regular: np.ndarray
+    owners: np.ndarray
+    cells: np.ndarray
     degenerate: bool = False
-    note: str = ""
 
 
 def _gradient_arrays(domain: Domain, values: np.ndarray):
     return [np.gradient(values, domain.h, axis=d) for d in range(domain.dim)]
 
 
+def _second_differences(values: np.ndarray, h: float) -> list:
+    """(u[i-1] + u[i+1] - 2 u[i]) / h^2 along each axis, one array per axis
+    over the nodes off that axis's two end faces."""
+    out = []
+    for axis in range(values.ndim):
+        lo, mid, hi = ([slice(None)] * values.ndim for _ in range(3))
+        lo[axis], mid[axis], hi[axis] = slice(0, -2), slice(1, -1), slice(2, None)
+        out.append((values[tuple(lo)] + values[tuple(hi)] - 2 * values[tuple(mid)])
+                   / h**2)
+    return out
+
+
 def _gradient_floor(domain: Domain, values: np.ndarray) -> float:
     """Noise floor 10 h max|D^2 u| of a trace gradient (a larger one is
     resolved: its point is regular), D^2 the second differences / h^2."""
-    h2 = domain.h**2
-    worst = 0.0
-    for d in range(domain.dim):
-        sl_lo = [slice(None)] * domain.dim
-        sl_mid = [slice(None)] * domain.dim
-        sl_hi = [slice(None)] * domain.dim
-        sl_lo[d] = slice(0, -2)
-        sl_mid[d] = slice(1, -1)
-        sl_hi[d] = slice(2, None)
-        d2 = values[tuple(sl_lo)] - 2 * values[tuple(sl_mid)] + values[tuple(sl_hi)]
-        worst = max(worst, float(np.abs(d2).max()) / h2)
+    worst = max(float(np.abs(d2).max()) for d2 in _second_differences(values, domain.h))
     return 10.0 * domain.h * worst
 
 
@@ -121,16 +118,28 @@ def _edge_ends(dim: int, axis: int):
     return tuple(lo), tuple(hi)
 
 
+def _crossings(u: np.ndarray, level: float, strict: bool = False):
+    """Per axis, (axis, low ends, high ends, crossing mask) of the grid edges
+    along it.  An edge crosses when one end is at or above the level and
+    the other below, or, with ``strict``, one end above and the other at
+    or below."""
+    above = u > level if strict else u >= level
+    for axis in range(u.ndim):
+        lo, hi = _edge_ends(u.ndim, axis)
+        yield axis, lo, hi, above[lo] != above[hi]
+
+
 def extract_free_boundary(domain: Domain, values: np.ndarray, level: float) -> FreeBoundary:
     """Locate the level set of a full-grid field on the grid edges.
 
     Every edge whose two nodes lie on opposite sides of the level (one
     at or above it, one below) carries one crossing point, placed by
     linear interpolation along the edge; its gradient is the nodal
-    gradient interpolated the same way.  The crossed cells are the cells
+    gradient interpolated the same way, and it is regular when that
+    gradient clears the noise floor.  The crossed cells are the cells
     with a crossing on any of their edges.  A field that sits entirely at
-    the level is flagged degenerate: the level set is area-filling and
-    every cell is returned.
+    the level is flagged degenerate: the level set is area-filling, it
+    has no crossing points and every cell is returned.
     """
     u = np.asarray(values, dtype=float)
     if u.shape != domain.grid_shape:
@@ -139,18 +148,14 @@ def extract_free_boundary(domain: Domain, values: np.ndarray, level: float) -> F
     scale = max(float(np.abs(u).max()), abs(level), 1e-300)
     cell_shape = tuple(n - 1 for n in domain.grid_shape)
     if np.all(np.abs(phi) <= 1e-13 * scale):
-        return FreeBoundary(level=float(level), points=[],
-                            cells=list(np.ndindex(*cell_shape)), degenerate=True,
-                            note="field sits at the level everywhere; "
-                                 "level set is area-filling")
+        none = np.empty((0, domain.dim))
+        return FreeBoundary(none, none, np.empty(0, dtype=bool),
+                            none.astype(int), np.argwhere(np.ones(cell_shape)),
+                            degenerate=True)
     grads = _gradient_arrays(domain, u)
-    thr = _gradient_floor(domain, u)
-    above = phi >= 0
     crossed = np.zeros(cell_shape, dtype=bool)
-    points = []
-    for axis in range(domain.dim):
-        lo, hi = _edge_ends(domain.dim, axis)
-        edges = above[lo] != above[hi]
+    rows = []
+    for axis, lo, hi, edges in _crossings(u, level):
         p0, p1 = phi[lo][edges], phi[hi][edges]
         t = p0 / (p0 - p1)
         idx = np.argwhere(edges)
@@ -158,13 +163,7 @@ def extract_free_boundary(domain: Domain, values: np.ndarray, level: float) -> F
         loc[:, axis] += t * domain.h
         grad = np.column_stack([g[lo][edges] * (1 - t) + g[hi][edges] * t
                                 for g in grads])
-        regular = np.linalg.norm(grad, axis=1) > thr
-        owner = np.minimum(idx, np.array(cell_shape) - 1)
-        points += [FreeBoundaryPoint(location=tuple(x), gradient=tuple(g),
-                                     tag="regular" if r else "unresolved",
-                                     cell=tuple(c))
-                   for x, g, r, c in zip(loc.tolist(), grad.tolist(),
-                                         regular.tolist(), owner.tolist())]
+        rows.append((loc, grad, np.minimum(idx, np.array(cell_shape) - 1)))
         # an edge along `axis` borders the cells on both sides of it along
         # every other axis
         for other in range(domain.dim):
@@ -172,9 +171,11 @@ def extract_free_boundary(domain: Domain, values: np.ndarray, level: float) -> F
                 a, b = _edge_ends(domain.dim, other)
                 edges = edges[a] | edges[b]
         crossed |= edges
-    return FreeBoundary(level=float(level), points=points,
-                        cells=[tuple(c) for c in np.argwhere(crossed).tolist()],
-                        note="" if points else "level set is empty")
+    locations, gradients, owners = (np.concatenate(col) for col in zip(*rows))
+    return FreeBoundary(
+        locations=locations, gradients=gradients,
+        regular=np.linalg.norm(gradients, axis=1) > _gradient_floor(domain, u),
+        owners=owners, cells=np.argwhere(crossed))
 
 
 # -- frequency profiles ----------------------------------------------------------
@@ -197,6 +198,7 @@ class FrequencyProfile:
     n_zero_plus: float
     sandwich_constant: float
     monotone_violations: list
+    corrected_violations: list
     n_truncated: int
     note: str = ""
 
@@ -270,15 +272,20 @@ def frequency_profile(w: ExtensionField, center, radii, lam: float) -> Frequency
         ])
         corrected = np.log(Ntil) + drift
 
+    # steps where N~ decreases beyond rounding, and where the corrected
+    # functional decreases by more than 1e-3
     viol = [int(i) for i in range(len(Ntil) - 1)
             if Ntil[i + 1] < Ntil[i] - 1e-10 * max(1.0, abs(Ntil[i]))]
+    corr_viol = [int(i) for i in range(len(corrected) - 1)
+                 if corrected[i + 1] < corrected[i] - 1e-3]
 
     return FrequencyProfile(
         center=tuple(float(c) for c in center), radii=radii, energy=D,
         boundary=H, thin_mass=T, frequency=N, adjusted=Ntil,
         corrected=corrected, lam=float(lam), lam_flux=float(lam_flux),
         n_zero_plus=n0, sandwich_constant=sandwich,
-        monotone_violations=viol, n_truncated=truncated, note=note,
+        monotone_violations=viol, corrected_violations=corr_viol,
+        n_truncated=truncated, note=note,
     )
 
 
@@ -501,21 +508,13 @@ def check_boundary_inclusion(domain: Domain, values: np.ndarray,
     u = np.asarray(values, dtype=float)
     if u.shape != domain.grid_shape:
         raise ValueError("values must be a full-grid array")
-    lower_mid, upper_mid = [], []
-    inside = domain.interior
-    for axis in range(domain.dim):
-        sl_a, sl_b = _edge_ends(domain.dim, axis)
-        va, vb = u[sl_a], u[sl_b]
-        touch = inside[sl_a] | inside[sl_b]
-        low = (((va < level) & (vb >= level)) | ((vb < level) & (va >= level))) & touch
-        upp = (((va > level) & (vb <= level)) | ((vb > level) & (va <= level))) & touch
-        for mask, store in ((low, lower_mid), (upp, upper_mid)):
-            locs = np.argwhere(mask).astype(float)
-            if locs.size:
-                locs[:, axis] += 0.5
-                store.append(locs)
-    lower = np.vstack(lower_mid) if lower_mid else np.empty((0, domain.dim))
-    upper = np.vstack(upper_mid) if upper_mid else np.empty((0, domain.dim))
+    inside, half = domain.interior, 0.5 * np.eye(domain.dim)
+    # midpoints, in index units, of the transition edges touching the
+    # interior: from below into {u >= level}, and (strict) from above
+    lower, upper = (
+        np.concatenate([np.argwhere(edges & (inside[lo] | inside[hi])) + half[axis]
+                        for axis, lo, hi, edges in _crossings(u, level, strict)])
+        for strict in (False, True))
     if len(lower) == 0 and len(upper) == 0:
         return InclusionReport(0.0, [], True, note="level set is empty")
     if len(lower) == 0 or len(upper) == 0:
@@ -556,20 +555,19 @@ def check_subharmonic_strip(domain: Domain, values: np.ndarray, level: float,
         raise ValueError("the subharmonic-strip check requires s > 1/2")
     u = np.asarray(values, dtype=float)
     fb = extract_free_boundary(domain, u, level)
-    if not fb.points:
+    if not len(fb.locations):
         raise ValueError("no free boundary at this level")
-    pts = np.array([p.location for p in fb.points])
     coords = domain.interior_coords()
-    tree = cKDTree(pts)
-    dists, _ = tree.query(coords)
+    dists, _ = cKDTree(fb.locations).query(coords)
     strip = dists <= _STRIP_CELLS * domain.h * (1 + 1e-12)
     if not strip.any():
         raise ValueError("strip around the free boundary contains no interior nodes")
-    lap = np.zeros(domain.grid_shape)
-    h2 = domain.h**2
-    for axis in range(domain.dim):
-        lap += (np.roll(u, 1, axis=axis) + np.roll(u, -1, axis=axis) - 2 * u) / h2
-    lap_int = lap[domain.interior][strip]
+    # the interior lies off the grid's outer faces: sum the second
+    # differences over the nodes inside them
+    inner = (slice(1, -1),) * domain.dim
+    lap = sum(d2[inner[:axis] + (slice(None),) + inner[axis + 1:]]
+              for axis, d2 in enumerate(_second_differences(u, domain.h)))
+    lap_int = lap[domain.interior[inner]][strip]
     low = lap_int.min()
     # mirror nodes tie up to rounding: name the first of the tied nodes in
     # row-major order, so the location does not move with the last bits
@@ -615,11 +613,11 @@ def _cluster_cells(cells, reach: int = 2):
     return [np.flatnonzero(labels == k).tolist() for k in range(n_groups)]
 
 
-def _reach(dom: Domain, points, Y: float) -> float:
+def _reach(dom: Domain, fb: FreeBoundary, Y: float) -> float:
     """Largest radius the census reads: the half room of the farthest
     point its gradient leaves undecided (0 when there is none)."""
-    return max((_half_room(dom, p.location, Y) for p in points
-                if p.tag != "regular"), default=0.0)
+    return max((_half_room(dom, x, Y) for x in fb.locations[~fb.regular]),
+               default=0.0)
 
 
 def census_reach(domain: Domain, values: np.ndarray, level: float,
@@ -630,7 +628,7 @@ def census_reach(domain: Domain, values: np.ndarray, level: float,
     An extension on ``ymesh.prefix(census_reach(...))`` is all the census
     needs; 0 (the trace alone) when every point is regular by its gradient.
     """
-    return _reach(domain, extract_free_boundary(domain, values, level).points, Y)
+    return _reach(domain, extract_free_boundary(domain, values, level), Y)
 
 
 def singular_census(w: ExtensionField, level: float, lam: float,
@@ -657,18 +655,18 @@ def singular_census(w: ExtensionField, level: float, lam: float,
         return Census(n_points=0, n_cells=len(fb.cells), n_regular=0, n_clusters=0,
                       singular_locations=[], unresolved_locations=[],
                       note="degenerate plateau at the level; census unresolved")
-    if not fb.points:
+    if not len(fb.locations):
         return Census(n_points=0, n_cells=0, n_regular=0, n_clusters=0,
                       singular_locations=[], unresolved_locations=[],
                       note="no free boundary")
 
     Y = w.ymesh.Y if Y is None else Y
-    pending = [p for p in fb.points if p.tag != "regular"]
+    pending = ~fb.regular
     singular_locs, unresolved_locs = [], []
-    n_regular = len(fb.points) - len(pending)
+    n_regular = len(fb.regular) - int(pending.sum())
     clusters = []
-    if pending:
-        reach = _reach(dom, pending, Y)
+    if pending.any():
+        reach = _reach(dom, fb, Y)
         ym = w.ymesh.prefix(reach)
         if ym.Y < reach:
             raise ValueError(f"the extension ends at y = {ym.Y:.4g}, below the "
@@ -676,26 +674,26 @@ def singular_census(w: ExtensionField, level: float, lam: float,
         # a view of the layers the census reads; only they are shifted
         shifted = ExtensionField(domain=dom, ymesh=ym, s=w.s,
                                  values=w.values[..., :ym.M + 1]).shifted(level)
-        clusters = _cluster_cells([p.cell for p in pending])
+        pending_locs = fb.locations[pending]
+        clusters = _cluster_cells(fb.owners[pending])
         for group in clusters:
-            members = [pending[i] for i in group]
-            locs = np.array([m.location for m in members])
+            locs = pending_locs[group]
             dist = np.linalg.norm(locs - locs.mean(axis=0), axis=1)
             # mirror images in a symmetric cluster tie in distance to the
             # centroid: take the smallest location, whatever the point order
             tied = np.flatnonzero(dist <= dist.min() + 1e-9 * dist.max())
-            rep = min((members[i] for i in tied), key=lambda m: m.location)
+            rep = min(map(tuple, locs[tied].tolist()))
             try:
-                tag = classify_point(shifted, rep.location, lam, Y).tag
+                tag = classify_point(shifted, rep, lam, Y).tag
             except ValueError:
                 tag = "unresolved"
             if tag == "singular-candidate":
-                singular_locs.append(rep.location)
+                singular_locs.append(rep)
             elif tag == "unresolved":
-                unresolved_locs.append(rep.location)
+                unresolved_locs.append(rep)
             else:                           # regular, like every member
-                n_regular += len(members)
-    return Census(n_points=len(fb.points), n_cells=len(fb.cells),
+                n_regular += len(group)
+    return Census(n_points=len(fb.locations), n_cells=len(fb.cells),
                   n_regular=n_regular, n_clusters=len(clusters),
                   singular_locations=sorted(singular_locs),
                   unresolved_locations=sorted(unresolved_locs))

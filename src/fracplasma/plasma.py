@@ -585,27 +585,15 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
 # -- symmetrization ---------------------------------------------------------------
 
 
-def _symmetric_decreasing_rearrangement(values: np.ndarray) -> np.ndarray:
-    """Rearrange a line of values symmetrically decreasing about its centre.
-
-    The largest value goes to the central position; ties in distance to
-    the centre are broken toward the lower index, so the result is
-    deterministic and equimeasurable with the input.
-    """
-    v = np.asarray(values, dtype=float)
-    m = len(v)
-    centre = (m - 1) / 2
-    order = sorted(range(m), key=lambda pos: (abs(pos - centre), pos))
-    out = np.empty(m)
-    out[order] = np.sort(v)[::-1]
-    return out
-
-
 def steiner_symmetrize(domain: Domain, values: np.ndarray, axis: int) -> np.ndarray:
     """Steiner symmetrization of a full-grid field along one axis.
 
     Every grid line parallel to ``axis`` is replaced by the symmetric
-    decreasing rearrangement of its interior values.  The domain must be
+    decreasing rearrangement of its interior values: the largest value
+    goes to the central position, and ties in distance to the centre go
+    to the lower index first.  The sort is stable, so equal values (zeros
+    of either sign among them) land in a fixed order: the result is
+    deterministic and equimeasurable with the input.  The domain must be
     mirror-symmetric along the axis and every line's interior nodes must
     form a contiguous run centred on the midline (true for intervals,
     rectangles, and symmetric disk masks).
@@ -616,19 +604,21 @@ def steiner_symmetrize(domain: Domain, values: np.ndarray, axis: int) -> np.ndar
     if full.shape != domain.grid_shape:
         raise ValueError("values must be a full-grid array")
     out = full.copy()
-    moved = np.moveaxis(out, axis, 0)
+    lines = np.moveaxis(out, axis, 0)
     mask = np.moveaxis(domain.interior, axis, 0)
-    n_axis = moved.shape[0]
-    rest_shape = moved.shape[1:]
-    for rest in np.ndindex(*rest_shape) if rest_shape else [()]:
-        line_mask = mask[(slice(None),) + rest]
-        idxs = np.flatnonzero(line_mask)
-        if idxs.size == 0:
-            continue
-        if not np.all(np.diff(idxs) == 1):
-            raise ValueError("line has a non-contiguous interior; cannot symmetrize")
-        if idxs[0] + idxs[-1] != n_axis - 1:
-            raise ValueError("line interior is not centred on the grid midline")
-        sel = (idxs,) + rest
-        moved[sel] = _symmetric_decreasing_rearrangement(moved[sel])
+    n = len(mask)
+    pos = np.arange(n).reshape((n,) + (1,) * (mask.ndim - 1))
+    first, count = mask.argmax(axis=0), mask.sum(axis=0)
+    if np.any(mask != ((pos >= first) & (pos < first + count))):
+        raise ValueError("line has a non-contiguous interior; cannot symmetrize")
+    if np.any((count > 0) & (2 * first + count != n)):
+        raise ValueError("line interior is not centred on the grid midline")
+    # a centred run's positions come first in the line's order by distance
+    # to the midline, so they take its largest values; the -inf padding
+    # off the run sorts last
+    order = np.argsort(np.abs(np.arange(n) - (n - 1) / 2), kind="stable")
+    placed = np.empty_like(lines)
+    placed[order] = np.sort(np.where(mask, lines, -np.inf), axis=0,
+                            kind="stable")[::-1]
+    lines[mask] = placed[mask]
     return out

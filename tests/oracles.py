@@ -592,3 +592,83 @@ def cluster_cells(cells, reach: int = 2):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def inclusion_transitions(interior: np.ndarray, u: np.ndarray, level: float):
+    """The two one-sided transition sets of a full-grid field, one edge at
+    a time, as sets of edge midpoints in index units.
+
+    An edge belongs to a set only when one of its ends is an interior
+    node.  ``lower`` holds the edges with one end below the level and the
+    other at or above it, ``upper`` those with one end above the level
+    and the other at or below it.
+    """
+    lower, upper = set(), set()
+    for node in np.ndindex(*u.shape):
+        for d in range(u.ndim):
+            if node[d] == u.shape[d] - 1:
+                continue
+            other = tuple(c + (k == d) for k, c in enumerate(node))
+            if not (interior[node] or interior[other]):
+                continue
+            a, b = u[node], u[other]
+            mid = tuple(c + 0.5 * (k == d) for k, c in enumerate(node))
+            if min(a, b) < level <= max(a, b):
+                lower.add(mid)
+            if min(a, b) <= level < max(a, b):
+                upper.add(mid)
+    return lower, upper
+
+
+def inclusion_gap(lower: set, upper: set):
+    """Largest Chebyshev distance from a point of either set to the other
+    set, and the points farther than one cell; (0, set()) for two empty
+    sets and (inf, set()) when only one is empty."""
+    if not lower and not upper:
+        return 0.0, set()
+    if not lower or not upper:
+        return float("inf"), set()
+    gap, far = 0.0, set()
+    for src, dst in ((lower, upper), (upper, lower)):
+        for p in src:
+            dist = min(max(abs(a - b) for a, b in zip(p, q)) for q in dst)
+            gap = max(gap, dist)
+            if dist > 1.0 + 1e-9:
+                far.add(p)
+    return gap, far
+
+
+# -- Steiner symmetrization -----------------------------------------------------------
+
+
+def symmetric_decreasing_rearrangement(values: np.ndarray) -> np.ndarray:
+    """Rearrange a line of values symmetrically decreasing about its centre.
+
+    The largest value goes to the central position; ties in distance to
+    the centre go to the lower index first, and equal values keep their
+    order (stable sort).
+    """
+    v = np.asarray(values, dtype=float)
+    m = len(v)
+    centre = (m - 1) / 2
+    order = sorted(range(m), key=lambda pos: (abs(pos - centre), pos))
+    out = np.empty(m)
+    out[order] = np.sort(v, kind="stable")[::-1]
+    return out
+
+
+def steiner_lines(interior: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
+    """Steiner symmetrization one grid line at a time: every line along
+    ``axis`` has its (contiguous, centred) run of interior values
+    rearranged, the other nodes keep their values."""
+    out = np.array(values, dtype=float)
+    moved = np.moveaxis(out, axis, 0)
+    mask = np.moveaxis(interior, axis, 0)
+    for rest in np.ndindex(*moved.shape[1:]):
+        idxs = np.flatnonzero(mask[(slice(None),) + rest])
+        if idxs.size:
+            assert np.all(np.diff(idxs) == 1)
+            assert idxs[0] + idxs[-1] == len(mask) - 1
+            sel = (idxs,) + rest
+            moved[sel] = symmetric_decreasing_rearrangement(moved[sel])
+    return out

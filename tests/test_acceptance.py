@@ -43,8 +43,7 @@ def _model_slab(kind, s, n=161, layers=160):
 
 def _farthest_boundary_point(dom, trace, level):
     """Free-boundary point with the largest distance to the domain walls."""
-    fb = extract_free_boundary(dom, trace, level)
-    locs = np.array([p.location for p in fb.points])
+    locs = extract_free_boundary(dom, trace, level).locations
     lo = np.array([ax[0] for ax in dom.axes])
     hi = np.array([ax[-1] for ax in dom.axes])
     dists = np.minimum(locs - lo, hi - locs).min(axis=1)

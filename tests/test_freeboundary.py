@@ -12,7 +12,7 @@ from fracplasma import (ExtensionField, blowup, build_domain, build_ymesh,
                         singular_census, solve_fixed_lambda)
 from fracplasma import freeboundary, halfball
 from fracplasma.freeboundary import (Classification, FreeBoundary,
-                                     FreeBoundaryPoint, _cluster_cells)
+                                     _cluster_cells)
 
 
 def model_field(kind, s, n=161, layers=160):
@@ -38,9 +38,9 @@ def test_interval_level_crossing_located():
     u = dom.axes[0] ** 2            # crosses 0.25 at x = 0.5
     fb = extract_free_boundary(dom, u, 0.25)
     assert not fb.degenerate
-    assert len(fb.points) == 1
-    assert fb.points[0].location[0] == pytest.approx(0.5, abs=1e-3)
-    assert fb.points[0].tag == "regular"
+    assert fb.locations.shape == (1, 1)
+    assert fb.locations[0, 0] == pytest.approx(0.5, abs=1e-3)
+    assert fb.regular.tolist() == [True]
 
 
 def test_circle_level_set_extracted():
@@ -48,8 +48,7 @@ def test_circle_level_set_extracted():
     xs, ys = np.meshgrid(*dom.axes, indexing="ij")
     u = xs**2 + ys**2
     fb = extract_free_boundary(dom, u, 0.25)
-    locs = np.array([p.location for p in fb.points])
-    radii = np.linalg.norm(locs, axis=1)
+    radii = np.linalg.norm(fb.locations, axis=1)
     np.testing.assert_allclose(radii, 0.5, atol=2e-3)
     # cell count comparable to the perimeter over the spacing
     assert abs(len(fb.cells) - np.pi / dom.h) < 0.5 * np.pi / dom.h
@@ -59,8 +58,8 @@ def test_flat_field_reported_degenerate():
     dom = build_domain("interval", 51, bounds=(0.0, 1.0))
     fb = extract_free_boundary(dom, np.full(51, 0.4), 0.4)
     assert fb.degenerate
-    assert fb.points == []
-    assert len(fb.cells) == 50
+    assert fb.locations.shape == (0, 1)
+    assert fb.cells.tolist() == [[k] for k in range(50)]
 
 
 def test_partial_plateau_crossing_not_regular():
@@ -68,13 +67,13 @@ def test_partial_plateau_crossing_not_regular():
     u = np.minimum(dom.axes[0], 0.4)
     fb = extract_free_boundary(dom, u, 0.4)
     assert not fb.degenerate
-    assert all(p.tag != "regular" for p in fb.points)
+    assert len(fb.regular) > 0 and not fb.regular.any()
 
 
 def test_no_crossing_gives_empty_boundary():
     dom = build_domain("interval", 51, bounds=(0.0, 1.0))
     fb = extract_free_boundary(dom, np.zeros(51), 0.5)
-    assert fb.points == []
+    assert fb.locations.shape == (0, 1)
     assert not fb.degenerate
 
 
@@ -102,24 +101,30 @@ def test_extraction_and_clustering_match_brute_force(dim):
     for dom, u in _oracle_fields(dim, rng):
         fb = extract_free_boundary(dom, u, 0.1)
         want, want_cells = oracles.level_crossings(dom, u, 0.1)
-        assert len(fb.cells) == len(set(fb.cells))
-        assert set(fb.cells) == want_cells
+        assert len(fb.cells) == len(set(map(tuple, fb.cells.tolist())))
+        assert set(map(tuple, fb.cells.tolist())) == want_cells
+        n = len(want)
+        assert fb.locations.shape == fb.gradients.shape == fb.owners.shape == (n, dim)
+        assert fb.regular.shape == (n,) and fb.regular.dtype == bool
 
-        def key(point):
-            loc, _, tag, cell = point
+        # row by row against the oracle's points, both in one order
+        def key(row):
+            loc, _, tag, cell = row
             return cell, tag, tuple(np.round(loc, 9))
-        got = sorted(((p.location, p.gradient, p.tag, p.cell) for p in fb.points),
-                     key=key)
+        tags_got = ["regular" if r else "unresolved" for r in fb.regular]
+        got = sorted(zip(map(tuple, fb.locations.tolist()),
+                         map(tuple, fb.gradients.tolist()), tags_got,
+                         map(tuple, fb.owners.tolist())), key=key)
         want = sorted(want, key=key)
-        assert [p[2:] for p in got] == [p[2:] for p in want]
-        np.testing.assert_allclose([p[0] for p in got], [p[0] for p in want],
+        assert [row[2:] for row in got] == [row[2:] for row in want]
+        np.testing.assert_allclose([row[0] for row in got], [row[0] for row in want],
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose([p[1] for p in got], [p[1] for p in want],
+        np.testing.assert_allclose([row[1] for row in got], [row[1] for row in want],
                                    rtol=1e-12, atol=1e-12)
-        tags |= {p.tag for p in fb.points}
+        tags |= set(tags_got)
 
-        cells = [p.cell for p in fb.points]
-        assert _cluster_cells(cells) == oracles.cluster_cells(cells)
+        cells = fb.owners.tolist()
+        assert _cluster_cells(fb.owners) == oracles.cluster_cells(cells)
         sparse = cells[::3]
         assert _cluster_cells(sparse) == oracles.cluster_cells(sparse)
     assert tags == {"regular", "unresolved"}
@@ -307,12 +312,52 @@ def test_inclusion_holds_for_smooth_crossing():
 def test_inclusion_fails_for_one_sided_plateau():
     dom = build_domain("interval", 41, bounds=(0.0, 1.0))
     x = dom.axes[0]
-    u = np.where(x < 0.5, 0.2, 0.8)   # jump through the level, no matching pair
+    # a plateau at the level: the field enters {u >= level} from below, but
+    # never leaves {u > level}, so only one transition set is populated
+    u = np.where(x < 0.5, 0.2, 0.5)
     rep = check_boundary_inclusion(dom, u, 0.5)
-    assert isinstance(rep.passed, bool)
+    assert not rep.passed
+    assert rep.max_gap_cells == np.inf
+    assert "one-sided" in rep.note
     # a clean two-sided crossing is still fine on the same grid
     rep2 = check_boundary_inclusion(dom, x, 0.5)
     assert rep2.passed
+
+
+def _plateau_fields(rng):
+    """Fields at the level 0.1 on whole regions, two-sided and one-sided."""
+    for dim in (1, 2):
+        for n in (9, 17):
+            if dim == 1:
+                dom = build_domain("interval", n, bounds=(-1.0, 1.0))
+                x = dom.axes[0]
+            else:
+                dom = build_domain("rectangle", n, bounds=((-1.0, 1.0), (-1.0, 1.0)))
+                x = np.meshgrid(*dom.axes, indexing="ij")[0]
+            yield dom, np.where(x < 0.0, 0.0, 0.1)                 # one-sided
+            yield dom, np.clip(x, -0.3, 0.3) + 0.1                 # ramp through
+            yield dom, np.where(np.abs(x) < 0.5, 0.1, 0.2)         # fat plateau
+            yield dom, np.full(dom.grid_shape, 0.1)                # all at level
+            yield dom, np.where(rng.random(dom.grid_shape) < 0.5, 0.1,
+                                rng.choice([0.0, 0.2], size=dom.grid_shape))
+
+
+def test_inclusion_matches_brute_force():
+    rng = np.random.default_rng(31)
+    fields = [f for dim in (1, 2) for f in _oracle_fields(dim, rng)]
+    fields += list(_plateau_fields(rng))
+    verdicts = set()
+    for dom, u in fields:
+        lower, upper = oracles.inclusion_transitions(dom.interior, u, 0.1)
+        gap, far = oracles.inclusion_gap(lower, upper)
+        rep = check_boundary_inclusion(dom, u, 0.1)
+        assert rep.max_gap_cells == gap
+        assert set(rep.violations) == far
+        assert len(rep.violations) == len(far)
+        assert rep.passed == (gap <= 1.0 + 1e-9)
+        verdicts.add((rep.passed, gap == np.inf))
+    # passing, failing by a gap and one-sided fields all occur
+    assert verdicts == {(True, False), (False, False), (False, True)}
 
 
 def test_subharmonic_strip_positive_for_convex_model():
@@ -351,6 +396,36 @@ def test_subharmonic_strip_location_ignores_rounding_ties():
         # the reported value is still the minimum: the bumped node's
         assert moved.min_laplacian < rep.min_laplacian
         assert moved.min_laplacian == pytest.approx(rep.min_laplacian, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_point_free_level_sets_give_empty_rows(dim):
+    # a plateau at the level (degenerate) and a level the field never
+    # reaches (empty) have no crossing rows; every consumer handles that
+    if dim == 1:
+        dom = build_domain("interval", 17, bounds=(-1.0, 1.0))
+    else:
+        dom = build_domain("rectangle", 17, bounds=((-1.0, 1.0), (-1.0, 1.0)))
+    ym = build_ymesh(0.75, 1.0, span_factor=1.0, layers=8)
+    n_cells = 16**dim
+    for level, degenerate in ((0.3, True), (0.5, False)):
+        u = np.full(dom.grid_shape, 0.3)
+        fb = extract_free_boundary(dom, u, level)
+        assert fb.degenerate == degenerate
+        for rows in (fb.locations, fb.gradients, fb.owners):
+            assert rows.shape == (0, dim)
+        assert fb.regular.shape == (0,)
+        assert fb.cells.shape == ((n_cells, dim) if degenerate else (0, dim))
+        assert census_reach(dom, u, level, ym.Y) == 0.0
+        with pytest.raises(ValueError, match="no free boundary"):
+            check_subharmonic_strip(dom, u, level, 0.75)
+        w = ExtensionField(domain=dom, ymesh=ym, s=0.75,
+                           values=np.repeat(u[..., None], ym.M + 1, axis=-1))
+        cen = singular_census(w, level, 1.0)
+        assert (cen.n_points, cen.n_regular, cen.n_clusters) == (0, 0, 0)
+        assert cen.n_cells == (n_cells if degenerate else 0)
+        assert cen.singular_locations == cen.unresolved_locations == []
+        assert ("degenerate" in cen.note) == degenerate
 
 
 def test_subharmonic_strip_requires_large_order():
@@ -446,12 +521,18 @@ def test_census_reach_is_zero_when_every_point_is_regular():
     assert census_reach(dom, 1.0 - xs**2 - ys**2, 0.5, 1.0) == 0.0
 
 
+def _rows(fb, order):
+    """The free boundary with its point rows taken in ``order``."""
+    return replace(fb, locations=fb.locations[order], gradients=fb.gradients[order],
+                   regular=fb.regular[order], owners=fb.owners[order])
+
+
 def _extract_reversed(monkeypatch):
     forward = freeboundary.extract_free_boundary
 
     def backward(*args, **kwargs):
         found = forward(*args, **kwargs)
-        return replace(found, points=found.points[::-1])
+        return _rows(found, np.arange(len(found.locations))[::-1])
 
     monkeypatch.setattr(freeboundary, "extract_free_boundary", backward)
 
@@ -483,15 +564,13 @@ def test_census_lists_cluster_representatives_by_location(monkeypatch, reverse):
     ym = build_ymesh(0.5, 1.0, span_factor=1.0, layers=8)
     w = ExtensionField(domain=dom, ymesh=ym, s=0.5,
                        values=np.zeros(dom.grid_shape + (ym.M + 1,)))
-    points = [FreeBoundaryPoint(location=loc, gradient=(0.0, 0.0),
-                                tag="unresolved", cell=cell)
-              for loc, cell in (((1.5, 1.6), (12, 12)), ((1.5, 1.4), (12, 11)),
-                                ((0.3, 0.2), (2, 1)), ((0.1, 0.2), (1, 1)))]
+    owners = np.array([(12, 12), (12, 11), (2, 1), (1, 1)])
+    locations = np.array([(1.5, 1.6), (1.5, 1.4), (0.3, 0.2), (0.1, 0.2)])
+    fb = FreeBoundary(locations=locations, gradients=np.zeros((4, 2)),
+                      regular=np.zeros(4, dtype=bool), owners=owners, cells=owners)
     if reverse:
-        points = points[::-1]
-    monkeypatch.setattr(freeboundary, "extract_free_boundary",
-                        lambda *args: FreeBoundary(level=0.0, points=points,
-                                                   cells=[p.cell for p in points]))
+        fb = _rows(fb, [3, 2, 1, 0])
+    monkeypatch.setattr(freeboundary, "extract_free_boundary", lambda *args: fb)
     monkeypatch.setattr(freeboundary, "classify_point",
                         lambda *args: Classification("unresolved", 0.0, np.nan,
                                                      np.nan, np.nan))

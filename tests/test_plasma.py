@@ -6,14 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from fracplasma import (SolverOptions, apply_fractional, build_domain,
+from fracplasma import (Domain, SolverOptions, apply_fractional, build_domain,
                         constraint_mass, eigendecompose, minimize_energy,
                         project, residual_norm, solve_constrained,
                         solve_fixed_lambda, steiner_symmetrize)
 from fracplasma.plasma import (_ACTIVE_SET_MAX, _DIRECT_MAX, _STALL_UPDATES,
                                _active_set_solve, _active_set_step, _Log,
-                               _plasma_rhs, _reduced_energy, _scale_onto_mass,
-                               _symmetric_decreasing_rearrangement)
+                               _plasma_rhs, _reduced_energy, _scale_onto_mass)
 
 GAMMA = 0.1
 
@@ -418,9 +417,16 @@ def test_reduced_energy_gradient_matches_central_differences(p):
 # -- rearrangements ------------------------------------------------------------------
 
 
+def _rearranged(values):
+    """Steiner symmetrization of one line: the interior of an interval."""
+    v = np.asarray(values, dtype=float)
+    dom = build_domain("interval", len(v) + 2, bounds=(0.0, 1.0))
+    return steiner_symmetrize(dom, np.concatenate([[0.0], v, [0.0]]), 0)[1:-1]
+
+
 def test_rearrangement_output_is_symmetric_decreasing():
     v = np.array([0.1, 0.9, 0.3, 0.7, 0.2, 0.5, 0.0])
-    r = _symmetric_decreasing_rearrangement(v)
+    r = _rearranged(v)
     n = len(r)
     c = (n - 1) / 2
     # values weakly decrease with distance from the centre
@@ -434,7 +440,7 @@ def test_rearrangement_output_is_symmetric_decreasing():
                 max_size=40))
 def test_rearrangement_preserves_multiset(vals):
     v = np.asarray(vals)
-    r = _symmetric_decreasing_rearrangement(v)
+    r = _rearranged(v)
     np.testing.assert_allclose(np.sort(r), np.sort(v), atol=0.0)
 
 
@@ -456,6 +462,63 @@ def test_steiner_preserves_line_multisets_and_symmetrizes():
                                        np.sort(orig[:, j]), atol=0.0)
             # and decreases weakly with distance from the line centre
             assert np.all(np.diff(moved[order, j]) <= 1e-15)
+
+
+def _steiner_domain(kind, n, r):
+    """An interval, a rectangle, or a disk whose mask is mirror symmetric
+    about the centre of its bounding grid."""
+    if kind == "interval":
+        return build_domain("interval", n, bounds=(0.0, 1.0))
+    if kind == "rectangle":
+        return build_domain("rectangle", (n, r),
+                            bounds=((0.0, n - 1.0), (0.0, r - 1.0)))
+    half = (n - 1) / 2
+    return build_domain("disk", n, bounds=((-half, half), (-half, half)),
+                        radius=half * (0.5 + r / 25), center=(0.0, 0.0))
+
+
+@given(kind=st.sampled_from(["interval", "rectangle", "disk"]),
+       n=st.integers(min_value=3, max_value=33),
+       r=st.integers(min_value=3, max_value=10),
+       palette=st.sampled_from([(-0.0, 0.0), (-0.0, 0.0, 1.0, -1.0, 0.5), None]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_steiner_matches_line_by_line_reference(kind, n, r, palette, seed):
+    # bitwise equal to the per-line rearrangement, on both axes, with ties
+    # and zeros of either sign among the values
+    dom = _steiner_domain(kind, n, r)
+    rng = np.random.default_rng(seed)
+    if palette is None:
+        U = rng.standard_normal(dom.grid_shape)
+    else:
+        U = rng.choice(palette, size=dom.grid_shape)
+    for axis in dom.symmetry_axes:
+        got = steiner_symmetrize(dom, U, axis)
+        want = oracles.steiner_lines(dom.interior, U, axis)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _square_without(node):
+    """A 7-node square whose interior lacks one node: the lines through
+    it have a gap there, or, at a corner of the interior, end off centre."""
+    xs = np.arange(7.0)
+    interior = np.zeros((7, 7), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    interior[node] = False
+    return Domain(dim=2, shape="rectangle", h=1.0, axes=(xs, xs),
+                  interior=interior, symmetry_axes=(0, 1), center=(3.0, 3.0))
+
+
+@pytest.mark.parametrize("node, message", [
+    ((3, 3), "non-contiguous interior"),
+    ((5, 5), "not centred on the grid midline"),
+])
+def test_steiner_refuses_a_broken_line(node, message):
+    dom = _square_without(node)
+    U = np.arange(49.0).reshape(7, 7)
+    for axis in (0, 1):
+        with pytest.raises(ValueError, match=message):
+            steiner_symmetrize(dom, U, axis)
 
 
 def test_steiner_requires_symmetry_axis():
