@@ -22,9 +22,9 @@ from .freeboundary import (BlowupField, Census, Classification, FreeBoundary,
                            singular_census)
 from .halfball import HalfBallQuadrature
 from .plasma import (PlasmaSolution, SolverError, SolverOptions,
-                     constraint_mass, minimize_energy, residual_norm,
-                     solve_constrained, solve_fixed_lambda, steiner_symmetrize)
-from .spectral import SpectralField, apply_fractional, fractional_energy, project
+                     constraint_mass, minimize_energy, solve_constrained,
+                     solve_fixed_lambda, steiner_symmetrize)
+from .spectral import SpectralField, apply_fractional, project
 # config comes last: it imports extension and plasma, and importing it first
 # loads scipy.special before scipy.sparse, which raises the peak memory of
 # the package import by about 0.13 MB
@@ -49,8 +49,8 @@ __all__ = [
     "singular_census",
     "HalfBallQuadrature",
     "PlasmaSolution", "SolverError", "SolverOptions", "constraint_mass",
-    "minimize_energy", "residual_norm", "solve_constrained",
+    "minimize_energy", "solve_constrained",
     "solve_fixed_lambda", "steiner_symmetrize",
-    "SpectralField", "apply_fractional", "fractional_energy", "project",
+    "SpectralField", "apply_fractional", "project",
     "__version__",
 ]

@@ -76,15 +76,6 @@ class Domain:
         full[self.interior] = vec
         return full
 
-    def restrict(self, full: np.ndarray) -> np.ndarray:
-        """Pack a full-grid array down to the interior nodes."""
-        full = np.asarray(full, dtype=float)
-        if full.shape != self.grid_shape:
-            raise ValueError(
-                f"expected full-grid array of shape {self.grid_shape}, got {full.shape}"
-            )
-        return full[self.interior]
-
     def reflect(self, full: np.ndarray, axis: int) -> np.ndarray:
         """Mirror a full-grid array across the domain midline along ``axis``."""
         if axis not in self.symmetry_axes:
@@ -339,11 +330,11 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
     )
 
 
-def laplacian_matrix(domain: Domain, *, sparse: bool = False):
+def laplacian_matrix(domain: Domain):
     """Positive-definite second-difference Dirichlet Laplacian -Delta_h.
 
-    Acts on packed interior vectors; the Dirichlet (zero) values off the
-    interior are eliminated.  The 1-D second differences are summed over
+    Sparse, on packed interior vectors; the Dirichlet (zero) values off
+    the interior are eliminated.  The 1-D second differences are summed over
     the axes on the full grid (a Kronecker sum, last axis fastest) and
     the sum is restricted to the interior nodes.
     """
@@ -352,8 +343,7 @@ def laplacian_matrix(domain: Domain, *, sparse: bool = False):
         second = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
         full = second if full is None else scipy.sparse.kronsum(second, full)
     keep = domain.interior.ravel()
-    A = full.tocsr()[keep][:, keep] / domain.h**2
-    return A if sparse else A.toarray()
+    return full.tocsr()[keep][:, keep] / domain.h**2
 
 
 def _sine_eigenvalues(n: int) -> np.ndarray:
@@ -460,7 +450,7 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
         order = np.argsort(sums, kind="stable")[:K]
         return EigenBasis(domain=domain, eigenvalues=sums[order], _modes=order)
     if K <= m // 12:
-        A = laplacian_matrix(domain, sparse=True)
+        A = laplacian_matrix(domain)
         lam, V = scipy.sparse.linalg.eigsh(
             A.tocsc(), k=K, sigma=0, which="LM", v0=np.ones(m),
         )
@@ -469,7 +459,7 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
     else:
         # B = h^2 (-Delta_h) has O(1) entries, which LAPACK factors faster
         h2 = domain.h**2
-        B = (laplacian_matrix(domain, sparse=True) * h2).toarray()
+        B = (laplacian_matrix(domain) * h2).toarray()
         lam, V = scipy.linalg.eigh(B, subset_by_index=None if K == m else [0, K - 1])
         lam /= h2
     _fix_signs(V, np.sqrt(domain.h**domain.dim))

@@ -253,6 +253,22 @@ def _conductances(domain: Domain, s: float, ymesh: YMesh):
     return wvol * h ** (dim - 2), h**dim / resist
 
 
+def _ladder(mu: np.ndarray, cond_x: np.ndarray, cond_y: np.ndarray):
+    """Ladder conductances G_{M-1}, ..., G_1 of the modes mu, in that order.
+
+    In mode k the scheme is a ladder: layer j is shunted to zero by
+    x_j = mu_k cond_x[j - 1] and joined to layer j + 1 by cond_y[j], and
+    layer M is zero.  G_{M-1} = x_{M-1} + cond_y[M-1] and
+    G_j = x_j + cond_y[j] G_{j+1} / (cond_y[j] + G_{j+1}) are sums of
+    positive terms, so nothing cancels; each is vectorised over the modes.
+    """
+    ladder = mu * cond_x[-1] + cond_y[-1]
+    yield ladder
+    for j in range(len(cond_y) - 2, 0, -1):
+        ladder = mu * cond_x[j - 1] + cond_y[j] * ladder / (cond_y[j] + ladder)
+        yield ladder
+
+
 def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
               ymesh: YMesh) -> ExtensionField:
     """Solve the weighted slab problem by a finite-volume scheme.
@@ -267,10 +283,10 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
 
     The slab matrix is B (x) diag(cond_x) + I (x) T_y with B = h^2 (-Delta_h)
     the thin graph Laplacian, so the system is solved mode by mode in the
-    domain's complete ``EigenBasis``: each eigenvalue mu_k = h^2 lambda_k
-    leaves one tridiagonal system in y,
-    (mu_k diag(cond_x) + T_y) c_k = cond_y[0] u_k e_1, and one Thomas
-    sweep vectorised over the modes solves them all.  Past the transform
+    domain's complete ``EigenBasis``, mu_k = h^2 lambda_k.  The current into
+    layer j leaves it through the ladder G_j above it (``_ladder``), so
+    layer j is layer j - 1 times cond_y[j-1] / (cond_y[j-1] + G_j): one
+    cumulative product over the layers gives them all.  Past the transform
     the cost is linear in the number of layers.
     """
     trace_full = _checked_trace(domain, trace_values, s)
@@ -278,25 +294,13 @@ def extend_fd(domain: Domain, trace_values: np.ndarray, s: float,
     cond_x, cond_y = _conductances(domain, s, ymesh)
 
     basis = eigendecompose(domain, domain.n_interior)
-    # tridiagonal T_k = diag(mu_k cond_x + cond_y[:-1] + cond_y[1:]) with
-    # off-diagonal -cond_y[1:M-1]; its only right-hand side is in layer 1.
-    # The diagonal is formed one layer at a time, so at most three
-    # slab-sized arrays live at once: c and ratio in the sweep, c and the
-    # transform's scatter grid and output in nodal.
     mu = basis.eigenvalues * domain.h**2
-    cond_sum = cond_y[:-1] + cond_y[1:]
-    couple = cond_y[1:M - 1]
+    # one slab-sized array holds the factors and then, in place, the layers
     c = np.empty((basis.size, M - 1))
-    ratio = np.empty((basis.size, M - 2))
-    pivot = mu * cond_x[0] + cond_sum[0]
-    c[:, 0] = cond_y[0] * basis.coefficients(trace_full[domain.interior]) / pivot
-    for j in range(1, M - 1):
-        ratio[:, j - 1] = couple[j - 1] / pivot
-        pivot = mu * cond_x[j] + cond_sum[j] - couple[j - 1] * ratio[:, j - 1]
-        c[:, j] = couple[j - 1] * c[:, j - 1] / pivot
-    for j in range(M - 3, -1, -1):
-        c[:, j] += ratio[:, j] * c[:, j + 1]
-    del ratio
+    for j, ladder in zip(range(M - 1, 0, -1), _ladder(mu, cond_x, cond_y)):
+        c[:, j - 1] = cond_y[j - 1] / (cond_y[j - 1] + ladder)
+    c[:, 0] *= basis.coefficients(trace_full[domain.interior])
+    np.cumprod(c, axis=1, out=c)
     layers = basis.nodal(c)
     del c
 
@@ -313,17 +317,9 @@ def fd_energy(basis: EigenBasis, trace_values: np.ndarray, s: float,
     E_h = sum_j cond_x[j] W_j^T B W_j + sum_j cond_y[j] |W_{j+1} - W_j|^2
     over the slab nodal values W (W_0 the trace, W_M = 0), the quadratic
     form that extend_fd minimises.  ``basis`` must be complete; in it E_h
-    is diagonal: mode k with coefficient c_k contributes
-    h^-dim cond_y[0] (1 - r_k) c_k^2, with r_k = cond_y[0] / S_k and S_k the
-    Schur complement of its tridiagonal system onto layer 1.
-
-    S_k - cond_y[0] is the conductance G_1 of the ladder above the first
-    face: with x_j = mu_k cond_x of layer j, G_{M-1} = x_{M-1} + cond_y[M-1]
-    and G_j = x_j + cond_y[j] G_{j+1} / (cond_y[j] + G_{j+1}).  So
-    cond_y[0] (1 - r_k) = cond_y[0] G_1 / (cond_y[0] + G_1) is formed
-    without cancellation, by one backward sweep over the layers that is
-    vectorised over the modes, after one ``coefficients`` call; no slab
-    is formed.
+    is diagonal: mode k with coefficient c_k contributes h^-dim c_k^2 times
+    its ladder's conductance cond_y[0] G_1 / (cond_y[0] + G_1) seen from
+    the trace (``_ladder``).  No slab is formed.
     """
     domain = basis.domain
     if basis.size != domain.n_interior:
@@ -332,9 +328,8 @@ def fd_energy(basis: EigenBasis, trace_values: np.ndarray, s: float,
     trace_full = _checked_trace(domain, trace_values, s)
     cond_x, cond_y = _conductances(domain, s, ymesh)
     mu = basis.eigenvalues * domain.h**2
-    ladder = mu * cond_x[-1] + cond_y[-1]
-    for j in range(ymesh.M - 2, 0, -1):
-        ladder = mu * cond_x[j - 1] + cond_y[j] * ladder / (cond_y[j] + ladder)
+    for ladder in _ladder(mu, cond_x, cond_y):
+        pass  # the last one, G_1, is the ladder seen from the trace
     coeffs = basis.coefficients(trace_full[domain.interior])
     modal = cond_y[0] * ladder / (cond_y[0] + ladder)
     return float(modal @ coeffs**2) / basis.weight
@@ -474,6 +469,9 @@ def _gauss_energy(vals: np.ndarray, node: tuple, h: float, moments, dy) -> np.nd
 
 def weighted_energy(w: ExtensionField) -> float:
     """int y^a |grad w|^2 over the slab, for the multilinear interpolant.
+
+    Not the energy E_h that ``extend_fd`` minimises: Steiner verdicts are
+    taken on ``fd_energy``.
 
     The y-moments of the weight are integrated exactly per cell; the thin
     directions use the two-point Gauss rule on each axis, which is exact

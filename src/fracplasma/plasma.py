@@ -47,7 +47,6 @@ __all__ = [
     "PlasmaSolution",
     "SolverError",
     "constraint_mass",
-    "residual_norm",
     "solve_fixed_lambda",
     "solve_constrained",
     "minimize_energy",
@@ -157,20 +156,15 @@ def constraint_mass(domain: Domain, values: np.ndarray, gamma: float,
     return float(domain.h**domain.dim * np.sum(plus**p))
 
 
-def residual_norm(basis: EigenBasis, coeffs: np.ndarray, lam: float,
-                  gamma: float, s: float) -> float:
-    """Discrete L2 norm of the basis-projected equation residual.
+def _residual(basis: EigenBasis, coeffs: np.ndarray, u: np.ndarray, lam: float,
+              gamma: float, s: float) -> float:
+    """Discrete L2 norm of the basis-projected equation residual, given the
+    nodal values u of ``coeffs``.
 
     With a full basis this equals the nodal residual norm of
     L^s u - lam (u - gamma)_+; with a truncated basis it measures the
     component the spectral method can see.
     """
-    return _residual(basis, coeffs, basis.nodal(coeffs), lam, gamma, s)
-
-
-def _residual(basis: EigenBasis, coeffs: np.ndarray, u: np.ndarray, lam: float,
-              gamma: float, s: float) -> float:
-    """residual_norm with the nodal values u of ``coeffs`` already at hand."""
     proj = basis.coefficients(_plasma_rhs(u, gamma))
     return float(np.linalg.norm(basis.eigenvalues**s * coeffs - lam * proj))
 

@@ -18,7 +18,6 @@ __all__ = [
     "SpectralField",
     "project",
     "apply_fractional",
-    "fractional_energy",
 ]
 
 
@@ -63,7 +62,7 @@ def project(basis: EigenBasis, values: np.ndarray) -> SpectralField:
     """Project nodal values (full-grid or packed interior) onto the basis."""
     v = np.asarray(values, dtype=float)
     if v.shape == basis.domain.grid_shape:
-        v = basis.domain.restrict(v)
+        v = v[basis.domain.interior]
     if not np.all(np.isfinite(v)):
         raise ValueError("nodal values contain NaN or Inf")
     return SpectralField(basis, basis.coefficients(v))
@@ -73,9 +72,3 @@ def apply_fractional(f: SpectralField, s: float) -> SpectralField:
     """(-Delta)^s f on the eigenbasis."""
     s = _check_order(s)
     return SpectralField(f.basis, f.basis.eigenvalues**s * f.coeffs)
-
-
-def fractional_energy(f: SpectralField, s: float) -> float:
-    """Dirichlet-type energy D(f) = sum_k lambda_k^s a_k^2 = <f, (-Delta)^s f>."""
-    s = _check_order(s)
-    return float(np.sum(f.basis.eigenvalues**s * f.coeffs**2))

@@ -107,6 +107,17 @@ def sine_basis(grid_shape, h: float, K: int):
     return sums[order], V / np.sqrt(h ** len(grid_shape))
 
 
+def plasma_residual(grid_shape, h: float, coeffs: np.ndarray, lam: float,
+                    gamma: float, s: float) -> float:
+    """|lambda_k^s a - lam h^dim V^T (V a - gamma)_+| on the ``sine_basis``
+    of as many modes as ``coeffs`` has: the coefficient-space residual of
+    L^s u = lam (u - gamma)_+ for u = V a."""
+    eigenvalues, V = sine_basis(grid_shape, h, len(coeffs))
+    plus = np.maximum(V @ coeffs - gamma, 0.0)
+    proj = h ** len(grid_shape) * (V.T @ plus)
+    return float(np.linalg.norm(eigenvalues**s * coeffs - lam * proj))
+
+
 # -- stencil application on full grids -----------------------------------------------
 
 
@@ -475,24 +486,27 @@ def fd_slab_extension(interior: np.ndarray, h: float, trace: np.ndarray,
          + scipy.sparse.kron(scipy.sparse.identity(len(keep)), Ty)).tocsc()
     rhs = np.zeros((len(keep), L))
     rhs[:, 0] = cond_y[0] * trace[interior]
-    sol = scipy.sparse.linalg.splu(A).solve(rhs.ravel()).reshape(len(keep), L)
+    # A is symmetric positive definite, so diagonal pivots in a symmetric
+    # fill-reducing order are stable; they keep half the fill of COLAMD
+    lu = scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                  options={"SymmetricMode": True})
+    sol = lu.solve(rhs.ravel()).reshape(len(keep), L)
     out = np.zeros(interior.shape + (M + 1,))
     out[..., 0] = trace
     out[interior, 1:M] = sol
     return out
 
 
-def fd_slab_energy(interior: np.ndarray, h: float, trace: np.ndarray,
-                   s: float, ys: np.ndarray) -> float:
-    """Finite-volume energy of the assembled extension, face by face.
+def fd_face_energy(W: np.ndarray, h: float, s: float, ys: np.ndarray) -> float:
+    """Finite-volume energy E_h of any slab W, face by face.
 
-    Sums cond_x of each layer 1..M-1 times the squared differences across
-    every thin grid face of that layer (zero off the interior, so faces to
-    the walls count), plus cond_y of each vertical face times the squared
+    ``W`` has shape grid_shape + (M + 1,) and is zero off the interior
+    nodes, so faces to the walls count.  Sums cond_x of each layer
+    1..M-1 times the squared differences across every thin grid face of
+    that layer, plus cond_y of each vertical face times the squared
     differences between the layers it joins.
     """
-    W = fd_slab_extension(interior, h, trace, s, ys)
-    dim = interior.ndim
+    dim = W.ndim - 1
     cond_x, cond_y = _fd_conductances(ys, s, h, dim)
     total = 0.0
     for j in range(1, len(ys) - 1):
@@ -502,6 +516,12 @@ def fd_slab_energy(interior: np.ndarray, h: float, trace: np.ndarray,
     for j in range(len(ys) - 1):
         total += cond_y[j] * float(np.sum((W[..., j + 1] - W[..., j]) ** 2))
     return total
+
+
+def fd_slab_energy(interior: np.ndarray, h: float, trace: np.ndarray,
+                   s: float, ys: np.ndarray) -> float:
+    """Finite-volume energy of the extension assembled by one sparse LU."""
+    return fd_face_energy(fd_slab_extension(interior, h, trace, s, ys), h, s, ys)
 
 
 # -- level-set crossings and cell clusters ------------------------------------------

@@ -17,9 +17,9 @@ from fracplasma import (ExtensionField, apply_fractional, blowup, build_domain,
                         build_ymesh, check_boundary_inclusion,
                         check_subharmonic_strip, check_uy_sign, classify_point,
                         constraint_mass, dtn, eigendecompose,
-                        extend_fd, extend_semianalytic, extract_free_boundary,
+                        extend_semianalytic, extract_free_boundary,
                         fd_energy, frequency_profile, minimize_energy,
-                        project, residual_norm, singular_census,
+                        project, singular_census,
                         solve_fixed_lambda, steiner_symmetrize)
 
 GAMMA = 0.1
@@ -99,8 +99,8 @@ def test_extension_flux_matches_spectral_operator():
             cf[:5] = [1.0, -0.5, 0.25, 0.1, -0.05]
             f = project(bn, bn.nodal(cf))
             wsa = extend_semianalytic(f, s, ymn)
-            wfd = extend_fd(dn, f.full(), s, ymn)
-            errs.append(np.abs(wfd.values - wsa.values).max()
+            wfd = oracles.fd_slab_extension(dn.interior, dn.h, f.full(), s, ymn.nodes)
+            errs.append(np.abs(wfd - wsa.values).max()
                         / np.abs(wsa.values).max())
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         min_order = min(min_order, min(orders))
@@ -166,7 +166,7 @@ def test_plasma_solver_converges_and_matches_grid_newton():
     s = 0.5
     lam = 4.0 * float(basis.eigenvalues[0] ** s)
     sol = solve_fixed_lambda(basis, lam, GAMMA, s)
-    res = residual_norm(basis, sol.field.coeffs, lam, GAMMA, s)
+    res = oracles.plasma_residual(dom.grid_shape, dom.h, sol.field.coeffs, lam, GAMMA, s)
 
     lam1 = 4.0 * float(basis.eigenvalues[0])
     sol1 = solve_fixed_lambda(basis, lam1, GAMMA, 1.0)

@@ -4,8 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from fracplasma import (apply_fractional, build_domain, eigendecompose,
-                        fractional_energy, project)
+from fracplasma import apply_fractional, build_domain, eigendecompose, project
 
 
 @pytest.fixture(scope="module")
@@ -62,15 +61,6 @@ def test_semigroup_property(basis):
     np.testing.assert_allclose(one.coeffs, two.coeffs, rtol=1e-12, atol=1e-12)
 
 
-def test_energy_is_weighted_coefficient_sum(basis):
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(basis.size)
-    f = project(basis, basis.nodal(a))
-    for s in (0.3, 1.0):
-        expected = float(np.sum(basis.eigenvalues**s * f.coeffs**2))
-        assert fractional_energy(f, s) == pytest.approx(expected, rel=1e-12)
-
-
 def test_integer_energy_matches_face_sum():
     dom = build_domain("rectangle", 13, bounds=((0.0, 1.0), (0.0, 1.0)))
     basis2 = eigendecompose(dom, dom.n_interior)
@@ -80,7 +70,8 @@ def test_integer_energy_matches_face_sum():
     U = np.zeros(dom.grid_shape)
     U[dom.interior] = v
     ref = oracles.dirichlet_face_energy(U, dom.h)
-    assert fractional_energy(f, 1.0) == pytest.approx(ref, rel=1e-11)
+    energy = float(np.sum(basis2.eigenvalues * f.coeffs**2))
+    assert energy == pytest.approx(ref, rel=1e-11)
 
 
 def test_order_outside_unit_interval_rejected(basis):
