@@ -203,6 +203,11 @@ def _coord_header(dom):
     return [f"x{k + 1}" for k in range(dom.dim)]
 
 
+def _at(dom, index) -> str:
+    """Coordinates of a grid position given in index units."""
+    return ", ".join(f"{ax[0] + i * dom.h:.6g}" for ax, i in zip(dom.axes, index))
+
+
 def run_solve(cfg: ExperimentConfig, out: Path) -> int:
     def work(run):
         dom, basis, sol = run.dom, run.basis, run.sol
@@ -387,15 +392,21 @@ def run_verify(cfg: ExperimentConfig, out: Path) -> int:
 
         # 2. extension is monotone away from the trace
         rep = check_uy_sign(w)
-        checks.append(CheckResult(name="extension nonincreasing in y",
-                                  passed=rep.passed, value=rep.max_derivative,
-                                  tolerance=0.0))
+        *node, k = rep.worst_location
+        checks.append(CheckResult(
+            name="extension nonincreasing in y", passed=rep.passed,
+            value=rep.max_derivative, tolerance=0.0,
+            note="" if rep.passed else f"u_y > 0 at {rep.n_violations} node-layer "
+            f"pairs; largest at ({_at(dom, node)}) above layer {k}"))
 
         # 3. level-set transitions match across the free boundary
         inc = fb.check_boundary_inclusion(dom, u, sol.gamma)
-        checks.append(CheckResult(name="level transitions within one cell",
-                                  passed=inc.passed, value=inc.max_gap_cells,
-                                  tolerance=1.0, note=inc.note))
+        checks.append(CheckResult(
+            name="level transitions within one cell", passed=inc.passed,
+            value=inc.max_gap_cells, tolerance=1.0,
+            note=inc.note if not inc.violations else
+            f"{len(inc.violations)} unmatched transitions; first at "
+            f"({_at(dom, inc.violations[0])})"))
 
         # 4. thin subharmonicity near the free boundary (s > 1/2 only)
         if s > 0.5:

@@ -5,11 +5,11 @@ Each section is a dataclass (``solver`` is ``plasma.SolverOptions``), and
 one parser reads every section from its fields: unknown keys anywhere in
 the tree raise ``ConfigError`` with the offending names, so typos cannot
 silently fall back to defaults, and each ``int``, ``float`` or ``str``
-field is checked against its annotation.  ``validate`` then checks
-ranges, so malformed and out-of-range values are refused before anything
-is solved; a configuration built in Python is range-checked but not
-type-checked.  ``refine`` produces a new configuration with the grids
-scaled for convergence studies.
+field is checked against its annotation.  Each section checks its ranges
+when it is built, from JSON or in Python (which is not type-checked), so
+out-of-range values raise ``ConfigError`` before anything is solved.
+``refine`` produces a new, checked configuration with the grids scaled
+for convergence studies.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ def _parse(cls, data, path: str = ""):
     Unknown keys are refused; a field annotated ``int``, ``float`` or
     ``str`` must hold that type (an int passes as a float, None only where
     the default is None); a field typed by another section is parsed in
-    turn.  A ValueError of the section's constructor becomes a
-    ConfigError named after the section.  ``path`` is the section's key,
-    empty for the root.
+    turn.  Any ValueError of a constructor other than a ConfigError (those
+    of ``SolverOptions``) becomes a ConfigError named after the section.
+    ``path`` is the section's key, empty for the root.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'configuration root'} must be a JSON object")
@@ -89,6 +89,8 @@ def _parse(cls, data, path: str = ""):
         kwargs[name] = value
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
@@ -108,12 +110,6 @@ class DomainSpec:
             object.__setattr__(self, "bounds", (0.0, 3.141592653589793))
         if self.n is None and self.kind != "disk":
             object.__setattr__(self, "n", 129)
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.kind == "interval" else 2
-
-    def validate(self):
         if self.kind not in ("interval", "rectangle", "disk"):
             raise ConfigError(f"domain.kind must be interval/rectangle/disk, "
                               f"got {self.kind!r}")
@@ -126,17 +122,19 @@ class DomainSpec:
                                and all(_is_int(k) for k in n))):
             raise ConfigError(f"domain.n must be an integer or a list of {dim} "
                               f"integers, got {n!r}")
-        if dim == 1:
-            ok, shape = _numbers(self.bounds, 2), "[lo, hi]"
-        else:
-            ok = (isinstance(self.bounds, (list, tuple)) and len(self.bounds) == 2
-                  and all(_numbers(b, 2) for b in self.bounds))
-            shape = "[[lo, hi], [lo, hi]]"
-        if not ok:
+        # one [lo, hi] pair per axis; an interval gives its pair bare
+        pairs = [self.bounds] if dim == 1 else self.bounds
+        if not (isinstance(pairs, (list, tuple)) and len(pairs) == dim
+                and all(_numbers(b, 2) for b in pairs)):
+            shape = "[lo, hi]" if dim == 1 else "[[lo, hi], [lo, hi]]"
             raise ConfigError(f"{self.kind} domains need bounds {shape} of finite "
                               f"numbers, got {self.bounds!r}")
         if self.center is not None and not _numbers(self.center, 2):
             raise ConfigError(f"domain.center must be [x, y], got {self.center!r}")
+
+    @property
+    def dim(self) -> int:
+        return 1 if self.kind == "interval" else 2
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ class ExtensionSpec:
     layers: int = 200
     grading: float = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.span_factor <= 0:
             raise ConfigError("extension.span_factor must be positive")
         if self.layers < 8:
@@ -167,13 +165,11 @@ class FrequencySpec:
         if not (isinstance(centers, (list, tuple))
                 and all(_is_number(pt) or _numbers(pt, 1) or _numbers(pt, 2)
                         for pt in centers)):
-            raise ValueError("centers must be a list of points of 1 or 2 "
-                             f"numbers, got {centers!r}")
+            raise ConfigError("frequency.centers must be a list of points of 1 or 2 "
+                              f"numbers, got {centers!r}")
         object.__setattr__(self, "centers", tuple(
             tuple(float(c) for c in pt) if hasattr(pt, "__len__") else (float(pt),)
             for pt in centers))
-
-    def validate(self):
         if self.n_radii < 1:
             raise ConfigError("frequency.n_radii must be positive")
         if not 0 < self.r_max_fraction <= 1:
@@ -187,7 +183,7 @@ class BlowupSpec:
     ref_nodes: int = 65
     ref_layers: int = 48
 
-    def validate(self):
+    def __post_init__(self):
         if self.center is not None and not (_numbers(self.center, 1)
                                             or _numbers(self.center, 2)):
             raise ConfigError(f"blowup.center must be a list of 1 or 2 numbers, "
@@ -216,7 +212,7 @@ class ExperimentConfig:
     blowup: BlowupSpec = field(default_factory=BlowupSpec)
     out_dir: str = "out"
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.s <= 1:
             raise ConfigError(f"s must lie in (0, 1], got {self.s}")
         if self.gamma <= 0:
@@ -234,10 +230,6 @@ class ExperimentConfig:
             raise ConfigError("lambda_factor must be positive")
         if self.basis_size is not None and self.basis_size < 1:
             raise ConfigError("basis_size must be positive when given")
-        self.domain.validate()
-        self.extension.validate()
-        self.frequency.validate()
-        self.blowup.validate()
         # points must live in the domain's thin space
         dim = self.domain.dim
         points = [("frequency.centers", pt) for pt in self.frequency.centers]
@@ -247,17 +239,16 @@ class ExperimentConfig:
             if len(pt) != dim:
                 raise ConfigError(f"{name} needs points of {dim} coordinates on "
                                   f"a {self.domain.kind} domain, got {list(pt)!r}")
-        return self
 
-    @staticmethod
-    def from_dict(data: dict) -> "ExperimentConfig":
-        return _parse(ExperimentConfig, data).validate()
+    from_dict = staticmethod(lambda data: _parse(ExperimentConfig, data))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def refine(self, factor: float) -> "ExperimentConfig":
         """Scale grid resolution by ``factor`` (cell count, not node count)."""
+        if not math.isfinite(factor):
+            raise ConfigError(f"refinement factor must be finite, got {factor}")
         if factor <= 0:
             raise ConfigError("refinement factor must be positive")
 
@@ -271,11 +262,11 @@ class ExperimentConfig:
             domain=replace(self.domain, n=scale_n(self.domain.n)),
             extension=replace(self.extension,
                               layers=max(8, int(round(self.extension.layers * factor)))),
-        ).validate()
+        )
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read and validate a JSON experiment configuration."""
+    """Read and check a JSON experiment configuration."""
     try:
         with open(path) as fh:
             data = json.load(fh)

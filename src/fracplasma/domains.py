@@ -89,11 +89,7 @@ class Domain:
             raise ValueError(f"point must have {self.dim} coordinates")
         if self.shape == "disk":
             return float(self.radius - np.linalg.norm(p - np.asarray(self.center)))
-        dists = []
-        for k, ax in enumerate(self.axes):
-            dists.append(p[k] - ax[0])
-            dists.append(ax[-1] - p[k])
-        return float(min(dists))
+        return float(min(d for c, ax in zip(p, self.axes) for d in (c - ax[0], ax[-1] - c)))
 
 
 @dataclass(frozen=True)
@@ -237,14 +233,6 @@ def _axis_modes(flat: np.ndarray, shape: tuple):
     return used, pick
 
 
-def _axis_nodes(lo: float, hi: float, n: int) -> np.ndarray:
-    if hi <= lo:
-        raise ValueError(f"axis bounds must satisfy lo < hi, got ({lo}, {hi})")
-    if n < 3:
-        raise ValueError(f"need at least 3 nodes per axis, got {n}")
-    return np.linspace(lo, hi, n)
-
-
 def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None) -> Domain:
     """Construct a gridded domain.
 
@@ -258,75 +246,57 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
     radius, center : disk geometry (the disk must sit strictly inside
         its bounding box).
 
-    A node of the disk grid is interior iff it lies strictly inside the
-    disk; the grid spacing must agree on both axes.
+    Every kind takes one path: the axes share one grid spacing, the
+    interior is the grid's inner box (for a disk, its nodes strictly inside
+    the disk), and the symmetry axes are those it is mirror symmetric along.
     """
-    if kind == "interval":
-        if bounds is None:
-            raise ValueError("interval requires bounds=(lo, hi)")
-        lo, hi = float(bounds[0]), float(bounds[1])
-        nn = int(n if np.isscalar(n) else n[0])
-        xs = _axis_nodes(lo, hi, nn)
-        h = xs[1] - xs[0]
-        interior = np.zeros(nn, dtype=bool)
-        interior[1:-1] = True
-        return Domain(
-            dim=1, shape="interval", h=float(h), axes=(xs,),
-            interior=interior, symmetry_axes=(0,), center=((lo + hi) / 2,),
-        )
-
-    if kind not in ("rectangle", "disk"):
+    if kind not in ("interval", "rectangle", "disk"):
         raise ValueError(f"unknown domain kind {kind!r}")
-
+    dim = 1 if kind == "interval" else 2
     if bounds is None:
-        raise ValueError(f"{kind} requires bounds=((lox, hix), (loy, hiy))")
-    (lox, hix), (loy, hiy) = bounds
-    if np.isscalar(n):
-        nx = ny = int(n)
-    else:
-        nx, ny = int(n[0]), int(n[1])
-    xs = _axis_nodes(float(lox), float(hix), nx)
-    ys = _axis_nodes(float(loy), float(hiy), ny)
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    if abs(hx - hy) > 1e-12 * max(hx, hy):
+        shape = "(lo, hi)" if dim == 1 else "((lox, hix), (loy, hiy))"
+        raise ValueError(f"{kind} requires bounds={shape}")
+    pairs = (bounds,) if dim == 1 else bounds
+    if len(pairs) != dim:
+        # in the words of Python's tuple unpacking
+        raise ValueError(f"too many values to unpack (expected {dim})" if len(pairs) > dim
+                         else f"not enough values to unpack (expected {dim}, got {len(pairs)})")
+    box = [(float(lo), float(hi)) for lo, hi in pairs]
+    counts = [int(n)] * dim if np.isscalar(n) else [int(n[k]) for k in range(dim)]
+    for (lo, hi), k in zip(box, counts):
+        if hi <= lo:
+            raise ValueError(f"axis bounds must satisfy lo < hi, got ({lo}, {hi})")
+        if k < 3:
+            raise ValueError(f"need at least 3 nodes per axis, got {k}")
+    axes = tuple(np.linspace(lo, hi, k) for (lo, hi), k in zip(box, counts))
+    spacing = [ax[1] - ax[0] for ax in axes]
+    if max(spacing) - min(spacing) > 1e-12 * max(spacing):
         raise ValueError(
-            f"grid spacing must agree on both axes (got {hx} and {hy}); "
+            f"grid spacing must agree on both axes (got {' and '.join(map(str, spacing))}); "
             "choose node counts commensurate with the side lengths"
         )
-    h = float(hx)
-
-    if kind == "rectangle":
-        interior = np.zeros((nx, ny), dtype=bool)
-        interior[1:-1, 1:-1] = True
-        return Domain(
-            dim=2, shape="rectangle", h=h, axes=(xs, ys),
-            interior=interior, symmetry_axes=(0, 1),
-            center=((lox + hix) / 2, (loy + hiy) / 2),
-        )
-
-    # disk mask
-    if radius is None or center is None:
-        raise ValueError("disk requires radius and center")
-    radius = float(radius)
-    cx, cy = float(center[0]), float(center[1])
-    if radius <= 0:
-        raise ValueError("disk radius must be positive")
-    margin = min(cx - lox, hix - cx, cy - loy, hiy - cy)
-    if radius >= margin:
-        raise ValueError("disk must sit strictly inside its bounding box")
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    interior = (X - cx) ** 2 + (Y - cy) ** 2 < radius**2
-    interior[[0, -1], :] = False
-    interior[:, [0, -1]] = False
-    if not interior.any():
-        raise ValueError("disk mask has no interior nodes; refine the grid")
-    sym = tuple(
-        k for k in (0, 1)
-        if np.array_equal(interior, np.flip(interior, axis=k))
-    )
+    interior = np.zeros(counts, dtype=bool)
+    interior[(slice(1, -1),) * dim] = True
+    if kind == "disk":
+        if radius is None or center is None:
+            raise ValueError("disk requires radius and center")
+        radius = float(radius)
+        center = tuple(float(center[k]) for k in range(dim))
+        if radius <= 0:
+            raise ValueError("disk radius must be positive")
+        if radius >= min(d for c, (lo, hi) in zip(center, box) for d in (c - lo, hi - c)):
+            raise ValueError("disk must sit strictly inside its bounding box")
+        mesh = np.meshgrid(*axes, indexing="ij")
+        interior &= sum((m - c) ** 2 for m, c in zip(mesh, center)) < radius**2
+        if not interior.any():
+            raise ValueError("disk mask has no interior nodes; refine the grid")
+    else:
+        radius, center = None, tuple((lo + hi) / 2 for lo, hi in box)
     return Domain(
-        dim=2, shape="disk", h=h, axes=(xs, ys),
-        interior=interior, symmetry_axes=sym, center=(cx, cy), radius=radius,
+        dim=dim, shape=kind, h=float(spacing[0]), axes=axes, interior=interior,
+        symmetry_axes=tuple(k for k in range(dim)
+                            if np.array_equal(interior, np.flip(interior, axis=k))),
+        center=center, radius=radius,
     )
 
 

@@ -321,11 +321,9 @@ def blowup(w: ExtensionField, center, r: float, *, ref_nodes: int = 65,
     r = float(r)
     halfball.check_radii(dom, center, r, w.ymesh.Y, what="blow-up ball")
 
-    if dom.dim == 1:
-        ref_dom = build_domain("interval", ref_nodes, bounds=(-1.0, 1.0))
-    else:
-        ref_dom = build_domain("rectangle", ref_nodes,
-                               bounds=((-1.0, 1.0), (-1.0, 1.0)))
+    unit = (-1.0, 1.0)
+    ref_dom = build_domain("interval" if dom.dim == 1 else "rectangle", ref_nodes,
+                           bounds=unit if dom.dim == 1 else (unit, unit))
     g = w.ymesh.grading
     ref_ym = YMesh(nodes=(np.arange(ref_layers + 1) / ref_layers) ** g,
                    grading=g)

@@ -120,7 +120,7 @@ class PlasmaSolution:
     gamma: float
     s: float
     residual: float
-    iterations: int
+    iterations: int          # Newton steps, or L-BFGS-B iterations for 'energy'
     status: str              # 'converged' | 'trivial' | 'failed'
     method: str              # 'exact' | 'active-set' | 'active-set+continuation' | 'energy'
     history: np.ndarray = dc_field(repr=False, default=None)
@@ -169,12 +169,10 @@ def _residual(basis: EigenBasis, coeffs: np.ndarray, u: np.ndarray, lam: float,
     return float(np.linalg.norm(basis.eigenvalues**s * coeffs - lam * proj))
 
 
-def _validate_problem(basis: EigenBasis, lam: float, gamma: float, s: float):
+def _validate_problem(gamma: float, s: float):
     _check_order(s)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
 
 
 # plasma sets up to this many nodes take a direct step from the gathered
@@ -254,7 +252,7 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
     have not lowered the best residual.  ``u0`` holds the nodal values of
     ``a0`` when the caller has them.  Appends each new residual and the
     MINRES iterations of each step to ``log``.  Returns (coeffs, their
-    nodal values, iterations, status).
+    nodal values, status).
     """
     a = np.asarray(a0, dtype=float).copy()
     u = basis.nodal(a) if u0 is None else u0
@@ -264,9 +262,9 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
     seen = set()
     for it in range(1, max_updates + 1):
         if res <= tol:
-            return a, u, it, "converged"
+            return a, u, "converged"
         if it - best_it > _STALL_UPDATES:
-            return best[1], best[2], it, "failed"
+            return best[1], best[2], "failed"
         active = u > gamma
         key = active.tobytes()
         if key not in seen:
@@ -274,21 +272,21 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
             try:
                 a = _active_set_step(basis, lam, gamma, s, active, log.minres)
             except np.linalg.LinAlgError:
-                return best[1], best[2], it, "failed"
+                return best[1], best[2], "failed"
             u = basis.nodal(a)
             res = _residual(basis, a, u, lam, gamma, s)
             log.residuals.append(res)
             if res < best[0]:
                 best, best_it = (res, a.copy(), u), it
             if np.array_equal(u > gamma, active):
-                return a, u, it, "converged"  # stable set: exact piecewise solve
+                return a, u, "converged"  # stable set: exact piecewise solve
             continue
         # cycle: blend from the best point along its own Newton direction
         res, a, u = best
         try:
             d = _active_set_step(basis, lam, gamma, s, u > gamma, log.minres) - a
         except np.linalg.LinAlgError:
-            return best[1], best[2], it, "failed"
+            return best[1], best[2], "failed"
         t, accepted = 1.0, False
         while t >= 2.0**-30:
             trial = a + t * d
@@ -300,9 +298,9 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
                 break
             t *= 0.5
         if not accepted:
-            return best[1], best[2], it, "failed"  # stalled on a kink of the residual
+            return best[1], best[2], "failed"  # stalled on a kink of the residual
         best, best_it = (res, a.copy(), u), it
-    return best[1], best[2], max_updates, "failed"
+    return best[1], best[2], "failed"
 
 
 # smallest log-step in lam the continuation tries before it gives up, and
@@ -322,32 +320,30 @@ def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
     c = h^dim V^T 1.  The first rung solves from that state at
     min(1.05 lam_1^s, lam); each later rung jumps toward lam by the
     current log-step, which halves whenever a rung fails to reach a
-    nontrivial solution.  Returns (coeffs, their nodal values, iterations,
-    status).
+    nontrivial solution.  Returns (coeffs, their nodal values, status).
     """
     lam_s = basis.eigenvalues**s
     lam_j = min(1.05 * float(lam_s[0]), lam)
     ones = basis.coefficients(np.ones(basis.domain.n_interior))
     a = lam_j * gamma * ones / (lam_j - lam_s)
-    a, u, iterations, status = _active_set_solve(
+    a, u, status = _active_set_solve(
         basis, lam_j, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log
     )
     if status != "converged" or u.max() <= gamma:
-        return a, u, iterations, "failed"
+        return a, u, "failed"
     step = np.log(lam / lam_j)
     while lam_j < lam:
         lam_next = lam if step >= np.log(lam / lam_j) else lam_j * np.exp(step)
-        trial, u_trial, more, status = _active_set_solve(
+        trial, u_trial, status = _active_set_solve(
             basis, lam_next, gamma, s, a, _RUNG_UPDATES, opts.tolerance, log, u
         )
-        iterations += more
         if status == "converged" and u_trial.max() > gamma:
             a, u, lam_j = trial, u_trial, lam_next
         else:
             step /= 2
             if step < _MIN_LOG_STEP:
-                return a, u, iterations, "failed"
-    return a, u, iterations, "converged"
+                return a, u, "failed"
+    return a, u, "converged"
 
 
 def _ground_mode(basis: EigenBasis) -> np.ndarray:
@@ -371,7 +367,9 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
     lam_1^s, and ``method`` gains ``+continuation``.
     """
     opts = options or SolverOptions()
-    _validate_problem(basis, lam, gamma, s)
+    _validate_problem(gamma, s)
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
     if initial is not None:
         a = np.asarray(initial, dtype=float).copy()
         if a.shape != (basis.size,):
@@ -391,13 +389,12 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
         )
     log = _Log()
     method = "active-set"
-    a, u, iterations, status = _active_set_solve(
+    a, u, status = _active_set_solve(
         basis, lam, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log, u
     )
     if status != "converged" or u.max() <= gamma:
         method += "+continuation"
-        a, u, more, status = _continue_from_threshold(basis, lam, gamma, s, opts, log)
-        iterations += more
+        a, u, status = _continue_from_threshold(basis, lam, gamma, s, opts, log)
     field = SpectralField(basis, a, _nodal=u)
     res = _residual(basis, a, field.nodal, lam, gamma, s)
     log.residuals.append(res)
@@ -405,7 +402,7 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
         status = "failed"
     return PlasmaSolution(
         field=field, lam=float(lam), gamma=float(gamma), s=float(s),
-        residual=res, iterations=iterations, status=status, method=method,
+        residual=res, iterations=len(log.minres), status=status, method=method,
         history=np.asarray(log.residuals),
         minres_iterations=tuple(log.minres),
     )
@@ -420,7 +417,7 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
     target, then runs a scalar root-find with warm-started inner solves.
     """
     opts = options or SolverOptions()
-    _validate_problem(basis, 1.0, gamma, s)
+    _validate_problem(gamma, s)
     if mass <= 0:
         raise ValueError("constraint mass must be positive")
     lam1s = float(basis.eigenvalues[0] ** s)
@@ -441,13 +438,11 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
 
     ladder = np.geomspace(*_LAMBDA_BRACKET, _BRACKET_SAMPLES) * lam1s
     masses = []
-    sols = []
     bracket = None
     for lam in ladder:
         sol = solve_at(lam)
         g = constraint_mass(dom, sol.trace, gamma, kind)
         masses.append(g)
-        sols.append(sol)
         if g < mass and len(masses) > 1 and masses[-2] >= mass:
             bracket = (ladder[len(masses) - 2], lam)
             break
@@ -525,7 +520,11 @@ def _reduced_energy(c: np.ndarray, basis: EigenBasis, scale: np.ndarray,
     plus = np.maximum(t * u - gamma, 0.0)
     dg = basis.coefficients(2 * plus if p == 2 else (plus > 0).astype(float))
     energy = 0.5 * t**2 * float(c @ c)
-    mu = 2 * energy / (t * float(dg @ a))
+    slope = t * float(dg @ a)
+    if not slope > 0:
+        raise SolverError("energy route: the overshoot (t u - gamma)_+ rounds to "
+                          "zero; the constraint target is below the resolution of gamma")
+    mu = 2 * energy / slope
     return energy, t * (t * c - mu * dg / scale), t, mu
 
 
@@ -546,7 +545,7 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     fixed-point solvers; like any descent it finds a local minimum.
     """
     opts = options or SolverOptions()
-    _validate_problem(basis, 1.0, gamma, s)
+    _validate_problem(gamma, s)
     if mass <= 0:
         raise ValueError("constraint mass must be positive")
     kind = opts.constraint_kind

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -121,6 +122,69 @@ def test_refine_scales_cells_and_layers():
     fine = cfg.refine(2.0)
     assert fine.domain.n == 129          # 64 cells -> 128 cells
     assert fine.extension.layers == 96
+
+
+@pytest.mark.parametrize("factor", ["inf", "nan", "-inf"])
+def test_cli_refine_refuses_non_finite_factor(tmp_path, capsys, factor):
+    path = write_config(tmp_path)
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(path), "--out", str(out),
+                 f"--refine={factor}"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: refinement factor must be finite, got {factor}\n")
+    assert not out.exists()
+
+
+def _python_config(section, **values):
+    """ExperimentConfig with one section, or the root, built in Python."""
+    from fracplasma import config as c
+    if section is None:
+        return ExperimentConfig(**values)
+    kinds = {"domain": c.DomainSpec, "extension": c.ExtensionSpec,
+             "frequency": c.FrequencySpec, "blowup": c.BlowupSpec}
+    return ExperimentConfig(**{section: kinds[section](**values)})
+
+
+@pytest.mark.parametrize("section, values", [
+    (None, {"s": 2.0}),
+    (None, {"gamma": 0.0}),
+    (None, {"mode": "energy"}),
+    (None, {"lambda_value": -1.0}),
+    (None, {"basis_size": 0}),
+    ("domain", {"kind": "torus"}),
+    ("domain", {"kind": "rectangle", "bounds": [0.0, 1.0]}),
+    ("domain", {"kind": "disk", "n": 25, "bounds": [[-1.5, 1.5]] * 2, "radius": 1.4}),
+    ("domain", {"n": [9, 9]}),
+    ("extension", {"layers": 2}),
+    ("extension", {"span_factor": 0.0}),
+    ("extension", {"grading": 0.5}),
+    ("frequency", {"n_radii": 0}),
+    ("frequency", {"r_max_fraction": 1.5}),
+    ("frequency", {"centers": [[1.0, 2.0]]}),     # a 2-D point on an interval
+    ("blowup", {"ref_nodes": 5}),
+    ("blowup", {"center": [1.0, 2.0, 3.0]}),
+])
+def test_python_built_config_is_range_checked_like_json(section, values):
+    with pytest.raises(ConfigError) as built:
+        _python_config(section, **values)
+    data = values if section is None else {section: values}
+    with pytest.raises(ConfigError) as parsed:
+        ExperimentConfig.from_dict(json.loads(json.dumps(data)))
+    assert str(built.value) == str(parsed.value)
+
+
+def test_replace_rechecks_the_config():
+    cfg = ExperimentConfig.from_dict(json.loads(json.dumps(BASE)))
+    with pytest.raises(ConfigError, match=r"^gamma must be positive, got -1\.0$"):
+        dataclasses.replace(cfg, gamma=-1.0)
+    with pytest.raises(ConfigError, match="^extension.layers must be at least 8$"):
+        dataclasses.replace(cfg.extension, layers=7)
+    with pytest.raises(ConfigError, match="^domain.n must be an integer"):
+        dataclasses.replace(cfg.domain, n="65")
+    # several faults: the section is built, and refused, first
+    from fracplasma.config import ExtensionSpec
+    with pytest.raises(ConfigError, match="^extension.layers must be at least 8$"):
+        ExperimentConfig(s=2.0, gamma=-1.0, extension=ExtensionSpec(layers=2))
 
 
 # -- CLI subcommands -----------------------------------------------------------------
@@ -454,6 +518,32 @@ def test_cli_verify_green_on_healthy_problem(tmp_path):
     names = [c["name"] for c in report["checks"]]
     assert "extension matches spectral operator" in names
     assert "census stable under refinement" in names
+    # passing checks 2 and 3 carry no note
+    notes = {c["name"]: c["note"] for c in report["checks"]}
+    assert notes["extension nonincreasing in y"] == ""
+    assert notes["level transitions within one cell"] == ""
+
+
+def test_cli_verify_failing_checks_say_where(tmp_path, monkeypatch):
+    import fracplasma.cli as cli
+    from fracplasma import InclusionReport, UySignReport
+
+    monkeypatch.setattr(cli, "check_uy_sign", lambda w: UySignReport(
+        max_derivative=0.5, n_violations=3, worst_location=(10, 4), passed=False))
+    monkeypatch.setattr(cli.fb, "check_boundary_inclusion",
+                        lambda dom, u, level: InclusionReport(
+                            max_gap_cells=2.0, violations=[(20.5,), (40.0,)],
+                            passed=False))
+    path = write_config(tmp_path)
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
+    notes = {c["name"]: c["note"]
+             for c in json.loads((out / "report.json").read_text())["checks"]}
+    h = np.pi / 64
+    assert notes["extension nonincreasing in y"] == (
+        f"u_y > 0 at 3 node-layer pairs; largest at ({10 * h:.6g}) above layer 4")
+    assert notes["level transitions within one cell"] == (
+        f"2 unmatched transitions; first at ({20.5 * h:.6g})")
 
 
 def test_cli_bad_config_returns_2(tmp_path):
@@ -507,6 +597,25 @@ def test_cli_failed_solve_writes_report_exit_1(tmp_path, monkeypatch, capsys,
     assert report["error"] == "no convergence"
     assert report["history"] == [1.0, 0.5]
     assert "solve failed: no convergence" in capsys.readouterr().err
+
+
+def test_cli_energy_target_below_resolution_is_failed_solve(tmp_path, capsys):
+    # (t u - gamma)_+ rounds to zero where the target mass is far below
+    # gamma^2 times the rounding unit
+    overrides = {"domain": {"n": 33}, "mode": "energy", "constraint_target": 1e-20}
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(write_config(tmp_path, overrides)),
+                 "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False and "rounds to zero" in report["error"]
+    err = capsys.readouterr().err
+    assert err.startswith("solve failed: energy route:") and err.count("\n") == 1
+    # a target of 1e-16 still converges
+    overrides["constraint_target"] = 1e-16
+    out = tmp_path / "small"
+    assert main(["solve", "--config", str(write_config(tmp_path, overrides)),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "solution.json").read_text())["status"] == "converged"
 
 
 def _solve_forbidden(*args, **kwargs):
@@ -880,6 +989,16 @@ def test_frequency_sweep_skips_an_order_without_room(tmp_path, capsys):
                                      "--s", "0.5,0.75", "--out", str(tmp_path)])
     assert capsys.readouterr().out.count("no room for a radius ladder; skipped") == 2
     assert (tmp_path / "frequency_sweep.csv").read_text().count("\n") == 1
+
+
+def test_refinement_study_writes_one_row_per_grid(tmp_path, capsys):
+    _script("refinement_study").main(["--nodes", "9,13", "--out", str(tmp_path)])
+    with open(tmp_path / "refinement_study.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["n", "h", "residual", "mass", "fb_cells", "singular",
+                       "unresolved", "max_d2"]
+    assert [row[0] for row in rows[1:]] == ["9", "13"]
+    assert "(2 rows)" in capsys.readouterr().out
 
 
 def test_compare_outputs_reports_cost_and_identical_runs(tmp_path, capsys):

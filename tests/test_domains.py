@@ -43,6 +43,103 @@ def test_disk_interior_is_strictly_inside():
     assert not np.any(dom.interior & (r2 >= 1.0))
 
 
+def _inner_box(shape):
+    box = np.zeros(shape, dtype=bool)
+    box[(slice(1, -1),) * len(shape)] = True
+    return box
+
+
+@pytest.mark.parametrize("n, lo, hi", [(3, 0.0, 1.0), (9, -1.0, 1.0),
+                                        (129, 0.0, np.pi), (257, 0.5, 2.0)])
+def test_interval_domain_fields(n, lo, hi):
+    dom = build_domain("interval", n, bounds=(lo, hi))
+    assert (dom.dim, dom.shape, dom.grid_shape) == (1, "interval", (n,))
+    assert np.array_equal(dom.axes[0], np.linspace(lo, hi, n))
+    assert dom.h == dom.axes[0][1] - dom.axes[0][0]
+    assert dom.center == ((lo + hi) / 2,) and dom.radius is None
+    assert np.array_equal(dom.interior, _inner_box((n,)))
+    assert dom.symmetry_axes == (0,)
+
+
+@pytest.mark.parametrize("n, bounds", [
+    (9, ((0.0, 1.0), (0.0, 1.0))),
+    ((9, 17), ((0.0, 1.0), (0.0, 2.0))),
+    ([33, 17], ((-np.pi, np.pi), (0.0, np.pi))),
+])
+def test_rectangle_domain_fields(n, bounds):
+    dom = build_domain("rectangle", n, bounds=bounds)
+    counts = (n, n) if np.isscalar(n) else tuple(n)
+    assert (dom.dim, dom.shape, dom.grid_shape) == (2, "rectangle", counts)
+    for ax, (lo, hi), k in zip(dom.axes, bounds, counts):
+        assert np.array_equal(ax, np.linspace(lo, hi, k))
+    assert dom.h == dom.axes[0][1] - dom.axes[0][0]
+    assert dom.center == tuple((lo + hi) / 2 for lo, hi in bounds)
+    assert dom.radius is None
+    assert np.array_equal(dom.interior, _inner_box(counts))
+    assert dom.symmetry_axes == (0, 1)
+
+
+@pytest.mark.parametrize("center, symmetry_axes", [
+    ((0.0, 0.0), (0, 1)),        # centred in its box
+    ((1e-9, 0.0), (0, 1)),       # off centre by less than moves a node
+    ((0.25, 0.0), (1,)),         # two cells off centre along x
+    ((0.25, -0.125), ()),        # off centre along both axes
+])
+def test_disk_domain_fields(center, symmetry_axes):
+    bounds = ((-1.5, 1.5), (-1.5, 1.5))
+    # no node lies within 7e-4 of the circle
+    dom = build_domain("disk", 25, bounds=bounds, radius=1.03, center=center)
+    assert (dom.dim, dom.shape, dom.grid_shape) == (2, "disk", (25, 25))
+    for ax in dom.axes:
+        assert np.array_equal(ax, np.linspace(-1.5, 1.5, 25))
+    assert dom.h == 0.125
+    assert dom.center == center and dom.radius == 1.03
+    x, y = np.meshgrid(*dom.axes, indexing="ij")
+    inside = (x - center[0]) ** 2 + (y - center[1]) ** 2 < 1.03**2
+    assert np.array_equal(dom.interior, inside & _inner_box((25, 25)))
+    assert dom.symmetry_axes == symmetry_axes
+
+
+_SQUARE = ((-1.5, 1.5), (-1.5, 1.5))
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("torus", 9), {"bounds": (0.0, 1.0)}, "unknown domain kind 'torus'"),
+    (("interval", 9), {}, "interval requires bounds=(lo, hi)"),
+    (("rectangle", 9), {}, "rectangle requires bounds=((lox, hix), (loy, hiy))"),
+    (("disk", 9), {"radius": 1.0, "center": (0.0, 0.0)},
+     "disk requires bounds=((lox, hix), (loy, hiy))"),
+    (("interval", 9), {"bounds": (1.0, 0.0)},
+     "axis bounds must satisfy lo < hi, got (1.0, 0.0)"),
+    (("rectangle", 9), {"bounds": ((0.0, 1.0), (2.0, 2.0))},
+     "axis bounds must satisfy lo < hi, got (2.0, 2.0)"),
+    (("interval", 2), {"bounds": (0.0, 1.0)}, "need at least 3 nodes per axis, got 2"),
+    (("rectangle", (9, 2)), {"bounds": ((0.0, 1.0), (0.0, 1.0))},
+     "need at least 3 nodes per axis, got 2"),
+    (("rectangle", 9), {"bounds": ((0.0, 1.0), (0.0, 2.0))},
+     "grid spacing must agree on both axes (got 0.125 and 0.25); "
+     "choose node counts commensurate with the side lengths"),
+    (("rectangle", 9), {"bounds": ((0.0, 1.0),) * 3},
+     "too many values to unpack (expected 2)"),
+    (("rectangle", 9), {"bounds": ((0.0, 1.0),)},
+     "not enough values to unpack (expected 2, got 1)"),
+    (("disk", 25), {"bounds": _SQUARE, "radius": 1.0}, "disk requires radius and center"),
+    (("disk", 25), {"bounds": _SQUARE, "center": (0.0, 0.0)},
+     "disk requires radius and center"),
+    (("disk", 25), {"bounds": _SQUARE, "radius": 0.0, "center": (0.0, 0.0)},
+     "disk radius must be positive"),
+    (("disk", 25), {"bounds": _SQUARE, "radius": 1.0, "center": (0.6, 0.0)},
+     "disk must sit strictly inside its bounding box"),
+    (("disk", 3), {"bounds": ((-1.0, 1.0), (-1.0, 1.0)), "radius": 0.4,
+                   "center": (0.5, 0.5)},
+     "disk mask has no interior nodes; refine the grid"),
+])
+def test_build_domain_refusals(args, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        build_domain(*args, **kwargs)
+    assert str(info.value) == message
+
+
 def test_interval_eigenpairs_match_closed_form():
     dom = build_domain("interval", 41, bounds=(0.0, np.pi))
     basis = eigendecompose(dom, 12)

@@ -558,15 +558,18 @@ def test_large_square_solve_never_builds_the_dense_basis():
 
 
 def test_solution_records_minres_iterations_per_step(basis2d):
-    s = 0.5
-    lam = 3.2 * float(basis2d.eigenvalues[0] ** s)
-    sol = solve_fixed_lambda(basis2d, lam, GAMMA, s)
-    assert sol.method == "active-set"
-    # one entry per step: direct steps on the small sets, MINRES on the large
-    assert len(sol.minres_iterations) in (sol.iterations - 1, sol.iterations)
-    assert all(isinstance(k, int) and k >= 0 for k in sol.minres_iterations)
-    below = solve_fixed_lambda(basis2d, 0.5 * float(basis2d.eigenvalues[0] ** s),
-                               GAMMA, s)
+    # at s = 0.3 and 3.3 lam_1^s the first attempt stalls, and the branch
+    # is continued in lam
+    for s, factor, method in ((0.5, 3.2, "active-set"),
+                              (0.3, 3.3, "active-set+continuation")):
+        lam = factor * float(basis2d.eigenvalues[0] ** s)
+        sol = solve_fixed_lambda(basis2d, lam, GAMMA, s)
+        assert sol.status == "converged" and sol.method == method
+        # one entry per step: direct steps on the small sets, MINRES on the large
+        assert len(sol.minres_iterations) == sol.iterations
+        assert all(isinstance(k, int) and k >= 0 for k in sol.minres_iterations)
+    below = solve_fixed_lambda(basis2d, 0.5 * float(basis2d.eigenvalues[0] ** 0.5),
+                               GAMMA, 0.5)
     assert below.status == "trivial" and below.minres_iterations == ()
 
 
@@ -592,9 +595,9 @@ def test_first_attempt_stops_once_it_stalls(basis2d):
     a0 = np.zeros(basis2d.size)
     a0[0] = 2 * GAMMA / phi.max()
     log = _Log()
-    _, _, iterations, status = _active_set_solve(
+    _, _, status = _active_set_solve(
         basis2d, lam, GAMMA, s, a0, _ACTIVE_SET_MAX, SolverOptions().tolerance, log)
     assert status == "failed"
-    assert iterations < _ACTIVE_SET_MAX
+    assert len(log.minres) < _ACTIVE_SET_MAX
     res = log.residuals
     assert min(res[-_STALL_UPDATES:]) >= min(res[:-_STALL_UPDATES])
