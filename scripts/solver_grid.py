@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Compare fixed-lambda solves of two source trees on a grid of problems.
+
+Every case is one ``solve_fixed_lambda`` call, gamma = 0.1, on a complete
+basis:
+
+    domains  squares [0, pi]^2 of 17/25/33/49/65 nodes per axis and
+             intervals [0, pi] of 65/129/257/513 nodes
+    s        0.3, 0.5, 0.75, 0.9
+    lam      0.9, 1.05, 1.5, 2, 3.2, 3.3, 4, 4.4, 5, 6.5, 8 times lam_1^s
+
+that is 396 cases (``--quick``: the 17-node square and the 65-node
+interval, 88 cases).  Each tree runs the whole grid in one fresh Python
+process with that tree first on PYTHONPATH.  The script compares status,
+method, the plasma-set size |A| = #{u > gamma}, the Newton update count
+and the step mix (direct and MINRES steps) exactly, and sup u to within
+1e-10, prints every mismatch, and exits 1 if there is one and 0 if not.
+Each side's MINRES iterations and solve time are printed for information
+only.
+
+Example (a second checkout of the parent commit in ../parent):
+    python3 scripts/solver_grid.py --parent ../parent/src --change src
+"""
+
+import argparse
+import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
+SQUARES = (17, 25, 33, 49, 65)
+INTERVALS = (65, 129, 257, 513)
+ORDERS = (0.3, 0.5, 0.75, 0.9)
+FACTORS = (0.9, 1.05, 1.5, 2.0, 3.2, 3.3, 4.0, 4.4, 5.0, 6.5, 8.0)
+GAMMA = 0.1
+SUP_TOL = 1e-10
+# the fields compared exactly
+EXACT = ("status", "method", "active", "iterations", "direct", "minres_steps")
+
+
+def domains(quick: bool):
+    """(label, kind, nodes) of every domain of the grid."""
+    squares = SQUARES[:1] if quick else SQUARES
+    intervals = INTERVALS[:1] if quick else INTERVALS
+    return ([(f"square-{n}", "rectangle", n) for n in squares]
+            + [(f"interval-{n}", "interval", n) for n in intervals])
+
+
+def solve_grid(quick: bool) -> dict:
+    """Every case under the fracplasma that imports first: case label ->
+    the compared fields, MINRES iterations and solve time."""
+    import numpy as np
+    from fracplasma import build_domain, eigendecompose, solve_fixed_lambda
+
+    out = {}
+    for label, kind, n in domains(quick):
+        bounds = (0.0, math.pi) if kind == "interval" else ((0.0, math.pi),) * 2
+        dom = build_domain(kind, n, bounds=bounds)
+        basis = eigendecompose(dom, dom.n_interior)
+        for s in ORDERS:
+            lam1s = float(basis.eigenvalues[0] ** s)
+            for f in FACTORS:
+                start = time.perf_counter()
+                sol = solve_fixed_lambda(basis, f * lam1s, GAMMA, s)
+                seconds = time.perf_counter() - start
+                u = sol.field.nodal
+                minres = np.asarray(sol.minres_iterations, dtype=int)
+                out[f"{label} s={s} f={f}"] = {
+                    "status": sol.status, "method": sol.method,
+                    "active": int(np.count_nonzero(u > GAMMA)),
+                    "iterations": sol.iterations,
+                    "direct": int(np.count_nonzero(minres == 0)),
+                    "minres_steps": int(np.count_nonzero(minres)),
+                    "sup_u": float(u.max()),
+                    "minres_total": int(minres.sum()), "seconds": seconds,
+                }
+    return out
+
+
+def run_tree(src: pathlib.Path, quick: bool) -> dict:
+    """The grid under one tree, in a fresh process (its errors go to our
+    standard error)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src.resolve())] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = [sys.executable, __file__, "--worker"] + (["--quick"] if quick else [])
+    done = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(done.stdout)
+
+
+def mismatches(parent: dict, change: dict) -> list:
+    """One line per case whose compared fields differ."""
+    lines = []
+    for case in parent.keys() | change.keys():
+        a, b = parent.get(case), change.get(case)
+        if a is None or b is None:
+            lines.append(f"{case}: only on the {'change' if a is None else 'parent'} side")
+            continue
+        for key in EXACT:
+            if a[key] != b[key]:
+                lines.append(f"{case}: {key} {a[key]} -> {b[key]}")
+        if abs(a["sup_u"] - b["sup_u"]) > SUP_TOL:
+            lines.append(f"{case}: sup u {a['sup_u']!r} -> {b['sup_u']!r}")
+    return sorted(lines)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=pathlib.Path,
+                   help="directory holding the parent's fracplasma package")
+    p.add_argument("--change", type=pathlib.Path,
+                   help="directory holding the changed fracplasma package")
+    p.add_argument("--quick", action="store_true",
+                   help="only the 17-node square and the 65-node interval")
+    p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        print(json.dumps(solve_grid(args.quick)))
+        return 0
+    if args.parent is None or args.change is None:
+        p.error("--parent and --change are required")
+    sides = {name: run_tree(src, args.quick)
+             for name, src in (("parent", args.parent), ("change", args.change))}
+    for name, cases in sides.items():
+        print(f"{name}: {len(cases)} cases, "
+              f"{sum(c['minres_total'] for c in cases.values())} MINRES iterations, "
+              f"solves {sum(c['seconds'] for c in cases.values()):.2f} s")
+    lines = mismatches(sides["parent"], sides["change"])
+    for line in lines:
+        print(f"DIFFERS {line}")
+    print(f"{len(sides['change'])} cases match" if not lines
+          else f"{len(lines)} mismatches")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

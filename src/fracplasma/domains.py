@@ -240,11 +240,12 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
     ----------
     kind : "interval", "rectangle", or "disk"
     n : int or tuple of int
-        Nodes per axis, boundary included (an int applies to every axis).
+        Nodes per axis, boundary included (an int applies to every axis;
+        a sequence has one entry per axis).
     bounds : axis bounds; ``(lo, hi)`` for an interval, a pair of such
         pairs for a rectangle or a disk's bounding box.
-    radius, center : disk geometry (the disk must sit strictly inside
-        its bounding box).
+    radius, center : disk geometry (two coordinates; the disk must sit
+        strictly inside its bounding box).
 
     Every kind takes one path: the axes share one grid spacing, the
     interior is the grid's inner box (for a disk, its nodes strictly inside
@@ -262,7 +263,10 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
         raise ValueError(f"too many values to unpack (expected {dim})" if len(pairs) > dim
                          else f"not enough values to unpack (expected {dim}, got {len(pairs)})")
     box = [(float(lo), float(hi)) for lo, hi in pairs]
-    counts = [int(n)] * dim if np.isscalar(n) else [int(n[k]) for k in range(dim)]
+    if not np.isscalar(n) and len(n) != dim:
+        raise ValueError(f"n must be an int or {dim} node count{'s' * (dim > 1)}, "
+                         f"one per axis, got {len(n)}")
+    counts = [int(n)] * dim if np.isscalar(n) else [int(k) for k in n]
     for (lo, hi), k in zip(box, counts):
         if hi <= lo:
             raise ValueError(f"axis bounds must satisfy lo < hi, got ({lo}, {hi})")
@@ -280,8 +284,10 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
     if kind == "disk":
         if radius is None or center is None:
             raise ValueError("disk requires radius and center")
+        if len(center) != dim:
+            raise ValueError(f"disk center must have {dim} coordinates, got {len(center)}")
         radius = float(radius)
-        center = tuple(float(center[k]) for k in range(dim))
+        center = tuple(float(c) for c in center)
         if radius <= 0:
             raise ValueError("disk radius must be positive")
         if radius >= min(d for c, (lo, hi) in zip(center, box) for d in (c - lo, hi - c)):

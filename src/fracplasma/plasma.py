@@ -9,8 +9,11 @@ where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
 * ``solve_fixed_lambda``: one semismooth Newton (primal-dual active set)
   method.  Each update solves the piecewise-linear problem exactly on a
   guess A of {u > gamma}; each exact solve is a symmetric |A| x |A|
-  system on the plasma set, assembled for small sets and solved by MINRES
-  through the basis transforms for large ones.  At or below
+  system on the plasma set, solved directly for small sets and by MINRES
+  through the basis transforms for large ones.  A direct step assembles
+  the system from the basis rows on A until the call's direct steps have
+  paid for the nodal matrix G of L^{-s}; from then on it reads the system
+  from G, which the call builds once and frees when it returns.  At or below
   lam_1^s the only solution is u = 0.  Above it the solver returns the
   nontrivial branch: Newton runs at lam from the given start or a bump,
   and when that does not reach a nontrivial solution it follows the
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import ClassVar
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 from scipy.optimize import brentq, minimize
 
@@ -175,16 +179,60 @@ def _validate_problem(gamma: float, s: float):
         raise ValueError("gamma must be positive")
 
 
-# plasma sets up to this many nodes take a direct step from the gathered
-# basis rows; larger ones a MINRES step through nodal/coefficients, which
-# never forms a matrix (the two cost the same near 256 nodes)
+# plasma sets up to this many nodes take a direct step, from the gathered
+# basis rows or the call's Green matrix; larger ones a MINRES step through
+# nodal/coefficients, which never forms a matrix (a step from rows and a
+# MINRES step cost the same near 256 nodes)
 _DIRECT_MAX = 256
 # relative residual at which a MINRES step is taken as exact
 _MINRES_RTOL = 1e-13
+# bases with more interior nodes never build the Green matrix: it takes
+# 8 n^2 bytes, 2.2 MB on the 25-node square, 8 MB at this cap and 39 MB on
+# the 49-node square
+_GREEN_MAX = 1024
+# node columns the Green matrix is built a block at a time
+_GREEN_BLOCK = 64
+
+
+def _green_matrix(basis: EigenBasis, s: float) -> np.ndarray:
+    """G = h^dim V D^{-1} V^T with D = diag(lam_k^s): the nodal matrix of
+    L^{-s}.  Each block of node columns is the basis's ``nodal`` transform
+    of the block's rows, so no n x K row matrix is held."""
+    n = basis.domain.n_interior
+    w = basis.weight / basis.eigenvalues**s
+    G = np.empty((n, n))
+    for start in range(0, n, _GREEN_BLOCK):
+        nodes = slice(start, start + _GREEN_BLOCK)
+        G[:, nodes] = basis.nodal(w[:, None] * basis.rows(nodes).T)
+    return G
+
+
+class _Green:
+    """The Green matrix of one public solver call, built when it pays off.
+
+    A direct step from rows spends p^2 K multiply-adds on X_A X_A^T; G is
+    charged n^2 K, what forming it from every row would cost (the block
+    build's time is within a factor 2 of that on bases under the cap).
+    Once the call's direct steps have spent that much, the next one builds
+    G and every later one reads it.  Bases above _GREEN_MAX nodes never
+    build it.
+    """
+
+    def __init__(self, basis: EigenBasis, s: float):
+        n = basis.domain.n_interior
+        self.basis, self.s, self.matrix = basis, s, None
+        self.unpaid = n * n * basis.size if n <= _GREEN_MAX else np.inf
+
+    def ready(self):
+        """G when the call's direct steps have paid for it, else None."""
+        if self.matrix is None and self.unpaid <= 0:
+            self.matrix = _green_matrix(self.basis, self.s)
+        return self.matrix
 
 
 def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
-                     active: np.ndarray, minres: list = None) -> np.ndarray:
+                     active: np.ndarray, minres: list = None,
+                     green: _Green = None) -> np.ndarray:
     """Exact coefficient solve of the problem linearized on a plasma set.
 
     On a guessed coincidence complement A = {u > gamma} the equation is
@@ -195,14 +243,18 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
     The same step reduces to the plasma set: z = u_A - gamma solves the
     symmetric |A| x |A| system
 
-        (lam R_A L^{-s} E_A - I) z = gamma 1,   a = lam D^{-1} h^dim V_A^T z,
+        (lam G_AA - I) z = gamma 1,   a = lam D^{-1} h^dim V_A^T z,
 
-    (E_A extends by zero off A, R_A restricts to A), which is singular
-    exactly when the modal system is.  Up to _DIRECT_MAX nodes the system
-    is assembled from the basis rows on A, X = V_A D^{-1/2}, as
-    lam h^dim X X^T - I; larger sets are solved by MINRES with L^{-s}
-    applied through the basis transforms.  Appends the MINRES iterations
-    (0 for a direct solve) to ``minres`` when it is given.
+    with G = h^dim V D^{-1} V^T the nodal matrix of L^{-s}, which is
+    singular exactly when the modal system is.  Up to _DIRECT_MAX nodes
+    the system is solved directly: it reads G_AA from the call's Green
+    matrix once ``green`` has one, and otherwise assembles it from the
+    basis rows on A, X = V_A D^{-1/2}, as lam h^dim X X^T - I (charging
+    ``green`` for it).  Larger sets are solved by MINRES with L^{-s}
+    applied through the basis transforms.  Both back-substitute
+    a = lam D^{-1} coefficients(E_A z) (E_A extends by zero off A) when
+    no rows are at hand.  Appends the MINRES iterations (0 for a direct
+    solve) to ``minres`` when it is given.
     """
     minres = [] if minres is None else minres
     minres.append(0)
@@ -210,7 +262,16 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
     if p == 0:
         return np.zeros(basis.size)
     lam_s = basis.eigenvalues**s
-    if p <= _DIRECT_MAX:
+
+    def spread(z):
+        full = np.zeros(basis.domain.n_interior)
+        full[active] = z
+        return full
+
+    G = None if green is None or p > _DIRECT_MAX else green.ready()
+    if p <= _DIRECT_MAX and G is None:
+        if green is not None:
+            green.unpaid -= p * p * basis.size
         c = lam * basis.weight
         d_half = np.sqrt(lam_s)
         X = basis.rows(active)
@@ -220,28 +281,34 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
         S.flat[::p + 1] -= 1.0
         z = np.linalg.solve(S, np.full(p, gamma))
         return c * (X.T @ z) / d_half
+    if G is not None:
+        # LAPACK's gesv in place on a Fortran-ordered copy, without the
+        # copies of np.linalg.solve: 0.12 against 0.19 ms on 136 nodes
+        # (one BLAS thread)
+        S = np.asfortranarray(G[active][:, active])
+        S *= lam
+        S.flat[::p + 1] -= 1.0
+        _, _, z, info = scipy.linalg.lapack.dgesv(S, np.full(p, gamma),
+                                                  overwrite_a=True, overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"singular system on a {p}-node plasma set")
+    else:
+        def apply(z):
+            return basis.spectral_apply(spread(z), lam / lam_s)[active] - z
 
-    def spread(z):
-        full = np.zeros(basis.domain.n_interior)
-        full[active] = z
-        return full
-
-    def apply(z):
-        return basis.spectral_apply(spread(z), lam / lam_s)[active] - z
-
-    op = scipy.sparse.linalg.LinearOperator((p, p), matvec=apply, dtype=float)
-    z, info = scipy.sparse.linalg.minres(
-        op, np.full(p, gamma), rtol=_MINRES_RTOL,
-        callback=lambda _: minres.__setitem__(-1, minres[-1] + 1))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"MINRES stopped after {minres[-1]} "
-                                    f"iterations on a {p}-node plasma set")
+        op = scipy.sparse.linalg.LinearOperator((p, p), matvec=apply, dtype=float)
+        z, info = scipy.sparse.linalg.minres(
+            op, np.full(p, gamma), rtol=_MINRES_RTOL,
+            callback=lambda _: minres.__setitem__(-1, minres[-1] + 1))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"MINRES stopped after {minres[-1]} "
+                                        f"iterations on a {p}-node plasma set")
     return lam * basis.coefficients(spread(z)) / lam_s
 
 
 def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
                       a0: np.ndarray, max_updates: int, tol: float, log: _Log,
-                      u0: np.ndarray = None):
+                      green: _Green = None, u0: np.ndarray = None):
     """Semismooth Newton on the piecewise-linear plasma equation.
 
     Fresh plasma sets take the full Newton step (exact solve on the set),
@@ -250,9 +317,9 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
     best iterate so far (strict residual decrease, so the same cycle
     cannot recur).  The solve fails once _STALL_UPDATES updates in a row
     have not lowered the best residual.  ``u0`` holds the nodal values of
-    ``a0`` when the caller has them.  Appends each new residual and the
-    MINRES iterations of each step to ``log``.  Returns (coeffs, their
-    nodal values, status).
+    ``a0`` when the caller has them.  The direct steps share the call's
+    ``green``.  Appends each new residual and the MINRES iterations of each
+    step to ``log``.  Returns (coeffs, their nodal values, status).
     """
     a = np.asarray(a0, dtype=float).copy()
     u = basis.nodal(a) if u0 is None else u0
@@ -270,7 +337,8 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
         if key not in seen:
             seen.add(key)
             try:
-                a = _active_set_step(basis, lam, gamma, s, active, log.minres)
+                a = _active_set_step(basis, lam, gamma, s, active, log.minres,
+                                     green)
             except np.linalg.LinAlgError:
                 return best[1], best[2], "failed"
             u = basis.nodal(a)
@@ -284,7 +352,8 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
         # cycle: blend from the best point along its own Newton direction
         res, a, u = best
         try:
-            d = _active_set_step(basis, lam, gamma, s, u > gamma, log.minres) - a
+            d = _active_set_step(basis, lam, gamma, s, u > gamma, log.minres,
+                                 green) - a
         except np.linalg.LinAlgError:
             return best[1], best[2], "failed"
         t, accepted = 1.0, False
@@ -311,7 +380,8 @@ _RUNG_UPDATES = 12
 
 
 def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
-                             s: float, opts: SolverOptions, log: _Log):
+                             s: float, opts: SolverOptions, log: _Log,
+                             green: _Green):
     """Follow the nontrivial branch in lam up from just above lam_1^s.
 
     The branch comes in from infinity at lam_1^s with every node in the
@@ -327,7 +397,7 @@ def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
     ones = basis.coefficients(np.ones(basis.domain.n_interior))
     a = lam_j * gamma * ones / (lam_j - lam_s)
     a, u, status = _active_set_solve(
-        basis, lam_j, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log
+        basis, lam_j, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log, green
     )
     if status != "converged" or u.max() <= gamma:
         return a, u, "failed"
@@ -335,7 +405,8 @@ def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
     while lam_j < lam:
         lam_next = lam if step >= np.log(lam / lam_j) else lam_j * np.exp(step)
         trial, u_trial, status = _active_set_solve(
-            basis, lam_next, gamma, s, a, _RUNG_UPDATES, opts.tolerance, log, u
+            basis, lam_next, gamma, s, a, _RUNG_UPDATES, opts.tolerance, log,
+            green, u
         )
         if status == "converged" and u_trial.max() > gamma:
             a, u, lam_j = trial, u_trial, lam_next
@@ -354,7 +425,8 @@ def _ground_mode(basis: EigenBasis) -> np.ndarray:
 
 def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
                        *, options: SolverOptions = None,
-                       initial: np.ndarray = None) -> PlasmaSolution:
+                       initial: np.ndarray = None,
+                       _green: _Green = None) -> PlasmaSolution:
     """Solve L^s u = lam (u - gamma)_+ at a fixed multiplier lam.
 
     At or below the threshold, lam <= lam_1^s (1 + 1e-9), the only
@@ -364,7 +436,9 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
     at lam from ``initial``, or from a bump of the ground mode at twice
     the obstacle height.  If that does not converge to a solution with
     sup u > gamma, the branch is continued in lam from just above
-    lam_1^s, and ``method`` gains ``+continuation``.
+    lam_1^s, and ``method`` gains ``+continuation``.  Both share one Green
+    matrix (see ``_Green``), freed when the call returns; ``_green`` is
+    that of an enclosing ``solve_constrained``.
     """
     opts = options or SolverOptions()
     _validate_problem(gamma, s)
@@ -388,13 +462,15 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
             status="trivial", method="exact", history=np.zeros(1),
         )
     log = _Log()
+    green = _Green(basis, s) if _green is None else _green
     method = "active-set"
     a, u, status = _active_set_solve(
-        basis, lam, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log, u
+        basis, lam, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log, green, u
     )
     if status != "converged" or u.max() <= gamma:
         method += "+continuation"
-        a, u, status = _continue_from_threshold(basis, lam, gamma, s, opts, log)
+        a, u, status = _continue_from_threshold(basis, lam, gamma, s, opts, log,
+                                                green)
     field = SpectralField(basis, a, _nodal=u)
     res = _residual(basis, a, field.nodal, lam, gamma, s)
     log.residuals.append(res)
@@ -414,7 +490,8 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
 
     Scans lam over a geometric ladder of multiples of lam_1^s (the mass
     decreases in lam above the bifurcation threshold), brackets the
-    target, then runs a scalar root-find with warm-started inner solves.
+    target, then runs a scalar root-find with warm-started inner solves,
+    which share one Green matrix.
     """
     opts = options or SolverOptions()
     _validate_problem(gamma, s)
@@ -424,10 +501,11 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
     dom = basis.domain
     kind = opts.constraint_kind
     cache = {"coeffs": None}
+    green = _Green(basis, s)
 
     def solve_at(lam):
         sol = solve_fixed_lambda(basis, lam, gamma, s, options=opts,
-                                 initial=cache["coeffs"])
+                                 initial=cache["coeffs"], _green=green)
         if sol.status == "failed":
             raise SolverError(
                 f"inner solve failed at lam={lam:.6g} (residual {sol.residual:.3e})",
@@ -489,16 +567,23 @@ def _scale_onto_mass(u: np.ndarray, gamma: float, target: float,
     With the positive values sorted decreasingly, the top j nodes are
     active on the stretch (gamma / u_j, gamma / u_{j+1}], where the sum
     is a polynomial of degree p in t.  The sum grows with t, so the root
-    lies on the last stretch whose left end carries less than the target.
+    lies on the last stretch whose left end carries less than the target;
+    the first stretch's left end carries zero, however the polynomial
+    rounds there.  On the first stretch of the quadratic sum,
+    (t u_1 - gamma)^2 = target gives t = (gamma + sqrt(target)) / u_1
+    without the cancellation of the general formula, which loses targets
+    far below gamma^2 times the rounding unit.
     """
     pos = -np.sort(-u[u > 0])
     j = np.arange(1, pos.size + 1)
     s1, s2 = np.cumsum(pos), np.cumsum(pos**2)
     # the sum on stretch j, highest power of t first
     poly = [s1, -j * gamma] if p == 1 else [s2, -2 * gamma * s1, j * gamma**2]
-    k = np.count_nonzero(np.polyval(poly, gamma / pos) < target) - 1
+    k = max(np.count_nonzero(np.polyval(poly, gamma / pos) < target) - 1, 0)
     if p == 1:
         return float((target + j[k] * gamma) / s1[k])
+    if k == 0:
+        return float((gamma + np.sqrt(target)) / pos[0])
     # the larger root: the smaller one lies below the stretch
     disc = (gamma * s1[k]) ** 2 - s2[k] * (j[k] * gamma**2 - target)
     return float((gamma * s1[k] + np.sqrt(max(disc, 0.0))) / s2[k])
@@ -539,7 +624,9 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     constraint, whose Euler-Lagrange equation is the plasma equation,
     and mu for the linear one, whose equation is L^s u = mu 1_{u > gamma}.
     ``residual`` is the norm of that equation, and ``status`` is
-    'converged' when it is below ``stationarity_rtol`` times |L^s u|.
+    'converged' when it is below ``stationarity_rtol`` times |L^s u| and
+    the field's mass is within ``constraint_rtol`` of the target; a
+    missed mass is a failed solve.
     ``iterations`` counts L-BFGS-B iterations and ``history`` holds the
     energy after each.  The route is deliberately independent of the
     fixed-point solvers; like any descent it finds a local minimum.
@@ -564,14 +651,14 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     b = t * result.x / scale
     res = float(np.linalg.norm(scale * grad)) / t
     stationary = res <= opts.stationarity_rtol * float(np.linalg.norm(scale**2 * b))
+    achieved = constraint_mass(basis.domain, basis.nodal(b), gamma, kind)
+    on_target = abs(achieved - mass) <= opts.constraint_rtol * mass
     return PlasmaSolution(
         field=SpectralField(basis, b), lam=float(p * mu), gamma=float(gamma),
         s=float(s), residual=res, iterations=int(result.nit),
-        status="converged" if stationary else "failed", method="energy",
-        history=np.asarray(history), constraint_kind=kind,
-        constraint_target=float(mass),
-        constraint_value=constraint_mass(basis.domain, basis.nodal(b), gamma,
-                                         kind),
+        status="converged" if stationary and on_target else "failed",
+        method="energy", history=np.asarray(history), constraint_kind=kind,
+        constraint_target=float(mass), constraint_value=achieved,
     )
 
 

@@ -15,7 +15,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fracplasma import (ConfigError, ExperimentConfig, ExtensionField,
-                        build_ymesh, extend_semianalytic, load_config)
+                        SolverOptions, build_ymesh, extend_semianalytic,
+                        load_config)
 from fracplasma.cli import main
 
 BASE = {
@@ -600,9 +601,9 @@ def test_cli_failed_solve_writes_report_exit_1(tmp_path, monkeypatch, capsys,
 
 
 def test_cli_energy_target_below_resolution_is_failed_solve(tmp_path, capsys):
-    # (t u - gamma)_+ rounds to zero where the target mass is far below
-    # gamma^2 times the rounding unit
-    overrides = {"domain": {"n": 33}, "mode": "energy", "constraint_target": 1e-20}
+    # (t u - gamma)_+ rounds to zero where the square root of the target
+    # mass is far below gamma times the rounding unit
+    overrides = {"domain": {"n": 33}, "mode": "energy", "constraint_target": 1e-40}
     out = tmp_path / "solve"
     assert main(["solve", "--config", str(write_config(tmp_path, overrides)),
                  "--out", str(out)]) == 1
@@ -610,12 +611,17 @@ def test_cli_energy_target_below_resolution_is_failed_solve(tmp_path, capsys):
     assert report["passed"] is False and "rounds to zero" in report["error"]
     err = capsys.readouterr().err
     assert err.startswith("solve failed: energy route:") and err.count("\n") == 1
-    # a target of 1e-16 still converges
-    overrides["constraint_target"] = 1e-16
-    out = tmp_path / "small"
-    assert main(["solve", "--config", str(write_config(tmp_path, overrides)),
-                 "--out", str(out)]) == 0
-    assert json.loads((out / "solution.json").read_text())["status"] == "converged"
+    # targets far below gamma^2 times the rounding unit converge on target:
+    # one node active, the scale has a closed form
+    for target in (1e-20, 1e-18, 1e-16):
+        overrides["constraint_target"] = target
+        out = tmp_path / f"small{target:g}"
+        assert main(["solve", "--config", str(write_config(tmp_path, overrides)),
+                     "--out", str(out)]) == 0
+        sol = json.loads((out / "solution.json").read_text())
+        assert sol["status"] == "converged"
+        assert (abs(sol["constraint_value"] - target)
+                <= SolverOptions.constraint_rtol * target)
 
 
 def _solve_forbidden(*args, **kwargs):
@@ -999,6 +1005,29 @@ def test_refinement_study_writes_one_row_per_grid(tmp_path, capsys):
                        "unresolved", "max_d2"]
     assert [row[0] for row in rows[1:]] == ["9", "13"]
     assert "(2 rows)" in capsys.readouterr().out
+
+
+def test_solver_grid_quick_matches_a_tree_with_itself(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert _script("solver_grid").main(["--parent", str(src), "--change", str(src),
+                                        "--quick"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^parent: 88 cases, \d+ MINRES iterations, solves \d+\.\d\d s$",
+                     out, re.M)
+    assert out.endswith("88 cases match\n")
+
+
+def test_solver_grid_names_each_mismatch():
+    case = {"status": "converged", "method": "active-set", "active": 9,
+            "iterations": 4, "direct": 3, "minres_steps": 1, "sup_u": 0.5,
+            "minres_total": 12, "seconds": 0.1}
+    mismatches = _script("solver_grid").mismatches
+    near = dict(case, sup_u=0.5 + 1e-11, minres_total=40, seconds=2.0)
+    assert mismatches({"a": case}, {"a": near}) == []
+    far = dict(case, sup_u=0.5 + 1e-9, direct=2, minres_steps=2)
+    assert mismatches({"a": case, "b": case}, {"a": far}) == [
+        "a: direct 3 -> 2", "a: minres_steps 1 -> 2", "a: sup u 0.5 -> 0.500000001",
+        "b: only on the parent side"]
 
 
 def test_compare_outputs_reports_cost_and_identical_runs(tmp_path, capsys):

@@ -133,6 +133,17 @@ _SQUARE = ((-1.5, 1.5), (-1.5, 1.5))
     (("disk", 3), {"bounds": ((-1.0, 1.0), (-1.0, 1.0)), "radius": 0.4,
                    "center": (0.5, 0.5)},
      "disk mask has no interior nodes; refine the grid"),
+    # surplus or missing entries are refused, never dropped
+    (("interval", [9, 5]), {"bounds": (0.0, 1.0)},
+     "n must be an int or 1 node count, one per axis, got 2"),
+    (("rectangle", [9, 9, 9]), {"bounds": ((0.0, 1.0), (0.0, 1.0))},
+     "n must be an int or 2 node counts, one per axis, got 3"),
+    (("rectangle", [9]), {"bounds": ((0.0, 1.0), (0.0, 1.0))},
+     "n must be an int or 2 node counts, one per axis, got 1"),
+    (("disk", 25), {"bounds": _SQUARE, "radius": 1.0, "center": (0.0, 0.0, 7.0)},
+     "disk center must have 2 coordinates, got 3"),
+    (("disk", 25), {"bounds": _SQUARE, "radius": 1.0, "center": (0.0,)},
+     "disk center must have 2 coordinates, got 1"),
 ])
 def test_build_domain_refusals(args, kwargs, message):
     with pytest.raises(ValueError) as info:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+import fracplasma.plasma as plasma
 from fracplasma import (Domain, SolverOptions, apply_fractional, build_domain,
                         constraint_mass, eigendecompose, minimize_energy,
                         project, solve_constrained,
@@ -345,6 +346,19 @@ def test_energy_minimizer_meets_constraint_and_equation(basis1d):
     assert res < 1e-5
 
 
+def test_energy_minimizer_reports_a_missed_mass_as_failed(basis1d, monkeypatch):
+    # every scale puts 1.001 times the target's overshoot on the field: the
+    # minimiser still finds a stationary point, but off the constraint
+    scale = plasma._scale_onto_mass
+    monkeypatch.setattr(plasma, "_scale_onto_mass",
+                        lambda u, gamma, target, p: scale(u, gamma, 1.001 * target, p))
+    sol = minimize_energy(basis1d, 0.02, GAMMA, 0.5)
+    assert sol.residual <= SolverOptions.stationarity_rtol * np.linalg.norm(
+        basis1d.eigenvalues**0.5 * sol.field.coeffs)
+    assert sol.constraint_value == pytest.approx(0.02 * 1.001, rel=1e-9)
+    assert sol.status == "failed"
+
+
 @pytest.mark.parametrize("kind", ["interval", "square"])
 @pytest.mark.parametrize("s", [0.3, 0.75])
 def test_energy_route_recovers_constrained_multiplier(basis1d, basis2d, kind, s):
@@ -392,7 +406,10 @@ def test_scale_onto_mass_matches_brentq_oracle(p):
     u[20] = 0.004  # active only for the largest target
     # a target at the breakpoint where the tied nodes become active
     on_break = float(np.sum(np.maximum(GAMMA / 0.35 * u - GAMMA, 0.0) ** p))
-    for target in (1e-6, 0.05, on_break, 0.7, 30.0, 1e5):
+    # the quadratic sum carries targets far below gamma^2 times the rounding
+    # unit on its first stretch, one node active
+    tiny = (1e-20, 1e-18) if p == 2 else ()
+    for target in tiny + (1e-6, 0.05, on_break, 0.7, 30.0, 1e5):
         t = _scale_onto_mass(u, GAMMA, target, p)
         assert t == pytest.approx(oracles.scale_onto_mass(u, GAMMA, target, p),
                                   rel=1e-13)
@@ -400,6 +417,13 @@ def test_scale_onto_mass_matches_brentq_oracle(p):
         assert got == pytest.approx(target, rel=1e-12)
     assert _scale_onto_mass(u, GAMMA, on_break, p) == pytest.approx(
         GAMMA / 0.35, rel=1e-13)
+    for target in tiny:
+        # one node active: t u_1 - gamma is sqrt(target) up to the rounding
+        # of t u_1 (approx's absolute tolerance above is far above target)
+        t = _scale_onto_mass(u, GAMMA, target, p)
+        over = np.maximum(t * u - GAMMA, 0.0)
+        assert np.count_nonzero(over) == 1
+        assert abs(over.max() - np.sqrt(target)) <= 2 * np.finfo(float).eps * GAMMA
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -601,3 +625,131 @@ def test_first_attempt_stops_once_it_stalls(basis2d):
     assert len(log.minres) < _ACTIVE_SET_MAX
     res = log.residuals
     assert min(res[-_STALL_UPDATES:]) >= min(res[:-_STALL_UPDATES])
+
+
+# -- the Green matrix of one solver call ---------------------------------------------
+
+
+def _built_green(basis, s):
+    """A Green holder whose steps have paid for G, so the next step builds it."""
+    green = plasma._Green(basis, s)
+    green.unpaid = 0
+    return green
+
+
+@pytest.mark.parametrize("kind, n, K", [("interval", 65, None), ("square", 17, None),
+                                        ("square", 25, 105), ("disk", 25, None)])
+def test_step_reading_green_matches_step_from_rows(kind, n, K):
+    if kind == "interval":
+        dom = build_domain("interval", n, bounds=(0.0, np.pi))
+    elif kind == "square":
+        dom = build_domain("rectangle", n, bounds=((0.0, np.pi), (0.0, np.pi)))
+    else:
+        dom = build_domain("disk", n, bounds=((-1.2, 1.2), (-1.2, 1.2)),
+                           radius=1.0, center=(0.0, 0.0))
+    basis = eigendecompose(dom, K or dom.n_interior)
+    s = 0.5
+    lam = 3.2 * float(basis.eigenvalues[0] ** s)
+    green = _built_green(basis, s)
+    rng = np.random.default_rng(n)
+    for p in (1, 7, min(dom.n_interior // 3, _DIRECT_MAX), min(dom.n_interior, _DIRECT_MAX)):
+        active = np.zeros(dom.n_interior, dtype=bool)
+        active[rng.choice(dom.n_interior, p, replace=False)] = True
+        minres = []
+        got = _active_set_step(basis, lam, GAMMA, s, active, minres, green)
+        ref = _active_set_step(basis, lam, GAMMA, s, active)
+        assert green.matrix is not None and minres == [0]
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# G = h^dim V D^{-s} V^T from the oracles' eigenpairs: dense sines on the
+# squares, a dense eigh of the masked stencil on the disk
+@pytest.mark.parametrize("kind, n, K", [("square", 17, None), ("square", 25, 105),
+                                        ("disk", 25, None)])
+def test_green_matrix_matches_oracle_eigenpairs(kind, n, K):
+    if kind == "square":
+        dom = build_domain("rectangle", n, bounds=((0.0, np.pi), (0.0, np.pi)))
+        lam, V = oracles.sine_basis(dom.grid_shape, dom.h, K or dom.n_interior)
+    else:
+        dom = build_domain("disk", n, bounds=((-1.2, 1.2), (-1.2, 1.2)),
+                           radius=1.0, center=(0.0, 0.0))
+        lam, V = oracles.dense_dirichlet_eigh(dom.grid_shape, dom.h, dom.interior)
+    basis = eigendecompose(dom, K or dom.n_interior)
+    ref = dom.h**dom.dim * (V / lam**0.3) @ V.T
+    G = plasma._green_matrix(basis, 0.3)
+    assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _count_green_builds(monkeypatch):
+    builds = []
+    build = plasma._green_matrix
+
+    def counted(basis, s):
+        builds.append(basis.domain.n_interior)
+        return build(basis, s)
+
+    monkeypatch.setattr(plasma, "_green_matrix", counted)
+    return builds
+
+
+def test_solves_repeat_bitwise_after_other_solves(basis2d, basis257, monkeypatch):
+    builds = _count_green_builds(monkeypatch)
+    s = 0.3
+    lam = 3.3 * float(basis2d.eigenvalues[0] ** s)
+    first = solve_fixed_lambda(basis2d, lam, GAMMA, s)
+    assert builds == [basis2d.domain.n_interior]  # one G for both phases
+    again = solve_fixed_lambda(basis2d, lam, GAMMA, s)
+    constrained = solve_constrained(basis257, 0.025, GAMMA, 0.5)
+    assert len(builds) == 3  # and one for all inner solves
+    for basis, other_s in ((basis2d, 0.5), (basis257, 0.3), (basis257, 0.5)):
+        solve_fixed_lambda(basis, 6.5 * float(basis.eigenvalues[0] ** other_s),
+                           GAMMA, other_s)
+    solve_constrained(basis257, 0.02, GAMMA, 0.5)
+    later = solve_fixed_lambda(basis2d, lam, GAMMA, s)
+    for sol in (again, later):
+        np.testing.assert_array_equal(sol.field.coeffs, first.field.coeffs)
+        assert sol.minres_iterations == first.minres_iterations
+    np.testing.assert_array_equal(
+        solve_constrained(basis257, 0.025, GAMMA, 0.5).field.coeffs,
+        constrained.field.coeffs)
+
+
+def _green_forbidden(basis, s):
+    raise AssertionError("the Green matrix should not be built here")
+
+
+def test_green_is_never_built_above_the_cap_or_in_a_short_solve(basis2d, monkeypatch):
+    monkeypatch.setattr(plasma, "_green_matrix", _green_forbidden)
+    # the slab-fd solve: three direct steps, far less than one build
+    s = 0.75
+    sol = solve_fixed_lambda(basis2d, 4.0 * float(basis2d.eigenvalues[0] ** s), GAMMA, s)
+    assert sol.status == "converged" and sol.iterations == 3
+    # 33^2 = 1089 interior nodes: above the cap, direct steps that spend
+    # more than n^2 K in one call still build nothing
+    dom = build_domain("rectangle", 35, bounds=((0.0, np.pi), (0.0, np.pi)))
+    basis = eigendecompose(dom, dom.n_interior)
+    assert dom.n_interior > plasma._GREEN_MAX
+    s = 0.5
+    lam = 3.2 * float(basis.eigenvalues[0] ** s)
+    sol = solve_fixed_lambda(basis, lam, GAMMA, s)
+    assert sol.status == "converged"
+    green = plasma._Green(basis, s)
+    active = np.arange(dom.n_interior) < _DIRECT_MAX
+    for _ in range(-(-dom.n_interior**2 // _DIRECT_MAX**2) + 1):
+        _active_set_step(basis, lam, GAMMA, s, active, None, green)
+    assert green.matrix is None
+
+
+# status, method, |A|, Newton updates, direct and MINRES steps of the
+# solver-sweep's two long solves, as solved with every direct step from rows
+@pytest.mark.parametrize("kind, s, factor, pinned", [
+    ("square25", 0.3, 3.3, ("converged", "active-set+continuation", 9, 123, 101, 22)),
+    ("interval", 0.3, 6.5, ("converged", "active-set+continuation", 15, 143, 143, 0)),
+])
+def test_long_sweep_solves_keep_their_path(basis2d, basis257, kind, s, factor, pinned):
+    basis = basis2d if kind == "square25" else basis257
+    sol = solve_fixed_lambda(basis, factor * float(basis.eigenvalues[0] ** s), GAMMA, s)
+    minres = np.asarray(sol.minres_iterations)
+    assert (sol.status, sol.method, int(np.count_nonzero(sol.field.nodal > GAMMA)),
+            sol.iterations, int(np.count_nonzero(minres == 0)),
+            int(np.count_nonzero(minres))) == pinned
