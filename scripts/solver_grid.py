@@ -14,7 +14,9 @@ interval, 88 cases).  Each tree runs the whole grid in one fresh Python
 process with that tree first on PYTHONPATH.  The script compares status,
 method, the plasma-set size |A| = #{u > gamma}, the Newton update count
 and the step mix (direct and MINRES steps) exactly, and sup u to within
-1e-10, prints every mismatch, and exits 1 if there is one and 0 if not.
+1e-10, prints every mismatch and then, for each compared field, the
+number of cases in which it differs, and exits 1 if there is a mismatch
+and 0 if not.
 Each side's MINRES iterations and solve time are printed for information
 only.
 
@@ -39,6 +41,7 @@ GAMMA = 0.1
 SUP_TOL = 1e-10
 # the fields compared exactly
 EXACT = ("status", "method", "active", "iterations", "direct", "minres_steps")
+FIELDS = EXACT + ("sup u",)
 
 
 def domains(quick: bool):
@@ -91,20 +94,34 @@ def run_tree(src: pathlib.Path, quick: bool) -> dict:
     return json.loads(done.stdout)
 
 
+def differing(a: dict, b: dict) -> list:
+    """The compared fields in which two results of one case differ."""
+    keys = [key for key in EXACT if a[key] != b[key]]
+    return keys + (["sup u"] if abs(a["sup_u"] - b["sup_u"]) > SUP_TOL else [])
+
+
 def mismatches(parent: dict, change: dict) -> list:
-    """One line per case whose compared fields differ."""
+    """One line per compared field that differs in a case."""
     lines = []
     for case in parent.keys() | change.keys():
         a, b = parent.get(case), change.get(case)
         if a is None or b is None:
             lines.append(f"{case}: only on the {'change' if a is None else 'parent'} side")
             continue
-        for key in EXACT:
-            if a[key] != b[key]:
-                lines.append(f"{case}: {key} {a[key]} -> {b[key]}")
-        if abs(a["sup_u"] - b["sup_u"]) > SUP_TOL:
-            lines.append(f"{case}: sup u {a['sup_u']!r} -> {b['sup_u']!r}")
+        for key in differing(a, b):
+            lines.append(f"{case}: {key} {a[key]} -> {b[key]}" if key in EXACT
+                         else f"{case}: sup u {a['sup_u']!r} -> {b['sup_u']!r}")
     return sorted(lines)
+
+
+def tally(parent: dict, change: dict) -> str:
+    """The number of cases on both sides in which each compared field
+    differs."""
+    counts = dict.fromkeys(FIELDS, 0)
+    for case in parent.keys() & change.keys():
+        for key in differing(parent[case], change[case]):
+            counts[key] += 1
+    return "differing cases by field: " + ", ".join(f"{k} {n}" for k, n in counts.items())
 
 
 def main(argv=None) -> int:
@@ -131,6 +148,7 @@ def main(argv=None) -> int:
     lines = mismatches(sides["parent"], sides["change"])
     for line in lines:
         print(f"DIFFERS {line}")
+    print(tally(sides["parent"], sides["change"]))
     print(f"{len(sides['change'])} cases match" if not lines
           else f"{len(lines)} mismatches")
     return 1 if lines else 0

@@ -175,13 +175,17 @@ class EigenBasis:
     def spectral_apply(self, interior_values: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
         """Nodal values of sum_k weights[k] <v, phi_k> phi_k for interior
-        values v: a function of the Laplacian applied in one pass."""
+        values v: a function of the Laplacian applied in one pass.  Trailing
+        axes of v are carried through, each column weighted alike."""
         v = np.asarray(interior_values, dtype=float)
+        trailing = (1,) * (v.ndim - 1)
         if self._dense is not None:
-            return self._dense @ (weights * self.coefficients(v))
-        grid = np.zeros(v.shape)
+            return self._dense @ (np.reshape(weights, (-1,) + trailing)
+                                  * self.coefficients(v))
+        grid = np.zeros(v.shape[:1])
         grid[self._modes] = weights
-        return self._sine_transform(self._sine_transform(v) * grid)
+        return self._sine_transform(self._sine_transform(v)
+                                    * grid.reshape(grid.shape + trailing))
 
     def rows(self, nodes, modes=None) -> np.ndarray:
         """Values of the basis vectors at the given interior nodes.

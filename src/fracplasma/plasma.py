@@ -9,11 +9,11 @@ where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
 * ``solve_fixed_lambda``: one semismooth Newton (primal-dual active set)
   method.  Each update solves the piecewise-linear problem exactly on a
   guess A of {u > gamma}; each exact solve is a symmetric |A| x |A|
-  system on the plasma set, solved directly for small sets and by MINRES
-  through the basis transforms for large ones.  A direct step assembles
-  the system from the basis rows on A until the call's direct steps have
-  paid for the nodal matrix G of L^{-s}; from then on it reads the system
-  from G, which the call builds once and frees when it returns.  At or below
+  system on the plasma set.  A set of up to 256 nodes reads it from the
+  nodal matrix G of L^{-s}, which the call builds at its first such step
+  and frees when it returns, and solves it directly; larger sets, and
+  every set on a basis of more than 1024 nodes, which never builds G,
+  solve it by MINRES through the basis transforms.  At or below
   lam_1^s the only solution is u = 0.  Above it the solver returns the
   nontrivial branch: Newton runs at lam from the given start or a bump,
   and when that does not reach a nontrivial solution it follows the
@@ -35,6 +35,7 @@ route's lam is that mu and differs from the lam of ``solve_constrained``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field, replace
 from typing import ClassVar
 
@@ -179,16 +180,15 @@ def _validate_problem(gamma: float, s: float):
         raise ValueError("gamma must be positive")
 
 
-# plasma sets up to this many nodes take a direct step, from the gathered
-# basis rows or the call's Green matrix; larger ones a MINRES step through
-# nodal/coefficients, which never forms a matrix (a step from rows and a
-# MINRES step cost the same near 256 nodes)
+# plasma sets up to this many nodes take a direct step from the call's Green
+# matrix; larger ones a MINRES step through nodal/coefficients, which never
+# forms a matrix
 _DIRECT_MAX = 256
 # relative residual at which a MINRES step is taken as exact
 _MINRES_RTOL = 1e-13
-# bases with more interior nodes never build the Green matrix: it takes
-# 8 n^2 bytes, 2.2 MB on the 25-node square, 8 MB at this cap and 39 MB on
-# the 49-node square
+# bases with more interior nodes never build the Green matrix, and every
+# step on them is a MINRES step: G takes 8 n^2 bytes, 2.2 MB on the 25-node
+# square, 8 MB at this cap and 39 MB on the 49-node square
 _GREEN_MAX = 1024
 # node columns the Green matrix is built a block at a time
 _GREEN_BLOCK = 64
@@ -207,32 +207,17 @@ def _green_matrix(basis: EigenBasis, s: float) -> np.ndarray:
     return G
 
 
-class _Green:
-    """The Green matrix of one public solver call, built when it pays off.
-
-    A direct step from rows spends p^2 K multiply-adds on X_A X_A^T; G is
-    charged n^2 K, what forming it from every row would cost (the block
-    build's time is within a factor 2 of that on bases under the cap).
-    Once the call's direct steps have spent that much, the next one builds
-    G and every later one reads it.  Bases above _GREEN_MAX nodes never
-    build it.
-    """
-
-    def __init__(self, basis: EigenBasis, s: float):
-        n = basis.domain.n_interior
-        self.basis, self.s, self.matrix = basis, s, None
-        self.unpaid = n * n * basis.size if n <= _GREEN_MAX else np.inf
-
-    def ready(self):
-        """G when the call's direct steps have paid for it, else None."""
-        if self.matrix is None and self.unpaid <= 0:
-            self.matrix = _green_matrix(self.basis, self.s)
-        return self.matrix
+def _call_green(basis: EigenBasis, s: float):
+    """The Green matrix of one public solver call: a function that builds G
+    on its first call and returns the same G after, or None on a basis
+    above _GREEN_MAX nodes."""
+    if basis.domain.n_interior > _GREEN_MAX:
+        return None
+    return functools.cache(lambda: _green_matrix(basis, s))
 
 
 def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
-                     active: np.ndarray, minres: list = None,
-                     green: _Green = None) -> np.ndarray:
+                     active: np.ndarray, green, minres: list = None) -> np.ndarray:
     """Exact coefficient solve of the problem linearized on a plasma set.
 
     On a guessed coincidence complement A = {u > gamma} the equation is
@@ -243,18 +228,15 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
     The same step reduces to the plasma set: z = u_A - gamma solves the
     symmetric |A| x |A| system
 
-        (lam G_AA - I) z = gamma 1,   a = lam D^{-1} h^dim V_A^T z,
+        (lam G_AA - I) z = gamma 1,   a = lam D^{-1} coefficients(E_A z),
 
     with G = h^dim V D^{-1} V^T the nodal matrix of L^{-s}, which is
-    singular exactly when the modal system is.  Up to _DIRECT_MAX nodes
-    the system is solved directly: it reads G_AA from the call's Green
-    matrix once ``green`` has one, and otherwise assembles it from the
-    basis rows on A, X = V_A D^{-1/2}, as lam h^dim X X^T - I (charging
-    ``green`` for it).  Larger sets are solved by MINRES with L^{-s}
-    applied through the basis transforms.  Both back-substitute
-    a = lam D^{-1} coefficients(E_A z) (E_A extends by zero off A) when
-    no rows are at hand.  Appends the MINRES iterations (0 for a direct
-    solve) to ``minres`` when it is given.
+    singular exactly when the modal system is, and E_A the extension by
+    zero off A.  ``green`` is the call's ``_call_green``: up to _DIRECT_MAX
+    nodes the system is read from its G and solved directly; larger sets,
+    and every set when ``green`` is None, are solved by MINRES with L^{-s}
+    applied through the basis transforms.  Appends the MINRES iterations
+    (0 for a direct solve) to ``minres`` when it is given.
     """
     minres = [] if minres is None else minres
     minres.append(0)
@@ -268,24 +250,11 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
         full[active] = z
         return full
 
-    G = None if green is None or p > _DIRECT_MAX else green.ready()
-    if p <= _DIRECT_MAX and G is None:
-        if green is not None:
-            green.unpaid -= p * p * basis.size
-        c = lam * basis.weight
-        d_half = np.sqrt(lam_s)
-        X = basis.rows(active)
-        X /= d_half
-        S = X @ X.T
-        S *= c
-        S.flat[::p + 1] -= 1.0
-        z = np.linalg.solve(S, np.full(p, gamma))
-        return c * (X.T @ z) / d_half
-    if G is not None:
+    if p <= _DIRECT_MAX and green is not None:
         # LAPACK's gesv in place on a Fortran-ordered copy, without the
         # copies of np.linalg.solve: 0.12 against 0.19 ms on 136 nodes
         # (one BLAS thread)
-        S = np.asfortranarray(G[active][:, active])
+        S = np.asfortranarray(green()[active][:, active])
         S *= lam
         S.flat[::p + 1] -= 1.0
         _, _, z, info = scipy.linalg.lapack.dgesv(S, np.full(p, gamma),
@@ -308,7 +277,7 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
 
 def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
                       a0: np.ndarray, max_updates: int, tol: float, log: _Log,
-                      green: _Green = None, u0: np.ndarray = None):
+                      green, u0: np.ndarray = None):
     """Semismooth Newton on the piecewise-linear plasma equation.
 
     Fresh plasma sets take the full Newton step (exact solve on the set),
@@ -317,7 +286,7 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
     best iterate so far (strict residual decrease, so the same cycle
     cannot recur).  The solve fails once _STALL_UPDATES updates in a row
     have not lowered the best residual.  ``u0`` holds the nodal values of
-    ``a0`` when the caller has them.  The direct steps share the call's
+    ``a0`` when the caller has them.  Every step takes the call's
     ``green``.  Appends each new residual and the MINRES iterations of each
     step to ``log``.  Returns (coeffs, their nodal values, status).
     """
@@ -337,8 +306,8 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
         if key not in seen:
             seen.add(key)
             try:
-                a = _active_set_step(basis, lam, gamma, s, active, log.minres,
-                                     green)
+                a = _active_set_step(basis, lam, gamma, s, active, green,
+                                     log.minres)
             except np.linalg.LinAlgError:
                 return best[1], best[2], "failed"
             u = basis.nodal(a)
@@ -352,8 +321,8 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
         # cycle: blend from the best point along its own Newton direction
         res, a, u = best
         try:
-            d = _active_set_step(basis, lam, gamma, s, u > gamma, log.minres,
-                                 green) - a
+            d = _active_set_step(basis, lam, gamma, s, u > gamma, green,
+                                 log.minres) - a
         except np.linalg.LinAlgError:
             return best[1], best[2], "failed"
         t, accepted = 1.0, False
@@ -380,8 +349,7 @@ _RUNG_UPDATES = 12
 
 
 def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
-                             s: float, opts: SolverOptions, log: _Log,
-                             green: _Green):
+                             s: float, opts: SolverOptions, log: _Log, green):
     """Follow the nontrivial branch in lam up from just above lam_1^s.
 
     The branch comes in from infinity at lam_1^s with every node in the
@@ -426,7 +394,7 @@ def _ground_mode(basis: EigenBasis) -> np.ndarray:
 def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
                        *, options: SolverOptions = None,
                        initial: np.ndarray = None,
-                       _green: _Green = None) -> PlasmaSolution:
+                       _green=None) -> PlasmaSolution:
     """Solve L^s u = lam (u - gamma)_+ at a fixed multiplier lam.
 
     At or below the threshold, lam <= lam_1^s (1 + 1e-9), the only
@@ -436,9 +404,10 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
     at lam from ``initial``, or from a bump of the ground mode at twice
     the obstacle height.  If that does not converge to a solution with
     sup u > gamma, the branch is continued in lam from just above
-    lam_1^s, and ``method`` gains ``+continuation``.  Both share one Green
-    matrix (see ``_Green``), freed when the call returns; ``_green`` is
-    that of an enclosing ``solve_constrained``.
+    lam_1^s, and ``method`` gains ``+continuation``.  The direct steps of
+    both read one Green matrix (``_call_green``), built at the first of
+    them and freed when the call returns; ``_green`` is that of an
+    enclosing ``solve_constrained``.
     """
     opts = options or SolverOptions()
     _validate_problem(gamma, s)
@@ -462,7 +431,7 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
             status="trivial", method="exact", history=np.zeros(1),
         )
     log = _Log()
-    green = _Green(basis, s) if _green is None else _green
+    green = _call_green(basis, s) if _green is None else _green
     method = "active-set"
     a, u, status = _active_set_solve(
         basis, lam, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log, green, u
@@ -501,7 +470,7 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
     dom = basis.domain
     kind = opts.constraint_kind
     cache = {"coeffs": None}
-    green = _Green(basis, s)
+    green = _call_green(basis, s)
 
     def solve_at(lam):
         sol = solve_fixed_lambda(basis, lam, gamma, s, options=opts,

@@ -1021,13 +1021,23 @@ def test_solver_grid_names_each_mismatch():
     case = {"status": "converged", "method": "active-set", "active": 9,
             "iterations": 4, "direct": 3, "minres_steps": 1, "sup_u": 0.5,
             "minres_total": 12, "seconds": 0.1}
-    mismatches = _script("solver_grid").mismatches
+    solver_grid = _script("solver_grid")
+    mismatches, tally = solver_grid.mismatches, solver_grid.tally
     near = dict(case, sup_u=0.5 + 1e-11, minres_total=40, seconds=2.0)
     assert mismatches({"a": case}, {"a": near}) == []
+    assert tally({"a": case}, {"a": near}) == (
+        "differing cases by field: status 0, method 0, active 0, iterations 0, "
+        "direct 0, minres_steps 0, sup u 0")
     far = dict(case, sup_u=0.5 + 1e-9, direct=2, minres_steps=2)
     assert mismatches({"a": case, "b": case}, {"a": far}) == [
         "a: direct 3 -> 2", "a: minres_steps 1 -> 2", "a: sup u 0.5 -> 0.500000001",
         "b: only on the parent side"]
+    # one count per case and field; a case on one side only counts nowhere
+    mix = dict(case, direct=2, minres_steps=2)
+    assert tally({"a": case, "b": case, "c": case, "d": case},
+                 {"a": far, "b": mix, "c": dict(case, status="failed")}) == (
+        "differing cases by field: status 1, method 0, active 0, iterations 0, "
+        "direct 2, minres_steps 2, sup u 1")
 
 
 def test_compare_outputs_reports_cost_and_identical_runs(tmp_path, capsys):

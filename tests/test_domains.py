@@ -506,3 +506,26 @@ def test_disk_basis_methods_are_dense_products():
                                rtol=1e-13, atol=1e-13)
     mask = rng.random(dom.n_interior) < 0.2
     np.testing.assert_array_equal(basis.rows(mask, [0, 3]), V[mask][:, [0, 3]])
+
+
+# B = K columns (which a weighting along the column axis would pass
+# silently) and B != K columns, on a table sine basis, a dstn sine basis and
+# a disk basis
+@pytest.mark.parametrize("kind, n, K", [("interval", 9, None), ("interval", 513, 20),
+                                        ("disk", 21, 30)])
+@pytest.mark.parametrize("extra", [0, 3])
+def test_spectral_apply_weights_each_column_alike(kind, n, K, extra):
+    if kind == "interval":
+        dom = build_domain("interval", n, bounds=(0.0, np.pi))
+    else:
+        dom = build_domain("disk", n, bounds=((-1.2, 1.2), (-1.2, 1.2)),
+                           radius=1.0, center=(0.0, 0.0))
+    basis = eigendecompose(dom, K or dom.n_interior)
+    assert basis.columnwise == (n == 513)
+    rng = np.random.default_rng(n)
+    weights = rng.uniform(0.5, 2.0, basis.size)
+    v = rng.standard_normal((dom.n_interior, basis.size + extra))
+    ref = np.column_stack([basis.spectral_apply(col, weights) for col in v.T])
+    got = basis.spectral_apply(v, weights)
+    assert got.shape == v.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -11,9 +11,10 @@ from fracplasma import (Domain, SolverOptions, apply_fractional, build_domain,
                         constraint_mass, eigendecompose, minimize_energy,
                         project, solve_constrained,
                         solve_fixed_lambda, steiner_symmetrize)
-from fracplasma.plasma import (_ACTIVE_SET_MAX, _DIRECT_MAX, _STALL_UPDATES,
-                               _active_set_solve, _active_set_step, _Log,
-                               _plasma_rhs, _reduced_energy, _scale_onto_mass)
+from fracplasma.plasma import (_ACTIVE_SET_MAX, _DIRECT_MAX, _GREEN_MAX,
+                               _STALL_UPDATES, _active_set_solve, _active_set_step,
+                               _call_green, _Log, _plasma_rhs, _reduced_energy,
+                               _scale_onto_mass)
 
 GAMMA = 0.1
 
@@ -256,17 +257,19 @@ def test_active_set_step_matches_dense_modal_oracle(step_domains, kind, K, fract
     s = 0.5
     lam = 3.2 * float(basis.eigenvalues[0] ** s)
     active = _ground_mode_set(basis, round(fraction * dom.n_interior))
-    got = _active_set_step(basis, lam, GAMMA, s, active)
+    got = _active_set_step(basis, lam, GAMMA, s, active, _call_green(basis, s))
     ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
                                   lam, GAMMA, s, active)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 # sets of exactly _DIRECT_MAX nodes take the direct step, one node more the
-# MINRES step, on every kind of basis
+# MINRES step, on every kind of basis under the Green matrix cap; above it
+# (33^2 = 1089 interior nodes) both take the MINRES step
 @pytest.mark.parametrize("extra", [0, 1])
 @pytest.mark.parametrize("kind, n, K", [("interval", 513, None), ("square", 25, None),
-                                        ("square", 25, 105), ("disk", 25, None)])
+                                        ("square", 25, 105), ("disk", 25, None),
+                                        ("square", 35, None)])
 def test_active_set_step_on_both_sides_of_direct_threshold(kind, n, K, extra):
     if kind == "interval":
         dom = build_domain("interval", n, bounds=(0.0, np.pi))
@@ -280,17 +283,17 @@ def test_active_set_step_on_both_sides_of_direct_threshold(kind, n, K, extra):
     lam = 3.2 * float(basis.eigenvalues[0] ** s)
     active = _ground_mode_set(basis, _DIRECT_MAX + extra)
     minres = []
-    got = _active_set_step(basis, lam, GAMMA, s, active, minres)
+    got = _active_set_step(basis, lam, GAMMA, s, active, _call_green(basis, s), minres)
     ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
                                   lam, GAMMA, s, active)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
     assert len(minres) == 1
-    assert (minres[0] > 0) == bool(extra)
+    assert (minres[0] > 0) == (bool(extra) or dom.n_interior > _GREEN_MAX)
 
 
 def test_active_set_step_on_empty_set_is_zero(basis2d):
     active = np.zeros(basis2d.domain.n_interior, dtype=bool)
-    a = _active_set_step(basis2d, 4.0, GAMMA, 0.5, active)
+    a = _active_set_step(basis2d, 4.0, GAMMA, 0.5, active, _call_green(basis2d, 0.5))
     np.testing.assert_array_equal(a, np.zeros(basis2d.size))
 
 
@@ -620,7 +623,8 @@ def test_first_attempt_stops_once_it_stalls(basis2d):
     a0[0] = 2 * GAMMA / phi.max()
     log = _Log()
     _, _, status = _active_set_solve(
-        basis2d, lam, GAMMA, s, a0, _ACTIVE_SET_MAX, SolverOptions().tolerance, log)
+        basis2d, lam, GAMMA, s, a0, _ACTIVE_SET_MAX, SolverOptions().tolerance, log,
+        _call_green(basis2d, s))
     assert status == "failed"
     assert len(log.minres) < _ACTIVE_SET_MAX
     res = log.residuals
@@ -630,16 +634,22 @@ def test_first_attempt_stops_once_it_stalls(basis2d):
 # -- the Green matrix of one solver call ---------------------------------------------
 
 
-def _built_green(basis, s):
-    """A Green holder whose steps have paid for G, so the next step builds it."""
-    green = plasma._Green(basis, s)
-    green.unpaid = 0
-    return green
+def _count_green_builds(monkeypatch):
+    builds = []
+    build = plasma._green_matrix
+
+    def counted(basis, s):
+        builds.append(basis.domain.n_interior)
+        return build(basis, s)
+
+    monkeypatch.setattr(plasma, "_green_matrix", counted)
+    return builds
 
 
 @pytest.mark.parametrize("kind, n, K", [("interval", 65, None), ("square", 17, None),
                                         ("square", 25, 105), ("disk", 25, None)])
-def test_step_reading_green_matches_step_from_rows(kind, n, K):
+def test_step_reading_green_matches_dense_modal_oracle(kind, n, K, monkeypatch):
+    builds = _count_green_builds(monkeypatch)
     if kind == "interval":
         dom = build_domain("interval", n, bounds=(0.0, np.pi))
     elif kind == "square":
@@ -650,16 +660,18 @@ def test_step_reading_green_matches_step_from_rows(kind, n, K):
     basis = eigendecompose(dom, K or dom.n_interior)
     s = 0.5
     lam = 3.2 * float(basis.eigenvalues[0] ** s)
-    green = _built_green(basis, s)
+    green = _call_green(basis, s)
     rng = np.random.default_rng(n)
     for p in (1, 7, min(dom.n_interior // 3, _DIRECT_MAX), min(dom.n_interior, _DIRECT_MAX)):
         active = np.zeros(dom.n_interior, dtype=bool)
         active[rng.choice(dom.n_interior, p, replace=False)] = True
         minres = []
-        got = _active_set_step(basis, lam, GAMMA, s, active, minres, green)
-        ref = _active_set_step(basis, lam, GAMMA, s, active)
-        assert green.matrix is not None and minres == [0]
+        got = _active_set_step(basis, lam, GAMMA, s, active, green, minres)
+        ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
+                                      lam, GAMMA, s, active)
+        assert minres == [0]
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert builds == [dom.n_interior]  # built at the first step, read after
 
 
 # G = h^dim V D^{-s} V^T from the oracles' eigenpairs: dense sines on the
@@ -678,18 +690,6 @@ def test_green_matrix_matches_oracle_eigenpairs(kind, n, K):
     ref = dom.h**dom.dim * (V / lam**0.3) @ V.T
     G = plasma._green_matrix(basis, 0.3)
     assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def _count_green_builds(monkeypatch):
-    builds = []
-    build = plasma._green_matrix
-
-    def counted(basis, s):
-        builds.append(basis.domain.n_interior)
-        return build(basis, s)
-
-    monkeypatch.setattr(plasma, "_green_matrix", counted)
-    return builds
 
 
 def test_solves_repeat_bitwise_after_other_solves(basis2d, basis257, monkeypatch):
@@ -718,26 +718,26 @@ def _green_forbidden(basis, s):
     raise AssertionError("the Green matrix should not be built here")
 
 
-def test_green_is_never_built_above_the_cap_or_in_a_short_solve(basis2d, monkeypatch):
+def test_green_is_never_built_above_the_cap(monkeypatch):
     monkeypatch.setattr(plasma, "_green_matrix", _green_forbidden)
-    # the slab-fd solve: three direct steps, far less than one build
+    # 33^2 = 1089 interior nodes: every step is a MINRES step
+    dom = build_domain("rectangle", 35, bounds=((0.0, np.pi), (0.0, np.pi)))
+    basis = eigendecompose(dom, dom.n_interior)
+    assert dom.n_interior > _GREEN_MAX
+    s = 0.5
+    sol = solve_fixed_lambda(basis, 3.2 * float(basis.eigenvalues[0] ** s), GAMMA, s)
+    assert sol.status == "converged"
+    assert sol.iterations > 0 and all(m > 0 for m in sol.minres_iterations)
+
+
+def test_short_solve_builds_green_once(basis2d, monkeypatch):
+    builds = _count_green_builds(monkeypatch)
+    # the slab-fd solve: three direct steps on the 25-node square
     s = 0.75
     sol = solve_fixed_lambda(basis2d, 4.0 * float(basis2d.eigenvalues[0] ** s), GAMMA, s)
     assert sol.status == "converged" and sol.iterations == 3
-    # 33^2 = 1089 interior nodes: above the cap, direct steps that spend
-    # more than n^2 K in one call still build nothing
-    dom = build_domain("rectangle", 35, bounds=((0.0, np.pi), (0.0, np.pi)))
-    basis = eigendecompose(dom, dom.n_interior)
-    assert dom.n_interior > plasma._GREEN_MAX
-    s = 0.5
-    lam = 3.2 * float(basis.eigenvalues[0] ** s)
-    sol = solve_fixed_lambda(basis, lam, GAMMA, s)
-    assert sol.status == "converged"
-    green = plasma._Green(basis, s)
-    active = np.arange(dom.n_interior) < _DIRECT_MAX
-    for _ in range(-(-dom.n_interior**2 // _DIRECT_MAX**2) + 1):
-        _active_set_step(basis, lam, GAMMA, s, active, None, green)
-    assert green.matrix is None
+    assert sol.minres_iterations == (0, 0, 0)
+    assert builds == [basis2d.domain.n_interior]
 
 
 # status, method, |A|, Newton updates, direct and MINRES steps of the
