@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Compare the CLI outputs of two source trees byte for byte.
 
-Every subcommand (solve, frequency, blowup, symmetrize, verify) runs on
-every given config under each tree, each run in a fresh Python process
-with that tree first on PYTHONPATH and its own output directory.  The
-script names every output file whose bytes differ, every file and every
-output directory that only one side left, and every subcommand whose exit
-code, standard output or standard error differs.  For a differing CSV or JSON file it also gives
+Every subcommand (solve, frequency, blowup, symmetrize, verify), or those
+that ``--commands`` names, runs on every given config under each tree,
+each run in a fresh Python process with that tree first on PYTHONPATH and
+its own output directory.  The script names every output file whose bytes
+differ, every file and every output directory that only one side left,
+and every subcommand whose exit code, standard output or standard error
+differs.  For a differing CSV or JSON file it also gives
 the largest difference of a number, relative to the largest magnitude in
 that number's CSV column or JSON field (list indices ignored), and says
 whether everything else in the file (header, layout, keys, text) is
@@ -21,6 +22,8 @@ and only a differing one is read whole (peaks after it may read high).
 Example (a second checkout of the parent commit in ../parent):
     python3 scripts/compare_outputs.py --parent ../parent/src --change src \\
         cfg_square.json cfg_disk.json
+    python3 scripts/compare_outputs.py --parent ../parent/src --change src \\
+        --commands symmetrize,verify cfg_square.json
 """
 
 import argparse
@@ -45,9 +48,23 @@ def parse_args(argv):
                    help="directory holding the parent's fracplasma package")
     p.add_argument("--change", type=pathlib.Path, required=True,
                    help="directory holding the changed fracplasma package")
+    p.add_argument("--commands", type=_commands, default=COMMANDS,
+                   help="comma-separated subcommands to compare (default: all "
+                        "five)")
     p.add_argument("configs", nargs="+", type=pathlib.Path,
                    help="JSON experiment configurations")
     return p.parse_args(argv)
+
+
+def _commands(text: str) -> tuple:
+    """The subcommands of a comma-separated list, each one of COMMANDS."""
+    names = tuple(text.split(","))
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown subcommand {', '.join(map(repr, unknown))} "
+            f"(choose from {', '.join(COMMANDS)})")
+    return names
 
 
 def run(src: pathlib.Path, command: str, config: pathlib.Path, out: pathlib.Path):
@@ -158,11 +175,11 @@ def numeric_difference(name: str, old: bytes, new: bytes) -> str:
 
 
 def compare(parent: pathlib.Path, change: pathlib.Path, config: pathlib.Path,
-            work: pathlib.Path) -> list:
+            work: pathlib.Path, commands=COMMANDS) -> list:
     """Differences between the two trees on one config, one line each;
     outputs go under ``work``."""
     diffs = []
-    for command in COMMANDS:
+    for command in commands:
         outs, results = {}, {}
         for side, src in (("parent", parent), ("change", change)):
             outs[side] = work / command / side
@@ -198,7 +215,8 @@ def main(argv=None) -> int:
     diffs = []
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         for k, config in enumerate(args.configs):
-            diffs += compare(args.parent, args.change, config, pathlib.Path(tmp) / str(k))
+            diffs += compare(args.parent, args.change, config,
+                             pathlib.Path(tmp) / str(k), args.commands)
     for line in diffs:
         print(f"DIFFERS {line}")
     print("identical" if not diffs else f"{len(diffs)} differences")

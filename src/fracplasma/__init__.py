@@ -24,7 +24,7 @@ from .halfball import HalfBallQuadrature
 from .plasma import (PlasmaSolution, SolverError, SolverOptions,
                      constraint_mass, minimize_energy, solve_constrained,
                      solve_fixed_lambda, steiner_symmetrize)
-from .spectral import SpectralField, apply_fractional, project
+from .spectral import SpectralField, apply_fractional
 # config comes last: it imports extension and plasma, and importing it first
 # loads scipy.special before scipy.sparse, which raises the peak memory of
 # the package import by about 0.13 MB
@@ -51,6 +51,6 @@ __all__ = [
     "PlasmaSolution", "SolverError", "SolverOptions", "constraint_mass",
     "minimize_energy", "solve_constrained",
     "solve_fixed_lambda", "steiner_symmetrize",
-    "SpectralField", "apply_fractional", "project",
+    "SpectralField", "apply_fractional",
     "__version__",
 ]

@@ -208,6 +208,12 @@ def _at(dom, index) -> str:
     return ", ".join(f"{ax[0] + i * dom.h:.6g}" for ax, i in zip(dom.axes, index))
 
 
+def _points(locations) -> str:
+    """Points given by their coordinates, as "(x1, x2), ..." ("none" if empty)."""
+    return ", ".join("(" + ", ".join(f"{c:.6g}" for c in p) + ")"
+                     for p in locations) or "none"
+
+
 def run_solve(cfg: ExperimentConfig, out: Path) -> int:
     def work(run):
         dom, basis, sol = run.dom, run.basis, run.sol
@@ -386,9 +392,12 @@ def run_verify(cfg: ExperimentConfig, out: Path) -> int:
         op_spec = apply_fractional(sol.field, s).nodal
         op_ext = dtn(w, lam1=run.lam1)[dom.interior]
         scale = max(float(np.abs(op_spec).max()), 1e-300)
-        val = float(np.abs(op_ext - op_spec).max() / scale)
-        checks.append(CheckResult(name="extension matches spectral operator",
-                                  passed=val <= 1e-5, value=val, tolerance=1e-5))
+        diff = np.abs(op_ext - op_spec)
+        val = float(diff.max() / scale)
+        checks.append(CheckResult(
+            name="extension matches spectral operator", passed=val <= 1e-5,
+            value=val, tolerance=1e-5, note="" if val <= 1e-5 else
+            f"largest at ({_at(dom, np.argwhere(dom.interior)[np.argmax(diff)])})"))
 
         # 2. extension is monotone away from the trace
         rep = check_uy_sign(w)
@@ -412,11 +421,11 @@ def run_verify(cfg: ExperimentConfig, out: Path) -> int:
         if s > 0.5:
             try:
                 strip = fb.check_subharmonic_strip(dom, u, sol.gamma, s)
-                at = ", ".join(f"{c:.6g}" for c in strip.location)
                 checks.append(CheckResult(
                     name="subharmonic strip", passed=strip.passed,
                     value=strip.min_laplacian, tolerance=0.0,
-                    note=f"minimum at ({at}) of {strip.n_nodes} strip nodes"))
+                    note=f"minimum at {_points([strip.location])} of "
+                         f"{strip.n_nodes} strip nodes"))
             except ValueError as exc:
                 checks.append(CheckResult(name="subharmonic strip", passed=True,
                                           note=f"skipped: {exc}"))
@@ -425,11 +434,15 @@ def run_verify(cfg: ExperimentConfig, out: Path) -> int:
                                       note="skipped (requires s > 1/2)"))
 
         # 5. solution inherits the domain symmetries
-        sym_val = 0.0
+        sym_val, worst = 0.0, ""
         for axis in dom.symmetry_axes:
-            sym_val = max(sym_val, float(np.abs(u - dom.reflect(u, axis)).max()))
+            gap = np.abs(u - dom.reflect(u, axis))
+            if gap.max() > sym_val:
+                sym_val, node = float(gap.max()), np.unravel_index(np.argmax(gap), u.shape)
+                worst = f"largest for the mirror in x{axis + 1}, at ({_at(dom, node)})"
         checks.append(CheckResult(name="solution symmetric", passed=sym_val <= 1e-6,
-                                  value=sym_val, tolerance=1e-6))
+                                  value=sym_val, tolerance=1e-6,
+                                  note="" if sym_val <= 1e-6 else worst))
 
         # 6. Steiner symmetrization does not increase the extension energy
         if dom.symmetry_axes:
@@ -447,12 +460,14 @@ def run_verify(cfg: ExperimentConfig, out: Path) -> int:
             reach = fb.census_reach(fine.dom, fine.sol.trace, fine.sol.gamma, ym.Y)
             c2 = fb.singular_census(fine.extension(ym.prefix(reach)),
                                     fine.sol.gamma, fine.sol.lam, ym.Y)
+            stable = c0.singular_count == c2.singular_count
             checks.append(CheckResult(
-                name="census stable under refinement",
-                passed=c0.singular_count == c2.singular_count,
+                name="census stable under refinement", passed=stable,
                 value=float(c2.singular_count - c0.singular_count), tolerance=0.0,
                 note=f"{c0.singular_count} singular at base, "
-                     f"{c2.singular_count} refined"))
+                     f"{c2.singular_count} refined" + ("" if stable else
+                     f"; base at {_points(c0.singular_locations)}, "
+                     f"refined at {_points(c2.singular_locations)}")))
         except (ValueError, SolverError) as exc:
             checks.append(CheckResult(name="census stable under refinement",
                                       passed=False, note=str(exc)))

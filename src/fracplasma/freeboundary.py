@@ -228,19 +228,14 @@ def frequency_profile(w: ExtensionField, center, radii, lam: float) -> Frequency
     H = halfball.boundary_norms(w, center, radii)
     T = np.array([engine.thin_mass(r) for r in radii])
 
-    floor = H.max() * 1e-13
-    keep = len(H)
-    for i, hv in enumerate(H):
-        if hv <= floor:
-            keep = i
-            break
+    # the ladder ends before the first radius whose H underflows
+    keep = int(np.argmax(np.append(H <= H.max() * 1e-13, True)))
     truncated = len(H) - keep
-    note = ""
     if keep == 0:
         raise ValueError("boundary integral vanishes at every radius; "
                          "the field is zero near this centre")
-    if truncated:
-        note = f"dropped {truncated} radii with vanishing boundary integral"
+    note = (f"dropped {truncated} radii with vanishing boundary integral"
+            if truncated else "")
     radii, D, H, T = radii[:keep], D[:keep], H[:keep], T[:keep]
 
     a = w.a
@@ -376,37 +371,43 @@ def _quadratic_fit(bl: BlowupField):
     ref = bl.field
     dom = ref.domain
     ys = ref.ymesh.nodes
+    shape = ref.values.shape
     mesh = np.meshgrid(*dom.axes, indexing="ij")
     # node weights: uniform in the thin directions, exact y^a moments in y
     mids = np.concatenate([[0.0], 0.5 * (ys[:-1] + ys[1:]), [ys[-1]]])
     a = ref.a
     wy = (mids[1:] ** (1 + a) - mids[:-1] ** (1 + a)) / (1 + a)
 
-    rho2 = sum(m**2 for m in mesh)[..., None] + ys[None, ...] ** 2
-    inside = rho2 <= 1.0
+    # the unit half-ball, one layer at a time: thin rho^2 plus y^2
+    thin_rho2, ys2 = sum(m**2 for m in mesh), ys**2
+    inside = np.stack([thin_rho2 + y2 <= 1.0 for y2 in ys2], axis=-1)
     vals = ref.values[inside]
-    weights = np.broadcast_to(wy, ref.values.shape)[inside]
+    weights = np.broadcast_to(wy, shape)[inside]
+    # the model's monomials x_i x_j (i <= j) and y^2, by their thin and y factors
+    factors = [(mesh[i] * mesh[j])[..., None]
+               for i in range(dom.dim) for j in range(i, dom.dim)] + [ys2]
 
-    coords = [np.broadcast_to(m[..., None], ref.values.shape)[inside] for m in mesh]
-    yy = np.broadcast_to(ys, ref.values.shape)[inside]
-    if dom.dim == 1:
-        X = np.column_stack([coords[0] ** 2, yy**2])
-    else:
-        X = np.column_stack([coords[0] ** 2, coords[0] * coords[1],
-                             coords[1] ** 2, yy**2])
-    sw = np.sqrt(weights)
-    beta, *_ = np.linalg.lstsq(X * sw[:, None], vals * sw, rcond=None)
-    fit = X @ beta
+    def design():
+        X = np.empty((len(vals), len(factors)))
+        for col, f in enumerate(factors):
+            X[:, col] = np.broadcast_to(f, shape)[inside]
+        return X
+
+    # one design matrix at a time: scaled in place (sw becomes the weighted
+    # values) and freed before the fit gathers X again
+    X, sw = design(), np.sqrt(weights)
+    X *= sw[:, None]
+    beta, *_ = np.linalg.lstsq(X, np.multiply(vals, sw, out=sw), rcond=None)
+    del X
+    fit = design() @ beta
     denom = float(np.sum(weights * vals**2))
     resid = float(np.sqrt(np.sum(weights * (vals - fit) ** 2) / max(denom, 1e-300)))
-    c = -float(beta[-1])
     if dom.dim == 1:
         lead = abs(float(beta[0]))
     else:
         Q = np.array([[beta[0], beta[1] / 2], [beta[1] / 2, beta[2]]])
         lead = float(np.max(np.abs(np.linalg.eigvalsh(Q))))
-    c_rel = c / lead if lead > 0 else float("inf")
-    return c_rel, resid
+    return (-float(beta[-1]) / lead if lead > 0 else float("inf")), resid
 
 
 def _half_room(dom: Domain, center, Y: float) -> float:
@@ -597,14 +598,14 @@ class Census:
         return len(self.singular_locations)
 
 
-def _cluster_cells(cells, reach: int = 2):
-    """Group cell indices into connected clusters under Chebyshev reach.
+def _cluster_cells(cells):
+    """Group cell indices into connected clusters under Chebyshev reach 2.
 
     Groups come in order of their smallest member, members ascending.
     """
     cells = np.asarray(cells)
     n = len(cells)
-    pairs = cKDTree(cells).query_pairs(reach, p=np.inf, output_type="ndarray")
+    pairs = cKDTree(cells).query_pairs(2, p=np.inf, output_type="ndarray")
     links = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                        shape=(n, n))
     n_groups, labels = connected_components(links, directed=False)
@@ -649,14 +650,11 @@ def singular_census(w: ExtensionField, level: float, lam: float,
     dom = w.domain
     u = w.trace
     fb = extract_free_boundary(dom, u, level)
-    if fb.degenerate:
+    if not len(fb.locations):       # no crossing cells either, unless degenerate
         return Census(n_points=0, n_cells=len(fb.cells), n_regular=0, n_clusters=0,
                       singular_locations=[], unresolved_locations=[],
-                      note="degenerate plateau at the level; census unresolved")
-    if not len(fb.locations):
-        return Census(n_points=0, n_cells=0, n_regular=0, n_clusters=0,
-                      singular_locations=[], unresolved_locations=[],
-                      note="no free boundary")
+                      note="degenerate plateau at the level; census unresolved"
+                      if fb.degenerate else "no free boundary")
 
     Y = w.ymesh.Y if Y is None else Y
     pending = ~fb.regular

@@ -163,7 +163,7 @@ def _combine(values: np.ndarray, cells, *, gradient: bool = False):
     return grads
 
 
-def _multilinear(values: np.ndarray, axes, coords, *, gradient: bool = False):
+def _multilinear(values: np.ndarray, axes, coords):
     """Multilinear interpolant of a tensor-grid array at a set of points.
 
     ``coords`` holds one coordinate array per entry of ``axes``.  The
@@ -172,8 +172,7 @@ def _multilinear(values: np.ndarray, axes, coords, *, gradient: bool = False):
     structured point set is located once there.  The result is the same,
     bit for bit, as for the broadcast points listed one by one.
     """
-    return _combine(values, [_locate(_Axis(ax), q) for ax, q in zip(axes, coords)],
-                    gradient=gradient)
+    return _combine(values, [_locate(_Axis(ax), q) for ax, q in zip(axes, coords)])
 
 
 def interp_values(field, thin_pts: np.ndarray, y_pts: np.ndarray) -> np.ndarray:

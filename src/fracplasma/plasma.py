@@ -217,7 +217,7 @@ def _call_green(basis: EigenBasis, s: float):
 
 
 def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
-                     active: np.ndarray, green, minres: list = None) -> np.ndarray:
+                     active: np.ndarray, green, minres: list) -> np.ndarray:
     """Exact coefficient solve of the problem linearized on a plasma set.
 
     On a guessed coincidence complement A = {u > gamma} the equation is
@@ -236,9 +236,8 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
     nodes the system is read from its G and solved directly; larger sets,
     and every set when ``green`` is None, are solved by MINRES with L^{-s}
     applied through the basis transforms.  Appends the MINRES iterations
-    (0 for a direct solve) to ``minres`` when it is given.
+    (0 for a direct solve) to ``minres``.
     """
-    minres = [] if minres is None else minres
     minres.append(0)
     p = int(np.count_nonzero(active))
     if p == 0:

@@ -14,11 +14,7 @@ import numpy as np
 
 from .domains import EigenBasis
 
-__all__ = [
-    "SpectralField",
-    "project",
-    "apply_fractional",
-]
+__all__ = ["SpectralField", "apply_fractional"]
 
 
 @dataclass
@@ -56,16 +52,6 @@ def _check_order(s: float) -> float:
     if not 0.0 < s <= 1.0:
         raise ValueError(f"fractional order must lie in (0, 1], got {s}")
     return s
-
-
-def project(basis: EigenBasis, values: np.ndarray) -> SpectralField:
-    """Project nodal values (full-grid or packed interior) onto the basis."""
-    v = np.asarray(values, dtype=float)
-    if v.shape == basis.domain.grid_shape:
-        v = v[basis.domain.interior]
-    if not np.all(np.isfinite(v)):
-        raise ValueError("nodal values contain NaN or Inf")
-    return SpectralField(basis, basis.coefficients(v))
 
 
 def apply_fractional(f: SpectralField, s: float) -> SpectralField:

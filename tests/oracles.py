@@ -211,12 +211,17 @@ def scale_onto_mass(u: np.ndarray, gamma: float, target: float, p: int) -> float
     """The t > 0 with sum (t u - gamma)_+^p = target, by bracketing and brentq.
 
     The sum is zero up to t = gamma / max(u) and grows without bound
-    after it, so doubling from there brackets the root.
+    after it, so doubling from there brackets the root.  For a tiny target
+    the sum at t = gamma / max(u) may round above it (t max(u) rounds above
+    gamma), so the left end steps down one float at a time until the gap
+    is negative.
     """
     def gap(t):
         return float(np.sum(np.maximum(t * u - gamma, 0.0) ** p)) - target
 
     lo = gamma / u.max()
+    while gap(lo) >= 0:
+        lo = np.nextafter(lo, 0.0)
     hi = 2 * lo
     while gap(hi) < 0:
         hi *= 2
@@ -353,6 +358,43 @@ def halfball_boundary_norm(axes, ynodes, values: np.ndarray, a: float, center,
     vals = corner_weight_interpolant(tuple(axes) + (ynodes,), values,
                                      (*pts.T, r * unit_y))
     return float(r ** (dim + a) * np.sum(ang_w * vals**2))
+
+
+# -- quadratic-model fit of a blow-up -------------------------------------------------
+
+
+def quadratic_fit(axes, ynodes: np.ndarray, values: np.ndarray, a: float):
+    """Weighted least-squares fit of a reference-slab field against the
+    quadratic model p(x) - c y^2 over the unit half-ball, formed on full
+    meshgrid arrays: (c relative to the leading eigenvalue of p, weighted
+    relative residual).  Node weights are uniform in x and the exact y^a
+    moments of the dual cells in y."""
+    ys = ynodes
+    mesh = np.meshgrid(*axes, indexing="ij")
+    mids = np.concatenate([[0.0], 0.5 * (ys[:-1] + ys[1:]), [ys[-1]]])
+    wy = (mids[1:] ** (1 + a) - mids[:-1] ** (1 + a)) / (1 + a)
+    rho2 = sum(m**2 for m in mesh)[..., None] + ys[None, ...] ** 2
+    inside = rho2 <= 1.0
+    vals = values[inside]
+    weights = np.broadcast_to(wy, values.shape)[inside]
+    coords = [np.broadcast_to(m[..., None], values.shape)[inside] for m in mesh]
+    yy = np.broadcast_to(ys, values.shape)[inside]
+    if len(axes) == 1:
+        X = np.column_stack([coords[0] ** 2, yy**2])
+    else:
+        X = np.column_stack([coords[0] ** 2, coords[0] * coords[1],
+                             coords[1] ** 2, yy**2])
+    sw = np.sqrt(weights)
+    beta, *_ = np.linalg.lstsq(X * sw[:, None], vals * sw, rcond=None)
+    fit = X @ beta
+    denom = float(np.sum(weights * vals**2))
+    resid = float(np.sqrt(np.sum(weights * (vals - fit) ** 2) / max(denom, 1e-300)))
+    if len(axes) == 1:
+        lead = abs(float(beta[0]))
+    else:
+        Q = np.array([[beta[0], beta[1] / 2], [beta[1] / 2, beta[2]]])
+        lead = float(np.max(np.abs(np.linalg.eigvalsh(Q))))
+    return (-float(beta[-1]) / lead if lead > 0 else float("inf")), resid
 
 
 # -- closed forms for weighted half-ball geometry ------------------------------------

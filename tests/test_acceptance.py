@@ -13,14 +13,14 @@ import pytest
 
 import acceptance
 import oracles
-from fracplasma import (ExtensionField, apply_fractional, blowup, build_domain,
-                        build_ymesh, check_boundary_inclusion,
+from fracplasma import (ExtensionField, SpectralField, apply_fractional, blowup,
+                        build_domain, build_ymesh, check_boundary_inclusion,
                         check_subharmonic_strip, check_uy_sign, classify_point,
                         constraint_mass, dtn, eigendecompose,
                         extend_semianalytic, extract_free_boundary,
                         fd_energy, frequency_profile, minimize_energy,
-                        project, singular_census,
-                        solve_fixed_lambda, steiner_symmetrize)
+                        singular_census, solve_fixed_lambda,
+                        steiner_symmetrize)
 
 GAMMA = 0.1
 
@@ -80,7 +80,7 @@ def test_extension_flux_matches_spectral_operator():
         for k in range(20):
             coeffs = np.zeros(basis.size)
             coeffs[k] = 1.0
-            f = project(basis, basis.nodal(coeffs))
+            f = SpectralField(basis, basis.coefficients(basis.nodal(coeffs)))
             w = extend_semianalytic(f, s, ym)
             ref = apply_fractional(f, s).nodal
             rel = (np.linalg.norm(dtn(w, lam1=lam1)[dom.interior] - ref)
@@ -97,7 +97,7 @@ def test_extension_flux_matches_spectral_operator():
                               span_factor=20.0, layers=layers)
             cf = np.zeros(bn.size)
             cf[:5] = [1.0, -0.5, 0.25, 0.1, -0.05]
-            f = project(bn, bn.nodal(cf))
+            f = SpectralField(bn, bn.coefficients(bn.nodal(cf)))
             wsa = extend_semianalytic(f, s, ymn)
             wfd = oracles.fd_slab_extension(dn.interior, dn.h, f.full(), s, ymn.nodes)
             errs.append(np.abs(wfd - wsa.values).max()
@@ -127,7 +127,7 @@ def test_fractional_powers_compose_and_match_stencil():
 
     worst_semi = 0.0
     for _ in range(100):
-        f = project(basis, rng.standard_normal(dom.n_interior))
+        f = SpectralField(basis, basis.coefficients(rng.standard_normal(dom.n_interior)))
         s1 = rng.uniform(0.05, 0.95)
         s2 = rng.uniform(0.05, 1.0 - s1)
         two = apply_fractional(apply_fractional(f, s1), s2).nodal
@@ -137,7 +137,7 @@ def test_fractional_powers_compose_and_match_stencil():
 
     worst_stencil = 0.0
     for _ in range(20):
-        f = project(basis, rng.standard_normal(dom.n_interior))
+        f = SpectralField(basis, basis.coefficients(rng.standard_normal(dom.n_interior)))
         got = apply_fractional(f, 1.0).full()
         ref = oracles.neg_laplacian_full(f.full(), dom.h)
         worst_stencil = max(worst_stencil,

@@ -527,7 +527,7 @@ def test_cli_verify_green_on_healthy_problem(tmp_path):
 
 def test_cli_verify_failing_checks_say_where(tmp_path, monkeypatch):
     import fracplasma.cli as cli
-    from fracplasma import InclusionReport, UySignReport
+    from fracplasma import Domain, InclusionReport, UySignReport
 
     monkeypatch.setattr(cli, "check_uy_sign", lambda w: UySignReport(
         max_derivative=0.5, n_violations=3, worst_location=(10, 4), passed=False))
@@ -535,6 +535,21 @@ def test_cli_verify_failing_checks_say_where(tmp_path, monkeypatch):
                         lambda dom, u, level: InclusionReport(
                             max_gap_cells=2.0, violations=[(20.5,), (40.0,)],
                             passed=False))
+    # the flux is off at node 12 and the mirror image at node 20; the census
+    # finds no singular point at base and two on the refined grid
+    dtn, census = cli.dtn, cli.fb.singular_census
+
+    def bump(index, values):
+        values = values.copy()
+        values[index] += 1.0
+        return values
+
+    monkeypatch.setattr(cli, "dtn", lambda w, lam1: bump(12, dtn(w, lam1=lam1)))
+    monkeypatch.setattr(Domain, "reflect",
+                        lambda self, u, axis: bump(20, np.flip(u, axis)))
+    found = iter([[], [(0.25,), (1.75,)]])
+    monkeypatch.setattr(cli.fb, "singular_census", lambda *args: dataclasses.replace(
+        census(*args), singular_locations=next(found)))
     path = write_config(tmp_path)
     out = tmp_path / "verify"
     assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
@@ -545,6 +560,11 @@ def test_cli_verify_failing_checks_say_where(tmp_path, monkeypatch):
         f"u_y > 0 at 3 node-layer pairs; largest at ({10 * h:.6g}) above layer 4")
     assert notes["level transitions within one cell"] == (
         f"2 unmatched transitions; first at ({20.5 * h:.6g})")
+    assert notes["extension matches spectral operator"] == f"largest at ({12 * h:.6g})"
+    assert notes["solution symmetric"] == (
+        f"largest for the mirror in x1, at ({20 * h:.6g})")
+    assert notes["census stable under refinement"] == (
+        "0 singular at base, 2 refined; base at none, refined at (0.25), (1.75)")
 
 
 def test_cli_bad_config_returns_2(tmp_path):
@@ -1044,13 +1064,20 @@ def test_compare_outputs_reports_cost_and_identical_runs(tmp_path, capsys):
     path = write_config(tmp_path)
     src = Path(__file__).resolve().parents[1] / "src"
     compare_outputs = _script("compare_outputs")
-    compare_outputs.COMMANDS = ("solve",)
     assert compare_outputs.main(["--parent", str(src), "--change", str(src),
-                                 str(path)]) == 0
+                                 "--commands", "solve", str(path)]) == 0
     out = capsys.readouterr().out
-    assert re.search(r"cfg\.json solve: exit 0 / 0; parent \d+\.\d\d s, "
-                     r"\d+\.\d MB; change \d+\.\d\d s, \d+\.\d MB\n", out)
-    assert out.endswith("identical\n")
+    assert re.fullmatch(r"cfg\.json solve: exit 0 / 0; parent \d+\.\d\d s, "
+                        r"\d+\.\d MB; change \d+\.\d\d s, \d+\.\d MB\n"
+                        r"identical\n", out)
+    # an unknown subcommand is refused before anything runs
+    with pytest.raises(SystemExit) as exc:
+        compare_outputs.main(["--parent", str(src), "--change", str(src),
+                              "--commands", "solve,plot", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unknown subcommand 'plot'" in captured.err
+    assert captured.out == ""
 
 
 def test_compare_outputs_bounds_numeric_differences():

@@ -12,7 +12,7 @@ from fracplasma import (ExtensionField, SpectralField, YMesh, apply_fractional,
                         build_domain, build_ymesh, check_uy_sign, dtn,
                         eigendecompose, extension_energy_constant, extend_fd,
                         extend_semianalytic, fd_energy, laplacian_matrix,
-                        mode_profile, project, steiner_symmetrize,
+                        mode_profile, steiner_symmetrize,
                         weighted_energy)
 
 
@@ -107,7 +107,7 @@ def test_ymesh_minimum_layer_count():
 def test_semianalytic_trace_reproduces_field(interval):
     dom, basis = interval
     rng = np.random.default_rng(0)
-    f = project(basis, rng.standard_normal(dom.n_interior))
+    f = SpectralField(basis, basis.coefficients(rng.standard_normal(dom.n_interior)))
     ym = build_ymesh(0.5, float(basis.eigenvalues[0]))
     w = extend_semianalytic(f, 0.5, ym)
     np.testing.assert_allclose(w.trace, f.full(), atol=1e-12)
@@ -119,7 +119,7 @@ def test_semianalytic_single_mode_profile(interval):
     k = 2
     e = np.zeros(basis.size)
     e[k] = 1.0
-    f = project(basis, basis.nodal(e))
+    f = SpectralField(basis, basis.coefficients(basis.nodal(e)))
     ym = build_ymesh(s, float(basis.eigenvalues[0]))
     w = extend_semianalytic(f, s, ym)
     lam_k = float(basis.eigenvalues[k])
@@ -198,7 +198,7 @@ def test_semianalytic_prefix_and_layers_equal_full_extension(kind, n, bounds):
 def test_dtn_matches_spectral_operator(interval):
     dom, basis = interval
     rng = np.random.default_rng(1)
-    f = project(basis, rng.standard_normal(dom.n_interior))
+    f = SpectralField(basis, basis.coefficients(rng.standard_normal(dom.n_interior)))
     lam1 = float(basis.eigenvalues[0])
     for s in (0.25, 0.5, 0.75):
         ym = build_ymesh(s, lam1, span_factor=20.0, layers=200)
@@ -219,7 +219,7 @@ def test_weighted_energy_converges_to_spectral_energy():
         basis = eigendecompose(dom, dom.n_interior)
         coeffs = np.zeros(basis.size)
         coeffs[:4] = [1.0, 0.3, -0.2, 0.1]
-        f = project(basis, basis.nodal(coeffs))
+        f = SpectralField(basis, basis.coefficients(basis.nodal(coeffs)))
         ym = build_ymesh(s, float(basis.eigenvalues[0]), span_factor=25.0,
                          layers=300)
         w = extend_semianalytic(f, s, ym)
@@ -277,7 +277,7 @@ def test_fd_extension_agrees_with_semianalytic(interval):
     s = 0.5
     coeffs = np.zeros(basis.size)
     coeffs[:3] = [1.0, 0.3, -0.2]
-    f = project(basis, basis.nodal(coeffs))
+    f = SpectralField(basis, basis.coefficients(basis.nodal(coeffs)))
     ym = build_ymesh(s, float(basis.eigenvalues[0]), layers=80)
     wsa = extend_semianalytic(f, s, ym)
     wfd = extend_fd(dom, f.full(), s, ym)
@@ -417,7 +417,7 @@ def test_uy_sign_clean_for_positive_mode(interval):
     dom, basis = interval
     e = np.zeros(basis.size)
     e[0] = 1.0
-    f = project(basis, basis.nodal(e))
+    f = SpectralField(basis, basis.coefficients(basis.nodal(e)))
     ym = build_ymesh(0.5, float(basis.eigenvalues[0]))
     w = extend_semianalytic(f, 0.5, ym)
     rep = check_uy_sign(w)
@@ -429,7 +429,7 @@ def test_uy_sign_flags_negative_mode(interval):
     dom, basis = interval
     e = np.zeros(basis.size)
     e[0] = -1.0
-    f = project(basis, basis.nodal(e))
+    f = SpectralField(basis, basis.coefficients(basis.nodal(e)))
     ym = build_ymesh(0.5, float(basis.eigenvalues[0]))
     w = extend_semianalytic(f, 0.5, ym)
     rep = check_uy_sign(w)

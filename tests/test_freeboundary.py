@@ -291,6 +291,35 @@ def test_blowup_memory_is_about_its_result():
     assert peak <= 2.5 * bl.field.values.nbytes
 
 
+def _fit_blowup(dim):
+    """A blow-up on the 65-node, 64-layer reference grid: of the 1-D
+    quadratic model field, or of a random square field."""
+    if dim == 1:
+        return blowup(model_field("quadratic", 0.6)[1], [0.1], 0.4, ref_layers=64)
+    return blowup(_random_square_field(), [1.3, 1.6], 0.8, ref_layers=64)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quadratic_fit_equals_full_array_oracle(dim):
+    bl = _fit_blowup(dim)
+    ref = bl.field
+    got = freeboundary._quadratic_fit(bl)
+    assert got == oracles.quadratic_fit(ref.domain.axes, ref.ymesh.nodes,
+                                        ref.values, ref.a)   # bit for bit
+
+
+def test_quadratic_fit_memory_is_a_few_fields():
+    import tracemalloc
+    bl = _fit_blowup(2)
+    tracemalloc.start()
+    try:
+        freeboundary._quadratic_fit(bl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * bl.field.values.nbytes
+
+
 def test_classification_rejects_off_level_centre():
     _, w = model_field("linear", 0.5)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from fracplasma import (ExtensionField, HalfBallQuadrature, blowup, build_domain,
                         build_ymesh, cli, frequency_profile)
-from fracplasma.halfball import (MIN_CELLS, _Axis, _locate, _multilinear,
+from fracplasma.halfball import (MIN_CELLS, _Axis, _combine, _locate,
                                  boundary_norms, interp_values, room)
 
 
@@ -171,8 +171,10 @@ def test_radius_rule_holds_at_every_entry_point(entry, tmp_path, monkeypatch,
 def _gradient(w, thin, y):
     """Gradient of the multilinear interpolant of w at (thin, y), as
     ``interp_values`` places the points: [thin grads..., g_y]."""
-    return _multilinear(w.values, (*w.domain.axes, w.ymesh.nodes),
-                        (*np.moveaxis(thin, -1, 0), y), gradient=True)
+    coords = (*np.moveaxis(thin, -1, 0), y)
+    return _combine(w.values, [_locate(_Axis(ax), q) for ax, q in
+                               zip((*w.domain.axes, w.ymesh.nodes), coords)],
+                    gradient=True)
 
 
 def _probe_slab(dim):

@@ -9,8 +9,8 @@ import oracles
 import fracplasma.plasma as plasma
 from fracplasma import (Domain, SolverOptions, apply_fractional, build_domain,
                         constraint_mass, eigendecompose, minimize_energy,
-                        project, solve_constrained,
-                        solve_fixed_lambda, steiner_symmetrize)
+                        solve_constrained, solve_fixed_lambda,
+                        steiner_symmetrize)
 from fracplasma.plasma import (_ACTIVE_SET_MAX, _DIRECT_MAX, _GREEN_MAX,
                                _STALL_UPDATES, _active_set_solve, _active_set_step,
                                _call_green, _Log, _plasma_rhs, _reduced_energy,
@@ -257,7 +257,7 @@ def test_active_set_step_matches_dense_modal_oracle(step_domains, kind, K, fract
     s = 0.5
     lam = 3.2 * float(basis.eigenvalues[0] ** s)
     active = _ground_mode_set(basis, round(fraction * dom.n_interior))
-    got = _active_set_step(basis, lam, GAMMA, s, active, _call_green(basis, s))
+    got = _active_set_step(basis, lam, GAMMA, s, active, _call_green(basis, s), [])
     ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
                                   lam, GAMMA, s, active)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -293,7 +293,8 @@ def test_active_set_step_on_both_sides_of_direct_threshold(kind, n, K, extra):
 
 def test_active_set_step_on_empty_set_is_zero(basis2d):
     active = np.zeros(basis2d.domain.n_interior, dtype=bool)
-    a = _active_set_step(basis2d, 4.0, GAMMA, 0.5, active, _call_green(basis2d, 0.5))
+    a = _active_set_step(basis2d, 4.0, GAMMA, 0.5, active,
+                         _call_green(basis2d, 0.5), [])
     np.testing.assert_array_equal(a, np.zeros(basis2d.size))
 
 
@@ -411,7 +412,7 @@ def test_scale_onto_mass_matches_brentq_oracle(p):
     on_break = float(np.sum(np.maximum(GAMMA / 0.35 * u - GAMMA, 0.0) ** p))
     # the quadratic sum carries targets far below gamma^2 times the rounding
     # unit on its first stretch, one node active
-    tiny = (1e-20, 1e-18) if p == 2 else ()
+    tiny = (1e-30, 1e-20, 1e-18) if p == 2 else ()
     for target in tiny + (1e-6, 0.05, on_break, 0.7, 30.0, 1e5):
         t = _scale_onto_mass(u, GAMMA, target, p)
         assert t == pytest.approx(oracles.scale_onto_mass(u, GAMMA, target, p),
@@ -427,6 +428,16 @@ def test_scale_onto_mass_matches_brentq_oracle(p):
         over = np.maximum(t * u - GAMMA, 0.0)
         assert np.count_nonzero(over) == 1
         assert abs(over.max() - np.sqrt(target)) <= 2 * np.finfo(float).eps * GAMMA
+
+
+def test_scale_onto_mass_oracle_brackets_below_its_own_rounding():
+    # gamma / max(u) times max(u) rounds above gamma here, so the oracle's
+    # sum is already above a target of 1e-30 at that first bracket end
+    u = np.random.default_rng(0).normal(0.2, 0.3, 60)
+    gamma, target = 1e3, 1e-30
+    assert np.sum(np.maximum(gamma / u.max() * u - gamma, 0.0) ** 2) > target
+    t = oracles.scale_onto_mass(u, gamma, target, 2)
+    assert _scale_onto_mass(u, gamma, target, 2) == pytest.approx(t, rel=1e-13)
 
 
 @pytest.mark.parametrize("p", [1, 2])

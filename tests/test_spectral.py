@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from fracplasma import apply_fractional, build_domain, eigendecompose, project
+from fracplasma import SpectralField, apply_fractional, build_domain, eigendecompose
 
 
 @pytest.fixture(scope="module")
@@ -16,17 +16,8 @@ def basis():
 def test_projection_roundtrip(basis):
     rng = np.random.default_rng(1)
     v = rng.standard_normal(basis.domain.n_interior)
-    f = project(basis, v)
+    f = SpectralField(basis, basis.coefficients(v))
     np.testing.assert_allclose(f.nodal, v, atol=1e-10)
-
-
-def test_projection_accepts_full_grid(basis):
-    dom = basis.domain
-    U = np.zeros(dom.grid_shape)
-    U[dom.interior] = 1.0
-    f = project(basis, U)
-    np.testing.assert_allclose(f.nodal, 1.0, atol=1e-10)
-    np.testing.assert_allclose(f.full()[~dom.interior], 0.0, atol=0.0)
 
 
 def test_operator_scales_each_mode(basis):
@@ -34,7 +25,7 @@ def test_operator_scales_each_mode(basis):
         for k in (0, 3, 10):
             e = np.zeros(basis.size)
             e[k] = 1.0
-            f = project(basis, basis.nodal(e))
+            f = SpectralField(basis, basis.coefficients(basis.nodal(e)))
             g = apply_fractional(f, s)
             expected = e * basis.eigenvalues[k] ** s
             np.testing.assert_allclose(g.coeffs, expected, atol=1e-10)
@@ -44,7 +35,7 @@ def test_integer_order_matches_stencil(basis):
     rng = np.random.default_rng(2)
     dom = basis.domain
     v = rng.standard_normal(dom.n_interior)
-    f = project(basis, v)
+    f = SpectralField(basis, basis.coefficients(v))
     U = np.zeros(dom.grid_shape)
     U[dom.interior] = v
     ref = oracles.neg_laplacian_full(U, dom.h)[dom.interior]
@@ -55,7 +46,7 @@ def test_integer_order_matches_stencil(basis):
 def test_semigroup_property(basis):
     rng = np.random.default_rng(3)
     v = rng.standard_normal(basis.domain.n_interior)
-    f = project(basis, v)
+    f = SpectralField(basis, basis.coefficients(v))
     one = apply_fractional(apply_fractional(f, 0.3), 0.45)
     two = apply_fractional(f, 0.75)
     np.testing.assert_allclose(one.coeffs, two.coeffs, rtol=1e-12, atol=1e-12)
@@ -66,7 +57,7 @@ def test_integer_energy_matches_face_sum():
     basis2 = eigendecompose(dom, dom.n_interior)
     rng = np.random.default_rng(6)
     v = rng.standard_normal(dom.n_interior)
-    f = project(basis2, v)
+    f = SpectralField(basis2, basis2.coefficients(v))
     U = np.zeros(dom.grid_shape)
     U[dom.interior] = v
     ref = oracles.dirichlet_face_energy(U, dom.h)
@@ -75,7 +66,7 @@ def test_integer_energy_matches_face_sum():
 
 
 def test_order_outside_unit_interval_rejected(basis):
-    f = project(basis, np.ones(basis.domain.n_interior))
+    f = SpectralField(basis, basis.coefficients(np.ones(basis.domain.n_interior)))
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             apply_fractional(f, bad)
@@ -88,7 +79,7 @@ def test_operator_linearity(s, seed):
     b = eigendecompose(dom, dom.n_interior)
     rng = np.random.default_rng(seed)
     u, v = rng.standard_normal((2, dom.n_interior))
-    lhs = apply_fractional(project(b, u + 2.0 * v), s).nodal
-    rhs = (apply_fractional(project(b, u), s).nodal
-           + 2.0 * apply_fractional(project(b, v), s).nodal)
+    lhs = apply_fractional(SpectralField(b, b.coefficients(u + 2.0 * v)), s).nodal
+    rhs = (apply_fractional(SpectralField(b, b.coefficients(u)), s).nodal
+           + 2.0 * apply_fractional(SpectralField(b, b.coefficients(v)), s).nodal)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
