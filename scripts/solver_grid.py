@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Compare fixed-lambda solves of two source trees on a grid of problems.
 
-Every case is one ``solve_fixed_lambda`` call, gamma = 0.1, on a complete
-basis:
+Every case is one ``solve_fixed_lambda`` call, gamma = 0.1:
 
-    domains  squares [0, pi]^2 of 17/25/33/49/65 nodes per axis and
-             intervals [0, pi] of 65/129/257/513 nodes
+    domains  on complete bases: squares [0, pi]^2 of 17/25/33/49/65 nodes
+             per axis, intervals [0, pi] of 65/129/257/513 nodes and the
+             33-node disk of radius 1.4 in [-1.5, 1.5]^2; on truncated
+             bases: the 49-node square with 400 modes and the 81-node
+             square with 700
     s        0.3, 0.5, 0.75, 0.9
     lam      0.9, 1.05, 1.5, 2, 3.2, 3.3, 4, 4.4, 5, 6.5, 8 times lam_1^s
 
-that is 396 cases (``--quick``: the 17-node square and the 65-node
+that is 528 cases (``--quick``: the 17-node square and the 65-node
 interval, 88 cases).  Each tree runs the whole grid in one fresh Python
 process with that tree first on PYTHONPATH.  The script compares status,
 method, the plasma-set size |A| = #{u > gamma}, the Newton update count
@@ -35,6 +37,9 @@ import time
 
 SQUARES = (17, 25, 33, 49, 65)
 INTERVALS = (65, 129, 257, 513)
+# (nodes per axis, modes) of the squares on truncated bases
+TRUNCATED = ((49, 400), (81, 700))
+DISK = {"bounds": ((-1.5, 1.5),) * 2, "radius": 1.4, "center": (0.0, 0.0)}
 ORDERS = (0.3, 0.5, 0.75, 0.9)
 FACTORS = (0.9, 1.05, 1.5, 2.0, 3.2, 3.3, 4.0, 4.4, 5.0, 6.5, 8.0)
 GAMMA = 0.1
@@ -45,11 +50,18 @@ FIELDS = EXACT + ("sup u",)
 
 
 def domains(quick: bool):
-    """(label, kind, nodes) of every domain of the grid."""
+    """(label, kind, nodes, keywords of ``build_domain``, modes; None for a
+    complete basis) of every domain of the grid."""
+    square, interval = {"bounds": ((0.0, math.pi),) * 2}, {"bounds": (0.0, math.pi)}
     squares = SQUARES[:1] if quick else SQUARES
     intervals = INTERVALS[:1] if quick else INTERVALS
-    return ([(f"square-{n}", "rectangle", n) for n in squares]
-            + [(f"interval-{n}", "interval", n) for n in intervals])
+    grid = ([(f"square-{n}", "rectangle", n, square, None) for n in squares]
+            + [(f"interval-{n}", "interval", n, interval, None) for n in intervals])
+    if quick:
+        return grid
+    return (grid + [(f"square-{n}-K{K}", "rectangle", n, square, K)
+                    for n, K in TRUNCATED]
+            + [("disk-33", "disk", 33, DISK, None)])
 
 
 def solve_grid(quick: bool) -> dict:
@@ -59,10 +71,9 @@ def solve_grid(quick: bool) -> dict:
     from fracplasma import build_domain, eigendecompose, solve_fixed_lambda
 
     out = {}
-    for label, kind, n in domains(quick):
-        bounds = (0.0, math.pi) if kind == "interval" else ((0.0, math.pi),) * 2
-        dom = build_domain(kind, n, bounds=bounds)
-        basis = eigendecompose(dom, dom.n_interior)
+    for label, kind, n, keywords, modes in domains(quick):
+        dom = build_domain(kind, n, **keywords)
+        basis = eigendecompose(dom, modes or dom.n_interior)
         for s in ORDERS:
             lam1s = float(basis.eigenvalues[0] ** s)
             for f in FACTORS:

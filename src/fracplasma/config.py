@@ -144,7 +144,7 @@ class ExtensionSpec:
     grading: float = None
 
     def __post_init__(self):
-        if self.span_factor <= 0:
+        if not 0 < self.span_factor < math.inf:
             raise ConfigError("extension.span_factor must be positive")
         if self.layers < 8:
             raise ConfigError("extension.layers must be at least 8")
@@ -188,6 +188,8 @@ class BlowupSpec:
                                             or _numbers(self.center, 2)):
             raise ConfigError(f"blowup.center must be a list of 1 or 2 numbers, "
                               f"got {self.center!r}")
+        if self.radius is not None and not 0 < self.radius < math.inf:
+            raise ConfigError("blowup.radius must be positive")
         if self.ref_nodes < 9:
             raise ConfigError("blowup.ref_nodes must be at least 9")
         if self.ref_layers < 8:
@@ -215,18 +217,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0 < self.s <= 1:
             raise ConfigError(f"s must lie in (0, 1], got {self.s}")
-        if self.gamma <= 0:
+        if not 0 < self.gamma < math.inf:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
         if self.mode not in ("fixed_lambda", "constrained", "energy"):
             raise ConfigError(f"mode must be fixed_lambda/constrained/energy, "
                               f"got {self.mode!r}")
         if self.mode in ("constrained", "energy") and self.constraint_target is None:
             raise ConfigError(f"mode {self.mode!r} needs constraint_target")
-        if self.constraint_target is not None and self.constraint_target <= 0:
+        target = self.constraint_target
+        if target is not None and not 0 < target < math.inf:
             raise ConfigError("constraint_target must be positive")
-        if self.lambda_value is not None and self.lambda_value < 0:
+        if self.lambda_value is not None and not 0 <= self.lambda_value < math.inf:
             raise ConfigError("lambda_value must be nonnegative")
-        if self.lambda_value is None and self.lambda_factor <= 0:
+        if self.lambda_value is None and not 0 < self.lambda_factor < math.inf:
             raise ConfigError("lambda_factor must be positive")
         if self.basis_size is not None and self.basis_size < 1:
             raise ConfigError("basis_size must be positive when given")

@@ -272,7 +272,7 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
                          f"one per axis, got {len(n)}")
     counts = [int(n)] * dim if np.isscalar(n) else [int(k) for k in n]
     for (lo, hi), k in zip(box, counts):
-        if hi <= lo:
+        if not -np.inf < lo < hi < np.inf:
             raise ValueError(f"axis bounds must satisfy lo < hi, got ({lo}, {hi})")
         if k < 3:
             raise ValueError(f"need at least 3 nodes per axis, got {k}")
@@ -292,9 +292,9 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
             raise ValueError(f"disk center must have {dim} coordinates, got {len(center)}")
         radius = float(radius)
         center = tuple(float(c) for c in center)
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError("disk radius must be positive")
-        if radius >= min(d for c, (lo, hi) in zip(center, box) for d in (c - lo, hi - c)):
+        if not radius < min(d for c, (lo, hi) in zip(center, box) for d in (c - lo, hi - c)):
             raise ValueError("disk must sit strictly inside its bounding box")
         mesh = np.meshgrid(*axes, indexing="ij")
         interior &= sum((m - c) ** 2 for m, c in zip(mesh, center)) < radius**2

@@ -89,13 +89,13 @@ def build_ymesh(s: float, lam1: float, *, span_factor: float = 20.0,
     makes the slowest mode decay below 3e-9 at the top.
     """
     _check_order(s)
-    if lam1 <= 0:
+    if not 0 < lam1 < np.inf:
         raise ValueError("lam1 must be positive")
     if layers < 8:
         raise ValueError("need at least 8 layers")
     if grading is None:
         grading = max(2.0, 1.0 / s)
-    if grading < 1:
+    if not 1 <= grading < np.inf:
         raise ValueError("grading must be >= 1")
     Y = span_factor / np.sqrt(lam1)
     nodes = Y * (np.arange(layers + 1) / layers) ** grading

@@ -18,7 +18,8 @@ where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
   nontrivial branch: Newton runs at lam from the given start or a bump,
   and when that does not reach a nontrivial solution it follows the
   branch in lam from just above lam_1^s, where every node is in the
-  plasma set and the solution is known in closed form.
+  plasma set and the solution is known in closed form.  Every Newton
+  run, at lam or on a rung, has the same budget of updates.
 * ``solve_constrained``: outer 1-D root-find in lam matching a mass
   constraint, warm-starting the inner solver along the bracket.
 * ``minimize_energy``: minimisation of the fractional Dirichlet energy
@@ -81,12 +82,11 @@ class _Log:
     minres: list = dc_field(default_factory=list)
 
 
-# Newton updates of the first solve at lam and of the first continuation
-# rung, and the updates in a row without a new smallest residual after which
-# such a solve has stalled: a first attempt that converged wandered for up
-# to 36 (49-node square, K = 400, s = 0.5, 4 lam_1^s) before it landed
-_ACTIVE_SET_MAX = 80
-_STALL_UPDATES = 40
+# Newton updates of every active-set run: semismooth Newton converges in a
+# few steps near a solution or not at all, so a run that needs more has
+# started too far away, and a continuation rung closer in is cheaper than
+# waiting for it
+_NEWTON_UPDATES = 12
 # solve_constrained scans lam over geometric multiples of lam_1^s
 _LAMBDA_BRACKET = (1.05, 50.0)
 _BRACKET_SAMPLES = 12
@@ -110,7 +110,7 @@ class SolverOptions:
     stationarity_rtol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be positive")
         if self.constraint_kind not in ("quadratic", "linear"):
             raise ValueError("constraint_kind must be 'quadratic' or 'linear'")
@@ -143,7 +143,7 @@ class PlasmaSolution:
 
 def _plasma_rhs(u: np.ndarray, gamma: float) -> np.ndarray:
     """(u - gamma)_+ applied nodewise."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     return np.maximum(np.asarray(u, dtype=float) - gamma, 0.0)
 
@@ -176,7 +176,7 @@ def _residual(basis: EigenBasis, coeffs: np.ndarray, u: np.ndarray, lam: float,
 
 def _validate_problem(gamma: float, s: float):
     _check_order(s)
-    if gamma <= 0:
+    if not 0 < gamma < np.inf:
         raise ValueError("gamma must be positive")
 
 
@@ -275,31 +275,31 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
 
 
 def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
-                      a0: np.ndarray, max_updates: int, tol: float, log: _Log,
-                      green, u0: np.ndarray = None):
+                      a0: np.ndarray, tol: float, log: _Log, green,
+                      u0: np.ndarray = None):
     """Semismooth Newton on the piecewise-linear plasma equation.
 
     Fresh plasma sets take the full Newton step (exact solve on the set),
     which converges in a few steps when it converges at all; a set seen
     before signals a cycle, broken by a backtracking blend step from the
     best iterate so far (strict residual decrease, so the same cycle
-    cannot recur).  The solve fails once _STALL_UPDATES updates in a row
-    have not lowered the best residual.  ``u0`` holds the nodal values of
-    ``a0`` when the caller has them.  Every step takes the call's
-    ``green``.  Appends each new residual and the MINRES iterations of each
-    step to ``log``.  Returns (coeffs, their nodal values, status).
+    cannot recur).  A run takes at most _NEWTON_UPDATES updates, and it
+    succeeds only when it converges to a solution with sup u > gamma.
+    ``u0`` holds the nodal values of ``a0`` when the caller has them.
+    Every step takes the call's ``green``.  Appends each new residual and
+    the MINRES iterations of each step to ``log``.  Returns (coeffs, their
+    nodal values, whether the run succeeded); a failed run returns its
+    best iterate.
     """
     a = np.asarray(a0, dtype=float).copy()
     u = basis.nodal(a) if u0 is None else u0
     res = _residual(basis, a, u, lam, gamma, s)
     log.residuals.append(res)
-    best, best_it = (res, a.copy(), u), 0
+    best = (res, a, u)
     seen = set()
-    for it in range(1, max_updates + 1):
+    for _ in range(_NEWTON_UPDATES):
         if res <= tol:
-            return a, u, "converged"
-        if it - best_it > _STALL_UPDATES:
-            return best[1], best[2], "failed"
+            return a, u, u.max() > gamma
         active = u > gamma
         key = active.tobytes()
         if key not in seen:
@@ -308,14 +308,15 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
                 a = _active_set_step(basis, lam, gamma, s, active, green,
                                      log.minres)
             except np.linalg.LinAlgError:
-                return best[1], best[2], "failed"
+                break
             u = basis.nodal(a)
             res = _residual(basis, a, u, lam, gamma, s)
             log.residuals.append(res)
             if res < best[0]:
-                best, best_it = (res, a.copy(), u), it
+                best = (res, a, u)
             if np.array_equal(u > gamma, active):
-                return a, u, "converged"  # stable set: exact piecewise solve
+                # stable set: exact piecewise solve
+                return a, u, u.max() > gamma
             continue
         # cycle: blend from the best point along its own Newton direction
         res, a, u = best
@@ -323,28 +324,25 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
             d = _active_set_step(basis, lam, gamma, s, u > gamma, green,
                                  log.minres) - a
         except np.linalg.LinAlgError:
-            return best[1], best[2], "failed"
-        t, accepted = 1.0, False
+            break
+        t = 1.0
         while t >= 2.0**-30:
             trial = a + t * d
             u_t = basis.nodal(trial)
             res_t = _residual(basis, trial, u_t, lam, gamma, s)
             if res_t <= tol or res_t < res * (1.0 - 1e-4 * t):
-                a, u, res, accepted = trial, u_t, res_t, True
-                log.residuals.append(res)
                 break
             t *= 0.5
-        if not accepted:
-            return best[1], best[2], "failed"  # stalled on a kink of the residual
-        best, best_it = (res, a.copy(), u), it
-    return best[1], best[2], "failed"
+        else:
+            break  # stalled on a kink of the residual
+        a, u, res = trial, u_t, res_t
+        log.residuals.append(res)
+        best = (res, a, u)
+    return best[1], best[2], False
 
 
-# smallest log-step in lam the continuation tries before it gives up, and
-# the Newton updates one rung may take: a rung that needs more has jumped
-# too far, and a shorter jump is cheaper than waiting for it
+# smallest log-step in lam the continuation tries before it gives up
 _MIN_LOG_STEP = 1e-6
-_RUNG_UPDATES = 12
 
 
 def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
@@ -356,32 +354,30 @@ def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
     (h^dim V^T V = I): a_k = lam gamma c_k / (lam - lam_k^s) with
     c = h^dim V^T 1.  The first rung solves from that state at
     min(1.05 lam_1^s, lam); each later rung jumps toward lam by the
-    current log-step, which halves whenever a rung fails to reach a
-    nontrivial solution.  Returns (coeffs, their nodal values, status).
+    current log-step, which halves whenever a rung's run fails.  Returns
+    (coeffs, their nodal values, whether lam was reached).
     """
     lam_s = basis.eigenvalues**s
     lam_j = min(1.05 * float(lam_s[0]), lam)
     ones = basis.coefficients(np.ones(basis.domain.n_interior))
     a = lam_j * gamma * ones / (lam_j - lam_s)
-    a, u, status = _active_set_solve(
-        basis, lam_j, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log, green
-    )
-    if status != "converged" or u.max() <= gamma:
-        return a, u, "failed"
+    a, u, ok = _active_set_solve(basis, lam_j, gamma, s, a, opts.tolerance,
+                                 log, green)
+    if not ok:
+        return a, u, False
     step = np.log(lam / lam_j)
     while lam_j < lam:
         lam_next = lam if step >= np.log(lam / lam_j) else lam_j * np.exp(step)
-        trial, u_trial, status = _active_set_solve(
-            basis, lam_next, gamma, s, a, _RUNG_UPDATES, opts.tolerance, log,
-            green, u
+        trial, u_trial, ok = _active_set_solve(
+            basis, lam_next, gamma, s, a, opts.tolerance, log, green, u
         )
-        if status == "converged" and u_trial.max() > gamma:
+        if ok:
             a, u, lam_j = trial, u_trial, lam_next
         else:
             step /= 2
             if step < _MIN_LOG_STEP:
-                return a, u, "failed"
-    return a, u, "converged"
+                return a, u, False
+    return a, u, True
 
 
 def _ground_mode(basis: EigenBasis) -> np.ndarray:
@@ -401,16 +397,18 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
     it the nontrivial branch is returned (status ``converged``) or the
     solve fails; it never falls back to zero.  Semismooth Newton runs
     at lam from ``initial``, or from a bump of the ground mode at twice
-    the obstacle height.  If that does not converge to a solution with
-    sup u > gamma, the branch is continued in lam from just above
-    lam_1^s, and ``method`` gains ``+continuation``.  The direct steps of
-    both read one Green matrix (``_call_green``), built at the first of
-    them and freed when the call returns; ``_green`` is that of an
-    enclosing ``solve_constrained``.
+    the obstacle height.  If that run does not converge to a solution
+    with sup u > gamma within _NEWTON_UPDATES updates, the branch is
+    continued in lam from just above lam_1^s, each rung a run with the
+    same budget, and ``method`` gains ``+continuation``.  The direct
+    steps of both read one Green matrix (``_call_green``), built at the
+    first of them and freed when the call returns; ``_green`` is that of
+    an enclosing ``solve_constrained``.  Non-finite lam or gamma is
+    refused.
     """
     opts = options or SolverOptions()
     _validate_problem(gamma, s)
-    if lam < 0:
+    if not 0 <= lam < np.inf:
         raise ValueError("lam must be nonnegative")
     if initial is not None:
         a = np.asarray(initial, dtype=float).copy()
@@ -432,21 +430,20 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
     log = _Log()
     green = _call_green(basis, s) if _green is None else _green
     method = "active-set"
-    a, u, status = _active_set_solve(
-        basis, lam, gamma, s, a, _ACTIVE_SET_MAX, opts.tolerance, log, green, u
-    )
-    if status != "converged" or u.max() <= gamma:
+    a, u, ok = _active_set_solve(basis, lam, gamma, s, a, opts.tolerance, log,
+                                 green, u)
+    if not ok:
         method += "+continuation"
-        a, u, status = _continue_from_threshold(basis, lam, gamma, s, opts, log,
-                                                green)
+        a, u, ok = _continue_from_threshold(basis, lam, gamma, s, opts, log,
+                                            green)
     field = SpectralField(basis, a, _nodal=u)
     res = _residual(basis, a, field.nodal, lam, gamma, s)
     log.residuals.append(res)
-    if status != "converged" or res > opts.tolerance or field.nodal.max() <= gamma:
-        status = "failed"
+    ok = ok and res <= opts.tolerance and field.nodal.max() > gamma
     return PlasmaSolution(
         field=field, lam=float(lam), gamma=float(gamma), s=float(s),
-        residual=res, iterations=len(log.minres), status=status, method=method,
+        residual=res, iterations=len(log.minres),
+        status="converged" if ok else "failed", method=method,
         history=np.asarray(log.residuals),
         minres_iterations=tuple(log.minres),
     )
@@ -463,7 +460,7 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
     """
     opts = options or SolverOptions()
     _validate_problem(gamma, s)
-    if mass <= 0:
+    if not 0 < mass < np.inf:
         raise ValueError("constraint mass must be positive")
     lam1s = float(basis.eigenvalues[0] ** s)
     dom = basis.domain
@@ -601,7 +598,7 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     """
     opts = options or SolverOptions()
     _validate_problem(gamma, s)
-    if mass <= 0:
+    if not 0 < mass < np.inf:
         raise ValueError("constraint mass must be positive")
     kind = opts.constraint_kind
     p = 2 if kind == "quadratic" else 1

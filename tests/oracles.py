@@ -182,6 +182,24 @@ def newton_plasma_1d(lo: float, hi: float, n: int, lam: float, gamma: float,
     return u
 
 
+def classical_plasma_interval(x, lam: float, gamma: float) -> np.ndarray:
+    """Closed-form solution of -u'' = lam (u - gamma)_+ on [0, pi], u = 0 at
+    both ends, lam > 1: the continuum problem at s = 1.
+
+    On the plasma interval (a, pi - a), a = (pi/2)(1 - 1/sqrt(lam)),
+    u = gamma + A cos(sqrt(lam)(x - pi/2)) with A = gamma / (a sqrt(lam)),
+    which equals gamma at its ends, where the cosine's argument is -+pi/2;
+    outside it u is linear, gamma x / a and gamma (pi - x) / a, with the
+    slope gamma / a = A sqrt(lam) of the cosine there.
+    """
+    x = np.asarray(x, dtype=float)
+    root = math.sqrt(lam)
+    a = 0.5 * math.pi * (1.0 - 1.0 / root)
+    inner = gamma + gamma / (a * root) * np.cos(root * (x - 0.5 * math.pi))
+    outer = gamma * np.minimum(x, math.pi - x) / a
+    return np.where(np.abs(x - 0.5 * math.pi) < 0.5 * math.pi - a, inner, outer)
+
+
 # -- the plasma equation linearized on a fixed plasma set -----------------------------
 
 

@@ -174,6 +174,27 @@ def test_python_built_config_is_range_checked_like_json(section, values):
     assert str(built.value) == str(parsed.value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("section, name, message", [
+    (None, "gamma", "gamma must be positive"),
+    (None, "lambda_factor", "lambda_factor must be positive"),
+    (None, "lambda_value", "lambda_value must be nonnegative"),
+    (None, "constraint_target", "constraint_target must be positive"),
+    ("extension", "span_factor", "extension.span_factor must be positive"),
+    ("extension", "grading", "extension.grading must be >= 1"),
+    ("solver", "tolerance", "tolerance must be positive"),
+    ("blowup", "radius", "blowup.radius must be positive"),
+])
+def test_python_built_config_refuses_non_finite_numbers(section, name, message, value):
+    # JSON refuses these numbers in the parser; a section built in Python
+    # must refuse them in its range check
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        if section == "solver":
+            ExperimentConfig(solver=SolverOptions(**{name: value}))
+        else:
+            _python_config(section, **{name: value})
+
+
 def test_replace_rechecks_the_config():
     cfg = ExperimentConfig.from_dict(json.loads(json.dumps(BASE)))
     with pytest.raises(ConfigError, match=r"^gamma must be positive, got -1\.0$"):

@@ -144,6 +144,15 @@ _SQUARE = ((-1.5, 1.5), (-1.5, 1.5))
      "disk center must have 2 coordinates, got 3"),
     (("disk", 25), {"bounds": _SQUARE, "radius": 1.0, "center": (0.0,)},
      "disk center must have 2 coordinates, got 1"),
+    # non-finite numbers fail the same range checks
+    (("interval", 9), {"bounds": (0.0, float("nan"))},
+     "axis bounds must satisfy lo < hi, got (0.0, nan)"),
+    (("interval", 9), {"bounds": (0.0, float("inf"))},
+     "axis bounds must satisfy lo < hi, got (0.0, inf)"),
+    (("disk", 25), {"bounds": _SQUARE, "radius": float("nan"), "center": (0.0, 0.0)},
+     "disk radius must be positive"),
+    (("disk", 25), {"bounds": _SQUARE, "radius": 1.0, "center": (float("nan"), 0.0)},
+     "disk must sit strictly inside its bounding box"),
 ])
 def test_build_domain_refusals(args, kwargs, message):
     with pytest.raises(ValueError) as info:
