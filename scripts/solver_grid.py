@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Compare fixed-lambda solves of two source trees on a grid of problems.
+"""Compare the plasma solves of two source trees on a grid of problems.
 
-Every case is one ``solve_fixed_lambda`` call, gamma = 0.1:
+Every fixed-lambda case is one ``solve_fixed_lambda`` call, gamma = 0.1:
 
     domains  on complete bases: squares [0, pi]^2 of 17/25/33/49/65 nodes
              per axis, intervals [0, pi] of 65/129/257/513 nodes and the
@@ -11,16 +11,22 @@ Every case is one ``solve_fixed_lambda`` call, gamma = 0.1:
     s        0.3, 0.5, 0.75, 0.9
     lam      0.9, 1.05, 1.5, 2, 3.2, 3.3, 4, 4.4, 5, 6.5, 8 times lam_1^s
 
-that is 528 cases (``--quick``: the 17-node square and the 65-node
-interval, 88 cases).  Each tree runs the whole grid in one fresh Python
-process with that tree first on PYTHONPATH.  The script compares status,
-method, the plasma-set size |A| = #{u > gamma}, the Newton update count
-and the step mix (direct and MINRES steps) exactly, and sup u to within
-1e-10, prints every mismatch and then, for each compared field, the
-number of cases in which it differs, and exits 1 if there is a mismatch
-and 0 if not.
-Each side's MINRES iterations and solve time are printed for information
-only.
+that is 528 cases.  On the same domains and orders, at the masses 0.01
+and 0.025, ``solve_constrained`` and ``minimize_energy`` each make 96 more
+cases.  ``--quick`` runs only the fixed-lambda cases of the 17-node square
+and the 65-node interval, 88 cases.  Each tree runs the whole grid in one
+fresh Python process with that tree first on PYTHONPATH.
+
+Of a fixed-lambda case the script compares status, method, the plasma-set
+size |A| = #{u > gamma}, the Newton update count and the step mix (direct
+and MINRES steps) exactly, and sup u to within 1e-10.  Of a constrained or
+energy case it compares status and |A| exactly and lam to 1e-10 relative;
+a SolverError is a status carrying its message.  It prints every mismatch
+and then, for each compared field, the number of cases in which it
+differs, and exits 1 if there is a mismatch and 0 if not.
+Each side's MINRES iterations and solve times, and each problem of the
+change side whose energy-route lam differs from its constrained lam by
+more than 1e-6 relative, are printed for information only.
 
 Example (a second checkout of the parent commit in ../parent):
     python3 scripts/solver_grid.py --parent ../parent/src --change src
@@ -42,11 +48,17 @@ TRUNCATED = ((49, 400), (81, 700))
 DISK = {"bounds": ((-1.5, 1.5),) * 2, "radius": 1.4, "center": (0.0, 0.0)}
 ORDERS = (0.3, 0.5, 0.75, 0.9)
 FACTORS = (0.9, 1.05, 1.5, 2.0, 3.2, 3.3, 4.0, 4.4, 5.0, 6.5, 8.0)
+MASSES = (0.01, 0.025)
+ROUTES = ("constrained", "energy")
 GAMMA = 0.1
 SUP_TOL = 1e-10
-# the fields compared exactly
+LAM_RTOL = 1e-10
+# relative distance of the two routes' lam printed as a disagreement
+ROUTE_RTOL = 1e-6
+# the fields compared exactly; a constrained or energy case has only
+# status and active of them
 EXACT = ("status", "method", "active", "iterations", "direct", "minres_steps")
-FIELDS = EXACT + ("sup u",)
+FIELDS = EXACT + ("sup u", "lam")
 
 
 def domains(quick: bool):
@@ -64,11 +76,32 @@ def domains(quick: bool):
             + [("disk-33", "disk", 33, DISK, None)])
 
 
+def mass_case(solve, basis, mass: float, s: float) -> dict:
+    """Status, |A|, lam and solve time of one constrained or energy solve;
+    a SolverError is a status carrying its message."""
+    import numpy as np
+    from fracplasma import SolverError
+
+    start = time.perf_counter()
+    try:
+        sol = solve(basis, mass, GAMMA, s)
+    except SolverError as exc:
+        case = {"status": f"SolverError: {exc}", "active": None, "lam": None}
+    else:
+        case = {"status": sol.status,
+                "active": int(np.count_nonzero(sol.field.nodal > GAMMA)),
+                "lam": sol.lam}
+    case["seconds"] = time.perf_counter() - start
+    return case
+
+
 def solve_grid(quick: bool) -> dict:
     """Every case under the fracplasma that imports first: case label ->
-    the compared fields, MINRES iterations and solve time."""
+    the compared fields and solve time, and a fixed-lambda case's MINRES
+    iterations."""
     import numpy as np
-    from fracplasma import build_domain, eigendecompose, solve_fixed_lambda
+    from fracplasma import (build_domain, eigendecompose, minimize_energy,
+                            solve_constrained, solve_fixed_lambda)
 
     out = {}
     for label, kind, n, keywords, modes in domains(quick):
@@ -91,6 +124,11 @@ def solve_grid(quick: bool) -> dict:
                     "sup_u": float(u.max()),
                     "minres_total": int(minres.sum()), "seconds": seconds,
                 }
+            if quick:
+                continue
+            for m in MASSES:
+                for route, solve in zip(ROUTES, (solve_constrained, minimize_energy)):
+                    out[f"{label} s={s} m={m} {route}"] = mass_case(solve, basis, m, s)
     return out
 
 
@@ -105,10 +143,26 @@ def run_tree(src: pathlib.Path, quick: bool) -> dict:
     return json.loads(done.stdout)
 
 
+def route(case: str) -> str:
+    """'constrained', 'energy' or 'fixed-lambda': the solver of a case."""
+    last = case.rsplit(" ", 1)[-1]
+    return last if last in ROUTES else "fixed-lambda"
+
+
+def _lam_differs(x, y) -> bool:
+    if x is None or y is None:
+        return x is not y
+    return abs(x - y) > LAM_RTOL * abs(x)
+
+
 def differing(a: dict, b: dict) -> list:
     """The compared fields in which two results of one case differ."""
-    keys = [key for key in EXACT if a[key] != b[key]]
-    return keys + (["sup u"] if abs(a["sup_u"] - b["sup_u"]) > SUP_TOL else [])
+    keys = [key for key in EXACT if a.get(key) != b.get(key)]
+    if "sup_u" in a and abs(a["sup_u"] - b["sup_u"]) > SUP_TOL:
+        keys.append("sup u")
+    if "lam" in a and _lam_differs(a["lam"], b["lam"]):
+        keys.append("lam")
+    return keys
 
 
 def mismatches(parent: dict, change: dict) -> list:
@@ -120,8 +174,9 @@ def mismatches(parent: dict, change: dict) -> list:
             lines.append(f"{case}: only on the {'change' if a is None else 'parent'} side")
             continue
         for key in differing(a, b):
-            lines.append(f"{case}: {key} {a[key]} -> {b[key]}" if key in EXACT
-                         else f"{case}: sup u {a['sup_u']!r} -> {b['sup_u']!r}")
+            field = "sup_u" if key == "sup u" else key
+            lines.append(f"{case}: {key} {a[field]} -> {b[field]}" if key in EXACT
+                         else f"{case}: {key} {a[field]!r} -> {b[field]!r}")
     return sorted(lines)
 
 
@@ -133,6 +188,22 @@ def tally(parent: dict, change: dict) -> str:
         for key in differing(parent[case], change[case]):
             counts[key] += 1
     return "differing cases by field: " + ", ".join(f"{k} {n}" for k, n in counts.items())
+
+
+def route_gaps(cases: dict) -> list:
+    """One line per problem whose energy-route lam differs from its
+    constrained lam by more than ROUTE_RTOL relative."""
+    lines = []
+    for case, con in cases.items():
+        problem = case.removesuffix(" constrained")
+        energy = cases.get(f"{problem} energy")
+        if (problem == case or energy is None or con["lam"] is None
+                or energy["lam"] is None):
+            continue
+        if abs(energy["lam"] - con["lam"]) > ROUTE_RTOL * abs(con["lam"]):
+            lines.append(f"{problem}: energy lam {energy['lam']:.6g} against "
+                         f"constrained {con['lam']:.6g}")
+    return sorted(lines)
 
 
 def main(argv=None) -> int:
@@ -153,9 +224,17 @@ def main(argv=None) -> int:
     sides = {name: run_tree(src, args.quick)
              for name, src in (("parent", args.parent), ("change", args.change))}
     for name, cases in sides.items():
-        print(f"{name}: {len(cases)} cases, "
-              f"{sum(c['minres_total'] for c in cases.values())} MINRES iterations, "
-              f"solves {sum(c['seconds'] for c in cases.values()):.2f} s")
+        fixed = [c for case, c in cases.items() if route(case) == "fixed-lambda"]
+        print(f"{name}: {len(fixed)} cases, "
+              f"{sum(c['minres_total'] for c in fixed)} MINRES iterations, "
+              f"solves {sum(c['seconds'] for c in fixed):.2f} s")
+        for kind in ROUTES:
+            runs = [c for case, c in cases.items() if route(case) == kind]
+            if runs:
+                print(f"{name}: {len(runs)} {kind} cases, "
+                      f"solves {sum(c['seconds'] for c in runs):.2f} s")
+    for line in route_gaps(sides["change"]):
+        print(f"ROUTES {line}")
     lines = mismatches(sides["parent"], sides["change"])
     for line in lines:
         print(f"DIFFERS {line}")

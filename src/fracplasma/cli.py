@@ -242,7 +242,6 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
             "residual": sol.residual,
             "basis_size": basis.size,
             "n_interior": dom.n_interior,
-            "constraint_kind": sol.constraint_kind,
             "constraint_target": sol.constraint_target,
             "constraint_value": sol.constraint_value,
             "sup_u": float(sol.trace.max()),
@@ -365,9 +364,8 @@ def run_symmetrize(cfg: ExperimentConfig, out: Path, axis: int = 0) -> int:
                    _coord_header(dom) + ["u", "u_symmetrized"],
                    _grid_rows(dom.axes, [u, v]))
         e_before, e_after = run.fd_energy(u), run.fd_energy(v)
-        kind = cfg.solver.constraint_kind
-        g_before = constraint_mass(dom, u, cfg.gamma, kind)
-        g_after = constraint_mass(dom, v, cfg.gamma, kind)
+        g_before = constraint_mass(dom, u, cfg.gamma)
+        g_after = constraint_mass(dom, v, cfg.gamma)
         _write_json(out / "symmetrize.json", {
             "axis": axis, "energy_before": e_before, "energy_after": e_after,
             "mass_before": g_before, "mass_after": g_after,

@@ -26,12 +26,8 @@ where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
   over directions, each scaled in closed form onto the same constraint;
   an independent route whose multiplier gives lam.
 
-The mass constraint is quadratic by default, G(u) = h^dim sum (u-gamma)_+^2,
-whose Euler-Lagrange equation is exactly the equation above, so the
-energy route recovers lam.  The linear variant G(u) = h^dim sum (u-gamma)_+
-is available via ``constraint_kind``; its Euler-Lagrange equation is
-L^s u = mu 1_{u > gamma}, not the plasma equation, so there the energy
-route's lam is that mu and differs from the lam of ``solve_constrained``.
+The mass constraint G(u) = h^dim sum (u-gamma)_+^2 has the equation above,
+with lam = 2 mu, as its Euler-Lagrange equation: the energy route recovers lam.
 """
 
 from __future__ import annotations
@@ -96,24 +92,20 @@ _BRACKET_SAMPLES = 12
 class SolverOptions:
     """Settings of the plasma solvers.
 
-    ``tolerance`` is the residual a fixed-lambda solve must reach and
-    ``constraint_kind`` selects the mass constraint.  ``constraint_rtol``
-    is the relative mass error a constrained solve may leave, and
-    ``stationarity_rtol`` the Euler-Lagrange residual, relative to
-    |L^s u|, below which ``minimize_energy`` has converged; both are
-    class constants, not settings.
+    ``tolerance`` is the residual a fixed-lambda solve must reach, the
+    one setting.  ``constraint_rtol`` is the relative mass error a
+    constrained solve may leave, and ``stationarity_rtol`` the
+    Euler-Lagrange residual, relative to |L^s u|, below which
+    ``minimize_energy`` has converged; both are class constants.
     """
 
     tolerance: float = 1e-10
-    constraint_kind: str = "quadratic"
     constraint_rtol: ClassVar[float] = 1e-6
     stationarity_rtol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be positive")
-        if self.constraint_kind not in ("quadratic", "linear"):
-            raise ValueError("constraint_kind must be 'quadratic' or 'linear'")
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,6 @@ class PlasmaSolution:
     history: np.ndarray = dc_field(repr=False, default=None)
     # MINRES iterations of each active-set step, 0 for a direct step
     minres_iterations: tuple = dc_field(repr=False, default=())
-    constraint_kind: str = None
     constraint_target: float = None
     constraint_value: float = None
 
@@ -148,17 +139,16 @@ def _plasma_rhs(u: np.ndarray, gamma: float) -> np.ndarray:
     return np.maximum(np.asarray(u, dtype=float) - gamma, 0.0)
 
 
-def constraint_mass(domain: Domain, values: np.ndarray, gamma: float,
-                    kind: str = "quadratic") -> float:
-    """Mass of the overshoot: h^dim * sum over interior of (u-gamma)_+^p."""
+def constraint_mass(domain: Domain, values: np.ndarray, gamma: float) -> float:
+    """Mass of the overshoot, h^dim * sum over interior of (u-gamma)_+^2, of
+    full-grid or interior nodal values; any other shape is refused."""
     v = np.asarray(values, dtype=float)
     if v.shape == domain.grid_shape:
         v = v[domain.interior]
-    plus = _plasma_rhs(v, gamma)
-    p = 2 if kind == "quadratic" else 1
-    if kind not in ("quadratic", "linear"):
-        raise ValueError("kind must be 'quadratic' or 'linear'")
-    return float(domain.h**domain.dim * np.sum(plus**p))
+    elif v.shape != (domain.n_interior,):
+        raise ValueError(f"values of shape {v.shape} are neither full-grid "
+                         f"{domain.grid_shape} nor interior ({domain.n_interior},)")
+    return float(domain.h**domain.dim * np.sum(_plasma_rhs(v, gamma)**2))
 
 
 def _residual(basis: EigenBasis, coeffs: np.ndarray, u: np.ndarray, lam: float,
@@ -464,7 +454,6 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
         raise ValueError("constraint mass must be positive")
     lam1s = float(basis.eigenvalues[0] ** s)
     dom = basis.domain
-    kind = opts.constraint_kind
     cache = {"coeffs": None}
     green = _call_green(basis, s)
 
@@ -484,7 +473,7 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
     bracket = None
     for lam in ladder:
         sol = solve_at(lam)
-        g = constraint_mass(dom, sol.trace, gamma, kind)
+        g = constraint_mass(dom, sol.trace, gamma)
         masses.append(g)
         if g < mass and len(masses) > 1 and masses[-2] >= mass:
             bracket = (ladder[len(masses) - 2], lam)
@@ -506,47 +495,43 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
     # refers to itself, and a closure over solve_at in that cycle would keep
     # the basis alive after the return until the cyclic GC ran
     lam_star = brentq(_mass_gap, bracket[0], bracket[1],
-                      args=(solve_at, dom, gamma, kind, mass),
+                      args=(solve_at, dom, gamma, mass),
                       xtol=1e-13 * lam1s, rtol=8.9e-16)
     sol = solve_at(lam_star)
-    achieved = constraint_mass(dom, sol.trace, gamma, kind)
+    achieved = constraint_mass(dom, sol.trace, gamma)
     if abs(achieved - mass) > opts.constraint_rtol * mass:
         raise SolverError(
             f"constraint matched only to {abs(achieved - mass) / mass:.3e} "
             f"relative error at lam={lam_star:.8g}"
         )
-    return replace(sol, constraint_kind=kind, constraint_target=float(mass),
-                   constraint_value=achieved)
+    return replace(sol, constraint_target=float(mass), constraint_value=achieved)
 
 
-def _mass_gap(lam, solve_at, dom, gamma, kind, mass) -> float:
+def _mass_gap(lam, solve_at, dom, gamma, mass) -> float:
     """Constraint mass of the solution at ``lam`` minus the target."""
     sol = solve_at(lam)
-    return constraint_mass(dom, sol.trace, gamma, kind) - mass
+    return constraint_mass(dom, sol.trace, gamma) - mass
 
 
-def _scale_onto_mass(u: np.ndarray, gamma: float, target: float,
-                     p: int) -> float:
-    """The t > 0 with sum (t u - gamma)_+^p = target; u needs a positive value.
+def _scale_onto_mass(u: np.ndarray, gamma: float, target: float) -> float:
+    """The t > 0 with sum (t u - gamma)_+^2 = target; u needs a positive value.
 
     With the positive values sorted decreasingly, the top j nodes are
     active on the stretch (gamma / u_j, gamma / u_{j+1}], where the sum
-    is a polynomial of degree p in t.  The sum grows with t, so the root
-    lies on the last stretch whose left end carries less than the target;
-    the first stretch's left end carries zero, however the polynomial
-    rounds there.  On the first stretch of the quadratic sum,
-    (t u_1 - gamma)^2 = target gives t = (gamma + sqrt(target)) / u_1
-    without the cancellation of the general formula, which loses targets
-    far below gamma^2 times the rounding unit.
+    is a quadratic in t.  The sum grows with t, so the root lies on the
+    last stretch whose left end carries less than the target; the first
+    stretch's left end carries zero, however the quadratic rounds there.
+    On the first stretch, (t u_1 - gamma)^2 = target gives
+    t = (gamma + sqrt(target)) / u_1 without the cancellation of the
+    general formula, which loses targets far below gamma^2 times the
+    rounding unit.
     """
     pos = -np.sort(-u[u > 0])
     j = np.arange(1, pos.size + 1)
     s1, s2 = np.cumsum(pos), np.cumsum(pos**2)
     # the sum on stretch j, highest power of t first
-    poly = [s1, -j * gamma] if p == 1 else [s2, -2 * gamma * s1, j * gamma**2]
+    poly = [s2, -2 * gamma * s1, j * gamma**2]
     k = max(np.count_nonzero(np.polyval(poly, gamma / pos) < target) - 1, 0)
-    if p == 1:
-        return float((target + j[k] * gamma) / s1[k])
     if k == 0:
         return float((gamma + np.sqrt(target)) / pos[0])
     # the larger root: the smaller one lies below the stretch
@@ -555,7 +540,7 @@ def _scale_onto_mass(u: np.ndarray, gamma: float, target: float,
 
 
 def _reduced_energy(c: np.ndarray, basis: EigenBasis, scale: np.ndarray,
-                    gamma: float, target: float, p: int):
+                    gamma: float, target: float):
     """F(c) = E(t a) over directions c = scale * a, scale = sqrt(lam_k^s).
 
     t = t(a) puts t a on the mass constraint, and in these variables
@@ -566,9 +551,8 @@ def _reduced_energy(c: np.ndarray, basis: EigenBasis, scale: np.ndarray,
     """
     a = c / scale
     u = basis.nodal(a)
-    t = _scale_onto_mass(u, gamma, target, p)
-    plus = np.maximum(t * u - gamma, 0.0)
-    dg = basis.coefficients(2 * plus if p == 2 else (plus > 0).astype(float))
+    t = _scale_onto_mass(u, gamma, target)
+    dg = basis.coefficients(2 * np.maximum(t * u - gamma, 0.0))
     energy = 0.5 * t**2 * float(c @ c)
     slope = t * float(dg @ a)
     if not slope > 0:
@@ -585,9 +569,8 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     One unconstrained L-BFGS-B minimisation, from the ground mode, of
     F = E(t(a) a) over directions a (in the variables lam_k^{s/2} a_k);
     the closed-form scale t(a) puts every direction on the constraint.  The
-    minimiser's multiplier mu gives lam: 2 mu for the quadratic
-    constraint, whose Euler-Lagrange equation is the plasma equation,
-    and mu for the linear one, whose equation is L^s u = mu 1_{u > gamma}.
+    minimiser's multiplier mu gives lam = 2 mu, since the Euler-Lagrange
+    equation of the mass is the plasma equation with that lam.
     ``residual`` is the norm of that equation, and ``status`` is
     'converged' when it is below ``stationarity_rtol`` times |L^s u| and
     the field's mass is within ``constraint_rtol`` of the target; a
@@ -600,10 +583,8 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     _validate_problem(gamma, s)
     if not 0 < mass < np.inf:
         raise ValueError("constraint mass must be positive")
-    kind = opts.constraint_kind
-    p = 2 if kind == "quadratic" else 1
     scale = np.sqrt(basis.eigenvalues**s)
-    args = (basis, scale, gamma, mass / basis.weight, p)
+    args = (basis, scale, gamma, mass / basis.weight)
     c = np.zeros(basis.size)
     c[0] = scale[0] * _scale_onto_mass(_ground_mode(basis), *args[2:])
     history = []
@@ -616,13 +597,13 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     b = t * result.x / scale
     res = float(np.linalg.norm(scale * grad)) / t
     stationary = res <= opts.stationarity_rtol * float(np.linalg.norm(scale**2 * b))
-    achieved = constraint_mass(basis.domain, basis.nodal(b), gamma, kind)
+    achieved = constraint_mass(basis.domain, basis.nodal(b), gamma)
     on_target = abs(achieved - mass) <= opts.constraint_rtol * mass
     return PlasmaSolution(
-        field=SpectralField(basis, b), lam=float(p * mu), gamma=float(gamma),
+        field=SpectralField(basis, b), lam=float(2 * mu), gamma=float(gamma),
         s=float(s), residual=res, iterations=int(result.nit),
         status="converged" if stationary and on_target else "failed",
-        method="energy", history=np.asarray(history), constraint_kind=kind,
+        method="energy", history=np.asarray(history),
         constraint_target=float(mass), constraint_value=achieved,
     )
 

@@ -225,8 +225,8 @@ def active_set_step(vectors: np.ndarray, eigenvalues: np.ndarray, weight: float,
 # -- scale of a direction onto the overshoot mass -------------------------------------
 
 
-def scale_onto_mass(u: np.ndarray, gamma: float, target: float, p: int) -> float:
-    """The t > 0 with sum (t u - gamma)_+^p = target, by bracketing and brentq.
+def scale_onto_mass(u: np.ndarray, gamma: float, target: float) -> float:
+    """The t > 0 with sum (t u - gamma)_+^2 = target, by bracketing and brentq.
 
     The sum is zero up to t = gamma / max(u) and grows without bound
     after it, so doubling from there brackets the root.  For a tiny target
@@ -235,7 +235,7 @@ def scale_onto_mass(u: np.ndarray, gamma: float, target: float, p: int) -> float
     is negative.
     """
     def gap(t):
-        return float(np.sum(np.maximum(t * u - gamma, 0.0) ** p)) - target
+        return float(np.sum(np.maximum(t * u - gamma, 0.0) ** 2)) - target
 
     lo = gamma / u.max()
     while gap(lo) >= 0:

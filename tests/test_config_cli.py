@@ -329,7 +329,6 @@ def test_cli_constrained_and_energy_solves_agree_on_lambda(tmp_path):
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
         payload = json.loads((out / "solution.json").read_text())
         assert payload["method"] == method
-        assert payload["constraint_kind"] == "quadratic"
         lams[mode] = payload["lam"]
     assert lams["energy"] == pytest.approx(lams["constrained"], rel=1e-6)
 
@@ -598,6 +597,7 @@ def test_cli_bad_config_returns_2(tmp_path):
     ({"seed": 3}, "seed"),
     ({"solver": {"damping": 0.5}}, "damping"),
     ({"solver": {"picard_budget": 300}}, "picard_budget"),
+    ({"solver": {"constraint_kind": "quadratic"}}, "constraint_kind"),
 ])
 def test_cli_removed_keys_are_unknown_exit_2(tmp_path, capsys, overrides, key):
     path = write_config(tmp_path, overrides)
@@ -606,6 +606,8 @@ def test_cli_removed_keys_are_unknown_exit_2(tmp_path, capsys, overrides, key):
     err = capsys.readouterr().err
     assert "unknown keys" in err
     assert repr(key) in err
+    if "solver" in overrides:
+        assert "allowed keys are ['tolerance']" in err
 
 
 def test_cli_refine_flag(tmp_path):
@@ -899,8 +901,7 @@ _OTHER_FIELDS = [
     ("s",), ("gamma",), ("mode",), ("lambda_factor",), ("lambda_value",),
     ("constraint_target",), ("basis_size",), ("out_dir",),
     ("extension", "span_factor"), ("extension", "layers"),
-    ("extension", "grading"), ("solver", "tolerance"),
-    ("solver", "constraint_kind"), ("frequency", "centers"),
+    ("extension", "grading"), ("solver", "tolerance"), ("frequency", "centers"),
     ("frequency", "n_radii"), ("frequency", "r_max_fraction"),
     ("blowup", "center"), ("blowup", "radius"), ("blowup", "ref_nodes"),
     ("blowup", "ref_layers"),
@@ -1062,23 +1063,49 @@ def test_solver_grid_names_each_mismatch():
     case = {"status": "converged", "method": "active-set", "active": 9,
             "iterations": 4, "direct": 3, "minres_steps": 1, "sup_u": 0.5,
             "minres_total": 12, "seconds": 0.1}
+    # a constrained or energy case: status, |A| and lam
+    con = {"status": "converged", "active": 9, "lam": 4.0, "seconds": 0.5}
+    error = dict(con, status="SolverError: stub", active=None, lam=None)
     solver_grid = _script("solver_grid")
     mismatches, tally = solver_grid.mismatches, solver_grid.tally
     near = dict(case, sup_u=0.5 + 1e-11, minres_total=40, seconds=2.0)
-    assert mismatches({"a": case}, {"a": near}) == []
-    assert tally({"a": case}, {"a": near}) == (
+    con_near = dict(con, lam=4.0 * (1 + 1e-11), seconds=2.0)
+    assert mismatches({"a": case, "m": con, "e": error},
+                      {"a": near, "m": con_near, "e": dict(error)}) == []
+    assert tally({"a": case, "m": con}, {"a": near, "m": con_near}) == (
         "differing cases by field: status 0, method 0, active 0, iterations 0, "
-        "direct 0, minres_steps 0, sup u 0")
+        "direct 0, minres_steps 0, sup u 0, lam 0")
     far = dict(case, sup_u=0.5 + 1e-9, direct=2, minres_steps=2)
-    assert mismatches({"a": case, "b": case}, {"a": far}) == [
+    con_far = dict(con, active=8, lam=4.0 * (1 + 1e-9))
+    assert mismatches({"a": case, "b": case, "m": con, "e": con},
+                      {"a": far, "m": con_far, "e": error}) == [
         "a: direct 3 -> 2", "a: minres_steps 1 -> 2", "a: sup u 0.5 -> 0.500000001",
-        "b: only on the parent side"]
+        "b: only on the parent side", "e: active 9 -> None", "e: lam 4.0 -> None",
+        "e: status converged -> SolverError: stub", "m: active 9 -> 8",
+        "m: lam 4.0 -> 4.000000004"]
     # one count per case and field; a case on one side only counts nowhere
     mix = dict(case, direct=2, minres_steps=2)
-    assert tally({"a": case, "b": case, "c": case, "d": case},
-                 {"a": far, "b": mix, "c": dict(case, status="failed")}) == (
-        "differing cases by field: status 1, method 0, active 0, iterations 0, "
-        "direct 2, minres_steps 2, sup u 1")
+    assert tally({"a": case, "b": case, "c": case, "d": case, "m": con, "e": con},
+                 {"a": far, "b": mix, "c": dict(case, status="failed"),
+                  "m": con_far, "e": error}) == (
+        "differing cases by field: status 2, method 0, active 2, iterations 0, "
+        "direct 2, minres_steps 2, sup u 1, lam 2")
+
+
+def test_solver_grid_prints_each_route_disagreement():
+    route_gaps = _script("solver_grid").route_gaps
+    con = {"status": "converged", "active": 9, "lam": 6.9217, "seconds": 0.5}
+    cases = {
+        "sq s=0.3 m=0.01 constrained": con,
+        "sq s=0.3 m=0.01 energy": dict(con, lam=4.3486),
+        "sq s=0.5 m=0.01 constrained": con,
+        "sq s=0.5 m=0.01 energy": dict(con, lam=6.9217 * (1 + 1e-7)),
+        "sq s=0.75 m=0.01 constrained": dict(con, lam=None),
+        "sq s=0.75 m=0.01 energy": con,
+        "sq s=0.3 f=4.0": {"status": "converged", "sup_u": 0.5},
+    }
+    assert route_gaps(cases) == [
+        "sq s=0.3 m=0.01: energy lam 4.3486 against constrained 6.9217"]
 
 
 def test_compare_outputs_reports_cost_and_identical_runs(tmp_path, capsys):
