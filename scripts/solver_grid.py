@@ -24,7 +24,8 @@ energy case it compares status and |A| exactly and lam to 1e-10 relative;
 a SolverError is a status carrying its message.  It prints every mismatch
 and then, for each compared field, the number of cases in which it
 differs, and exits 1 if there is a mismatch and 0 if not.
-Each side's MINRES iterations and solve times, and each problem of the
+Each side's Newton updates and MINRES iterations summed over its
+fixed-lambda cases, its solve times per route, and each problem of the
 change side whose energy-route lam differs from its constrained lam by
 more than 1e-6 relative, are printed for information only.
 
@@ -226,6 +227,7 @@ def main(argv=None) -> int:
     for name, cases in sides.items():
         fixed = [c for case, c in cases.items() if route(case) == "fixed-lambda"]
         print(f"{name}: {len(fixed)} cases, "
+              f"{sum(c['iterations'] for c in fixed)} Newton updates, "
               f"{sum(c['minres_total'] for c in fixed)} MINRES iterations, "
               f"solves {sum(c['seconds'] for c in fixed):.2f} s")
         for kind in ROUTES:

@@ -12,8 +12,9 @@ Every subcommand runs one pipeline: build the domain and its eigenbasis,
 solve in the configured mode, extend the solution (only where the
 subcommand reads the extension), do the subcommand's own work, and write
 ``report.json`` with named pass/fail checks next to its CSV/JSON
-artefacts.  A failed solve still writes ``report.json`` (``passed`` false,
-with the error).  Exit codes: 0 success, 1 a solver or check failed or the
+artefacts.  A failed solve, one that raises or returns status
+``failed``, writes only ``report.json`` (``passed`` false, with the
+error).  Exit codes: 0 success, 1 a solver or check failed or the
 run ran out of memory, 2 configuration or usage errors.  All numeric CSV
 values are printed with '%.17g', so repeated runs of the same
 configuration are byte-identical.
@@ -102,8 +103,10 @@ def _domain(cfg: ExperimentConfig):
 class _Run:
     """One configuration run through domain, eigenbasis and plasma solve.
 
-    Extensions are built only when a subcommand asks for them, so it pays
-    only for the stages it reads.
+    A solve that ends with status ``failed`` raises ``SolverError``, so no
+    subcommand analyses an unconverged field.  Extensions are built only
+    when a subcommand asks for them, so it pays only for the stages it
+    reads.
     """
 
     def __init__(self, cfg: ExperimentConfig, dom=None):
@@ -122,6 +125,10 @@ class _Run:
                 else minimize_energy
             self.sol = solver(self.basis, cfg.constraint_target, cfg.gamma,
                               cfg.s, options=cfg.solver)
+        if self.sol.status == "failed":
+            raise SolverError(f"{self.sol.method} solve failed (residual "
+                              f"{self.sol.residual:.3e})", history=self.sol.history,
+                              minres_iterations=self.sol.minres_iterations)
 
     def ymesh(self, layers: int = None):
         """The configured y-mesh, or one with that many layers."""

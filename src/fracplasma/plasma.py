@@ -19,7 +19,9 @@ where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
   and when that does not reach a nontrivial solution it follows the
   branch in lam from just above lam_1^s, where every node is in the
   plasma set and the solution is known in closed form.  Every Newton
-  run, at lam or on a rung, has the same budget of updates.
+  run, at lam or on a rung, has the same budget of updates and fails at
+  once on a plasma set it has seen; the walk's halving of its step after
+  a failed rung is the only recovery.
 * ``solve_constrained``: outer 1-D root-find in lam matching a mass
   constraint, warm-starting the inner solver along the bracket.
 * ``minimize_energy``: minimisation of the fractional Dirichlet energy
@@ -269,17 +271,17 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
                       u0: np.ndarray = None):
     """Semismooth Newton on the piecewise-linear plasma equation.
 
-    Fresh plasma sets take the full Newton step (exact solve on the set),
-    which converges in a few steps when it converges at all; a set seen
-    before signals a cycle, broken by a backtracking blend step from the
-    best iterate so far (strict residual decrease, so the same cycle
-    cannot recur).  A run takes at most _NEWTON_UPDATES updates, and it
-    succeeds only when it converges to a solution with sup u > gamma.
-    ``u0`` holds the nodal values of ``a0`` when the caller has them.
-    Every step takes the call's ``green``.  Appends each new residual and
-    the MINRES iterations of each step to ``log``.  Returns (coeffs, their
-    nodal values, whether the run succeeded); a failed run returns its
-    best iterate.
+    Each update takes the full Newton step, the exact solve on the current
+    plasma set, which converges in a few steps when it converges at all.
+    A run fails when it returns to a set it has already seen (a cycle),
+    when a step's system is singular, or after _NEWTON_UPDATES updates;
+    it succeeds only when it converges to a solution with sup u > gamma.
+    A failed run has no recovery of its own: the caller's continuation
+    in lam is the only one.  ``u0`` holds the nodal values of ``a0`` when
+    the caller has them.  Every step takes the call's ``green``.  Appends
+    each new residual and the MINRES iterations of each step to ``log``.
+    Returns (coeffs, their nodal values, whether the run succeeded); a
+    failed run returns its best iterate.
     """
     a = np.asarray(a0, dtype=float).copy()
     u = basis.nodal(a) if u0 is None else u0
@@ -292,42 +294,21 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
             return a, u, u.max() > gamma
         active = u > gamma
         key = active.tobytes()
-        if key not in seen:
-            seen.add(key)
-            try:
-                a = _active_set_step(basis, lam, gamma, s, active, green,
-                                     log.minres)
-            except np.linalg.LinAlgError:
-                break
-            u = basis.nodal(a)
-            res = _residual(basis, a, u, lam, gamma, s)
-            log.residuals.append(res)
-            if res < best[0]:
-                best = (res, a, u)
-            if np.array_equal(u > gamma, active):
-                # stable set: exact piecewise solve
-                return a, u, u.max() > gamma
-            continue
-        # cycle: blend from the best point along its own Newton direction
-        res, a, u = best
+        if key in seen:
+            break
+        seen.add(key)
         try:
-            d = _active_set_step(basis, lam, gamma, s, u > gamma, green,
-                                 log.minres) - a
+            a = _active_set_step(basis, lam, gamma, s, active, green, log.minres)
         except np.linalg.LinAlgError:
             break
-        t = 1.0
-        while t >= 2.0**-30:
-            trial = a + t * d
-            u_t = basis.nodal(trial)
-            res_t = _residual(basis, trial, u_t, lam, gamma, s)
-            if res_t <= tol or res_t < res * (1.0 - 1e-4 * t):
-                break
-            t *= 0.5
-        else:
-            break  # stalled on a kink of the residual
-        a, u, res = trial, u_t, res_t
+        u = basis.nodal(a)
+        res = _residual(basis, a, u, lam, gamma, s)
         log.residuals.append(res)
-        best = (res, a, u)
+        if res < best[0]:
+            best = (res, a, u)
+        if np.array_equal(u > gamma, active):
+            # stable set: exact piecewise solve
+            return a, u, u.max() > gamma
     return best[1], best[2], False
 
 

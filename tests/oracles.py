@@ -222,6 +222,39 @@ def active_set_step(vectors: np.ndarray, eigenvalues: np.ndarray, weight: float,
     return np.linalg.solve(M, rhs)
 
 
+def threshold_branch(grid_shape, h: float, lam: float, gamma: float, s: float,
+                     rungs: int = 50) -> np.ndarray:
+    """Nodal values at ``lam`` of the plasma branch that comes in from
+    infinity at the threshold lam_1^s, by a walk on the complete
+    ``sine_basis``.
+
+    The walk starts from the closed-form fully active state at
+    mu = 1.05 lam_1^s, a_k = mu gamma c_k / (mu - lam_k^s) with
+    c = h^dim V^T 1, and goes to ``lam`` on ``rungs`` geometric rungs
+    after that first one.  Each rung takes ``active_set_step``s from the
+    last rung's solution until the plasma set is stable; a set that comes
+    back raises.
+    """
+    n = int(np.prod([m - 2 for m in grid_shape]))
+    eigenvalues, V = sine_basis(grid_shape, h, n)
+    weight = h ** len(grid_shape)
+    lam_s = eigenvalues**s
+    mu = 1.05 * lam_s[0]
+    a = mu * gamma * weight * V.sum(axis=0) / (mu - lam_s)
+    for mu in np.geomspace(mu, lam, rungs + 1):
+        seen = set()
+        active = V @ a > gamma
+        while active.tobytes() not in seen:
+            seen.add(active.tobytes())
+            a = active_set_step(V, eigenvalues, weight, mu, gamma, s, active)
+            active, previous = V @ a > gamma, active
+            if np.array_equal(active, previous):
+                break
+        else:
+            raise RuntimeError(f"plasma sets cycle at lam = {mu:.6g}")
+    return V @ a
+
+
 # -- scale of a direction onto the overshoot mass -------------------------------------
 
 

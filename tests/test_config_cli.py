@@ -643,6 +643,31 @@ def test_cli_failed_solve_writes_report_exit_1(tmp_path, monkeypatch, capsys,
     assert "solve failed: no convergence" in capsys.readouterr().err
 
 
+# a solve that returns status 'failed' without raising: a tolerance below
+# rounding, and a lam far above the branch's reach on the 33-node interval
+# (residual 4.1e-5)
+@pytest.mark.parametrize("command, overrides", [
+    *[(command, {"solver": {"tolerance": 1e-300}})
+      for command in ("solve", "frequency", "blowup", "symmetrize", "verify")],
+    ("verify", {"lambda_factor": 1e12}),
+], ids=["solve", "frequency", "blowup", "symmetrize", "verify", "verify-far-lam"])
+def test_cli_unconverged_solve_is_failed_solve(tmp_path, capsys, command, overrides):
+    path = write_config(tmp_path, {
+        "domain": {"n": 33}, **overrides,
+        "blowup": {"center": [1.5707963267948966], "radius": 0.5},
+    })
+    out = tmp_path / command
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    # nothing of the unconverged field is written or analysed
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False and "checks" not in report
+    assert re.fullmatch(r"active-set(\+continuation)? solve failed \(residual \S+\)",
+                        report["error"])
+    assert len(report["history"]) > 1 and report["minres_iterations"]
+    assert capsys.readouterr().err.startswith("solve failed: active-set")
+
+
 def test_cli_energy_target_below_resolution_is_failed_solve(tmp_path, capsys):
     # (t u - gamma)_+ rounds to zero where the square root of the target
     # mass is far below gamma times the rounding unit
@@ -1054,7 +1079,8 @@ def test_solver_grid_quick_matches_a_tree_with_itself(capsys):
     assert _script("solver_grid").main(["--parent", str(src), "--change", str(src),
                                         "--quick"]) == 0
     out = capsys.readouterr().out
-    assert re.search(r"^parent: 88 cases, \d+ MINRES iterations, solves \d+\.\d\d s$",
+    assert re.search(r"^parent: 88 cases, \d+ Newton updates, \d+ MINRES iterations, "
+                     r"solves \d+\.\d\d s$",
                      out, re.M)
     assert out.endswith("88 cases match\n")
 

@@ -115,7 +115,7 @@ PINNED_ANSWERS = {
         (0.5, 1.5): ("active-set", 285, 0.5677756706649303),
         (0.5, 2.0): ("active-set", 169, 0.41414488244356207),
         (0.5, 3.2): ("active-set", 69, 0.3333873216910761),
-        (0.5, 4.4): ("active-set", 37, 0.31406153734677467),
+        (0.5, 4.4): ("active-set+continuation", 37, 0.31406153734677467),
         (0.75, 1.5): ("active-set", 329, 0.5194983499504116),
         (0.75, 2.0): ("active-set", 241, 0.35576041768450356),
         (0.75, 4.0): ("active-set", 97, 0.2433808015923822),
@@ -160,6 +160,27 @@ def test_nontrivial_branch_above_threshold(basis257, basis2d, kind, factor, s):
     assert sol.field.nodal.max() > GAMMA
     assert sol.residual <= SolverOptions().tolerance
     assert _mirror_asymmetry(sol) <= 1e-10
+
+
+# the solver returns the branch that an independent walk up from the
+# threshold follows.  No square case at s = 0.3, where the bump-started run
+# at lam lands on a different branch from the walk's one-node plasma set
+@pytest.mark.parametrize("factor", [2.0, 4.4, 8.0])
+@pytest.mark.parametrize("kind, s", [("square", 0.5), ("square", 0.75),
+                                     ("square", 0.9), ("interval", 0.3),
+                                     ("interval", 0.5), ("interval", 0.75)])
+def test_solver_lands_on_the_threshold_branch(kind, s, factor):
+    if kind == "interval":
+        dom = build_domain("interval", 65, bounds=(0.0, np.pi))
+    else:
+        dom = build_domain("rectangle", 17, bounds=((0.0, np.pi), (0.0, np.pi)))
+    basis = eigendecompose(dom, dom.n_interior)
+    lam = factor * float(basis.eigenvalues[0] ** s)
+    sol = solve_fixed_lambda(basis, lam, GAMMA, s)
+    ref = oracles.threshold_branch(dom.grid_shape, dom.h, lam, GAMMA, s)
+    assert sol.status == "converged"
+    assert np.count_nonzero(sol.field.nodal > GAMMA) == np.count_nonzero(ref > GAMMA)
+    assert abs(sol.field.nodal.max() - ref.max()) <= 1e-10
 
 
 # points where the square's answer used to depend on rounding in the basis
@@ -764,8 +785,8 @@ def test_short_solve_builds_green_once(basis2d, monkeypatch):
 # status, method, |A|, Newton updates, direct and MINRES steps of the
 # solver-sweep's two long solves, every Newton run on the one update budget
 @pytest.mark.parametrize("kind, s, factor, pinned", [
-    ("square25", 0.3, 3.3, ("converged", "active-set+continuation", 9, 71, 51, 20)),
-    ("interval", 0.3, 6.5, ("converged", "active-set+continuation", 15, 75, 75, 0)),
+    ("square25", 0.3, 3.3, ("converged", "active-set+continuation", 9, 60, 41, 19)),
+    ("interval", 0.3, 6.5, ("converged", "active-set+continuation", 15, 73, 73, 0)),
 ])
 def test_long_sweep_solves_keep_their_path(basis2d, basis257, kind, s, factor, pinned):
     basis = basis2d if kind == "square25" else basis257
@@ -800,3 +821,25 @@ def test_no_newton_run_exceeds_the_update_budget(basis2d, basis257, monkeypatch,
     assert abs(sol.field.nodal.max() - sup_u) <= 1e-10
     assert len(runs) > 2 and sum(runs) == sol.iterations
     assert max(runs) <= _NEWTON_UPDATES
+
+
+def test_repeated_plasma_set_ends_the_run(monkeypatch):
+    # a step stub that sends set S0 to a field on S1 and S1 back to S0: the
+    # run fails when S0 comes back, with no further step of its own
+    dom = build_domain("interval", 17, bounds=(0.0, np.pi))
+    basis = eigendecompose(dom, dom.n_interior)
+    half = np.arange(dom.n_interior) < dom.n_interior // 2
+    fields = [basis.coefficients(2 * GAMMA * S) for S in (half, ~half)]
+    step_to = {half.tobytes(): fields[1], (~half).tobytes(): fields[0]}
+
+    def swap(basis, lam, gamma, s, active, green, minres):
+        minres.append(0)
+        return step_to[active.tobytes()]
+
+    monkeypatch.setattr(plasma, "_active_set_step", swap)
+    log = plasma._Log()
+    lam = 4.0 * float(basis.eigenvalues[0] ** 0.5)
+    _, _, ok = plasma._active_set_solve(basis, lam, GAMMA, 0.5, fields[0], 1e-10,
+                                        log, None)
+    assert ok is False
+    assert len(log.minres) == 2 and len(log.residuals) == 3
