@@ -25,9 +25,12 @@ a SolverError is a status carrying its message.  It prints every mismatch
 and then, for each compared field, the number of cases in which it
 differs, and exits 1 if there is a mismatch and 0 if not.
 Each side's Newton updates and MINRES iterations summed over its
-fixed-lambda cases, its solve times per route, and each problem of the
-change side whose energy-route lam differs from its constrained lam by
-more than 1e-6 relative, are printed for information only.
+fixed-lambda cases, with the MINRES steps and iterations split into loose
+ones (stopped at a forcing term above the package's tight tolerance) and
+tight ones, its solve times per route, and each problem of the change side
+whose energy-route lam differs from its constrained lam by more than 1e-6
+relative, are printed for information only.  A tree whose solutions carry
+no ``forcing`` counts every MINRES step as tight.
 
 Example (a second checkout of the parent commit in ../parent):
     python3 scripts/solver_grid.py --parent ../parent/src --change src
@@ -99,10 +102,11 @@ def mass_case(solve, basis, mass: float, s: float) -> dict:
 def solve_grid(quick: bool) -> dict:
     """Every case under the fracplasma that imports first: case label ->
     the compared fields and solve time, and a fixed-lambda case's MINRES
-    iterations."""
+    iterations, and its loose MINRES steps and their iterations."""
     import numpy as np
     from fracplasma import (build_domain, eigendecompose, minimize_energy,
                             solve_constrained, solve_fixed_lambda)
+    from fracplasma.plasma import _MINRES_RTOL
 
     out = {}
     for label, kind, n, keywords, modes in domains(quick):
@@ -116,6 +120,9 @@ def solve_grid(quick: bool) -> dict:
                 seconds = time.perf_counter() - start
                 u = sol.field.nodal
                 minres = np.asarray(sol.minres_iterations, dtype=int)
+                # a tree without forcing takes every MINRES step tight
+                forcing = getattr(sol, "forcing", None) or np.zeros(minres.size)
+                loose = np.asarray(forcing) > _MINRES_RTOL
                 out[f"{label} s={s} f={f}"] = {
                     "status": sol.status, "method": sol.method,
                     "active": int(np.count_nonzero(u > GAMMA)),
@@ -123,7 +130,9 @@ def solve_grid(quick: bool) -> dict:
                     "direct": int(np.count_nonzero(minres == 0)),
                     "minres_steps": int(np.count_nonzero(minres)),
                     "sup_u": float(u.max()),
-                    "minres_total": int(minres.sum()), "seconds": seconds,
+                    "minres_total": int(minres.sum()),
+                    "loose_steps": int(np.count_nonzero(loose)),
+                    "loose_minres": int(minres[loose].sum()), "seconds": seconds,
                 }
             if quick:
                 continue
@@ -226,9 +235,13 @@ def main(argv=None) -> int:
              for name, src in (("parent", args.parent), ("change", args.change))}
     for name, cases in sides.items():
         fixed = [c for case, c in cases.items() if route(case) == "fixed-lambda"]
-        print(f"{name}: {len(fixed)} cases, "
-              f"{sum(c['iterations'] for c in fixed)} Newton updates, "
-              f"{sum(c['minres_total'] for c in fixed)} MINRES iterations, "
+        total = {key: sum(c[key] for c in fixed) for key in (
+            "iterations", "minres_steps", "minres_total", "loose_steps", "loose_minres")}
+        print(f"{name}: {len(fixed)} cases, {total['iterations']} Newton updates, "
+              f"{total['minres_total']} MINRES iterations "
+              f"({total['loose_minres']} in {total['loose_steps']} loose steps, "
+              f"{total['minres_total'] - total['loose_minres']} in "
+              f"{total['minres_steps'] - total['loose_steps']} tight), "
               f"solves {sum(c['seconds'] for c in fixed):.2f} s")
         for kind in ROUTES:
             runs = [c for case, c in cases.items() if route(case) == kind]

@@ -128,7 +128,8 @@ class _Run:
         if self.sol.status == "failed":
             raise SolverError(f"{self.sol.method} solve failed (residual "
                               f"{self.sol.residual:.3e})", history=self.sol.history,
-                              minres_iterations=self.sol.minres_iterations)
+                              minres_iterations=self.sol.minres_iterations,
+                              forcing=self.sol.forcing)
 
     def ymesh(self, layers: int = None):
         """The configured y-mesh, or one with that many layers."""
@@ -176,6 +177,7 @@ def _pipeline(name: str, cfg: ExperimentConfig, out: Path, work, *,
             "name": name, "passed": False, "error": str(exc),
             "history": [float(x) for x in exc.history],
             "minres_iterations": list(exc.minres_iterations),
+            "forcing": list(exc.forcing),
         })
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -253,6 +255,7 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
             "constraint_value": sol.constraint_value,
             "sup_u": float(sol.trace.max()),
             "minres_iterations": sol.minres_iterations,
+            "forcing": sol.forcing,
         })
         value, tol = sol.residual, cfg.solver.tolerance
         if sol.method == "energy":

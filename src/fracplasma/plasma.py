@@ -7,21 +7,24 @@ The unknown is a spectral field u >= 0 on the thin domain solving
 where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
 
 * ``solve_fixed_lambda``: one semismooth Newton (primal-dual active set)
-  method.  Each update solves the piecewise-linear problem exactly on a
-  guess A of {u > gamma}; each exact solve is a symmetric |A| x |A|
-  system on the plasma set.  A set of up to 256 nodes reads it from the
-  nodal matrix G of L^{-s}, which the call builds at its first such step
-  and frees when it returns, and solves it directly; larger sets, and
-  every set on a basis of more than 1024 nodes, which never builds G,
-  solve it by MINRES through the basis transforms.  At or below
-  lam_1^s the only solution is u = 0.  Above it the solver returns the
-  nontrivial branch: Newton runs at lam from the given start or a bump,
-  and when that does not reach a nontrivial solution it follows the
-  branch in lam from just above lam_1^s, where every node is in the
-  plasma set and the solution is known in closed form.  Every Newton
-  run, at lam or on a rung, has the same budget of updates and fails at
-  once on a plasma set it has seen; the walk's halving of its step after
-  a failed rung is the only recovery.
+  method.  Each update solves the piecewise-linear problem on a guess A
+  of {u > gamma}, a symmetric |A| x |A| system on the plasma set.  A set
+  of up to 256 nodes reads it from the nodal matrix G of L^{-s}, which
+  the call builds at its first such step and frees when it returns, and
+  solves it directly; larger sets, and every set on a basis of more than
+  1024 nodes, which never builds G, solve it by MINRES through the basis
+  transforms.  A MINRES step that only has to find the next set stops at
+  an Eisenstat-Walker forcing term; a run's first step and its step on
+  the set it ends on go to the rounding floor, so a converged answer is
+  the exact piecewise solve.  At or below lam_1^s the only solution is
+  u = 0.  Above it the solver returns the nontrivial branch: Newton runs
+  at lam from the given start or a bump, and when that does not reach a
+  nontrivial solution it follows the branch in lam from just above
+  lam_1^s, where every node is in the plasma set and the solution is
+  known in closed form.  Every Newton run, at lam or on a rung, has the
+  same budget of updates and fails at once on a plasma set it has
+  stepped on exactly before; the walk's halving of its step after a
+  failed rung is the only recovery.
 * ``solve_constrained``: outer 1-D root-find in lam matching a mass
   constraint, warm-starting the inner solver along the bracket.
 * ``minimize_energy``: minimisation of the fractional Dirichlet energy
@@ -61,23 +64,28 @@ __all__ = [
 class SolverError(RuntimeError):
     """Raised when an iterative solver cannot meet its tolerance.
 
-    ``history`` and ``minres_iterations`` are those of the failed solve.
+    ``history``, ``minres_iterations`` and ``forcing`` are those of the
+    failed solve.
     """
 
-    def __init__(self, message: str, history=None, minres_iterations=None):
+    def __init__(self, message: str, history=None, minres_iterations=None,
+                 forcing=None):
         super().__init__(message)
         self.history = history if history is not None else []
         self.minres_iterations = (minres_iterations
                                   if minres_iterations is not None else ())
+        self.forcing = forcing if forcing is not None else ()
 
 
 @dataclass
 class _Log:
-    """Residual after each Newton update and MINRES iterations of each
-    active-set step (0 for a direct step) of one fixed-lambda solve."""
+    """Residual after each Newton update, and MINRES iterations and
+    relative tolerance of each active-set step (both 0 for a direct step),
+    of one fixed-lambda solve."""
 
     residuals: list = dc_field(default_factory=list)
     minres: list = dc_field(default_factory=list)
+    forcing: list = dc_field(default_factory=list)
 
 
 # Newton updates of every active-set run: semismooth Newton converges in a
@@ -123,8 +131,10 @@ class PlasmaSolution:
     status: str              # 'converged' | 'trivial' | 'failed'
     method: str              # 'exact' | 'active-set' | 'active-set+continuation' | 'energy'
     history: np.ndarray = dc_field(repr=False, default=None)
-    # MINRES iterations of each active-set step, 0 for a direct step
+    # MINRES iterations and relative tolerance of each active-set step, both
+    # 0 for a direct step
     minres_iterations: tuple = dc_field(repr=False, default=())
+    forcing: tuple = dc_field(repr=False, default=())
     constraint_target: float = None
     constraint_value: float = None
 
@@ -178,6 +188,14 @@ def _validate_problem(gamma: float, s: float):
 _DIRECT_MAX = 256
 # relative residual at which a MINRES step is taken as exact
 _MINRES_RTOL = 1e-13
+# a MINRES step that only has to find the next plasma set stops at the
+# forcing term of Eisenstat & Walker (SIAM J. Sci. Comput. 1996, choice 2)
+# from the residuals r_k after the last step and r_{k-1} before it:
+# min(_FORCING_MAX, _FORCING_GAMMA (r_k / r_{k-1})^_FORCING_ALPHA), at least
+# _MINRES_RTOL
+_FORCING_MAX = 1e-2
+_FORCING_GAMMA = 0.9
+_FORCING_ALPHA = 2
 # bases with more interior nodes never build the Green matrix, and every
 # step on them is a MINRES step: G takes 8 n^2 bytes, 2.2 MB on the 25-node
 # square, 8 MB at this cap and 39 MB on the 49-node square
@@ -209,8 +227,8 @@ def _call_green(basis: EigenBasis, s: float):
 
 
 def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
-                     active: np.ndarray, green, minres: list) -> np.ndarray:
-    """Exact coefficient solve of the problem linearized on a plasma set.
+                     active: np.ndarray, green, rtol: float, log: _Log) -> np.ndarray:
+    """Coefficient solve of the problem linearized on a plasma set.
 
     On a guessed coincidence complement A = {u > gamma} the equation is
     linear in the coefficients:
@@ -225,12 +243,15 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
     with G = h^dim V D^{-1} V^T the nodal matrix of L^{-s}, which is
     singular exactly when the modal system is, and E_A the extension by
     zero off A.  ``green`` is the call's ``_call_green``: up to _DIRECT_MAX
-    nodes the system is read from its G and solved directly; larger sets,
-    and every set when ``green`` is None, are solved by MINRES with L^{-s}
-    applied through the basis transforms.  Appends the MINRES iterations
-    (0 for a direct solve) to ``minres``.
+    nodes the system is read from its G and solved directly (exactly);
+    larger sets, and every set when ``green`` is None, are solved by MINRES
+    to relative residual ``rtol``, with L^{-s} applied through the basis
+    transforms.  Appends the MINRES iterations and ``rtol`` (both 0 for a
+    direct solve) to ``log``.
     """
+    minres = log.minres
     minres.append(0)
+    log.forcing.append(0.0)
     p = int(np.count_nonzero(active))
     if p == 0:
         return np.zeros(basis.size)
@@ -257,8 +278,9 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
             return basis.spectral_apply(spread(z), lam / lam_s)[active] - z
 
         op = scipy.sparse.linalg.LinearOperator((p, p), matvec=apply, dtype=float)
+        log.forcing[-1] = rtol
         z, info = scipy.sparse.linalg.minres(
-            op, np.full(p, gamma), rtol=_MINRES_RTOL,
+            op, np.full(p, gamma), rtol=rtol,
             callback=lambda _: minres.__setitem__(-1, minres[-1] + 1))
         if info != 0:
             raise np.linalg.LinAlgError(f"MINRES stopped after {minres[-1]} "
@@ -271,45 +293,63 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
                       u0: np.ndarray = None):
     """Semismooth Newton on the piecewise-linear plasma equation.
 
-    Each update takes the full Newton step, the exact solve on the current
+    Each update takes the full Newton step, the solve on the current
     plasma set, which converges in a few steps when it converges at all.
-    A run fails when it returns to a set it has already seen (a cycle),
-    when a step's system is singular, or after _NEWTON_UPDATES updates;
-    it succeeds only when it converges to a solution with sup u > gamma.
-    A failed run has no recovery of its own: the caller's continuation
-    in lam is the only one.  ``u0`` holds the nodal values of ``a0`` when
-    the caller has them.  Every step takes the call's ``green``.  Appends
-    each new residual and the MINRES iterations of each step to ``log``.
-    Returns (coeffs, their nodal values, whether the run succeeded); a
+    Direct steps are exact.  The run's first MINRES step is tight (to
+    _MINRES_RTOL), since on the threshold rung the system is nearly
+    singular; later ones only have to find the next set and stop at the
+    forcing term of the last two residuals.  A set reached by such a
+    loose step is never accepted as it stands: when it looks stable or
+    repeats a set stepped on loosely, it gets a tight step, so a
+    converged run ends in the exact piecewise solve on its final set.  A
+    run fails when it comes back to a set it has stepped on exactly (a
+    cycle), when a step's system is singular, or after _NEWTON_UPDATES
+    updates; it succeeds only when it converges to a solution with
+    sup u > gamma.  A failed run has no recovery of its own: the
+    caller's continuation in lam is the only one.  ``u0`` holds the
+    nodal values of ``a0`` when the caller has them.  Every step takes
+    the call's ``green``.  Appends each new residual, and the MINRES
+    iterations and tolerance of each step, to ``log``.  Returns (coeffs,
+    their nodal values, their residual, whether the run succeeded); a
     failed run returns its best iterate.
     """
     a = np.asarray(a0, dtype=float).copy()
     u = basis.nodal(a) if u0 is None else u0
     res = _residual(basis, a, u, lam, gamma, s)
     log.residuals.append(res)
-    best = (res, a, u)
-    seen = set()
+    best = (a, u, res)
+    # sets stepped on, and those stepped on exactly
+    seen, exact = set(), set()
+    before, loose = None, False
     for _ in range(_NEWTON_UPDATES):
-        if res <= tol:
-            return a, u, u.max() > gamma
+        if res <= tol and not loose:
+            return a, u, res, u.max() > gamma
         active = u > gamma
         key = active.tobytes()
-        if key in seen:
+        if key in exact:
             break
+        rtol = _MINRES_RTOL
+        if before is not None and key not in seen:
+            rtol = max(min(_FORCING_MAX, _FORCING_GAMMA * (res / before) ** _FORCING_ALPHA),
+                       _MINRES_RTOL)
         seen.add(key)
         try:
-            a = _active_set_step(basis, lam, gamma, s, active, green, log.minres)
+            a = _active_set_step(basis, lam, gamma, s, active, green, rtol, log)
         except np.linalg.LinAlgError:
             break
+        loose = log.forcing[-1] > _MINRES_RTOL
+        if not loose:
+            exact.add(key)
+        before = res
         u = basis.nodal(a)
         res = _residual(basis, a, u, lam, gamma, s)
         log.residuals.append(res)
-        if res < best[0]:
-            best = (res, a, u)
-        if np.array_equal(u > gamma, active):
+        if res < best[2]:
+            best = (a, u, res)
+        if not loose and np.array_equal(u > gamma, active):
             # stable set: exact piecewise solve
-            return a, u, u.max() > gamma
-    return best[1], best[2], False
+            return a, u, res, u.max() > gamma
+    return *best, False
 
 
 # smallest log-step in lam the continuation tries before it gives up
@@ -326,29 +366,34 @@ def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
     c = h^dim V^T 1.  The first rung solves from that state at
     min(1.05 lam_1^s, lam); each later rung jumps toward lam by the
     current log-step, which halves whenever a rung's run fails.  Returns
-    (coeffs, their nodal values, whether lam was reached).
+    (coeffs, their nodal values, their residual at lam, whether lam was
+    reached).
     """
     lam_s = basis.eigenvalues**s
     lam_j = min(1.05 * float(lam_s[0]), lam)
     ones = basis.coefficients(np.ones(basis.domain.n_interior))
     a = lam_j * gamma * ones / (lam_j - lam_s)
-    a, u, ok = _active_set_solve(basis, lam_j, gamma, s, a, opts.tolerance,
-                                 log, green)
-    if not ok:
-        return a, u, False
+    a, u, res, ok = _active_set_solve(basis, lam_j, gamma, s, a, opts.tolerance,
+                                      log, green)
     step = np.log(lam / lam_j)
-    while lam_j < lam:
-        lam_next = lam if step >= np.log(lam / lam_j) else lam_j * np.exp(step)
-        trial, u_trial, ok = _active_set_solve(
-            basis, lam_next, gamma, s, a, opts.tolerance, log, green, u
-        )
-        if ok:
-            a, u, lam_j = trial, u_trial, lam_next
+    while ok and lam_j < lam:
+        # a rung that would leave less than the smallest step lands on lam,
+        # which lam_j exp(step) can miss by a rounding
+        lam_next = (lam if step > np.log(lam / lam_j) - _MIN_LOG_STEP
+                    else lam_j * np.exp(step))
+        trial = _active_set_solve(basis, lam_next, gamma, s, a, opts.tolerance,
+                                  log, green, u)
+        if trial[3]:
+            a, u, res, _ = trial
+            lam_j = lam_next
         else:
             step /= 2
-            if step < _MIN_LOG_STEP:
-                return a, u, False
-    return a, u, True
+            ok = step >= _MIN_LOG_STEP
+    if not ok:
+        # the iterate returned sits lower on the branch: log its residual at lam
+        res = _residual(basis, a, u, lam, gamma, s)
+        log.residuals.append(res)
+    return a, u, res, ok
 
 
 def _ground_mode(basis: EigenBasis) -> np.ndarray:
@@ -401,22 +446,21 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
     log = _Log()
     green = _call_green(basis, s) if _green is None else _green
     method = "active-set"
-    a, u, ok = _active_set_solve(basis, lam, gamma, s, a, opts.tolerance, log,
-                                 green, u)
+    a, u, res, ok = _active_set_solve(basis, lam, gamma, s, a, opts.tolerance,
+                                      log, green, u)
     if not ok:
         method += "+continuation"
-        a, u, ok = _continue_from_threshold(basis, lam, gamma, s, opts, log,
-                                            green)
-    field = SpectralField(basis, a, _nodal=u)
-    res = _residual(basis, a, field.nodal, lam, gamma, s)
-    log.residuals.append(res)
-    ok = ok and res <= opts.tolerance and field.nodal.max() > gamma
+        a, u, res, ok = _continue_from_threshold(basis, lam, gamma, s, opts, log,
+                                                 green)
+    # a run ends on a stable set, whose residual may be above the tolerance
+    ok = ok and res <= opts.tolerance
     return PlasmaSolution(
-        field=field, lam=float(lam), gamma=float(gamma), s=float(s),
-        residual=res, iterations=len(log.minres),
+        field=SpectralField(basis, a, _nodal=u), lam=float(lam),
+        gamma=float(gamma), s=float(s), residual=res,
+        iterations=len(log.minres),
         status="converged" if ok else "failed", method=method,
         history=np.asarray(log.residuals),
-        minres_iterations=tuple(log.minres),
+        minres_iterations=tuple(log.minres), forcing=tuple(log.forcing),
     )
 
 
@@ -445,6 +489,7 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
             raise SolverError(
                 f"inner solve failed at lam={lam:.6g} (residual {sol.residual:.3e})",
                 history=sol.history, minres_iterations=sol.minres_iterations,
+                forcing=sol.forcing,
             )
         cache["coeffs"] = sol.field.coeffs
         return sol

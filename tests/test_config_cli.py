@@ -317,6 +317,29 @@ def test_cli_solve_writes_outputs(tmp_path):
     assert report["passed"]
 
 
+def test_cli_solution_records_forcing_of_each_step(tmp_path):
+    from fracplasma.plasma import _MINRES_RTOL
+
+    # the interval's plasma sets take direct steps (forcing 0); the 35-node
+    # square, above the Green matrix cap, only MINRES steps, the first and
+    # the last tight and some between at a looser forcing term
+    square = {"domain": {"kind": "rectangle", "n": 35,
+                         "bounds": [[0.0, np.pi], [0.0, np.pi]]},
+              "lambda_factor": 3.2}
+    for name, overrides in (("interval", {}), ("square", square)):
+        out = tmp_path / name
+        path = write_config(tmp_path, overrides, name=f"{name}.json")
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        payload = json.loads((out / "solution.json").read_text())
+        forcing, minres = payload["forcing"], payload["minres_iterations"]
+        assert len(forcing) == len(minres) == payload["iterations"] > 0
+        if name == "interval":
+            assert forcing == [0.0] * len(minres) and not any(minres)
+        else:
+            assert all(minres) and forcing[0] == forcing[-1] == _MINRES_RTOL
+            assert max(forcing) > _MINRES_RTOL
+
+
 def test_cli_constrained_and_energy_solves_agree_on_lambda(tmp_path):
     lams = {}
     for mode, method in (("constrained", "active-set"), ("energy", "energy")):
@@ -640,6 +663,7 @@ def test_cli_failed_solve_writes_report_exit_1(tmp_path, monkeypatch, capsys,
     assert report["passed"] is False
     assert report["error"] == "no convergence"
     assert report["history"] == [1.0, 0.5]
+    assert report["minres_iterations"] == report["forcing"] == []
     assert "solve failed: no convergence" in capsys.readouterr().err
 
 
@@ -665,6 +689,7 @@ def test_cli_unconverged_solve_is_failed_solve(tmp_path, capsys, command, overri
     assert re.fullmatch(r"active-set(\+continuation)? solve failed \(residual \S+\)",
                         report["error"])
     assert len(report["history"]) > 1 and report["minres_iterations"]
+    assert len(report["forcing"]) == len(report["minres_iterations"])
     assert capsys.readouterr().err.startswith("solve failed: active-set")
 
 
@@ -1079,8 +1104,8 @@ def test_solver_grid_quick_matches_a_tree_with_itself(capsys):
     assert _script("solver_grid").main(["--parent", str(src), "--change", str(src),
                                         "--quick"]) == 0
     out = capsys.readouterr().out
-    assert re.search(r"^parent: 88 cases, \d+ Newton updates, \d+ MINRES iterations, "
-                     r"solves \d+\.\d\d s$",
+    assert re.search(r"^parent: 88 cases, \d+ Newton updates, \d+ MINRES iterations "
+                     r"\(\d+ in \d+ loose steps, \d+ in \d+ tight\), solves \d+\.\d\d s$",
                      out, re.M)
     assert out.endswith("88 cases match\n")
 

@@ -11,9 +11,10 @@ from fracplasma import (Domain, SolverOptions, apply_fractional, build_domain,
                         constraint_mass, eigendecompose, minimize_energy,
                         solve_constrained, solve_fixed_lambda,
                         steiner_symmetrize)
-from fracplasma.plasma import (_DIRECT_MAX, _GREEN_MAX, _NEWTON_UPDATES,
-                               _active_set_step, _call_green, _plasma_rhs,
-                               _reduced_energy, _scale_onto_mass)
+from fracplasma.plasma import (_DIRECT_MAX, _GREEN_MAX, _MINRES_RTOL,
+                               _NEWTON_UPDATES, _Log, _active_set_step,
+                               _call_green, _plasma_rhs, _reduced_energy,
+                               _scale_onto_mass)
 
 GAMMA = 0.1
 
@@ -321,7 +322,8 @@ def test_active_set_step_matches_dense_modal_oracle(step_domains, kind, K, fract
     s = 0.5
     lam = 3.2 * float(basis.eigenvalues[0] ** s)
     active = _ground_mode_set(basis, round(fraction * dom.n_interior))
-    got = _active_set_step(basis, lam, GAMMA, s, active, _call_green(basis, s), [])
+    got = _active_set_step(basis, lam, GAMMA, s, active, _call_green(basis, s),
+                           _MINRES_RTOL, _Log())
     ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
                                   lam, GAMMA, s, active)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -346,19 +348,23 @@ def test_active_set_step_on_both_sides_of_direct_threshold(kind, n, K, extra):
     s = 0.5
     lam = 3.2 * float(basis.eigenvalues[0] ** s)
     active = _ground_mode_set(basis, _DIRECT_MAX + extra)
-    minres = []
-    got = _active_set_step(basis, lam, GAMMA, s, active, _call_green(basis, s), minres)
+    log = _Log()
+    got = _active_set_step(basis, lam, GAMMA, s, active, _call_green(basis, s),
+                           _MINRES_RTOL, log)
     ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
                                   lam, GAMMA, s, active)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-    assert len(minres) == 1
-    assert (minres[0] > 0) == (bool(extra) or dom.n_interior > _GREEN_MAX)
+    assert len(log.minres) == 1
+    by_minres = bool(extra) or dom.n_interior > _GREEN_MAX
+    assert (log.minres[0] > 0) == by_minres
+    # the tolerance of a MINRES step, 0 for a direct one
+    assert log.forcing == [_MINRES_RTOL if by_minres else 0.0]
 
 
 def test_active_set_step_on_empty_set_is_zero(basis2d):
     active = np.zeros(basis2d.domain.n_interior, dtype=bool)
     a = _active_set_step(basis2d, 4.0, GAMMA, 0.5, active,
-                         _call_green(basis2d, 0.5), [])
+                         _call_green(basis2d, 0.5), _MINRES_RTOL, _Log())
     np.testing.assert_array_equal(a, np.zeros(basis2d.size))
 
 
@@ -665,12 +671,14 @@ def test_solver_error_carries_minres_iterations(basis1d, monkeypatch):
 
     def failing(basis, lam, gamma, s, **kwargs):
         sol = solve_fixed_lambda(basis, lam, gamma, s, **kwargs)
-        return replace(sol, status="failed", minres_iterations=(7, 0, 3))
+        return replace(sol, status="failed", minres_iterations=(7, 0, 3),
+                       forcing=(1e-13, 0.0, 1e-2))
 
     monkeypatch.setattr(plasma, "solve_fixed_lambda", failing)
     with pytest.raises(plasma.SolverError) as info:
         plasma.solve_constrained(basis1d, 0.02, GAMMA, 0.5)
     assert info.value.minres_iterations == (7, 0, 3)
+    assert info.value.forcing == (1e-13, 0.0, 1e-2)
 
 
 # -- the Green matrix of one solver call ---------------------------------------------
@@ -707,11 +715,12 @@ def test_step_reading_green_matches_dense_modal_oracle(kind, n, K, monkeypatch):
     for p in (1, 7, min(dom.n_interior // 3, _DIRECT_MAX), min(dom.n_interior, _DIRECT_MAX)):
         active = np.zeros(dom.n_interior, dtype=bool)
         active[rng.choice(dom.n_interior, p, replace=False)] = True
-        minres = []
-        got = _active_set_step(basis, lam, GAMMA, s, active, green, minres)
+        # a direct step is exact whatever tolerance it is given
+        log = _Log()
+        got = _active_set_step(basis, lam, GAMMA, s, active, green, 1e-2, log)
         ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
                                       lam, GAMMA, s, active)
-        assert minres == [0]
+        assert (log.minres, log.forcing) == ([0], [0.0])
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert builds == [dom.n_interior]  # built at the first step, read after
 
@@ -785,7 +794,7 @@ def test_short_solve_builds_green_once(basis2d, monkeypatch):
 # status, method, |A|, Newton updates, direct and MINRES steps of the
 # solver-sweep's two long solves, every Newton run on the one update budget
 @pytest.mark.parametrize("kind, s, factor, pinned", [
-    ("square25", 0.3, 3.3, ("converged", "active-set+continuation", 9, 60, 41, 19)),
+    ("square25", 0.3, 3.3, ("converged", "active-set+continuation", 9, 65, 43, 22)),
     ("interval", 0.3, 6.5, ("converged", "active-set+continuation", 15, 73, 73, 0)),
 ])
 def test_long_sweep_solves_keep_their_path(basis2d, basis257, kind, s, factor, pinned):
@@ -823,23 +832,99 @@ def test_no_newton_run_exceeds_the_update_budget(basis2d, basis257, monkeypatch,
     assert max(runs) <= _NEWTON_UPDATES
 
 
-def test_repeated_plasma_set_ends_the_run(monkeypatch):
-    # a step stub that sends set S0 to a field on S1 and S1 back to S0: the
-    # run fails when S0 comes back, with no further step of its own
+def _run_stubbed_steps(monkeypatch, by_minres, successor):
+    """One Newton run on the 17-node interval cut into thirds S0, S1, S2,
+    with a field 2 gamma on each, from the field on S0.  The stubbed step
+    sends S_i to the field on S_successor[i] and logs itself as a MINRES
+    step at its tolerance or as a direct step.  Returns (coeffs, ok, log,
+    fields)."""
     dom = build_domain("interval", 17, bounds=(0.0, np.pi))
     basis = eigendecompose(dom, dom.n_interior)
-    half = np.arange(dom.n_interior) < dom.n_interior // 2
-    fields = [basis.coefficients(2 * GAMMA * S) for S in (half, ~half)]
-    step_to = {half.tobytes(): fields[1], (~half).tobytes(): fields[0]}
+    third = np.arange(dom.n_interior) * 3 // dom.n_interior
+    sets = [third == i for i in range(3)]
+    fields = [basis.coefficients(2 * GAMMA * S) for S in sets]
+    step_to = {S.tobytes(): fields[j] for S, j in zip(sets, successor)}
 
-    def swap(basis, lam, gamma, s, active, green, minres):
-        minres.append(0)
+    def step(basis, lam, gamma, s, active, green, rtol, log):
+        log.minres.append(1 if by_minres else 0)
+        log.forcing.append(rtol if by_minres else 0.0)
         return step_to[active.tobytes()]
 
-    monkeypatch.setattr(plasma, "_active_set_step", swap)
+    monkeypatch.setattr(plasma, "_active_set_step", step)
     log = plasma._Log()
     lam = 4.0 * float(basis.eigenvalues[0] ** 0.5)
-    _, _, ok = plasma._active_set_solve(basis, lam, GAMMA, 0.5, fields[0], 1e-10,
-                                        log, None)
+    a, _, _, ok = plasma._active_set_solve(basis, lam, GAMMA, 0.5, fields[0], 1e-10,
+                                           log, None)
+    return a, ok, log, fields
+
+
+def test_repeated_plasma_set_ends_the_run(monkeypatch):
+    # S0 -> S1 -> S0 by direct steps: the run fails when S0 comes back, with
+    # no further step of its own
+    _, ok, log, _ = _run_stubbed_steps(monkeypatch, False, (1, 0, 0))
     assert ok is False
     assert len(log.minres) == 2 and len(log.residuals) == 3
+
+
+def test_set_stepped_on_exactly_ends_the_run_after_a_loose_step(monkeypatch):
+    # S0 -> S1 by the tight first MINRES step, S1 -> S0 by a loose one: S0's
+    # exact step is known, so its return ends the run as a cycle
+    _, ok, log, _ = _run_stubbed_steps(monkeypatch, True, (1, 0, 0))
+    assert ok is False
+    assert len(log.minres) == 2 and len(log.residuals) == 3
+    assert log.forcing[0] == _MINRES_RTOL < log.forcing[1]
+
+
+def test_set_repeated_after_a_loose_step_gets_one_tight_step(monkeypatch):
+    # S0 -> S1 -> S2 -> S1 -> S2 -> S1: S1 and S2 are first stepped on
+    # loosely; each gets one tight step when it comes back, and S1's return
+    # after its tight step ends the run
+    _, ok, log, _ = _run_stubbed_steps(monkeypatch, True, (1, 2, 1))
+    assert ok is False
+    assert len(log.minres) == 5 and len(log.residuals) == 6
+    loose = [f > _MINRES_RTOL for f in log.forcing]
+    assert loose == [False, True, True, False, False]
+
+
+def test_stable_set_after_a_loose_step_gets_one_tight_step(monkeypatch):
+    # S1 maps to its own field: stable after the loose second step, the
+    # set is accepted only after a tight step on it
+    a, ok, log, fields = _run_stubbed_steps(monkeypatch, True, (1, 1, 1))
+    assert ok and a is fields[1]
+    loose = [f > _MINRES_RTOL for f in log.forcing]
+    assert loose == [False, True, False]
+
+
+# the forcing term changes how a solve gets to its final plasma set, never
+# the answer: the last step on that set is tight, and its result depends
+# on the set alone.  The 35-node square (1,089 interior nodes) takes only
+# MINRES steps
+@pytest.mark.parametrize("n, s, factor", [(25, 0.3, 3.3), (25, 0.3, 5.0),
+                                          (25, 0.5, 3.3), (25, 0.5, 5.0),
+                                          (35, 0.5, 3.2)])
+def test_loose_steps_leave_the_answer_bitwise_equal(basis2d, monkeypatch, n, s, factor):
+    if n == 25:
+        basis = basis2d
+    else:
+        dom = build_domain("rectangle", n, bounds=((0.0, np.pi), (0.0, np.pi)))
+        basis = eigendecompose(dom, dom.n_interior)
+    lam = factor * float(basis.eigenvalues[0] ** s)
+    sol = solve_fixed_lambda(basis, lam, GAMMA, s)
+    monkeypatch.setattr(plasma, "_FORCING_MAX", _MINRES_RTOL)
+    tight = solve_fixed_lambda(basis, lam, GAMMA, s)
+    assert sol.status == tight.status == "converged"
+    np.testing.assert_array_equal(sol.field.coeffs, tight.field.coeffs)
+    assert max(sol.forcing) > _MINRES_RTOL >= sol.forcing[-1]
+    assert max(tight.forcing) == _MINRES_RTOL
+    assert sum(sol.minres_iterations) < sum(tight.minres_iterations)
+
+
+def test_converged_solve_logs_its_last_residual_once(basis2d):
+    # the 3-update s = 0.75 solve at lam: the initial residual and one per
+    # update, the last of them the solution's
+    s = 0.75
+    sol = solve_fixed_lambda(basis2d, 4.0 * float(basis2d.eigenvalues[0] ** s), GAMMA, s)
+    assert sol.method == "active-set" and sol.iterations == 3
+    assert len(sol.history) == sol.iterations + 1
+    assert sol.history[-1] == sol.residual
+    assert sol.history[-2] > sol.residual
