@@ -27,10 +27,12 @@ differs, and exits 1 if there is a mismatch and 0 if not.
 Each side's Newton updates and MINRES iterations summed over its
 fixed-lambda cases, with the MINRES steps and iterations split into loose
 ones (stopped at a forcing term above the package's tight tolerance) and
-tight ones, its solve times per route, and each problem of the change side
-whose energy-route lam differs from its constrained lam by more than 1e-6
-relative, are printed for information only.  A tree whose solutions carry
-no ``forcing`` counts every MINRES step as tight.
+tight ones, its Green matrix builds (counted by wrapping
+``fracplasma.plasma._green_matrix``) and solve times per route, and each
+problem of the change side whose energy-route lam differs from its
+constrained lam by more than 1e-6 relative, are printed for information
+only.  A tree whose solutions carry no ``forcing`` counts every MINRES
+step as tight.
 
 Example (a second checkout of the parent commit in ../parent):
     python3 scripts/solver_grid.py --parent ../parent/src --change src
@@ -80,6 +82,21 @@ def domains(quick: bool):
             + [("disk-33", "disk", 33, DISK, None)])
 
 
+def count_green_builds() -> list:
+    """Wrap the package's Green matrix build in a counter: the one-element
+    list it increments."""
+    from fracplasma import plasma
+
+    count, build = [0], plasma._green_matrix
+
+    def counted(*args):
+        count[0] += 1
+        return build(*args)
+
+    plasma._green_matrix = counted
+    return count
+
+
 def mass_case(solve, basis, mass: float, s: float) -> dict:
     """Status, |A|, lam and solve time of one constrained or energy solve;
     a SolverError is a status carrying its message."""
@@ -101,13 +118,15 @@ def mass_case(solve, basis, mass: float, s: float) -> dict:
 
 def solve_grid(quick: bool) -> dict:
     """Every case under the fracplasma that imports first: case label ->
-    the compared fields and solve time, and a fixed-lambda case's MINRES
-    iterations, and its loose MINRES steps and their iterations."""
+    the compared fields, solve time and Green matrix builds, and a
+    fixed-lambda case's MINRES iterations, and its loose MINRES steps and
+    their iterations."""
     import numpy as np
     from fracplasma import (build_domain, eigendecompose, minimize_energy,
                             solve_constrained, solve_fixed_lambda)
     from fracplasma.plasma import _MINRES_RTOL
 
+    builds = count_green_builds()
     out = {}
     for label, kind, n, keywords, modes in domains(quick):
         dom = build_domain(kind, n, **keywords)
@@ -115,6 +134,7 @@ def solve_grid(quick: bool) -> dict:
         for s in ORDERS:
             lam1s = float(basis.eigenvalues[0] ** s)
             for f in FACTORS:
+                before = builds[0]
                 start = time.perf_counter()
                 sol = solve_fixed_lambda(basis, f * lam1s, GAMMA, s)
                 seconds = time.perf_counter() - start
@@ -133,12 +153,16 @@ def solve_grid(quick: bool) -> dict:
                     "minres_total": int(minres.sum()),
                     "loose_steps": int(np.count_nonzero(loose)),
                     "loose_minres": int(minres[loose].sum()), "seconds": seconds,
+                    "green_builds": builds[0] - before,
                 }
             if quick:
                 continue
             for m in MASSES:
                 for route, solve in zip(ROUTES, (solve_constrained, minimize_energy)):
-                    out[f"{label} s={s} m={m} {route}"] = mass_case(solve, basis, m, s)
+                    before = builds[0]
+                    case = mass_case(solve, basis, m, s)
+                    case["green_builds"] = builds[0] - before
+                    out[f"{label} s={s} m={m} {route}"] = case
     return out
 
 
@@ -236,17 +260,20 @@ def main(argv=None) -> int:
     for name, cases in sides.items():
         fixed = [c for case, c in cases.items() if route(case) == "fixed-lambda"]
         total = {key: sum(c[key] for c in fixed) for key in (
-            "iterations", "minres_steps", "minres_total", "loose_steps", "loose_minres")}
+            "iterations", "minres_steps", "minres_total", "loose_steps", "loose_minres",
+            "green_builds")}
         print(f"{name}: {len(fixed)} cases, {total['iterations']} Newton updates, "
               f"{total['minres_total']} MINRES iterations "
               f"({total['loose_minres']} in {total['loose_steps']} loose steps, "
               f"{total['minres_total'] - total['loose_minres']} in "
               f"{total['minres_steps'] - total['loose_steps']} tight), "
+              f"{total['green_builds']} Green matrix builds, "
               f"solves {sum(c['seconds'] for c in fixed):.2f} s")
         for kind in ROUTES:
             runs = [c for case, c in cases.items() if route(case) == kind]
             if runs:
                 print(f"{name}: {len(runs)} {kind} cases, "
+                      f"{sum(c['green_builds'] for c in runs)} Green matrix builds, "
                       f"solves {sum(c['seconds'] for c in runs):.2f} s")
     for line in route_gaps(sides["change"]):
         print(f"ROUTES {line}")

@@ -36,7 +36,7 @@ from .config import (CheckResult, ConfigError, ExperimentConfig, RunReport,
 from .domains import build_domain, eigendecompose
 from .extension import (YMesh, build_ymesh, check_uy_sign, dtn,
                         extend_semianalytic, fd_energy)
-from .plasma import (SolverError, SolverOptions, constraint_mass,
+from .plasma import (SolverError, SolverOptions, _release_green, constraint_mass,
                      minimize_energy, solve_constrained, solve_fixed_lambda,
                      steiner_symmetrize)
 from .spectral import apply_fractional
@@ -125,6 +125,8 @@ class _Run:
                 else minimize_energy
             self.sol = solver(self.basis, cfg.constraint_target, cfg.gamma,
                               cfg.s, options=cfg.solver)
+        # one solve per run, so the Green matrix it built is not kept
+        _release_green()
         if self.sol.status == "failed":
             raise SolverError(f"{self.sol.method} solve failed (residual "
                               f"{self.sol.residual:.3e})", history=self.sol.history,
@@ -240,22 +242,14 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
                        _grid_rows((w.ymesh.nodes,) + dom.axes,
                                   [np.moveaxis(w.values, -1, 0)]))
         _write_json(out / "solution.json", {
-            "config": cfg.to_dict(),
-            "lam": sol.lam,
-            "lam1": run.lam1,
-            "gamma": sol.gamma,
-            "s": sol.s,
-            "status": sol.status,
-            "method": sol.method,
-            "iterations": sol.iterations,
-            "residual": sol.residual,
-            "basis_size": basis.size,
-            "n_interior": dom.n_interior,
+            "config": cfg.to_dict(), "lam": sol.lam, "lam1": run.lam1,
+            "gamma": sol.gamma, "s": sol.s, "status": sol.status,
+            "method": sol.method, "iterations": sol.iterations,
+            "residual": sol.residual, "basis_size": basis.size,
+            "n_interior": dom.n_interior, "sup_u": float(sol.trace.max()),
             "constraint_target": sol.constraint_target,
             "constraint_value": sol.constraint_value,
-            "sup_u": float(sol.trace.max()),
-            "minres_iterations": sol.minres_iterations,
-            "forcing": sol.forcing,
+            "minres_iterations": sol.minres_iterations, "forcing": sol.forcing,
         })
         value, tol = sol.residual, cfg.solver.tolerance
         if sol.method == "energy":
@@ -302,13 +296,11 @@ def run_frequency(cfg: ExperimentConfig, out: Path) -> int:
                              prof.thin_mass[k], prof.frequency[k],
                              prof.adjusted[k], prof.corrected[k]))
             summaries.append({
-                "center": list(center),
-                "n_zero_plus": prof.n_zero_plus,
+                "center": list(center), "n_zero_plus": prof.n_zero_plus,
                 "sandwich_constant": prof.sandwich_constant,
                 "monotone_violations": prof.monotone_violations,
                 "corrected_violations": prof.corrected_violations,
-                "n_truncated": prof.n_truncated,
-                "note": prof.note,
+                "n_truncated": prof.n_truncated, "note": prof.note,
             })
         _write_csv(out / "profiles.csv", header, [rows])
         _write_json(out / "frequency.json", {

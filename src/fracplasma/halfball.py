@@ -18,6 +18,7 @@ the radius of a half-ball that every caller obeys.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -197,32 +198,37 @@ _N_PHI = 64
 _RADII_BLOCK = 8
 
 
+@functools.cache
 def _angular_rule(a: float, dim: int):
     """Nodes and weights on the upper unit half-sphere around a thin point.
 
-    Returns (unit thin offsets, one array per thin axis shaped (polar
-    node, azimuth); unit heights shaped (polar node, 1); weights, one per
-    node in row-major order, absorbing the y^a factor exactly; the thin
-    unit sphere, one array per axis; its weight).
+    Returns read-only (unit thin offsets, one array per thin axis shaped
+    (polar node, azimuth); unit heights shaped (polar node, 1); weights,
+    one per node in row-major order, absorbing the y^a factor exactly;
+    the thin unit sphere, one array per axis; its weight).
     """
     if dim == 1:
         # t = cos(theta) in (-1, 1), weight (1 - t^2)^{(a-1)/2}
         # (each node its own polar node with a single azimuth)
         t, wt = roots_jacobi(_N_ANGULAR, (a - 1) / 2, (a - 1) / 2)
         # the unit sphere of the thin line: two points of weight 1
-        return ([t.reshape(-1, 1)], np.sqrt(np.maximum(1 - t**2, 0.0)).reshape(-1, 1),
-                wt, [np.array([-1.0, 1.0])], 1.0)
-    # tau = cos(polar angle from thin plane) in (0, 1), weight tau^a;
-    # the azimuth phi is periodic and integrated by the trapezoid rule
-    xi, wxi = roots_jacobi(_N_ANGULAR // 2, 0.0, a)
-    tau = (1 + xi) / 2
-    wtau = wxi / 2 ** (1 + a)
-    phi = 2 * np.pi * np.arange(_N_PHI) / _N_PHI
-    wphi = np.full(_N_PHI, 2 * np.pi / _N_PHI)
-    TT, PP = np.meshgrid(tau, phi, indexing="ij")
-    sin_pol = np.sqrt(np.maximum(1 - TT**2, 0.0))
-    return ([sin_pol * np.cos(PP), sin_pol * np.sin(PP)], TT[:, :1],
-            np.outer(wtau, wphi).ravel(), [np.cos(phi), np.sin(phi)], wphi[0])
+        rule = ((t.reshape(-1, 1),), np.sqrt(np.maximum(1 - t**2, 0.0)).reshape(-1, 1),
+                wt, (np.array([-1.0, 1.0]),), 1.0)
+    else:
+        # tau = cos(polar angle from thin plane) in (0, 1), weight tau^a;
+        # the azimuth phi is periodic and integrated by the trapezoid rule
+        xi, wxi = roots_jacobi(_N_ANGULAR // 2, 0.0, a)
+        tau = (1 + xi) / 2
+        wtau = wxi / 2 ** (1 + a)
+        phi = 2 * np.pi * np.arange(_N_PHI) / _N_PHI
+        wphi = np.full(_N_PHI, 2 * np.pi / _N_PHI)
+        TT, PP = np.meshgrid(tau, phi, indexing="ij")
+        sin_pol = np.sqrt(np.maximum(1 - TT**2, 0.0))
+        rule = ((sin_pol * np.cos(PP), sin_pol * np.sin(PP)), TT[:, :1],
+                np.outer(wtau, wphi).ravel(), (np.cos(phi), np.sin(phi)), wphi[0])
+    for arr in (*rule[0], rule[1], rule[2], *rule[3]):
+        arr.flags.writeable = False
+    return rule
 
 
 def _sphere(center, unit_thin, unit_y, radii):

@@ -9,10 +9,10 @@ where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
 * ``solve_fixed_lambda``: one semismooth Newton (primal-dual active set)
   method.  Each update solves the piecewise-linear problem on a guess A
   of {u > gamma}, a symmetric |A| x |A| system on the plasma set.  A set
-  of up to 256 nodes reads it from the nodal matrix G of L^{-s}, which
-  the call builds at its first such step and frees when it returns, and
-  solves it directly; larger sets, and every set on a basis of more than
-  1024 nodes, which never builds G, solve it by MINRES through the basis
+  of up to 256 nodes reads it from the nodal matrix G of L^{-s}, kept
+  in one slot for the next call on the same basis and order, and solves
+  it directly; larger sets, and every set on a basis of more than 1024
+  nodes, which never builds G, solve it by MINRES through the basis
   transforms.  A MINRES step that only has to find the next set stops at
   an Eisenstat-Walker forcing term; a run's first step and its step on
   the set it ends on go to the rounding floor, so a converged answer is
@@ -37,7 +37,7 @@ with lam = 2 mu, as its Euler-Lagrange equation: the energy route recovers lam.
 
 from __future__ import annotations
 
-import functools
+import weakref
 from dataclasses import dataclass, field as dc_field, replace
 from typing import ClassVar
 
@@ -49,16 +49,9 @@ from scipy.optimize import brentq, minimize
 from .domains import Domain, EigenBasis
 from .spectral import SpectralField, _check_order
 
-__all__ = [
-    "SolverOptions",
-    "PlasmaSolution",
-    "SolverError",
-    "constraint_mass",
-    "solve_fixed_lambda",
-    "solve_constrained",
-    "minimize_energy",
-    "steiner_symmetrize",
-]
+__all__ = ["SolverOptions", "PlasmaSolution", "SolverError", "constraint_mass",
+           "solve_fixed_lambda", "solve_constrained", "minimize_energy",
+           "steiner_symmetrize"]
 
 
 class SolverError(RuntimeError):
@@ -68,13 +61,10 @@ class SolverError(RuntimeError):
     failed solve.
     """
 
-    def __init__(self, message: str, history=None, minres_iterations=None,
-                 forcing=None):
+    def __init__(self, message: str, history=(), minres_iterations=(), forcing=()):
         super().__init__(message)
-        self.history = history if history is not None else []
-        self.minres_iterations = (minres_iterations
-                                  if minres_iterations is not None else ())
-        self.forcing = forcing if forcing is not None else ()
+        self.history, self.minres_iterations, self.forcing = (
+            history, minres_iterations, forcing)
 
 
 @dataclass
@@ -182,9 +172,8 @@ def _validate_problem(gamma: float, s: float):
         raise ValueError("gamma must be positive")
 
 
-# plasma sets up to this many nodes take a direct step from the call's Green
-# matrix; larger ones a MINRES step through nodal/coefficients, which never
-# forms a matrix
+# plasma sets up to this many nodes take a direct step from the Green matrix;
+# larger ones a MINRES step through nodal/coefficients, which forms no matrix
 _DIRECT_MAX = 256
 # relative residual at which a MINRES step is taken as exact
 _MINRES_RTOL = 1e-13
@@ -217,17 +206,35 @@ def _green_matrix(basis: EigenBasis, s: float) -> np.ndarray:
     return G
 
 
-def _call_green(basis: EigenBasis, s: float):
-    """The Green matrix of one public solver call: a function that builds G
-    on its first call and returns the same G after, or None on a basis
-    above _GREEN_MAX nodes."""
-    if basis.domain.n_interior > _GREEN_MAX:
-        return None
-    return functools.cache(lambda: _green_matrix(basis, s))
+# the Green matrix of the last basis and order, (weak reference to the basis,
+# s, read-only G) or None: one G of 8 n^2 <= 8.4 MB at most.  Freeing the basis
+# empties it; a replaced weak reference dies with its tuple and never calls back
+_green_slot = None
+
+
+def _green(basis: EigenBasis, s: float, build: bool = True):
+    """G of ``basis`` at order ``s``: the slot's, else one built into it if
+    ``build``, else None.  A slot of another basis or order is emptied."""
+    global _green_slot
+    held = _green_slot  # read once, so what is returned is what was checked
+    if held is None or held[0]() is not basis or held[1] != s:
+        held = None
+        if build:
+            G = _green_matrix(basis, s)
+            G.flags.writeable = False
+            held = (weakref.ref(basis, _release_green), s, G)
+        _green_slot = held
+    return held and held[2]
+
+
+def _release_green(_ref=None):
+    """Empty the Green matrix slot."""
+    global _green_slot
+    _green_slot = None
 
 
 def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
-                     active: np.ndarray, green, rtol: float, log: _Log) -> np.ndarray:
+                     active: np.ndarray, rtol: float, log: _Log) -> np.ndarray:
     """Coefficient solve of the problem linearized on a plasma set.
 
     On a guessed coincidence complement A = {u > gamma} the equation is
@@ -242,12 +249,12 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
 
     with G = h^dim V D^{-1} V^T the nodal matrix of L^{-s}, which is
     singular exactly when the modal system is, and E_A the extension by
-    zero off A.  ``green`` is the call's ``_call_green``: up to _DIRECT_MAX
-    nodes the system is read from its G and solved directly (exactly);
-    larger sets, and every set when ``green`` is None, are solved by MINRES
-    to relative residual ``rtol``, with L^{-s} applied through the basis
-    transforms.  Appends the MINRES iterations and ``rtol`` (both 0 for a
-    direct solve) to ``log``.
+    zero off A.  Up to _DIRECT_MAX nodes on a basis of at most _GREEN_MAX,
+    the system is read from ``_green`` (the slot's G, or one built into
+    it) and solved directly (exactly); larger sets, and every set on a
+    larger basis, are solved by MINRES to relative residual ``rtol``,
+    with L^{-s} applied through the basis transforms.  Appends the MINRES
+    iterations and ``rtol`` (both 0 for a direct solve) to ``log``.
     """
     minres = log.minres
     minres.append(0)
@@ -262,11 +269,11 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
         full[active] = z
         return full
 
-    if p <= _DIRECT_MAX and green is not None:
+    if p <= _DIRECT_MAX and basis.domain.n_interior <= _GREEN_MAX:
         # LAPACK's gesv in place on a Fortran-ordered copy, without the
         # copies of np.linalg.solve: 0.12 against 0.19 ms on 136 nodes
         # (one BLAS thread)
-        S = np.asfortranarray(green()[active][:, active])
+        S = np.asfortranarray(_green(basis, s)[active][:, active])
         S *= lam
         S.flat[::p + 1] -= 1.0
         _, _, z, info = scipy.linalg.lapack.dgesv(S, np.full(p, gamma),
@@ -289,7 +296,7 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
 
 
 def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
-                      a0: np.ndarray, tol: float, log: _Log, green,
+                      a0: np.ndarray, tol: float, log: _Log,
                       u0: np.ndarray = None):
     """Semismooth Newton on the piecewise-linear plasma equation.
 
@@ -307,11 +314,10 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
     updates; it succeeds only when it converges to a solution with
     sup u > gamma.  A failed run has no recovery of its own: the
     caller's continuation in lam is the only one.  ``u0`` holds the
-    nodal values of ``a0`` when the caller has them.  Every step takes
-    the call's ``green``.  Appends each new residual, and the MINRES
-    iterations and tolerance of each step, to ``log``.  Returns (coeffs,
-    their nodal values, their residual, whether the run succeeded); a
-    failed run returns its best iterate.
+    nodal values of ``a0`` when the caller has them.  Appends each new
+    residual, and the MINRES iterations and tolerance of each step, to
+    ``log``.  Returns (coeffs, their nodal values, their residual, whether
+    the run succeeded); a failed run returns its best iterate.
     """
     a = np.asarray(a0, dtype=float).copy()
     u = basis.nodal(a) if u0 is None else u0
@@ -334,7 +340,7 @@ def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,
                        _MINRES_RTOL)
         seen.add(key)
         try:
-            a = _active_set_step(basis, lam, gamma, s, active, green, rtol, log)
+            a = _active_set_step(basis, lam, gamma, s, active, rtol, log)
         except np.linalg.LinAlgError:
             break
         loose = log.forcing[-1] > _MINRES_RTOL
@@ -357,7 +363,7 @@ _MIN_LOG_STEP = 1e-6
 
 
 def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
-                             s: float, opts: SolverOptions, log: _Log, green):
+                             s: float, opts: SolverOptions, log: _Log):
     """Follow the nontrivial branch in lam up from just above lam_1^s.
 
     The branch comes in from infinity at lam_1^s with every node in the
@@ -374,7 +380,7 @@ def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
     ones = basis.coefficients(np.ones(basis.domain.n_interior))
     a = lam_j * gamma * ones / (lam_j - lam_s)
     a, u, res, ok = _active_set_solve(basis, lam_j, gamma, s, a, opts.tolerance,
-                                      log, green)
+                                      log)
     step = np.log(lam / lam_j)
     while ok and lam_j < lam:
         # a rung that would leave less than the smallest step lands on lam,
@@ -382,7 +388,7 @@ def _continue_from_threshold(basis: EigenBasis, lam: float, gamma: float,
         lam_next = (lam if step > np.log(lam / lam_j) - _MIN_LOG_STEP
                     else lam_j * np.exp(step))
         trial = _active_set_solve(basis, lam_next, gamma, s, a, opts.tolerance,
-                                  log, green, u)
+                                  log, u)
         if trial[3]:
             a, u, res, _ = trial
             lam_j = lam_next
@@ -404,8 +410,7 @@ def _ground_mode(basis: EigenBasis) -> np.ndarray:
 
 def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
                        *, options: SolverOptions = None,
-                       initial: np.ndarray = None,
-                       _green=None) -> PlasmaSolution:
+                       initial: np.ndarray = None) -> PlasmaSolution:
     """Solve L^s u = lam (u - gamma)_+ at a fixed multiplier lam.
 
     At or below the threshold, lam <= lam_1^s (1 + 1e-9), the only
@@ -417,15 +422,15 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
     with sup u > gamma within _NEWTON_UPDATES updates, the branch is
     continued in lam from just above lam_1^s, each rung a run with the
     same budget, and ``method`` gains ``+continuation``.  The direct
-    steps of both read one Green matrix (``_call_green``), built at the
-    first of them and freed when the call returns; ``_green`` is that of
-    an enclosing ``solve_constrained``.  Non-finite lam or gamma is
-    refused.
+    steps of both read the Green matrix slot (``_green``), which the call
+    first empties of another basis or order, so no answer depends on
+    earlier calls.  Non-finite lam or gamma is refused.
     """
     opts = options or SolverOptions()
     _validate_problem(gamma, s)
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be nonnegative")
+    _green(basis, s, build=False)
     if initial is not None:
         a = np.asarray(initial, dtype=float).copy()
         if a.shape != (basis.size,):
@@ -444,14 +449,12 @@ def solve_fixed_lambda(basis: EigenBasis, lam: float, gamma: float, s: float,
             status="trivial", method="exact", history=np.zeros(1),
         )
     log = _Log()
-    green = _call_green(basis, s) if _green is None else _green
     method = "active-set"
     a, u, res, ok = _active_set_solve(basis, lam, gamma, s, a, opts.tolerance,
-                                      log, green, u)
+                                      log, u)
     if not ok:
         method += "+continuation"
-        a, u, res, ok = _continue_from_threshold(basis, lam, gamma, s, opts, log,
-                                                 green)
+        a, u, res, ok = _continue_from_threshold(basis, lam, gamma, s, opts, log)
     # a run ends on a stable set, whose residual may be above the tolerance
     ok = ok and res <= opts.tolerance
     return PlasmaSolution(
@@ -471,7 +474,7 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
     Scans lam over a geometric ladder of multiples of lam_1^s (the mass
     decreases in lam above the bifurcation threshold), brackets the
     target, then runs a scalar root-find with warm-started inner solves,
-    which share one Green matrix.
+    which share the slot's Green matrix.
     """
     opts = options or SolverOptions()
     _validate_problem(gamma, s)
@@ -480,11 +483,10 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
     lam1s = float(basis.eigenvalues[0] ** s)
     dom = basis.domain
     cache = {"coeffs": None}
-    green = _call_green(basis, s)
 
     def solve_at(lam):
         sol = solve_fixed_lambda(basis, lam, gamma, s, options=opts,
-                                 initial=cache["coeffs"], _green=green)
+                                 initial=cache["coeffs"])
         if sol.status == "failed":
             raise SolverError(
                 f"inner solve failed at lam={lam:.6g} (residual {sol.residual:.3e})",

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, settings
 
 import acceptance
 from fracplasma import (build_domain, build_ymesh, eigendecompose,
-                        extend_semianalytic, solve_fixed_lambda)
+                        extend_semianalytic, plasma, solve_fixed_lambda)
 
 settings.register_profile(
     "suite",
@@ -25,6 +25,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f" — {detail}"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def _empty_green_slot():
+    """Every test starts with no Green matrix kept from an earlier one, so
+    counts of Green matrix builds do not depend on the order of tests."""
+    plasma._release_green()
 
 
 # -- session-scoped problem instances -------------------------------------------------

@@ -831,6 +831,26 @@ def test_cli_verify_steiner_energy_matches_symmetrize(tmp_path, monkeypatch):
     assert steiner["value"] == meta["energy_after"] - meta["energy_before"]
 
 
+def test_cli_keeps_no_green_matrix_after_its_solve(tmp_path, monkeypatch):
+    import fracplasma.plasma as plasma
+
+    builds = []
+    build = plasma._green_matrix
+
+    def counted(basis, s):
+        builds.append(basis.domain.n_interior)
+        return build(basis, s)
+
+    monkeypatch.setattr(plasma, "_green_matrix", counted)
+    path = write_config(tmp_path, {"domain": {**_SQUARE, "n": 25}, "s": 0.75,
+                                   "extension": {"layers": 64}})
+    for command in ("symmetrize", "verify"):
+        main([command, "--config", str(path), "--out", str(tmp_path / command)])
+        assert plasma._green_slot is None
+    # verify's refined run, 47^2 interior nodes, is above the cap
+    assert builds == [23 * 23] * 2
+
+
 def _patch_every_binding(monkeypatch, module, name, replacement):
     """Replace ``module.name`` under every package module name bound to it,
     so calls through imported names reach the replacement too."""
@@ -1105,7 +1125,8 @@ def test_solver_grid_quick_matches_a_tree_with_itself(capsys):
                                         "--quick"]) == 0
     out = capsys.readouterr().out
     assert re.search(r"^parent: 88 cases, \d+ Newton updates, \d+ MINRES iterations "
-                     r"\(\d+ in \d+ loose steps, \d+ in \d+ tight\), solves \d+\.\d\d s$",
+                     r"\(\d+ in \d+ loose steps, \d+ in \d+ tight\), "
+                     r"[1-9]\d* Green matrix builds, solves \d+\.\d\d s$",
                      out, re.M)
     assert out.endswith("88 cases match\n")
 

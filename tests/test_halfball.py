@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fracplasma import (ExtensionField, HalfBallQuadrature, blowup, build_domain,
-                        build_ymesh, cli, frequency_profile)
+                        build_ymesh, cli, frequency_profile, halfball)
 from fracplasma.halfball import (MIN_CELLS, _Axis, _combine, _locate,
                                  boundary_norms, interp_values, room)
 
@@ -85,6 +85,21 @@ def test_boundary_norm_scales_with_radius_for_homogeneous_field():
     # degree-2 homogeneous: H(r) = (r2/r1)^(1+a+4) H(r1)
     h1, h2 = boundary_norms(w, [0.0], [0.3, 0.6])
     assert h2 / h1 == pytest.approx(2.0 ** (1 + a + 4), rel=5e-3)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_angular_rule_is_built_once_per_order_and_read_only(dim, monkeypatch):
+    calls = []
+    jacobi = halfball.roots_jacobi
+    monkeypatch.setattr(halfball, "roots_jacobi",
+                        lambda *args: calls.append(args) or jacobi(*args))
+    halfball._angular_rule.cache_clear()
+    rule = halfball._angular_rule(0.4, dim)
+    assert halfball._angular_rule(0.4, dim) is rule and len(calls) == 1
+    halfball._angular_rule(-0.2, dim)
+    assert len(calls) == 2
+    for arr in (*rule[0], rule[1], rule[2], *rule[3]):
+        assert not arr.flags.writeable
 
 
 def test_clipped_ball_rejected():

@@ -13,7 +13,7 @@ from fracplasma import (Domain, SolverOptions, apply_fractional, build_domain,
                         steiner_symmetrize)
 from fracplasma.plasma import (_DIRECT_MAX, _GREEN_MAX, _MINRES_RTOL,
                                _NEWTON_UPDATES, _Log, _active_set_step,
-                               _call_green, _plasma_rhs, _reduced_energy,
+                               _plasma_rhs, _reduced_energy,
                                _scale_onto_mass)
 
 GAMMA = 0.1
@@ -322,8 +322,7 @@ def test_active_set_step_matches_dense_modal_oracle(step_domains, kind, K, fract
     s = 0.5
     lam = 3.2 * float(basis.eigenvalues[0] ** s)
     active = _ground_mode_set(basis, round(fraction * dom.n_interior))
-    got = _active_set_step(basis, lam, GAMMA, s, active, _call_green(basis, s),
-                           _MINRES_RTOL, _Log())
+    got = _active_set_step(basis, lam, GAMMA, s, active, _MINRES_RTOL, _Log())
     ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
                                   lam, GAMMA, s, active)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -349,8 +348,7 @@ def test_active_set_step_on_both_sides_of_direct_threshold(kind, n, K, extra):
     lam = 3.2 * float(basis.eigenvalues[0] ** s)
     active = _ground_mode_set(basis, _DIRECT_MAX + extra)
     log = _Log()
-    got = _active_set_step(basis, lam, GAMMA, s, active, _call_green(basis, s),
-                           _MINRES_RTOL, log)
+    got = _active_set_step(basis, lam, GAMMA, s, active, _MINRES_RTOL, log)
     ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
                                   lam, GAMMA, s, active)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -363,8 +361,7 @@ def test_active_set_step_on_both_sides_of_direct_threshold(kind, n, K, extra):
 
 def test_active_set_step_on_empty_set_is_zero(basis2d):
     active = np.zeros(basis2d.domain.n_interior, dtype=bool)
-    a = _active_set_step(basis2d, 4.0, GAMMA, 0.5, active,
-                         _call_green(basis2d, 0.5), _MINRES_RTOL, _Log())
+    a = _active_set_step(basis2d, 4.0, GAMMA, 0.5, active, _MINRES_RTOL, _Log())
     np.testing.assert_array_equal(a, np.zeros(basis2d.size))
 
 
@@ -681,7 +678,7 @@ def test_solver_error_carries_minres_iterations(basis1d, monkeypatch):
     assert info.value.forcing == (1e-13, 0.0, 1e-2)
 
 
-# -- the Green matrix of one solver call ---------------------------------------------
+# -- the Green matrix and its slot ---------------------------------------------------
 
 
 def _count_green_builds(monkeypatch):
@@ -710,14 +707,13 @@ def test_step_reading_green_matches_dense_modal_oracle(kind, n, K, monkeypatch):
     basis = eigendecompose(dom, K or dom.n_interior)
     s = 0.5
     lam = 3.2 * float(basis.eigenvalues[0] ** s)
-    green = _call_green(basis, s)
     rng = np.random.default_rng(n)
     for p in (1, 7, min(dom.n_interior // 3, _DIRECT_MAX), min(dom.n_interior, _DIRECT_MAX)):
         active = np.zeros(dom.n_interior, dtype=bool)
         active[rng.choice(dom.n_interior, p, replace=False)] = True
         # a direct step is exact whatever tolerance it is given
         log = _Log()
-        got = _active_set_step(basis, lam, GAMMA, s, active, green, 1e-2, log)
+        got = _active_set_step(basis, lam, GAMMA, s, active, 1e-2, log)
         ref = oracles.active_set_step(basis.vectors, basis.eigenvalues, basis.weight,
                                       lam, GAMMA, s, active)
         assert (log.minres, log.forcing) == ([0], [0.0])
@@ -751,7 +747,8 @@ def test_solves_repeat_bitwise_after_other_solves(basis2d, basis257, monkeypatch
     assert builds == [basis2d.domain.n_interior]  # one G for both phases
     again = solve_fixed_lambda(basis2d, lam, GAMMA, s)
     constrained = solve_constrained(basis257, 0.025, GAMMA, 0.5)
-    assert len(builds) == 3  # and one for all inner solves
+    # the repeat reads the slot; one G for all inner solves
+    assert len(builds) == 2
     for basis, other_s in ((basis2d, 0.5), (basis257, 0.3), (basis257, 0.5)):
         solve_fixed_lambda(basis, 6.5 * float(basis.eigenvalues[0] ** other_s),
                            GAMMA, other_s)
@@ -769,7 +766,10 @@ def _green_forbidden(basis, s):
     raise AssertionError("the Green matrix should not be built here")
 
 
-def test_green_is_never_built_above_the_cap(monkeypatch):
+def test_green_is_never_built_above_the_cap(basis2d, monkeypatch):
+    s = 0.5
+    solve_fixed_lambda(basis2d, 4.4 * float(basis2d.eigenvalues[0] ** s), GAMMA, s)
+    assert plasma._green_slot[0]() is basis2d
     monkeypatch.setattr(plasma, "_green_matrix", _green_forbidden)
     # 33^2 = 1089 interior nodes: every step is a MINRES step
     dom = build_domain("rectangle", 35, bounds=((0.0, np.pi), (0.0, np.pi)))
@@ -779,6 +779,8 @@ def test_green_is_never_built_above_the_cap(monkeypatch):
     sol = solve_fixed_lambda(basis, 3.2 * float(basis.eigenvalues[0] ** s), GAMMA, s)
     assert sol.status == "converged"
     assert sol.iterations > 0 and all(m > 0 for m in sol.minres_iterations)
+    # the call emptied the slot of the smaller basis's G
+    assert plasma._green_slot is None
 
 
 def test_short_solve_builds_green_once(basis2d, monkeypatch):
@@ -789,6 +791,61 @@ def test_short_solve_builds_green_once(basis2d, monkeypatch):
     assert sol.status == "converged" and sol.iterations == 3
     assert sol.minres_iterations == (0, 0, 0)
     assert builds == [basis2d.domain.n_interior]
+
+
+def _slot_holds(basis, s):
+    held = plasma._green_slot
+    return held is not None and held[0]() is basis and held[1] == s
+
+
+@pytest.mark.parametrize("s, factor", [(0.3, 3.3), (0.75, 4.0)])
+def test_solve_is_bitwise_equal_whatever_the_slot_holds(basis1d, basis2d, s, factor):
+    lam = factor * float(basis2d.eigenvalues[0] ** s)
+    assert plasma._green_slot is None
+    empty = solve_fixed_lambda(basis2d, lam, GAMMA, s)
+    assert _slot_holds(basis2d, s)
+    own = solve_fixed_lambda(basis2d, lam, GAMMA, s)
+    solve_fixed_lambda(basis2d, 4.0 * float(basis2d.eigenvalues[0] ** 0.5), GAMMA, 0.5)
+    assert _slot_holds(basis2d, 0.5)
+    other_order = solve_fixed_lambda(basis2d, lam, GAMMA, s)
+    solve_fixed_lambda(basis1d, factor * float(basis1d.eigenvalues[0] ** s), GAMMA, s)
+    assert _slot_holds(basis1d, s)
+    other_basis = solve_fixed_lambda(basis2d, lam, GAMMA, s)
+    assert empty.status == "converged" and 0 in empty.minres_iterations
+    for sol in (own, other_order, other_basis):
+        np.testing.assert_array_equal(sol.field.coeffs, empty.field.coeffs)
+        assert sol.minres_iterations == empty.minres_iterations
+
+
+def test_sweep_in_lambda_builds_green_once_per_order(basis2d, monkeypatch):
+    # the solver-sweep's twelve fixed-lambda solves on the 25-node square
+    builds = _count_green_builds(monkeypatch)
+    for s, factors in {0.3: (1.5, 2.0, 3.3, 6.5), 0.5: (1.5, 2.0, 3.2, 4.4),
+                       0.75: (1.5, 2.0, 4.0, 5.0)}.items():
+        for factor in factors:
+            sol = solve_fixed_lambda(basis2d, factor * float(basis2d.eigenvalues[0] ** s),
+                                     GAMMA, s)
+            assert sol.status == "converged" and 0 in sol.minres_iterations
+    assert builds == [basis2d.domain.n_interior] * 3
+
+
+def test_freeing_the_basis_empties_the_slot():
+    import gc
+    import weakref
+
+    dom = build_domain("interval", 65, bounds=(0.0, np.pi))
+    basis = eigendecompose(dom, dom.n_interior)
+    held = weakref.ref(basis)
+    solve_fixed_lambda(basis, 4.0 * float(basis.eigenvalues[0] ** 0.5), GAMMA, 0.5)
+    assert _slot_holds(basis, 0.5)
+    gc.disable()
+    try:
+        # with the cyclic GC off, only reference counts can free the basis
+        del basis
+        assert held() is None
+        assert plasma._green_slot is None
+    finally:
+        gc.enable()
 
 
 # status, method, |A|, Newton updates, direct and MINRES steps of the
@@ -815,9 +872,9 @@ def test_no_newton_run_exceeds_the_update_budget(basis2d, basis257, monkeypatch,
     runs = []
     run = plasma._active_set_solve
 
-    def counted(basis, lam, gamma, s, a0, tol, log, green, u0=None):
+    def counted(basis, lam, gamma, s, a0, tol, log, u0=None):
         before = len(log.minres)
-        out = run(basis, lam, gamma, s, a0, tol, log, green, u0)
+        out = run(basis, lam, gamma, s, a0, tol, log, u0)
         runs.append(len(log.minres) - before)
         return out
 
@@ -845,7 +902,7 @@ def _run_stubbed_steps(monkeypatch, by_minres, successor):
     fields = [basis.coefficients(2 * GAMMA * S) for S in sets]
     step_to = {S.tobytes(): fields[j] for S, j in zip(sets, successor)}
 
-    def step(basis, lam, gamma, s, active, green, rtol, log):
+    def step(basis, lam, gamma, s, active, rtol, log):
         log.minres.append(1 if by_minres else 0)
         log.forcing.append(rtol if by_minres else 0.0)
         return step_to[active.tobytes()]
@@ -854,7 +911,7 @@ def _run_stubbed_steps(monkeypatch, by_minres, successor):
     log = plasma._Log()
     lam = 4.0 * float(basis.eigenvalues[0] ** 0.5)
     a, _, _, ok = plasma._active_set_solve(basis, lam, GAMMA, 0.5, fields[0], 1e-10,
-                                           log, None)
+                                           log)
     return a, ok, log, fields
 
 
