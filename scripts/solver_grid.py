@@ -28,8 +28,9 @@ Each side's Newton updates and MINRES iterations summed over its
 fixed-lambda cases, with the MINRES steps and iterations split into loose
 ones (stopped at a forcing term above the package's tight tolerance) and
 tight ones, its Green matrix builds (counted by wrapping
-``fracplasma.plasma._green_matrix``) and solve times per route, and each
-problem of the change side whose energy-route lam differs from its
+``fracplasma.plasma._green_matrix``) and solve times per route, the
+largest relative lam difference between the two sides in each route, and
+each problem of the change side whose energy-route lam differs from its
 constrained lam by more than 1e-6 relative, are printed for information
 only.  A tree whose solutions carry no ``forcing`` counts every MINRES
 step as tight.
@@ -224,6 +225,18 @@ def tally(parent: dict, change: dict) -> str:
     return "differing cases by field: " + ", ".join(f"{k} {n}" for k, n in counts.items())
 
 
+def lam_gaps(parent: dict, change: dict) -> str:
+    """The largest relative lam difference between the two sides in each
+    route's cases that have a lam on both sides; empty without such cases."""
+    worst = {}
+    for case in parent.keys() & change.keys():
+        a, b = parent[case].get("lam"), change[case].get("lam")
+        if a is not None and b is not None:
+            worst[route(case)] = max(worst.get(route(case), 0.0), abs(b - a) / abs(a))
+    return "" if not worst else "largest relative lam difference: " + ", ".join(
+        f"{kind} {worst[kind]:.3g}" for kind in ROUTES if kind in worst)
+
+
 def route_gaps(cases: dict) -> list:
     """One line per problem whose energy-route lam differs from its
     constrained lam by more than ROUTE_RTOL relative."""
@@ -281,6 +294,8 @@ def main(argv=None) -> int:
     for line in lines:
         print(f"DIFFERS {line}")
     print(tally(sides["parent"], sides["change"]))
+    if gaps := lam_gaps(sides["parent"], sides["change"]):
+        print(gaps)
     print(f"{len(sides['change'])} cases match" if not lines
           else f"{len(lines)} mismatches")
     return 1 if lines else 0

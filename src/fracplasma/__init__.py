@@ -7,6 +7,8 @@ boundary {u = gamma} with Almgren-type frequency monitors, blow-up
 classification, and Steiner symmetrization.
 """
 
+from .config import (CheckResult, ConfigError, ExperimentConfig, RunReport,
+                     load_config)
 from .domains import (Domain, EigenBasis, build_domain, eigendecompose,
                       laplacian_matrix)
 from .extension import (ExtensionField, UySignReport, YMesh, build_ymesh,
@@ -25,11 +27,6 @@ from .plasma import (PlasmaSolution, SolverError, SolverOptions,
                      constraint_mass, minimize_energy, solve_constrained,
                      solve_fixed_lambda, steiner_symmetrize)
 from .spectral import SpectralField, apply_fractional
-# config comes last: it imports extension and plasma, and importing it first
-# loads scipy.special before scipy.sparse, which raises the peak memory of
-# the package import by about 0.13 MB
-from .config import (CheckResult, ConfigError, ExperimentConfig, RunReport,
-                     load_config)
 
 __version__ = "0.1.0"
 

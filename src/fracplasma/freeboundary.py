@@ -33,9 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .domains import Domain, build_domain
 from .extension import ExtensionField, YMesh, extension_energy_constant
@@ -66,6 +63,8 @@ __all__ = [
 _BAND = 0.15
 _FIT_TOL = 0.05
 _STRIP_CELLS = 2.0
+# the neighbour queries compare points in blocks of at most this many pairs
+_PAIR_BLOCK = 1 << 16
 
 
 # -- free-boundary extraction -------------------------------------------------
@@ -523,13 +522,22 @@ def check_boundary_inclusion(domain: Domain, values: np.ndarray,
     violations = []
     max_gap = 0.0
     for src, dst in ((lower, upper), (upper, lower)):
-        tree = cKDTree(dst)
-        dists, _ = tree.query(src, p=np.inf)
+        dists = _nearest_chebyshev(src, dst)
         max_gap = max(max_gap, float(dists.max()))
         bad = np.where(dists > 1.0 + 1e-9)[0]
         violations.extend(tuple(src[b]) for b in bad)
     return InclusionReport(max_gap_cells=max_gap, violations=violations,
                            passed=len(violations) == 0)
+
+
+def _nearest_chebyshev(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Chebyshev distance from each point of src to the nearest of dst
+    (exact on the half-integer coordinates of edge midpoints)."""
+    dists = np.full(len(src), np.inf)
+    for i, _, d in _chebyshev_blocks(src, dst):
+        rows = dists[i:i + len(d)]
+        np.minimum(rows, d.min(axis=1), out=rows)
+    return dists
 
 
 @dataclass(frozen=True)
@@ -557,8 +565,7 @@ def check_subharmonic_strip(domain: Domain, values: np.ndarray, level: float,
     if not len(fb.locations):
         raise ValueError("no free boundary at this level")
     coords = domain.interior_coords()
-    dists, _ = cKDTree(fb.locations).query(coords)
-    strip = dists <= _STRIP_CELLS * domain.h * (1 + 1e-12)
+    strip = _strip_nodes(domain, fb.locations)
     if not strip.any():
         raise ValueError("strip around the free boundary contains no interior nodes")
     # the interior lies off the grid's outer faces: sum the second
@@ -576,6 +583,25 @@ def check_subharmonic_strip(domain: Domain, values: np.ndarray, level: float,
                        location=tuple(float(c) for c in worst),
                        n_nodes=int(strip.sum()),
                        passed=bool(low > 0))
+
+
+def _strip_nodes(domain: Domain, locations: np.ndarray) -> np.ndarray:
+    """Mask of the interior nodes within _STRIP_CELLS cells (Euclidean) of
+    a point of ``locations``, in the order of ``interior_coords``."""
+    # such nodes lie in the window of 2 ceil(_STRIP_CELLS) + 2 nodes per
+    # axis that starts ceil(_STRIP_CELLS) below the point's cell
+    reach = int(np.ceil(_STRIP_CELLS))
+    cell = np.column_stack([np.floor((locations[:, d] - ax[0]) / domain.h)
+                            for d, ax in enumerate(domain.axes)]).astype(int)
+    near = np.zeros(domain.grid_shape, dtype=bool)
+    for offset in np.ndindex(*(2 * reach + 2,) * domain.dim):
+        idx = cell + np.subtract(offset, reach)
+        ok = np.all((idx >= 0) & (idx < domain.grid_shape), axis=1)
+        idx = idx[ok]
+        dist = np.sqrt(sum((ax[idx[:, d]] - locations[ok, d]) ** 2
+                           for d, ax in enumerate(domain.axes)))
+        near[tuple(idx[dist <= _STRIP_CELLS * domain.h * (1 + 1e-12)].T)] = True
+    return near[domain.interior]
 
 
 # -- census -----------------------------------------------------------------------------
@@ -604,12 +630,29 @@ def _cluster_cells(cells):
     Groups come in order of their smallest member, members ascending.
     """
     cells = np.asarray(cells)
-    n = len(cells)
-    pairs = cKDTree(cells).query_pairs(2, p=np.inf, output_type="ndarray")
-    links = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                       shape=(n, n))
-    n_groups, labels = connected_components(links, directed=False)
-    return [np.flatnonzero(labels == k).tolist() for k in range(n_groups)]
+    # every ordered pair within reach, a cell with itself among them
+    i, j = np.concatenate([np.argwhere(d <= 2) + (r, c)
+                           for r, c, d in _chebyshev_blocks(cells, cells)]).T
+    # each cell takes the smallest label among its linked cells, and then
+    # the label of its label until that is its own: every cell of a group
+    # ends at the group's smallest member
+    labels, old = np.arange(len(cells)), None
+    while not np.array_equal(labels, old):
+        old = labels.copy()
+        np.minimum.at(labels, i, old[j])
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
+    return [np.flatnonzero(labels == k).tolist() for k in np.unique(labels)]
+
+
+def _chebyshev_blocks(a, b):
+    """(i, j, d) over blocks of at most _PAIR_BLOCK pairs, d[p, q] the
+    Chebyshev distance from a[i + p] to b[j + q]."""
+    cols = max(min(len(b), _PAIR_BLOCK), 1)
+    rows = max(_PAIR_BLOCK // cols, 1)
+    for i in range(0, len(a), rows):
+        for j in range(0, len(b), cols):
+            yield i, j, np.abs(a[i:i + rows, None] - b[None, j:j + cols]).max(axis=2)
 
 
 def _reach(dom: Domain, fb: FreeBoundary, Y: float) -> float:

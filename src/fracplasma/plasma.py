@@ -38,13 +38,13 @@ with lam = 2 mu, as its Euler-Lagrange equation: the energy route recovers lam.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import dataclass, field as dc_field, replace
 from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
-from scipy.optimize import brentq, minimize
 
 from .domains import Domain, EigenBasis
 from .spectral import SpectralField, _check_order
@@ -86,6 +86,9 @@ _NEWTON_UPDATES = 12
 # solve_constrained scans lam over geometric multiples of lam_1^s
 _LAMBDA_BRACKET = (1.05, 50.0)
 _BRACKET_SAMPLES = 12
+# minimize_energy's L-BFGS keeps _LBFGS_MEMORY pairs and stops at max|grad|
+# <= _LBFGS_GTOL, a relative decrease <= _LBFGS_FTOL or _LBFGS_ITERATIONS
+_LBFGS_MEMORY, _LBFGS_GTOL, _LBFGS_FTOL, _LBFGS_ITERATIONS = 10, 1e-13, 1e-18, 800
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ class PlasmaSolution:
     gamma: float
     s: float
     residual: float
-    iterations: int          # Newton steps, or L-BFGS-B iterations for 'energy'
+    iterations: int          # Newton steps, or L-BFGS iterations for 'energy'
     status: str              # 'converged' | 'trivial' | 'failed'
     method: str              # 'exact' | 'active-set' | 'active-set+continuation' | 'energy'
     history: np.ndarray = dc_field(repr=False, default=None)
@@ -519,12 +522,8 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
             f"{min(masses):.6g}); choose a larger mass"
         )
 
-    # the problem goes in through args: brentq's wrapper of the function
-    # refers to itself, and a closure over solve_at in that cycle would keep
-    # the basis alive after the return until the cyclic GC ran
-    lam_star = brentq(_mass_gap, bracket[0], bracket[1],
-                      args=(solve_at, dom, gamma, mass),
-                      xtol=1e-13 * lam1s, rtol=8.9e-16)
+    lam_star = _brentq(_mass_gap, bracket[0], bracket[1], 1e-13 * lam1s, 8.9e-16,
+                       args=(solve_at, dom, gamma, mass))
     sol = solve_at(lam_star)
     achieved = constraint_mass(dom, sol.trace, gamma)
     if abs(achieved - mass) > opts.constraint_rtol * mass:
@@ -539,6 +538,48 @@ def _mass_gap(lam, solve_at, dom, gamma, mass) -> float:
     """Constraint mass of the solution at ``lam`` minus the target."""
     sol = solve_at(lam)
     return constraint_mass(dom, sol.trace, gamma) - mass
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, args=()) -> float:
+    """A root of f(x, *args) in [xa, xb] by Brent's method (Brent 1973),
+    step for step as scipy's ``brentq``: an interpolated or extrapolated
+    step where it is short enough, a bisection otherwise, until the
+    bracket is below xtol + rtol |x|.  ``SolverError`` when f has one sign
+    at both ends or after 100 iterations."""
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre, *args)), float(f(xcur, *args))
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise SolverError(f"no sign change on [{xa:.6g}, {xb:.6g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                           # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            spre, scur = (scur, stry) if 2 * abs(stry) < min(
+                abs(spre), 3 * abs(sbis) - delta) else (sbis, sbis)
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur, *args))
+    raise SolverError("root-find not converged after 100 iterations "
+                      f"(last x = {xcur:.17g})")
 
 
 def _scale_onto_mass(u: np.ndarray, gamma: float, target: float) -> float:
@@ -594,16 +635,18 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
                     *, options: SolverOptions = None) -> PlasmaSolution:
     """Minimise the fractional Dirichlet energy at fixed overshoot mass.
 
-    One unconstrained L-BFGS-B minimisation, from the ground mode, of
-    F = E(t(a) a) over directions a (in the variables lam_k^{s/2} a_k);
-    the closed-form scale t(a) puts every direction on the constraint.  The
-    minimiser's multiplier mu gives lam = 2 mu, since the Euler-Lagrange
-    equation of the mass is the plasma equation with that lam.
+    One unconstrained L-BFGS run (stopped at max|grad F| <= 1e-13, a
+    relative decrease of F <= 1e-18 or 800 iterations), from the ground
+    mode, of F = E(t(a) a) over directions a (in the variables
+    lam_k^{s/2} a_k); the closed-form scale t(a) puts every direction on
+    the constraint.  The minimiser's multiplier mu gives lam = 2 mu, since
+    the Euler-Lagrange equation of the mass is the plasma equation with
+    that lam.
     ``residual`` is the norm of that equation, and ``status`` is
     'converged' when it is below ``stationarity_rtol`` times |L^s u| and
     the field's mass is within ``constraint_rtol`` of the target; a
     missed mass is a failed solve.
-    ``iterations`` counts L-BFGS-B iterations and ``history`` holds the
+    ``iterations`` counts L-BFGS iterations and ``history`` holds the
     energy after each.  The route is deliberately independent of the
     fixed-point solvers; like any descent it finds a local minimum.
     """
@@ -615,25 +658,60 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     args = (basis, scale, gamma, mass / basis.weight)
     c = np.zeros(basis.size)
     c[0] = scale[0] * _scale_onto_mass(_ground_mode(basis), *args[2:])
-    history = []
-    result = minimize(lambda x: _reduced_energy(x, *args)[:2], c, jac=True,
-                      method="L-BFGS-B",
-                      callback=lambda intermediate_result: history.append(
-                          float(intermediate_result.fun)),
-                      options={"maxiter": 800, "ftol": 1e-18, "gtol": 1e-13})
-    _, grad, t, mu = _reduced_energy(result.x, *args)
-    b = t * result.x / scale
+    c, history = _lbfgs(lambda x: _reduced_energy(x, *args)[:2], c)
+    _, grad, t, mu = _reduced_energy(c, *args)
+    b = t * c / scale
     res = float(np.linalg.norm(scale * grad)) / t
     stationary = res <= opts.stationarity_rtol * float(np.linalg.norm(scale**2 * b))
     achieved = constraint_mass(basis.domain, basis.nodal(b), gamma)
     on_target = abs(achieved - mass) <= opts.constraint_rtol * mass
     return PlasmaSolution(
         field=SpectralField(basis, b), lam=float(2 * mu), gamma=float(gamma),
-        s=float(s), residual=res, iterations=int(result.nit),
+        s=float(s), residual=res, iterations=len(history),
         status="converged" if stationary and on_target else "failed",
         method="energy", history=np.asarray(history),
         constraint_target=float(mass), constraint_value=achieved,
     )
+
+
+def _lbfgs(fun, x: np.ndarray):
+    """Minimise fun, which returns value and gradient, from x by L-BFGS.
+
+    The direction is the two-loop recursion over the last _LBFGS_MEMORY
+    pairs (s, y), the first one -g/|g|; a pair with s.y <= eps y.y is not
+    kept.  Each step backtracks by halves from 1 to the Armijo decrease.
+    Returns the last iterate and the value after each iteration.
+    """
+    f, g = fun(x)
+    pairs, history, stalled = deque(maxlen=_LBFGS_MEMORY), [], False
+    while (not stalled and len(history) < _LBFGS_ITERATIONS
+           and np.abs(g).max() > _LBFGS_GTOL):
+        d, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d = d - alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            d = d / (rho * (y @ y))
+            for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+                d = d + (alpha - rho * (y @ d)) * s
+        else:
+            d = d / np.linalg.norm(d)
+        step, slope = 1.0, float(g @ d)
+        for _ in range(60):         # down to steps of 1e-18
+            f_new, g_new = fun(x + step * d)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step /= 2
+        else:
+            break                   # no decrease left along d
+        s, y = step * d, g_new - g
+        if s @ y > np.finfo(float).eps * (y @ y):
+            pairs.append((s, y, 1 / (s @ y)))
+        x, stalled = x + s, f - f_new <= _LBFGS_FTOL * max(abs(f), abs(f_new), 1.0)
+        f, g = f_new, g_new
+        history.append(float(f))
+    return x, history
 
 
 # -- symmetrization ---------------------------------------------------------------

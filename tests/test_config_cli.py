@@ -3,7 +3,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import typing
 from pathlib import Path
@@ -1091,6 +1094,38 @@ def test_disk_without_n_refused_before_solve(tmp_path, monkeypatch, capsys):
     assert load_config(str(write_config(tmp_path, {"domain": {"n": None}}))).domain.n == 129
 
 
+def test_runs_import_no_optimize_spatial_or_csgraph(tmp_path):
+    # a fresh interpreter: this one holds scipy.optimize through oracles
+    path = write_config(tmp_path, {
+        "domain": {"kind": "rectangle", "n": 17, "bounds": [[0.0, np.pi], [0.0, np.pi]]},
+        "s": 0.75})
+    code = """if True:
+        import sys
+        import numpy as np
+        import fracplasma.cli
+        from fracplasma import (build_domain, eigendecompose, minimize_energy,
+                                solve_constrained, solve_fixed_lambda)
+        dom = build_domain("rectangle", 17, bounds=((0.0, np.pi),) * 2)
+        basis = eigendecompose(dom, dom.n_interior)
+        lam1s = float(basis.eigenvalues[0] ** 0.75)
+        statuses = [solve_fixed_lambda(basis, 4 * lam1s, 0.1, 0.75).status,
+                    solve_constrained(basis, 0.01, 0.1, 0.75).status,
+                    minimize_energy(basis, 0.01, 0.1, 0.75).status]
+        code = fracplasma.cli.main(["verify", "--config", sys.argv[1],
+                                    "--out", sys.argv[2]])
+        print(code, *statuses, *sorted(m for m in sys.modules if m.startswith(
+            ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph"))))
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=True)
+    last = done.stdout.splitlines()[-1].split()
+    assert last[0] in ("0", "1") and last[1:4] == ["converged"] * 3
+    assert last[4:] == []
+
+
 def _script(name):
     import importlib.util
 
@@ -1162,6 +1197,19 @@ def test_solver_grid_names_each_mismatch():
                   "m": con_far, "e": error}) == (
         "differing cases by field: status 2, method 0, active 2, iterations 0, "
         "direct 2, minres_steps 2, sup u 1, lam 2")
+
+
+def test_solver_grid_gives_the_largest_lam_difference_per_route():
+    lam_gaps = _script("solver_grid").lam_gaps
+    fixed = {"status": "converged", "active": 9, "sup_u": 0.5}
+    con = {"status": "converged", "active": 9, "lam": 4.0}
+    parent = {"a": fixed, "m1 constrained": con, "m1 energy": con,
+              "m2 energy": con, "m3 energy": con}
+    change = {"a": fixed, "m1 constrained": con, "m1 energy": dict(con, lam=4.0 + 2e-8),
+              "m2 energy": dict(con, lam=4.0 - 4e-8), "m3 energy": dict(con, lam=None)}
+    assert lam_gaps(parent, change) == (
+        "largest relative lam difference: constrained 0, energy 1e-08")
+    assert lam_gaps({"a": fixed}, {"a": fixed}) == ""
 
 
 def test_solver_grid_prints_each_route_disagreement():

@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 import oracles
 from fracplasma import (ExtensionField, blowup, build_domain, build_ymesh,
@@ -12,7 +15,8 @@ from fracplasma import (ExtensionField, blowup, build_domain, build_ymesh,
                         singular_census, solve_fixed_lambda)
 from fracplasma import freeboundary, halfball
 from fracplasma.freeboundary import (Classification, FreeBoundary,
-                                     _cluster_cells)
+                                     _chebyshev_blocks, _cluster_cells,
+                                     _nearest_chebyshev, _strip_nodes)
 
 
 def model_field(kind, s, n=161, layers=160):
@@ -128,6 +132,84 @@ def test_extraction_and_clustering_match_brute_force(dim):
         sparse = cells[::3]
         assert _cluster_cells(sparse) == oracles.cluster_cells(sparse)
     assert tags == {"regular", "unresolved"}
+
+
+# The three neighbour queries against scipy's k-d tree and graph components,
+# which the package no longer imports.
+
+
+def _kdtree_clusters(cells):
+    n = len(cells)
+    pairs = cKDTree(cells).query_pairs(2, p=np.inf, output_type="ndarray")
+    links = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    n_groups, labels = connected_components(links, directed=False)
+    return [np.flatnonzero(labels == k).tolist() for k in range(n_groups)]
+
+
+def _kdtree_strip(dom, locations):
+    dists, _ = cKDTree(locations).query(dom.interior_coords())
+    return dists <= 2.0 * dom.h * (1 + 1e-12)
+
+
+def _edge_points(dom, rng, count):
+    """Points on random grid edges: at a node or a hair before one, at the
+    midpoint or anywhere along the edge, so that some nodes lie two cells
+    away up to the strip's tolerance."""
+    idx = rng.integers(0, np.array(dom.grid_shape) - 1, size=(count, dom.dim))
+    locs = np.column_stack([ax[idx[:, d]] for d, ax in enumerate(dom.axes)])
+    t = rng.choice([0.0, 0.5, 1.0, 1.0 - 1e-13, rng.random()], size=count)
+    locs[np.arange(count), rng.integers(dom.dim, size=count)] += t * dom.h
+    return locs
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_neighbour_queries_match_kdtree_and_csgraph(dim, monkeypatch):
+    rng = np.random.default_rng(40 + dim)
+    doms = [build_domain("interval", 33, bounds=(-1.0, 1.0)) if dim == 1 else
+            build_domain("rectangle", (21, 11), bounds=((-1.0, 1.0), (0.0, 1.0)))]
+    if dim == 2:
+        doms.append(build_domain("disk", 25, bounds=((-1.5, 1.5),) * 2, radius=1.4,
+                                 center=(0.0, 0.0)))
+    for block in (1 << 16, 7):          # one block, and many in both axes
+        monkeypatch.setattr(freeboundary, "_PAIR_BLOCK", block)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            cells = rng.integers(0, 10 if dim == 2 else 40, size=(n, dim))
+            assert _cluster_cells(cells) == _kdtree_clusters(cells)
+            assert _cluster_cells(cells) == oracles.cluster_cells(cells.tolist())
+            # edge midpoints in index units; a sparse dst leaves gaps of
+            # several cells
+            src = rng.integers(0, 40, size=(n, dim)) + rng.integers(0, 2, (n, dim)) / 2
+            dst = src[rng.random(n) < 0.2] if n > 4 else src
+            want, _ = cKDTree(dst).query(src, p=np.inf)
+            assert np.array_equal(_nearest_chebyshev(src, dst), want)
+            for dom in doms:
+                locs = _edge_points(dom, rng, int(rng.integers(1, 30)))
+                assert np.array_equal(_strip_nodes(dom, locs), _kdtree_strip(dom, locs))
+        sizes = [d.size for _, _, d in _chebyshev_blocks(cells, cells)]
+        assert max(sizes) <= block and sum(sizes) == len(cells) ** 2
+
+
+def test_inclusion_and_strip_match_kdtree_on_a_disk():
+    dom = build_domain("disk", 33, bounds=((-1.5, 1.5),) * 2, radius=1.4,
+                       center=(0.0, 0.0))
+    xs, ys = np.meshgrid(*dom.axes, indexing="ij")
+    u = np.where(dom.interior, 1.0 - xs**2 - 0.5 * ys**2, 0.0)
+    # a fat plateau at the level puts the two transitions cells apart
+    for field, passed in ((u, True), (np.where(np.abs(u - 0.5) < 0.2, 0.5, u), False)):
+        lower, upper = oracles.inclusion_transitions(dom.interior, field, 0.5)
+        lower, upper = np.array(sorted(lower)), np.array(sorted(upper))
+        gap = max(cKDTree(b).query(a, p=np.inf)[0].max()
+                  for a, b in ((lower, upper), (upper, lower)))
+        rep = check_boundary_inclusion(dom, field, 0.5)
+        assert rep.max_gap_cells == gap and rep.passed == passed
+        assert passed or gap > 2
+    fb = extract_free_boundary(dom, u, 0.5)
+    assert np.array_equal(_strip_nodes(dom, fb.locations),
+                          _kdtree_strip(dom, fb.locations))
+    assert check_subharmonic_strip(dom, u, 0.5, 0.75).n_nodes == int(
+        _kdtree_strip(dom, fb.locations).sum())
 
 
 # -- frequency profiles --------------------------------------------------------------

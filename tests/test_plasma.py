@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from fracplasma import (Domain, SolverOptions, apply_fractional, build_domain,
                         steiner_symmetrize)
 from fracplasma.plasma import (_DIRECT_MAX, _GREEN_MAX, _MINRES_RTOL,
                                _NEWTON_UPDATES, _Log, _active_set_step,
-                               _plasma_rhs, _reduced_energy,
+                               _brentq, _lbfgs, _plasma_rhs, _reduced_energy,
                                _scale_onto_mass)
 
 GAMMA = 0.1
@@ -277,7 +278,7 @@ def _never_run(*args, **kwargs):
 def test_non_finite_inputs_are_refused_at_once(monkeypatch, call, message):
     # refused before any Newton run or minimisation starts
     monkeypatch.setattr(plasma, "_active_set_solve", _never_run)
-    monkeypatch.setattr(plasma, "minimize", _never_run)
+    monkeypatch.setattr(plasma, "_lbfgs", _never_run)
     dom = build_domain("interval", 33, bounds=(0.0, np.pi))
     with pytest.raises(ValueError, match=message):
         call(eigendecompose(dom, dom.n_interior))
@@ -451,6 +452,77 @@ def test_energy_route_recovers_constrained_multiplier(basis1d, basis2d, kind, s)
     assert sol.constraint_value == pytest.approx(0.025, rel=1e-12)
     assert sol.lam == pytest.approx(ref.lam, rel=1e-6)
     assert len(sol.history) == sol.iterations
+
+
+# -- the root-finder and the minimiser -----------------------------------------------
+
+
+@pytest.mark.parametrize("f, args, bracket", [
+    (lambda x: x**3 - 2 * x - 5, (), (2.0, 3.0)),
+    (lambda x, a, b: np.tanh(a * (x - b)), (3.0, 0.3), (-1.0, 2.0)),
+    (lambda x, a: np.exp(x) - a, (2.0,), (0.0, 2.0)),
+    (lambda x, a: np.cos(x) - a * x, (1.0,), (0.0, 1.0)),
+    (lambda x: (x - 1.0) ** 3 + 1e-3 * (x - 1.0), (), (0.0, 3.5)),
+    # a mass gap like solve_constrained's: decreasing in lam on its bracket
+    (lambda lam, lam1, m: 0.4 / (lam / lam1) ** 2 - m, (2.3, 0.025), (2.415, 115.0)),
+    (lambda x: x - 1.0, (), (1.0, 2.0)),            # roots at either end
+    (lambda x: x - 2.0, (), (1.0, 2.0)),
+], ids=["cubic", "tanh", "exp", "cos", "flat", "mass", "root-low", "root-high"])
+@pytest.mark.parametrize("xtol, rtol", [(2e-12, 8.9e-16), (2.3e-13, 8.9e-16),
+                                        (1e-4, 1e-9)],
+                         ids=["scipy-default", "solve-constrained", "loose"])
+def test_brentq_matches_scipy_bitwise(f, args, bracket, xtol, rtol):
+    want = scipy.optimize.brentq(f, *bracket, args=args, xtol=xtol, rtol=rtol)
+    assert _brentq(f, *bracket, xtol, rtol, args=args) == want
+
+
+def test_brentq_matches_scipy_on_random_brackets():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        a, b = rng.uniform(0.2, 5.0), rng.uniform(-0.5, 0.5)
+        lo, hi = rng.uniform(-3.0, -0.6), rng.uniform(0.6, 3.0)
+        xtol = 1e-13 * rng.uniform(0.5, 50.0)
+        for f in (lambda x, a, b: np.sinh(a * (x - b)) + 0.1 * (x - b),
+                  lambda x, a, b: x**3 + a * x - b):
+            want = scipy.optimize.brentq(f, lo, hi, args=(a, b), xtol=xtol,
+                                         rtol=8.9e-16)
+            assert _brentq(f, lo, hi, xtol, 8.9e-16, args=(a, b)) == want
+
+
+def test_brentq_failures_are_solver_errors():
+    with pytest.raises(plasma.SolverError, match="no sign change"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
+    # near a triple root the interpolated steps crawl: 100 iterations do not
+    # close the bracket
+    def flat(x):
+        return (x - 1.0) ** 3
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        scipy.optimize.brentq(flat, 0.0, 3.5, xtol=2e-12, rtol=8.9e-16)
+    with pytest.raises(plasma.SolverError, match="not converged after 100"):
+        _brentq(flat, 0.0, 3.5, 2e-12, 8.9e-16)
+
+
+def test_lbfgs_minimises_an_ill_conditioned_quadratic():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    A = q @ np.diag(np.geomspace(1.0, 1e3, 30)) @ q.T
+    b = rng.standard_normal(30)
+    x, history = _lbfgs(lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b), np.zeros(30))
+    # it stops where the value stalls at its rounding, short of gtol
+    assert np.abs(A @ x - b).max() < 1e-6
+    # one value per iteration, each an Armijo decrease
+    assert 0 < len(history) < plasma._LBFGS_ITERATIONS
+    assert np.all(np.diff(history) <= 0)
+    assert history[-1] == pytest.approx(-0.5 * b @ np.linalg.solve(A, b), rel=1e-14)
+
+
+def test_lbfgs_stops_at_its_iteration_budget(monkeypatch):
+    monkeypatch.setattr(plasma, "_LBFGS_ITERATIONS", 5)
+    # Rosenbrock's valley takes dozens of iterations
+    def rosen(x):
+        return (scipy.optimize.rosen(x), scipy.optimize.rosen_der(x))
+    _, history = _lbfgs(rosen, np.full(4, -1.2))
+    assert len(history) == 5
 
 
 @pytest.mark.parametrize("seed", [1, 2])
