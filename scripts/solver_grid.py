@@ -29,6 +29,9 @@ fixed-lambda cases, with the MINRES steps and iterations split into loose
 ones (stopped at a forcing term above the package's tight tolerance) and
 tight ones, its Green matrix builds (counted by wrapping
 ``fracplasma.plasma._green_matrix``) and solve times per route, the
+inner ``solve_fixed_lambda`` calls of its constrained route (counted by
+wrapping ``fracplasma.plasma.solve_fixed_lambda``, which the grid's own
+fixed-lambda cases do not call through), the
 largest relative lam difference between the two sides in each route, and
 each problem of the change side whose energy-route lam differs from its
 constrained lam by more than 1e-6 relative, are printed for information
@@ -83,18 +86,18 @@ def domains(quick: bool):
             + [("disk-33", "disk", 33, DISK, None)])
 
 
-def count_green_builds() -> list:
-    """Wrap the package's Green matrix build in a counter: the one-element
-    list it increments."""
+def count_calls(name: str) -> list:
+    """Wrap the function ``name`` of ``fracplasma.plasma`` in a counter: the
+    one-element list it increments."""
     from fracplasma import plasma
 
-    count, build = [0], plasma._green_matrix
+    count, call = [0], getattr(plasma, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         count[0] += 1
-        return build(*args)
+        return call(*args, **kwargs)
 
-    plasma._green_matrix = counted
+    setattr(plasma, name, counted)
     return count
 
 
@@ -127,7 +130,8 @@ def solve_grid(quick: bool) -> dict:
                             solve_constrained, solve_fixed_lambda)
     from fracplasma.plasma import _MINRES_RTOL
 
-    builds = count_green_builds()
+    builds = count_calls("_green_matrix")
+    inner = count_calls("solve_fixed_lambda")
     out = {}
     for label, kind, n, keywords, modes in domains(quick):
         dom = build_domain(kind, n, **keywords)
@@ -160,9 +164,10 @@ def solve_grid(quick: bool) -> dict:
                 continue
             for m in MASSES:
                 for route, solve in zip(ROUTES, (solve_constrained, minimize_energy)):
-                    before = builds[0]
+                    before, solves = builds[0], inner[0]
                     case = mass_case(solve, basis, m, s)
                     case["green_builds"] = builds[0] - before
+                    case["inner_solves"] = inner[0] - solves
                     out[f"{label} s={s} m={m} {route}"] = case
     return out
 
@@ -285,9 +290,11 @@ def main(argv=None) -> int:
         for kind in ROUTES:
             runs = [c for case, c in cases.items() if route(case) == kind]
             if runs:
+                inner = (f"{sum(c['inner_solves'] for c in runs)} inner solves, "
+                         if kind == "constrained" else "")
                 print(f"{name}: {len(runs)} {kind} cases, "
                       f"{sum(c['green_builds'] for c in runs)} Green matrix builds, "
-                      f"solves {sum(c['seconds'] for c in runs):.2f} s")
+                      f"{inner}solves {sum(c['seconds'] for c in runs):.2f} s")
     for line in route_gaps(sides["change"]):
         print(f"ROUTES {line}")
     lines = mismatches(sides["parent"], sides["change"])

@@ -144,12 +144,9 @@ class ExtensionSpec:
     grading: float = None
 
     def __post_init__(self):
-        if not 0 < self.span_factor < math.inf:
-            raise ConfigError("extension.span_factor must be positive")
-        if self.layers < 8:
-            raise ConfigError("extension.layers must be at least 8")
-        try:        # the mesh's own rule on the grading
-            build_ymesh(0.5, 1.0, grading=self.grading)
+        try:        # the mesh's own rules
+            build_ymesh(0.5, 1.0, span_factor=self.span_factor, layers=self.layers,
+                        grading=self.grading)
         except ValueError as exc:
             raise ConfigError(f"extension.{exc}") from None
 

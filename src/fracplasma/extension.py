@@ -91,8 +91,10 @@ def build_ymesh(s: float, lam1: float, *, span_factor: float = 20.0,
     _check_order(s)
     if not 0 < lam1 < np.inf:
         raise ValueError("lam1 must be positive")
+    if not 0 < span_factor < np.inf:
+        raise ValueError("span_factor must be positive")
     if layers < 8:
-        raise ValueError("need at least 8 layers")
+        raise ValueError("layers must be at least 8")
     if grading is None:
         grading = max(2.0, 1.0 / s)
     if not 1 <= grading < np.inf:

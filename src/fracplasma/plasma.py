@@ -25,8 +25,9 @@ where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
   same budget of updates and fails at once on a plasma set it has
   stepped on exactly before; the walk's halving of its step after a
   failed rung is the only recovery.
-* ``solve_constrained``: outer 1-D root-find in lam matching a mass
-  constraint, warm-starting the inner solver along the bracket.
+* ``solve_constrained``: a scan in lam and Brent's root-find on its
+  bracket matching a mass constraint, each lam one warm-started
+  fixed-lambda solve; the answer is the solve made at the root.
 * ``minimize_energy``: minimisation of the fractional Dirichlet energy
   over directions, each scaled in closed form onto the same constraint;
   an independent route whose multiplier gives lam.
@@ -475,57 +476,57 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
     """Find lam so the solution carries a prescribed overshoot mass.
 
     Scans lam over a geometric ladder of multiples of lam_1^s (the mass
-    decreases in lam above the bifurcation threshold), brackets the
-    target, then runs a scalar root-find with warm-started inner solves,
-    which share the slot's Green matrix.
+    decreases in lam above the bifurcation threshold) until the mass falls
+    below the target, then runs Brent's root-find on the scan's last two
+    lam and their masses.  Each lam is one fixed-lambda solve, warm-started
+    from the one before.  Brent's root is the latest lam tried on its side
+    of the target, so only the latest solve on each side is kept, and the
+    answer is the solve made at the root, with its ``iterations``,
+    ``history``, ``minres_iterations`` and ``forcing``.
     """
     opts = options or SolverOptions()
     _validate_problem(gamma, s)
     if not 0 < mass < np.inf:
         raise ValueError("constraint mass must be positive")
     lam1s = float(basis.eigenvalues[0] ** s)
-    dom = basis.domain
-    cache = {"coeffs": None}
+    kept, last = {}, None   # mass below the target? -> latest (solution, mass)
 
-    def solve_at(lam):
-        sol = solve_fixed_lambda(basis, lam, gamma, s, options=opts,
-                                 initial=cache["coeffs"])
-        if sol.status == "failed":
+    def mass_at(lam):
+        nonlocal last
+        last = solve_fixed_lambda(basis, lam, gamma, s, options=opts,
+                                  initial=None if last is None else last.field.coeffs)
+        if last.status == "failed":
             raise SolverError(
-                f"inner solve failed at lam={lam:.6g} (residual {sol.residual:.3e})",
-                history=sol.history, minres_iterations=sol.minres_iterations,
-                forcing=sol.forcing,
+                f"inner solve failed at lam={lam:.6g} (residual {last.residual:.3e})",
+                history=last.history, minres_iterations=last.minres_iterations,
+                forcing=last.forcing,
             )
-        cache["coeffs"] = sol.field.coeffs
-        return sol
+        g = constraint_mass(basis.domain, last.field.nodal, gamma)
+        kept[g < mass] = (last, g)
+        return g
 
     ladder = np.geomspace(*_LAMBDA_BRACKET, _BRACKET_SAMPLES) * lam1s
     masses = []
-    bracket = None
     for lam in ladder:
-        sol = solve_at(lam)
-        g = constraint_mass(dom, sol.trace, gamma)
-        masses.append(g)
-        if g < mass and len(masses) > 1 and masses[-2] >= mass:
-            bracket = (ladder[len(masses) - 2], lam)
+        masses.append(mass_at(lam))
+        if masses[-1] < mass:
             break
-        if g < mass and len(masses) == 1:
-            raise SolverError(
-                f"target mass {mass:.6g} exceeds the value {g:.6g} at the lower "
-                f"end of the lambda scan ({_LAMBDA_BRACKET[0]:g} lam_1^s = "
-                f"{lam:.6g}); choose a smaller mass"
-            )
-    if bracket is None:
+    if masses[0] < mass:
+        raise SolverError(
+            f"target mass {mass:.6g} exceeds the value {masses[0]:.6g} at the lower "
+            f"end of the lambda scan ({_LAMBDA_BRACKET[0]:g} lam_1^s = "
+            f"{ladder[0]:.6g}); choose a smaller mass"
+        )
+    if masses[-1] >= mass:
         raise SolverError(
             f"target mass {mass:.6g} not reached by lam up to {ladder[-1]:.6g} "
             f"({_LAMBDA_BRACKET[1]:g} lam_1^s; smallest mass seen "
             f"{min(masses):.6g}); choose a larger mass"
         )
-
-    lam_star = _brentq(_mass_gap, bracket[0], bracket[1], 1e-13 * lam1s, 8.9e-16,
-                       args=(solve_at, dom, gamma, mass))
-    sol = solve_at(lam_star)
-    achieved = constraint_mass(dom, sol.trace, gamma)
+    k = len(masses) - 1
+    lam_star = _brentq(lambda lam: mass_at(lam) - mass, ladder[k - 1], ladder[k],
+                       masses[k - 1] - mass, masses[k] - mass, 1e-13 * lam1s, 8.9e-16)
+    (sol, achieved), = [pair for pair in kept.values() if pair[0].lam == lam_star]
     if abs(achieved - mass) > opts.constraint_rtol * mass:
         raise SolverError(
             f"constraint matched only to {abs(achieved - mass) / mass:.3e} "
@@ -534,20 +535,16 @@ def solve_constrained(basis: EigenBasis, mass: float, gamma: float, s: float,
     return replace(sol, constraint_target=float(mass), constraint_value=achieved)
 
 
-def _mass_gap(lam, solve_at, dom, gamma, mass) -> float:
-    """Constraint mass of the solution at ``lam`` minus the target."""
-    sol = solve_at(lam)
-    return constraint_mass(dom, sol.trace, gamma) - mass
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, args=()) -> float:
-    """A root of f(x, *args) in [xa, xb] by Brent's method (Brent 1973),
-    step for step as scipy's ``brentq``: an interpolated or extrapolated
-    step where it is short enough, a bisection otherwise, until the
-    bracket is below xtol + rtol |x|.  ``SolverError`` when f has one sign
-    at both ends or after 100 iterations."""
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
+            rtol: float) -> float:
+    """A root of f in [xa, xb] from fa = f(xa), fb = f(xb) by Brent's method
+    (Brent 1973), step for step as scipy's ``brentq``: an interpolated or
+    extrapolated step where it is short enough, a bisection otherwise, until
+    the bracket is below xtol + rtol |x|.  With fb != 0 the root is the latest
+    point (xb after xa) on its side, f < 0 or f >= 0.  ``SolverError`` when
+    f has one sign at both ends or after 100 iterations."""
     xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(f(xpre, *args)), float(f(xcur, *args))
+    fpre, fcur = float(fa), float(fb)
     if fpre == 0 or fcur == 0:
         return xpre if fpre == 0 else xcur
     if (fpre < 0) == (fcur < 0):
@@ -577,7 +574,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, args=()) -> float
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur, *args))
+        fcur = float(f(xcur))
     raise SolverError("root-find not converged after 100 iterations "
                       f"(last x = {xcur:.17g})")
 
@@ -658,8 +655,7 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
     args = (basis, scale, gamma, mass / basis.weight)
     c = np.zeros(basis.size)
     c[0] = scale[0] * _scale_onto_mass(_ground_mode(basis), *args[2:])
-    c, history = _lbfgs(lambda x: _reduced_energy(x, *args)[:2], c)
-    _, grad, t, mu = _reduced_energy(c, *args)
+    c, history, (_, grad, t, mu) = _lbfgs(lambda x: _reduced_energy(x, *args), c)
     b = t * c / scale
     res = float(np.linalg.norm(scale * grad)) / t
     stationary = res <= opts.stationarity_rtol * float(np.linalg.norm(scale**2 * b))
@@ -675,14 +671,16 @@ def minimize_energy(basis: EigenBasis, mass: float, gamma: float, s: float,
 
 
 def _lbfgs(fun, x: np.ndarray):
-    """Minimise fun, which returns value and gradient, from x by L-BFGS.
+    """Minimise fun, whose result starts with value and gradient, from x by
+    L-BFGS.
 
     The direction is the two-loop recursion over the last _LBFGS_MEMORY
     pairs (s, y), the first one -g/|g|; a pair with s.y <= eps y.y is not
     kept.  Each step backtracks by halves from 1 to the Armijo decrease.
-    Returns the last iterate and the value after each iteration.
+    Returns the last iterate, the value after each iteration and fun's
+    whole result at the last iterate.
     """
-    f, g = fun(x)
+    f, g, *_ = result = fun(x)
     pairs, history, stalled = deque(maxlen=_LBFGS_MEMORY), [], False
     while (not stalled and len(history) < _LBFGS_ITERATIONS
            and np.abs(g).max() > _LBFGS_GTOL):
@@ -699,7 +697,7 @@ def _lbfgs(fun, x: np.ndarray):
             d = d / np.linalg.norm(d)
         step, slope = 1.0, float(g @ d)
         for _ in range(60):         # down to steps of 1e-18
-            f_new, g_new = fun(x + step * d)
+            f_new, g_new, *_ = trial = fun(x + step * d)
             if f_new <= f + 1e-4 * step * slope:
                 break
             step /= 2
@@ -709,9 +707,9 @@ def _lbfgs(fun, x: np.ndarray):
         if s @ y > np.finfo(float).eps * (y @ y):
             pairs.append((s, y, 1 / (s @ y)))
         x, stalled = x + s, f - f_new <= _LBFGS_FTOL * max(abs(f), abs(f_new), 1.0)
-        f, g = f_new, g_new
+        f, g, result = f_new, g_new, trial
         history.append(float(f))
-    return x, history
+    return x, history, result
 
 
 # -- symmetrization ---------------------------------------------------------------

@@ -97,8 +97,14 @@ def test_ymesh_span_and_grading():
 
 
 def test_ymesh_minimum_layer_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^layers must be at least 8$"):
         build_ymesh(0.5, 1.0, layers=3)
+
+
+@pytest.mark.parametrize("span_factor", [0.0, -1.0, np.nan, np.inf])
+def test_ymesh_refuses_a_span_factor_that_is_not_positive_and_finite(span_factor):
+    with pytest.raises(ValueError, match="^span_factor must be positive$"):
+        build_ymesh(0.5, 1.0, span_factor=span_factor)
 
 
 # -- semianalytic extension ----------------------------------------------------------

@@ -415,6 +415,44 @@ def test_constrained_solve_keeps_its_multiplier_2d(basis2d):
     assert sol.lam == pytest.approx(3.799653583071216, rel=1e-10)
 
 
+def test_constrained_solve_solves_each_lambda_once(basis2d, monkeypatch):
+    # the scan's solves, then Brent's interior ones: neither end of the
+    # bracket nor the root is solved again, and of the solves before it no
+    # more than two (the latest on each side of the target) outlive the next
+    import weakref
+
+    solved, alive, brent = [], [], []
+    inner, brentq = plasma.solve_fixed_lambda, plasma._brentq
+
+    def counted(basis, lam, *args, **kwargs):
+        alive.append(sum(ref() is not None for _, _, ref in solved))
+        sol = inner(basis, lam, *args, **kwargs)
+        solved.append((lam, sol.history, weakref.ref(sol)))
+        return sol
+
+    def recorded(f, xa, xb, *rest, **kwargs):
+        brent.append(xb)
+
+        def g(x, *args):
+            brent.append(x)
+            return f(x, *args)
+        return brentq(g, xa, xb, *rest, **kwargs)
+
+    monkeypatch.setattr(plasma, "solve_fixed_lambda", counted)
+    monkeypatch.setattr(plasma, "_brentq", recorded)
+    sol = solve_constrained(basis2d, 0.025, GAMMA, 0.5)
+    assert sol.status == "converged"
+    ladder = (np.geomspace(*plasma._LAMBDA_BRACKET, plasma._BRACKET_SAMPLES)
+              * float(basis2d.eigenvalues[0] ** 0.5))
+    scan = list(ladder[:list(ladder).index(brent[0]) + 1])
+    lams = [lam for lam, _, _ in solved]
+    assert lams == scan + brent[1:]
+    assert len(set(lams)) == len(lams) and len(brent) > 1
+    assert max(alive) <= 2
+    # the answer is the inner solve made at its own lam
+    assert [h for lam, h, _ in solved if lam == sol.lam] == [sol.history]
+
+
 def test_energy_minimizer_meets_constraint_and_equation(basis1d):
     s = 0.5
     lam = 4.0 * float(basis1d.eigenvalues[0] ** s)
@@ -473,7 +511,9 @@ def test_energy_route_recovers_constrained_multiplier(basis1d, basis2d, kind, s)
                          ids=["scipy-default", "solve-constrained", "loose"])
 def test_brentq_matches_scipy_bitwise(f, args, bracket, xtol, rtol):
     want = scipy.optimize.brentq(f, *bracket, args=args, xtol=xtol, rtol=rtol)
-    assert _brentq(f, *bracket, xtol, rtol, args=args) == want
+    a, b = bracket
+    assert _brentq(lambda x: f(x, *args), a, b, f(a, *args), f(b, *args),
+                   xtol, rtol) == want
 
 
 def test_brentq_matches_scipy_on_random_brackets():
@@ -486,12 +526,36 @@ def test_brentq_matches_scipy_on_random_brackets():
                   lambda x, a, b: x**3 + a * x - b):
             want = scipy.optimize.brentq(f, lo, hi, args=(a, b), xtol=xtol,
                                          rtol=8.9e-16)
-            assert _brentq(f, lo, hi, xtol, 8.9e-16, args=(a, b)) == want
+            assert _brentq(lambda x: f(x, a, b), lo, hi, f(lo, a, b), f(hi, a, b),
+                           xtol, 8.9e-16) == want
+
+
+def test_brentq_root_is_the_latest_point_on_its_side():
+    # what solve_constrained relies on to keep only the latest solve on
+    # each side of the target: the root returned is always one of them
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        a, b = rng.uniform(0.2, 5.0), rng.uniform(-0.5, 0.5)
+        lo, hi = rng.uniform(-3.0, -0.6), rng.uniform(0.6, 3.0)
+        xtol = 1e-13 * rng.uniform(0.5, 50.0)
+        for f in (lambda x: np.sinh(a * (x - b)) + 0.1 * (x - b),
+                  lambda x: x**3 + a * x - b, lambda x: np.expm1(a * (x - b)),
+                  lambda x: np.floor(8 * (x - b)) / 8):
+            points = [lo, hi]
+
+            def recorded(x):
+                points.append(x)
+                return f(x)
+            root = _brentq(recorded, lo, hi, f(lo), f(hi), xtol, 8.9e-16)
+            side = f(root) < 0
+            assert root == [x for x in points if (f(x) < 0) == side][-1]
 
 
 def test_brentq_failures_are_solver_errors():
     with pytest.raises(plasma.SolverError, match="no sign change"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
+        def positive(x):
+            return x * x + 1.0
+        _brentq(positive, -1.0, 1.0, positive(-1.0), positive(1.0), 1e-12, 8.9e-16)
     # near a triple root the interpolated steps crawl: 100 iterations do not
     # close the bracket
     def flat(x):
@@ -499,7 +563,7 @@ def test_brentq_failures_are_solver_errors():
     with pytest.raises(RuntimeError, match="100 iterations"):
         scipy.optimize.brentq(flat, 0.0, 3.5, xtol=2e-12, rtol=8.9e-16)
     with pytest.raises(plasma.SolverError, match="not converged after 100"):
-        _brentq(flat, 0.0, 3.5, 2e-12, 8.9e-16)
+        _brentq(flat, 0.0, 3.5, flat(0.0), flat(3.5), 2e-12, 8.9e-16)
 
 
 def test_lbfgs_minimises_an_ill_conditioned_quadratic():
@@ -507,13 +571,16 @@ def test_lbfgs_minimises_an_ill_conditioned_quadratic():
     q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
     A = q @ np.diag(np.geomspace(1.0, 1e3, 30)) @ q.T
     b = rng.standard_normal(30)
-    x, history = _lbfgs(lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b), np.zeros(30))
+    x, history, last = _lbfgs(lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b),
+                              np.zeros(30))
     # it stops where the value stalls at its rounding, short of gtol
     assert np.abs(A @ x - b).max() < 1e-6
     # one value per iteration, each an Armijo decrease
     assert 0 < len(history) < plasma._LBFGS_ITERATIONS
     assert np.all(np.diff(history) <= 0)
     assert history[-1] == pytest.approx(-0.5 * b @ np.linalg.solve(A, b), rel=1e-14)
+    # the function's result at the last iterate comes back with it
+    assert last[0] == history[-1] and np.array_equal(last[1], A @ x - b)
 
 
 def test_lbfgs_stops_at_its_iteration_budget(monkeypatch):
@@ -521,7 +588,7 @@ def test_lbfgs_stops_at_its_iteration_budget(monkeypatch):
     # Rosenbrock's valley takes dozens of iterations
     def rosen(x):
         return (scipy.optimize.rosen(x), scipy.optimize.rosen_der(x))
-    _, history = _lbfgs(rosen, np.full(4, -1.2))
+    _, history, _ = _lbfgs(rosen, np.full(4, -1.2))
     assert len(history) == 5
 
 
