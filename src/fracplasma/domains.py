@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 __all__ = [
     "Domain",
@@ -313,11 +309,14 @@ def build_domain(kind: str, n, *, bounds=None, radius: float = None, center=None
 def laplacian_matrix(domain: Domain):
     """Positive-definite second-difference Dirichlet Laplacian -Delta_h.
 
-    Sparse, on packed interior vectors; the Dirichlet (zero) values off
-    the interior are eliminated.  The 1-D second differences are summed over
-    the axes on the full grid (a Kronecker sum, last axis fastest) and
-    the sum is restricted to the interior nodes.
+    Sparse (``scipy.sparse``, imported here), on packed interior vectors;
+    the Dirichlet (zero) values off the interior are eliminated.  The 1-D
+    second differences are summed over the axes on the full grid (a
+    Kronecker sum, last axis fastest) and the sum is restricted to the
+    interior nodes.
     """
+    import scipy.sparse
+
     full = None
     for n in domain.grid_shape:
         second = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
@@ -366,7 +365,8 @@ class _SineGrid:
 
     Small grids apply the per-axis sine tables as dense products,
     S v on an interval and S_x V S_y on a rectangle; larger grids call
-    ``scipy.fft.dstn``.  The two agree to round-off.
+    ``scipy.fft.dstn``, which is imported only there.  The two agree to
+    round-off.
     """
 
     def __init__(self, shape: tuple):
@@ -381,6 +381,8 @@ class _SineGrid:
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         if not self.by_tables:
+            import scipy.fft
+
             return scipy.fft.dstn(values, type=1, norm="ortho",
                                   axes=tuple(range(len(self.shape))))
         first = self.tables[0]
@@ -416,7 +418,9 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
     Disk masks use sparse shift-invert Lanczos with a fixed start vector
     (so results are deterministic) for up to a twelfth of the spectrum,
     and a dense symmetric solve for larger bases, which is faster beyond
-    somewhere between a twelfth and an eighth.
+    somewhere between a twelfth and an eighth.  Only the disk branch
+    imports ``scipy.sparse``, ``scipy.sparse.linalg`` and ``scipy.linalg``,
+    so a process that never builds a disk basis never loads the first two.
     """
     m = domain.n_interior
     if not 1 <= K <= m:
@@ -429,6 +433,9 @@ def eigendecompose(domain: Domain, K: int) -> EigenBasis:
         sums = sum(np.meshgrid(*per_axis, indexing="ij")).ravel()
         order = np.argsort(sums, kind="stable")[:K]
         return EigenBasis(domain=domain, eigenvalues=sums[order], _modes=order)
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     if K <= m // 12:
         A = laplacian_matrix(domain)
         lam, V = scipy.sparse.linalg.eigsh(

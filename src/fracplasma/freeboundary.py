@@ -531,12 +531,29 @@ def check_boundary_inclusion(domain: Domain, values: np.ndarray,
 
 
 def _nearest_chebyshev(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Chebyshev distance from each point of src to the nearest of dst
-    (exact on the half-integer coordinates of edge midpoints)."""
-    dists = np.full(len(src), np.inf)
-    for i, _, d in _chebyshev_blocks(src, dst):
-        rows = dists[i:i + len(d)]
-        np.minimum(rows, d.min(axis=1), out=rows)
+    """Chebyshev distance from each point of src to the nearest of dst, for
+    points with half-integer coordinates (edge midpoints in index units).
+
+    Doubled, the coordinates are integers, so a partner within one cell
+    lies at one of the 5^dim doubled offsets in [-2, 2]^dim, each one
+    lookup among dst's sorted keys.  Only the points without such a
+    partner are compared with every point of dst."""
+    if len(src) == 0 or len(dst) == 0:
+        return np.full(len(src), np.inf)
+    a, b = (np.rint(2 * p).astype(np.int64) for p in (src, dst))
+    # keys of doubled points moved by up to 2, on a base that never wraps
+    low = np.minimum(a.min(axis=0), b.min(axis=0)) - 2
+    base = int(max(a.max(), b.max()) - low.min()) + 3
+    weights = base ** np.arange(a.shape[1], dtype=np.int64)
+    keys = np.sort((b - low) @ weights)
+    shifts = np.array(list(np.ndindex(*(5,) * a.shape[1]))) - 2
+    probe = ((a - low) @ weights)[:, None] + shifts @ weights
+    hit = keys[np.minimum(np.searchsorted(keys, probe), len(keys) - 1)] == probe
+    dists = np.where(hit, np.abs(shifts).max(axis=1) / 2, np.inf).min(axis=1)
+    far = np.flatnonzero(np.isinf(dists))
+    for i, _, d in _chebyshev_blocks(src[far], dst):
+        rows = far[i:i + len(d)]
+        dists[rows] = np.minimum(dists[rows], d.min(axis=1))
     return dists
 
 

@@ -12,11 +12,12 @@ where L^s acts diagonally on the Dirichlet eigenbasis.  Three routes:
   of up to 256 nodes reads it from the nodal matrix G of L^{-s}, kept
   in one slot for the next call on the same basis and order, and solves
   it directly; larger sets, and every set on a basis of more than 1024
-  nodes, which never builds G, solve it by MINRES through the basis
-  transforms.  A MINRES step that only has to find the next set stops at
-  an Eisenstat-Walker forcing term; a run's first step and its step on
-  the set it ends on go to the rounding floor, so a converged answer is
-  the exact piecewise solve.  At or below lam_1^s the only solution is
+  nodes, which never builds G, solve it by MINRES (``_minres``, a
+  step-for-step port of scipy's) through the basis transforms.  A MINRES
+  step that only has to find the next set stops at an Eisenstat-Walker
+  forcing term; a run's first step and its step on the set it ends on
+  go to the rounding floor, so a converged answer is the exact
+  piecewise solve.  At or below lam_1^s the only solution is
   u = 0.  Above it the solver returns the nontrivial branch: Newton runs
   at lam from the given start or a bump, and when that does not reach a
   nontrivial solution it follows the branch in lam from just above
@@ -38,6 +39,7 @@ with lam = 2 mu, as its Euler-Lagrange equation: the energy route recovers lam.
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections import deque
 from dataclasses import dataclass, field as dc_field, replace
@@ -45,7 +47,6 @@ from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .domains import Domain, EigenBasis
 from .spectral import SpectralField, _check_order
@@ -256,9 +257,10 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
     zero off A.  Up to _DIRECT_MAX nodes on a basis of at most _GREEN_MAX,
     the system is read from ``_green`` (the slot's G, or one built into
     it) and solved directly (exactly); larger sets, and every set on a
-    larger basis, are solved by MINRES to relative residual ``rtol``,
-    with L^{-s} applied through the basis transforms.  Appends the MINRES
-    iterations and ``rtol`` (both 0 for a direct solve) to ``log``.
+    larger basis, are solved by ``_minres`` to relative residual ``rtol``,
+    which calls ``apply`` (L^{-s} through the basis transforms) directly.
+    Appends the MINRES iterations and ``rtol`` (both 0 for a direct solve)
+    to ``log``.
     """
     minres = log.minres
     minres.append(0)
@@ -288,15 +290,76 @@ def _active_set_step(basis: EigenBasis, lam: float, gamma: float, s: float,
         def apply(z):
             return basis.spectral_apply(spread(z), lam / lam_s)[active] - z
 
-        op = scipy.sparse.linalg.LinearOperator((p, p), matvec=apply, dtype=float)
         log.forcing[-1] = rtol
-        z, info = scipy.sparse.linalg.minres(
-            op, np.full(p, gamma), rtol=rtol,
-            callback=lambda _: minres.__setitem__(-1, minres[-1] + 1))
+        z, info = _minres(apply, np.full(p, gamma), rtol,
+                          lambda: minres.__setitem__(-1, minres[-1] + 1))
         if info != 0:
             raise np.linalg.LinAlgError(f"MINRES stopped after {minres[-1]} "
                                         f"iterations on a {p}-node plasma set")
     return lam * basis.coefficients(spread(z)) / lam_s
+
+
+def _minres(matvec, b: np.ndarray, rtol: float, callback):
+    """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 1975) for A x = b
+    with A symmetric, applied by ``matvec``, from x = 0 without a
+    preconditioner: every floating-point operation of scipy's ``minres``
+    (x0=None, M=None, shift=0) in its order, so x is bitwise scipy's.  It
+    stops when |r| <= rtol |A| |x| or |A r| <= rtol |A| |r| (norms
+    estimated from the Lanczos process), on scipy's rounding and
+    conditioning tests, or after 5 n iterations.  ``callback()`` runs after
+    each iteration.  Returns x and info: 5 n when the iteration limit
+    stopped it, else 0."""
+    n = len(b)
+    maxiter, eps = 5 * n, np.finfo(float).eps
+    x = np.zeros(n)
+    r1 = r2 = y = b
+    beta1 = np.inner(b, b)
+    if beta1 == 0:
+        return x, 0
+    beta1 = math.sqrt(beta1)
+    oldb, beta, dbar, epsln, phibar = 0, beta1, 0, 0, beta1
+    tnorm2, gmax, gmin = 0, 0, np.finfo(float).max
+    cs, sn = -1, 0
+    w, w2 = np.zeros(n), np.zeros(n)
+    for itn in range(1, maxiter + 1):
+        # Lanczos step
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = np.inner(v, y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        oldb, beta = beta, math.sqrt(np.inner(y, y))
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        # the previous rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        # stopping tests on the estimated norms |A|, |x|, |r| and |A r|
+        Anorm = math.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        test1 = phibar / (Anorm * ynorm) if ynorm != 0 and Anorm != 0 else np.inf
+        test2 = root / Anorm if Anorm != 0 else np.inf
+        callback()
+        if (test1 <= rtol or test2 <= rtol or Anorm * ynorm * eps >= beta1
+                or gmax / gmin >= 0.1 / eps):
+            return x, 0
+        # scipy lets the iteration limit overrule these three
+        if itn < maxiter and (1 + test1 <= 1 or 1 + test2 <= 1
+                              or itn == 1 and beta / beta1 <= 10 * eps):
+            return x, 0
+    return x, maxiter
 
 
 def _active_set_solve(basis: EigenBasis, lam: float, gamma: float, s: float,

@@ -18,8 +18,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fracplasma import (ConfigError, ExperimentConfig, ExtensionField,
-                        SolverOptions, build_ymesh, extend_semianalytic,
-                        load_config)
+                        SolverOptions, build_domain, build_ymesh,
+                        eigendecompose, extend_semianalytic, load_config)
 from fracplasma.cli import main
 
 BASE = {
@@ -1094,36 +1094,93 @@ def test_disk_without_n_refused_before_solve(tmp_path, monkeypatch, capsys):
     assert load_config(str(write_config(tmp_path, {"domain": {"n": None}}))).domain.n == 129
 
 
-def test_runs_import_no_optimize_spatial_or_csgraph(tmp_path):
-    # a fresh interpreter: this one holds scipy.optimize through oracles
-    path = write_config(tmp_path, {
+# scipy subpackages the package never loads on intervals, rectangles of at
+# most 10,000 interior nodes, and their solvers
+UNLOADED_SCIPY = ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.fft")
+
+
+def _fresh_python(code, *args):
+    """stdout of ``code`` run by a fresh interpreter that imports this tree's
+    package (this one holds scipy.optimize and scipy.sparse through oracles)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_runs_import_no_optimize_spatial_sparse_or_fft(tmp_path):
+    square = write_config(tmp_path, {
         "domain": {"kind": "rectangle", "n": 17, "bounds": [[0.0, np.pi], [0.0, np.pi]]},
-        "s": 0.75})
+        "s": 0.75, "frequency": {"centers": [[np.pi / 2, np.pi / 2]], "n_radii": 8}},
+        name="square.json")
+    interval = write_config(tmp_path, name="interval.json")
     code = """if True:
+        import json
         import sys
         import numpy as np
         import fracplasma.cli
         from fracplasma import (build_domain, eigendecompose, minimize_energy,
                                 solve_constrained, solve_fixed_lambda)
+        square, interval, out, unloaded = sys.argv[1:]
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith(tuple(unloaded.split())))
         dom = build_domain("rectangle", 17, bounds=((0.0, np.pi),) * 2)
         basis = eigendecompose(dom, dom.n_interior)
         lam1s = float(basis.eigenvalues[0] ** 0.75)
-        statuses = [solve_fixed_lambda(basis, 4 * lam1s, 0.1, 0.75).status,
-                    solve_constrained(basis, 0.01, 0.1, 0.75).status,
-                    minimize_energy(basis, 0.01, 0.1, 0.75).status]
-        code = fracplasma.cli.main(["verify", "--config", sys.argv[1],
-                                    "--out", sys.argv[2]])
-        print(code, *statuses, *sorted(m for m in sys.modules if m.startswith(
-            ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph"))))
+        seen = [[solve_fixed_lambda(basis, 4 * lam1s, 0.1, 0.75).status,
+                 solve_constrained(basis, 0.01, 0.1, 0.75).status,
+                 minimize_energy(basis, 0.01, 0.1, 0.75).status] + loaded()]
+        for command, path in (("verify", square), ("frequency", square),
+                              ("frequency", interval)):
+            code = fracplasma.cli.main([command, "--config", path, "--out", out])
+            seen.append([command, code] + loaded())
+        print(json.dumps(seen))
     """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    done = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, check=True)
-    last = done.stdout.splitlines()[-1].split()
-    assert last[0] in ("0", "1") and last[1:4] == ["converged"] * 3
-    assert last[4:] == []
+    seen = json.loads(_fresh_python(code, square, interval, tmp_path / "out",
+                                    " ".join(UNLOADED_SCIPY)).splitlines()[-1])
+    assert seen[0] == ["converged"] * 3
+    assert seen[1] in (["verify", 0], ["verify", 1])
+    assert seen[2:] == [["frequency", 0], ["frequency", 0]]
+
+
+def test_disk_and_large_grid_paths_load_their_scipy_parts(tmp_path):
+    # the 17-node disk has 177 interior nodes: K = 4 takes eigsh, K = 40 eigh;
+    # the 129-node square's transform is dstn
+    code = """if True:
+        import sys
+        import numpy as np
+        from fracplasma import build_domain, domains, eigendecompose
+        dom = build_domain("disk", 17, bounds=((-1.5, 1.5),) * 2, radius=1.4,
+                           center=(0.0, 0.0))
+        loaded = ["scipy.sparse" in sys.modules]
+        out = {}
+        for K in (4, 40):
+            basis = eigendecompose(dom, K)
+            out[f"lam{K}"], out[f"vec{K}"] = basis.eigenvalues, basis.vectors
+            loaded.append("scipy.sparse.linalg" in sys.modules)
+        loaded.append("scipy.fft" in sys.modules)
+        values = np.random.default_rng(0).standard_normal((127, 127, 2))
+        out["dstn"] = domains._SineGrid((127, 127)).transform(values)
+        loaded.append("scipy.fft" in sys.modules)
+        np.savez(sys.argv[1], **out)
+        print(*loaded)
+    """
+    from fracplasma import domains
+    path = tmp_path / "lazy.npz"
+    assert _fresh_python(code, path).split() == ["False", "True", "True", "False", "True"]
+    got = np.load(path)
+    dom = build_domain("disk", 17, bounds=((-1.5, 1.5),) * 2, radius=1.4,
+                       center=(0.0, 0.0))
+    assert dom.n_interior // 12 >= 4 and dom.n_interior // 12 < 40
+    for K in (4, 40):
+        basis = eigendecompose(dom, K)
+        assert got[f"lam{K}"].tobytes() == basis.eigenvalues.tobytes()
+        assert got[f"vec{K}"].tobytes() == basis.vectors.tobytes()
+    values = np.random.default_rng(0).standard_normal((127, 127, 2))
+    want = domains._SineGrid((127, 127)).transform(values)
+    assert got["dstn"].tobytes() == want.tobytes()
 
 
 def _script(name):

@@ -191,6 +191,43 @@ def test_neighbour_queries_match_kdtree_and_csgraph(dim, monkeypatch):
         assert max(sizes) <= block and sum(sizes) == len(cells) ** 2
 
 
+def _blocked_nearest(src, dst):
+    """The nearest-partner search by blocks of every pair."""
+    dists = np.full(len(src), np.inf)
+    for i, _, d in _chebyshev_blocks(src, dst):
+        rows = dists[i:i + len(d)]
+        np.minimum(rows, d.min(axis=1), out=rows)
+    return dists
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle", "disk"])
+def test_inclusion_lookup_matches_the_blocked_search(kind, monkeypatch):
+    rng = np.random.default_rng(["interval", "rectangle", "disk"].index(kind))
+    dom = {"interval": build_domain("interval", 97, bounds=(0.0, 1.0)),
+           "rectangle": build_domain("rectangle", (33, 17), bounds=((0.0, 2.0), (0.0, 1.0))),
+           "disk": build_domain("disk", 33, bounds=((-1.5, 1.5),) * 2, radius=1.4,
+                                center=(0.0, 0.0))}[kind]
+    mesh = np.meshgrid(*dom.axes, indexing="ij")
+    seen = set()
+    for _ in range(40):
+        # a few random waves, noise on some, and a plateau at the level of
+        # random width, which puts the two transitions cells apart
+        u = sum(rng.standard_normal() * np.cos(np.tensordot(rng.uniform(0, 6, dom.dim), mesh, 1)
+                                               + rng.uniform(0, 6)) for _ in range(3))
+        u = u + rng.choice([0.0, 0.3]) * rng.standard_normal(u.shape)
+        level = float(rng.uniform(-0.5, 0.5))
+        u = np.where(np.abs(u - level) < rng.choice([0.0, 0.05, 0.3]), level, u)
+        u = np.where(dom.interior, u, 0.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(freeboundary, "_nearest_chebyshev", _blocked_nearest)
+            blocked = check_boundary_inclusion(dom, u, level)
+        # the gap, the violations in their order, the verdict and the note
+        got = check_boundary_inclusion(dom, u, level)
+        assert got == blocked
+        seen.add((got.passed, len(got.violations) > 0))
+    assert {(True, False), (False, True)} <= seen
+
+
 def test_inclusion_and_strip_match_kdtree_on_a_disk():
     dom = build_domain("disk", 33, bounds=((-1.5, 1.5),) * 2, radius=1.4,
                        center=(0.0, 0.0))

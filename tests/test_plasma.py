@@ -14,8 +14,8 @@ from fracplasma import (Domain, SolverOptions, apply_fractional, build_domain,
                         steiner_symmetrize)
 from fracplasma.plasma import (_DIRECT_MAX, _GREEN_MAX, _MINRES_RTOL,
                                _NEWTON_UPDATES, _Log, _active_set_step,
-                               _brentq, _lbfgs, _plasma_rhs, _reduced_energy,
-                               _scale_onto_mass)
+                               _brentq, _lbfgs, _minres, _plasma_rhs,
+                               _reduced_energy, _scale_onto_mass)
 
 GAMMA = 0.1
 
@@ -564,6 +564,50 @@ def test_brentq_failures_are_solver_errors():
         scipy.optimize.brentq(flat, 0.0, 3.5, xtol=2e-12, rtol=8.9e-16)
     with pytest.raises(plasma.SolverError, match="not converged after 100"):
         _brentq(flat, 0.0, 3.5, flat(0.0), flat(3.5), 2e-12, 8.9e-16)
+
+
+def _minres_both(A, b, rtol):
+    """(x, info, callbacks) of scipy's minres and of the port on A x = b."""
+    import scipy.sparse.linalg
+    out = []
+    for solve in (lambda cb: scipy.sparse.linalg.minres(A, b, rtol=rtol,
+                                                        callback=lambda _: cb()),
+                  lambda cb: _minres(lambda v: A @ v, b, rtol, cb)):
+        calls = []
+        x, info = solve(lambda: calls.append(1))
+        out.append((x.tobytes(), info, len(calls)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["definite", "indefinite", "singular"])
+def test_minres_matches_scipy_bitwise(kind):
+    rng = np.random.default_rng(["definite", "indefinite", "singular"].index(kind))
+    for n in [1, 2, 3, 300] + rng.integers(4, 300, size=16).tolist():
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        ev = (rng.uniform(0.1, 10.0, n) if kind == "definite"
+              else rng.uniform(-5.0, 5.0, n))
+        if kind == "singular":
+            ev[rng.random(n) < 0.2] = 0.0
+        A = (Q * ev) @ Q.T
+        A = (A + A.T) / 2
+        # a singular system gets a consistent right-hand side
+        b = A @ rng.standard_normal(n) if kind == "singular" else rng.standard_normal(n)
+        for rtol in (1e-13, 1e-8, 1e-2):
+            want, got = _minres_both(A, b, rtol)
+            assert got == want and got[1] == 0
+
+
+def test_minres_zero_rhs_and_iteration_limit_match_scipy():
+    A = np.diag(np.arange(1.0, 6.0))
+    want, got = _minres_both(A, np.zeros(5), 1e-8)
+    assert got == want == (np.zeros(5).tobytes(), 0, 0)
+    # alternating signs over six decades: 5 n iterations do not reach 1e-13
+    n = 40
+    Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
+    A = (Q * (np.geomspace(1e-6, 1.0, n) * (-1.0) ** np.arange(n))) @ Q.T
+    A = (A + A.T) / 2
+    want, got = _minres_both(A, np.random.default_rng(4).standard_normal(n), 1e-13)
+    assert got == want and got[1:] == (5 * n, 5 * n)
 
 
 def test_lbfgs_minimises_an_ill_conditioned_quadratic():
